@@ -1,174 +1,27 @@
 /**
  * @file
- * Per-channel noise ablations and the legacy golden-distribution gate.
+ * Per-channel noise ablations.
  *
- * Default mode runs the Fig 15 protocol with one channel enabled at a
- * time (at its default ablation rate), over the TVD suite and all three
- * compilation techniques, so each channel's contribution to circuit
- * infidelity is visible in isolation — the per-channel RNG streams make
- * the rows seed-comparable across ablations.
+ * Runs the Fig 15 protocol with one channel enabled at a time (at its
+ * default ablation rate), over the TVD suite and all three compilation
+ * techniques, so each channel's contribution to circuit infidelity is
+ * visible in isolation — the per-channel RNG streams make the rows
+ * seed-comparable across ablations.
  *
  *   bench_noise_channels [--channel <name>[=<rate>]] [--json <file>]
- *   bench_noise_channels --golden <file>
- *
- * --golden replays the six pre-refactor golden configurations and
- * compares every probability bit-for-bit against the checked-in
- * capture (tests/golden/noise_legacy_golden.txt); any drift exits
- * nonzero. CI runs this on every push.
  */
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
-#include "sim/trajectory.hpp"
-#include "topology/topology.hpp"
 
 using namespace geyser;
 using namespace geyser::bench;
 
 namespace {
-
-// ---- Golden gate ----------------------------------------------------
-
-/** The probe circuits the golden capture was generated from. */
-Circuit
-logicalProbe()
-{
-    Circuit c(4);
-    c.h(0);
-    c.cx(0, 1);
-    c.u3(2, 0.3, 0.1, 0.7);
-    c.ccx(0, 1, 2);
-    c.rz(3, 0.25);
-    c.cz(2, 3);
-    c.h(3);
-    c.ccz(1, 2, 3);
-    c.cx(3, 0);
-    c.h(2);
-    return c;
-}
-
-Circuit
-physicalProbe()
-{
-    Circuit c(4);
-    c.u3(0, 1.5707963267948966, 0.0, 3.141592653589793);
-    c.cz(0, 1);
-    c.u3(1, 0.4, 0.2, 0.9);
-    c.ccz(0, 1, 2);
-    c.u3(2, 0.8, 0.0, 0.1);
-    c.cz(2, 3);
-    c.u3(3, 0.6, 0.3, 0.2);
-    c.ccz(1, 2, 3);
-    c.u3(0, 0.2, 0.5, 0.4);
-    c.cz(1, 3);
-    return c;
-}
-
-bool
-checkCase(const std::map<std::string, std::vector<uint64_t>> &golden,
-          const std::string &name, const Distribution &got)
-{
-    const auto it = golden.find(name);
-    if (it == golden.end()) {
-        std::printf("  %-24s MISSING from golden file\n", name.c_str());
-        return false;
-    }
-    if (it->second.size() != got.size()) {
-        std::printf("  %-24s DIMENSION mismatch\n", name.c_str());
-        return false;
-    }
-    for (size_t i = 0; i < got.size(); ++i) {
-        uint64_t bits;
-        std::memcpy(&bits, &got[i], sizeof bits);
-        if (bits != it->second[i]) {
-            std::printf("  %-24s MISMATCH at outcome %zu\n", name.c_str(),
-                        i);
-            return false;
-        }
-    }
-    std::printf("  %-24s ok (%zu outcomes bit-identical)\n", name.c_str(),
-                got.size());
-    return true;
-}
-
-int
-runGoldenGate(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in.good()) {
-        std::printf("cannot open golden file %s\n", path.c_str());
-        return 1;
-    }
-    std::map<std::string, std::vector<uint64_t>> golden;
-    std::string word;
-    while (in >> word) {
-        std::string name;
-        size_t dim = 0;
-        in >> name >> dim;
-        auto &values = golden[name];
-        for (size_t i = 0; i < dim; ++i) {
-            std::string hex;
-            in >> hex;
-            values.push_back(std::stoull(hex, nullptr, 16));
-        }
-    }
-    std::printf("Legacy golden-distribution gate (%zu cases, %s)\n\n",
-                golden.size(), path.c_str());
-
-    bool ok = true;
-    {
-        TrajectoryConfig cfg{64, 20260808, false, nullptr};
-        ok &= checkCase(golden, "paper-default-logical",
-                        noisyDistribution(logicalProbe(),
-                                          NoiseModel::paperDefault(), cfg));
-    }
-    {
-        TrajectoryConfig cfg{64, 4242, true, nullptr};
-        ok &= checkCase(golden, "paper-default-physical",
-                        noisyDistribution(physicalProbe(),
-                                          NoiseModel::paperDefault(), cfg));
-    }
-    {
-        TrajectoryConfig cfg{64, 31337, false, nullptr};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.perPulse = true;
-        ok &= checkCase(golden, "per-pulse-physical",
-                        noisyDistribution(physicalProbe(), nm, cfg));
-    }
-    {
-        TrajectoryConfig cfg{64, 77, false, nullptr};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.atomLoss = 0.2;
-        ok &= checkCase(golden, "atom-loss",
-                        noisyDistribution(logicalProbe(), nm, cfg));
-    }
-    {
-        const auto topo = Topology::makeTriangular(2, 2);
-        TrajectoryConfig cfg{64, 99, false, &topo};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.crosstalkPhase = 0.3;
-        ok &= checkCase(golden, "crosstalk",
-                        noisyDistribution(logicalProbe(), nm, cfg));
-    }
-    {
-        const auto topo = Topology::makeTriangular(2, 2);
-        TrajectoryConfig cfg{48, 5150, true, &topo};
-        NoiseModel nm{0.002, 0.0015, true, 0.1, 0.05};
-        ok &= checkCase(golden, "kitchen-sink-legacy",
-                        noisyDistribution(physicalProbe(), nm, cfg));
-    }
-    std::printf("\n%s\n", ok ? "all cases bit-identical"
-                             : "GOLDEN MISMATCH: the legacy noise model "
-                               "no longer reproduces the paper numbers");
-    return ok ? 0 : 1;
-}
-
-// ---- Per-channel ablation sweep -------------------------------------
 
 const char *
 flagValue(int argc, char **argv, const char *flag)
@@ -179,8 +32,10 @@ flagValue(int argc, char **argv, const char *flag)
     return nullptr;
 }
 
+}  // namespace
+
 int
-runAblations(int argc, char **argv)
+main(int argc, char **argv)
 {
     ReportSession session(argc, argv, "bench_noise_channels");
     const ChannelFlag only = parseChannelFlag(argc, argv);
@@ -244,12 +99,3 @@ runAblations(int argc, char **argv)
     return 0;
 }
 
-}  // namespace
-
-int
-main(int argc, char **argv)
-{
-    if (const char *golden = flagValue(argc, argv, "--golden"))
-        return runGoldenGate(golden);
-    return runAblations(argc, argv);
-}

@@ -45,16 +45,19 @@ noiseChannelNames()
     return names;
 }
 
+// A zero rate stays zero without asking for the gate's pulse cost, so
+// perPulse models whose flips are off also run on logical gates.
 double
 NoiseModel::bitFlipFor(const Gate &gate) const
 {
-    return perPulse ? bitFlip * gate.pulses() : bitFlip;
+    return perPulse && bitFlip > 0.0 ? bitFlip * gate.pulses() : bitFlip;
 }
 
 double
 NoiseModel::phaseFlipFor(const Gate &gate) const
 {
-    return perPulse ? phaseFlip * gate.pulses() : phaseFlip;
+    return perPulse && phaseFlip > 0.0 ? phaseFlip * gate.pulses()
+                                       : phaseFlip;
 }
 
 void
@@ -99,24 +102,6 @@ NoiseModel::singleChannel(NoiseChannelId id, double rate)
     NoiseModel nm = noiseless();
     nm.setChannelRate(id, rate);
     return nm;
-}
-
-void
-applyNoisyGate(StateVector &sv, const Gate &gate, const NoiseModel &noise,
-               Rng &rng)
-{
-    sv.apply(gate);
-    if (noise.isNoiseless())
-        return;
-    const double pb = noise.bitFlipFor(gate);
-    const double pp = noise.phaseFlipFor(gate);
-    for (int i = 0; i < gate.numQubits(); ++i) {
-        const Qubit q = gate.qubit(i);
-        if (rng.bernoulli(pb))
-            sv.applyX(q);
-        if (rng.bernoulli(pp))
-            sv.applyZ(q);
-    }
 }
 
 }  // namespace geyser

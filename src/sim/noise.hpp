@@ -4,18 +4,18 @@
  *
  * The model is a *composition of channels*. The paper's Sec-4 model —
  * bit-flip and phase-flip errors at a configurable rate, self-tensored
- * across the qubits of multi-qubit gates — is one channel (with its two
- * Sec-6 extensions, pre-shot atom loss and Rydberg crosstalk); on top
- * of it the library models the physics that dominates real
- * neutral-atom fidelity as independent channels:
+ * across the qubits of multi-qubit gates — is one channel together
+ * with its Sec-6 Rydberg-crosstalk extension; on top of it the library
+ * models the physics that dominates real neutral-atom fidelity as
+ * independent channels:
  *
  *  - amplitude damping (T1 decay sampled as quantum jumps per gate),
  *  - time-aware idle dephasing (T2 phase errors scaled by how many
  *    pulses a qubit sits idle before each gate, from the ASAP
  *    schedule),
- *  - mid-circuit atom-loss tracking (an atom can be lost at any gate,
- *    not only before the shot; later gates on it do not fire and its
- *    readout is depolarized),
+ *  - atom loss, both the paper's Sec-6 pre-shot loss and mid-circuit
+ *    loss (an atom can be lost at any gate; later gates on it do not
+ *    fire and its readout is depolarized),
  *  - correlated two-qubit Pauli errors on entangling gates,
  *  - readout assignment error (a symmetric measurement confusion
  *    matrix applied to the output distribution).
@@ -23,16 +23,15 @@
  * Each channel is implemented as a `NoiseSource` (sim/noise_channel.hpp)
  * with its own counter-derived RNG stream, so enabling one channel
  * never perturbs another channel's draws and per-channel ablations stay
- * seed-comparable. The paper channel keeps its original sequential
- * per-shot RNG through a compatibility adapter: `paperDefault()` (and
- * every legacy-field-only model) produces bit-identical distributions
- * to the pre-refactor simulator (pinned by
- * tests/golden/noise_legacy_golden.txt).
+ * seed-comparable. What a trajectory average must reproduce is the
+ * composed channel, not a particular draw order: its exact counterpart
+ * is the Kraus evolution in sim/density_matrix.hpp.
  *
  * An optional per-pulse scaling mode multiplies the error probability of
  * a gate by its pulse count — used by an ablation bench to show why
- * Geyser optimizes pulses rather than gate count. It requires a
- * physical circuit; `noisyDistribution` validates that at entry.
+ * Geyser optimizes pulses rather than gate count. With a nonzero flip
+ * rate it requires a physical circuit; `noisyDistribution` validates
+ * that, and every rate's range, at entry.
  */
 #ifndef GEYSER_SIM_NOISE_HPP
 #define GEYSER_SIM_NOISE_HPP
@@ -41,8 +40,6 @@
 #include <vector>
 
 #include "circuit/gate.hpp"
-#include "common/rng.hpp"
-#include "sim/statevector.hpp"
 
 namespace geyser {
 
@@ -53,10 +50,10 @@ namespace geyser {
  * changes every extended-channel distribution.
  */
 enum class NoiseChannelId : uint8_t {
-    LegacyPauli = 0,   ///< Paper Sec-4 flips + Sec-6 loss/crosstalk.
+    LegacyPauli = 0,   ///< Paper Sec-4 flips + Sec-6 crosstalk.
     AmpDamping,        ///< T1 quantum jumps per gate.
     IdleDephasing,     ///< Schedule-derived idle Z errors.
-    AtomLossTracking,  ///< Mid-circuit atom loss.
+    AtomLossTracking,  ///< Pre-shot and mid-circuit atom loss.
     CorrelatedPauli,   ///< Joint Pauli pairs on entangling gates.
     ReadoutError,      ///< Measurement confusion matrix.
 };
@@ -88,7 +85,8 @@ struct NoiseModel
      * shuttling a spare in, which arrives in |0> having missed every
      * gate so far; we model the pessimistic in-shot variant where the
      * replacement misses the whole circuit (gates on it act as
-     * identity and its readout is depolarized).
+     * identity and its readout is depolarized). Sampled by the
+     * atom-loss channel, which also owns `lossPerGate`.
      */
     double atomLoss = 0.0;
     /**
@@ -161,28 +159,17 @@ struct NoiseModel
     double bitFlipFor(const Gate &gate) const;
     double phaseFlipFor(const Gate &gate) const;
 
-    /** True when the paper channel (flips/loss/crosstalk) is inert. */
-    bool legacyNoiseless() const
-    {
-        return bitFlip == 0.0 && phaseFlip == 0.0 && atomLoss == 0.0 &&
-               crosstalkPhase == 0.0;
-    }
-
-    /** True when any extended channel is enabled. */
-    bool hasExtendedChannels() const
-    {
-        return ampDamping > 0.0 || idleDephasing > 0.0 ||
-               lossPerGate > 0.0 || correlatedPauli > 0.0 ||
-               readoutError > 0.0;
-    }
-
+    /** True when every channel is off. */
     bool isNoiseless() const
     {
-        return legacyNoiseless() && !hasExtendedChannels();
+        return bitFlip == 0.0 && phaseFlip == 0.0 && atomLoss == 0.0 &&
+               crosstalkPhase == 0.0 && ampDamping == 0.0 &&
+               idleDephasing == 0.0 && lossPerGate == 0.0 &&
+               correlatedPauli == 0.0 && readoutError == 0.0;
     }
 
     /**
-     * Set one channel's rate by id: the legacy channel sets bitFlip and
+     * Set one channel's rate by id: the paper channel sets bitFlip and
      * phaseFlip together (the paper couples them); extended channels
      * set their single field. Throws ValidationError for rates outside
      * [0, 1].
@@ -192,15 +179,6 @@ struct NoiseModel
     /** A model with only `id` enabled at `rate` (per-channel ablations). */
     static NoiseModel singleChannel(NoiseChannelId id, double rate);
 };
-
-/**
- * Sample one noisy execution: apply `gate`, then independently flip each
- * involved qubit with the model's probabilities. (Legacy helper; the
- * trajectory engine routes through NoiseSource hooks, and the
- * compatibility adapter reproduces exactly this draw order.)
- */
-void applyNoisyGate(StateVector &sv, const Gate &gate,
-                    const NoiseModel &noise, Rng &rng);
 
 }  // namespace geyser
 

@@ -52,70 +52,50 @@ StreamRng::uniformInt(int n)
 namespace {
 
 /**
- * The paper's Sec-4 model plus its Sec-6 extensions, replaying the
- * pre-refactor draw order on the sequential per-shot RNG: (1) pre-shot
- * loss sampling when atomLoss > 0, (2) per fired gate, a bit-flip then
- * a phase-flip Bernoulli per operand — including zero-probability
- * draws whenever any legacy field is nonzero, exactly like the old
- * `applyNoisyGate` — then (3) a crosstalk Bernoulli per zone atom.
+ * The paper's Sec-4 bit/phase flips plus its Sec-6 Rydberg crosstalk.
+ * Per fired gate, in stream order: a bit-flip then a phase-flip
+ * Bernoulli per operand, then one crosstalk Bernoulli per zone atom.
  */
-class LegacyPauliAdapter final : public NoiseSource
+class PaperPauliSource final : public NoiseSource
 {
   public:
-    explicit LegacyPauliAdapter(const NoiseModel &model)
-        : model_(model), drawsFlips_(!model.legacyNoiseless())
-    {
-    }
+    explicit PaperPauliSource(const NoiseModel &model) : model_(model) {}
 
     NoiseChannelId id() const override
     {
         return NoiseChannelId::LegacyPauli;
     }
 
-    void onShotStart(ShotContext &ctx) const override
-    {
-        if (model_.atomLoss <= 0.0)
-            return;
-        for (Qubit q = 0; q < ctx.numQubits; ++q) {
-            if (ctx.legacyRng.bernoulli(model_.atomLoss)) {
-                ctx.markLost(q);
-                ctx.countEvent(id());
-            }
-        }
-    }
-
     void onGate(StateVector &sv, const GateEvent &ev,
                 ShotContext &ctx) const override
     {
+        StreamRng rng(ctx.shotSeed, id(), ev.index);
         const Gate &g = *ev.gate;
-        if (drawsFlips_) {
-            const double pb = model_.bitFlipFor(g);
-            const double pp = model_.phaseFlipFor(g);
-            for (int i = 0; i < g.numQubits(); ++i) {
-                const Qubit q = g.qubit(i);
-                if (ctx.legacyRng.bernoulli(pb)) {
-                    sv.applyX(q);
-                    ctx.countEvent(id());
-                }
-                if (ctx.legacyRng.bernoulli(pp)) {
-                    sv.applyZ(q);
-                    ctx.countEvent(id());
-                }
+        const double pb = model_.bitFlipFor(g);
+        const double pp = model_.phaseFlipFor(g);
+        for (int i = 0; i < g.numQubits(); ++i) {
+            const Qubit q = g.qubit(i);
+            if (rng.bernoulli(pb)) {
+                sv.applyX(q);
+                ctx.countEvent(id());
+            }
+            if (rng.bernoulli(pp)) {
+                sv.applyZ(q);
+                ctx.countEvent(id());
             }
         }
-        if (ev.zone != nullptr && g.numQubits() >= 2) {
-            for (const int z : *ev.zone) {
-                if (ctx.legacyRng.bernoulli(model_.crosstalkPhase)) {
-                    sv.applyZ(z);
-                    ctx.countEvent(id());
-                }
+        if (ev.zone == nullptr)
+            return;
+        for (const int z : *ev.zone) {
+            if (rng.bernoulli(model_.crosstalkPhase)) {
+                sv.applyZ(z);
+                ctx.countEvent(id());
             }
         }
     }
 
   private:
     NoiseModel model_;
-    bool drawsFlips_;
 };
 
 /** T1 decay as quantum jumps, one damping step per operand per gate. */
@@ -178,19 +158,40 @@ class IdleDephasingSource final : public NoiseSource
     double rate_;
 };
 
-/** Mid-circuit loss: any operand can drop out right before its gate. */
+/**
+ * Atom loss: each atom can be lost before the shot (`atomLoss`, paper
+ * Sec 6) and each operand right before its gate (`lossPerGate`).
+ */
 class AtomLossTrackingSource final : public NoiseSource
 {
   public:
-    explicit AtomLossTrackingSource(double per_gate) : perGate_(per_gate) {}
+    AtomLossTrackingSource(double pre_shot, double per_gate)
+        : preShot_(pre_shot), perGate_(per_gate)
+    {
+    }
 
     NoiseChannelId id() const override
     {
         return NoiseChannelId::AtomLossTracking;
     }
 
+    void onShotStart(ShotContext &ctx) const override
+    {
+        if (preShot_ <= 0.0)
+            return;
+        StreamRng rng(ctx.shotSeed, id(), kShotEventIndex);
+        for (Qubit q = 0; q < ctx.numQubits; ++q) {
+            if (rng.bernoulli(preShot_)) {
+                ctx.markLost(q);
+                ctx.countEvent(id());
+            }
+        }
+    }
+
     void onGateStart(const GateEvent &ev, ShotContext &ctx) const override
     {
+        if (perGate_ <= 0.0)
+            return;
         StreamRng rng(ctx.shotSeed, id(), ev.index);
         const Gate &g = *ev.gate;
         for (int i = 0; i < g.numQubits(); ++i) {
@@ -205,6 +206,7 @@ class AtomLossTrackingSource final : public NoiseSource
     }
 
   private:
+    double preShot_;
     double perGate_;
 };
 
@@ -303,17 +305,18 @@ std::vector<std::unique_ptr<NoiseSource>>
 buildNoiseSources(const NoiseModel &model)
 {
     std::vector<std::unique_ptr<NoiseSource>> sources;
-    if (!model.legacyNoiseless())
-        sources.push_back(std::make_unique<LegacyPauliAdapter>(model));
+    if (model.bitFlip > 0.0 || model.phaseFlip > 0.0 ||
+        model.crosstalkPhase > 0.0)
+        sources.push_back(std::make_unique<PaperPauliSource>(model));
     if (model.ampDamping > 0.0)
         sources.push_back(
             std::make_unique<AmpDampingSource>(model.ampDamping));
     if (model.idleDephasing > 0.0)
         sources.push_back(
             std::make_unique<IdleDephasingSource>(model.idleDephasing));
-    if (model.lossPerGate > 0.0)
-        sources.push_back(
-            std::make_unique<AtomLossTrackingSource>(model.lossPerGate));
+    if (model.atomLoss > 0.0 || model.lossPerGate > 0.0)
+        sources.push_back(std::make_unique<AtomLossTrackingSource>(
+            model.atomLoss, model.lossPerGate));
     if (model.correlatedPauli > 0.0)
         sources.push_back(
             std::make_unique<CorrelatedPauliSource>(model.correlatedPauli));

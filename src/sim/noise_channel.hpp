@@ -5,14 +5,15 @@
  * Each channel is a `NoiseSource`: an object with hooks that the
  * trajectory engine calls at fixed points of a shot (shot start, before
  * a gate fires, after it fires, on idle time, at readout). Per-shot
- * mutable state — the lost-atom set, per-channel event tallies, the
- * legacy sequential RNG — lives in a `ShotContext` owned by the engine,
- * so one `NoiseSource` instance is shared by every trajectory across
- * every worker thread without synchronization.
+ * mutable state — the lost-atom set and per-channel event tallies —
+ * lives in a `ShotContext` owned by the engine, so one `NoiseSource`
+ * instance is shared by every trajectory across every worker thread
+ * without synchronization.
  *
- * RNG discipline: every extended channel draws from a `StreamRng`
- * keyed on (shotSeed, channelId, gateIndex) — a counter-derived
- * splitmix64 stream. Consequences, relied on by tests:
+ * RNG discipline: every channel draws from a `StreamRng` keyed on
+ * (shotSeed, channelId, gateIndex) — a counter-derived splitmix64
+ * stream — or on (shotSeed, channelId, kShotEventIndex) for per-shot
+ * draws. Consequences, relied on by tests:
  *  - toggling channel B never changes channel A's draws (streams are
  *    keyed, not sequential), so per-channel ablations at one seed are
  *    directly comparable;
@@ -21,14 +22,6 @@
  *    order; verify asserts bit-identity);
  *  - serial and parallel runs agree bit-for-bit (no draw depends on
  *    scheduling).
- *
- * The one exception is `LegacyPauliAdapter`: the paper's Sec-4/Sec-6
- * model predates this architecture and its published numbers are pinned
- * to a *sequential* per-shot mt19937_64 (`ShotContext::legacyRng`).
- * The adapter replays exactly the pre-refactor draw order — including
- * degenerate zero-probability draws — so `NoiseModel::paperDefault()`
- * distributions are bit-identical to the pre-refactor simulator
- * (tests/golden/noise_legacy_golden.txt).
  */
 #ifndef GEYSER_SIM_NOISE_CHANNEL_HPP
 #define GEYSER_SIM_NOISE_CHANNEL_HPP
@@ -39,7 +32,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/rng.hpp"
 #include "sim/noise.hpp"
 #include "sim/statevector.hpp"
 
@@ -80,18 +72,12 @@ inline constexpr uint64_t kShotEventIndex = ~uint64_t{0};
 struct ShotContext
 {
     ShotContext(uint64_t shot_seed, int num_qubits)
-        : shotSeed(shot_seed), numQubits(num_qubits), legacyRng(shot_seed)
+        : shotSeed(shot_seed), numQubits(num_qubits)
     {
     }
 
     uint64_t shotSeed;
     int numQubits;
-    /**
-     * The pre-refactor sequential per-shot stream. Only the legacy
-     * compatibility adapter may draw from it; extended channels use
-     * StreamRng so they cannot perturb it.
-     */
-    Rng legacyRng;
 
     /** Lost-atom flags (lazily sized by markLost). */
     std::vector<char> lost;
@@ -127,8 +113,8 @@ struct GateEvent
     /** Position in the circuit; keys per-gate RNG streams. */
     size_t index = 0;
     /**
-     * Restriction-zone atoms of a multi-qubit gate (crosstalk), or
-     * nullptr when crosstalk is off / the gate is single-qubit.
+     * Restriction-zone atoms of a multi-qubit gate (crosstalk; empty
+     * for a single-qubit gate), or nullptr when crosstalk is off.
      */
     const std::vector<int> *zone = nullptr;
     /**
@@ -209,7 +195,7 @@ class NoiseSource
 
 /**
  * Instantiate one NoiseSource per enabled channel of `model`, in
- * NoiseChannelId order (legacy adapter first). The returned sources
+ * NoiseChannelId order (paper channel first). The returned sources
  * borrow nothing from `model`; they are safe to use across threads for
  * the lifetime of the simulation.
  */

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "circuit/schedule.hpp"
 #include "common/error.hpp"
@@ -30,10 +32,37 @@ struct EngineContext
     std::vector<std::array<long, 3>> idle;
 };
 
+/** Rejects a rate no channel can sample (NaN, negative, p > 1). */
+void
+validateRates(const NoiseModel &noise)
+{
+    const std::pair<const char *, double> probabilities[] = {
+        {"bitFlip", noise.bitFlip},
+        {"phaseFlip", noise.phaseFlip},
+        {"atomLoss", noise.atomLoss},
+        {"crosstalkPhase", noise.crosstalkPhase},
+        {"ampDamping", noise.ampDamping},
+        {"lossPerGate", noise.lossPerGate},
+        {"correlatedPauli", noise.correlatedPauli},
+        {"readoutError", noise.readoutError},
+    };
+    for (const auto &[name, p] : probabilities)
+        if (!std::isfinite(p) || p < 0.0 || p > 1.0)
+            throw ValidationError(std::string("noisyDistribution: ") + name +
+                                  " must be a probability in [0, 1] (got " +
+                                  std::to_string(p) + ")");
+    if (!std::isfinite(noise.idleDephasing) || noise.idleDephasing < 0.0)
+        throw ValidationError(
+            "noisyDistribution: idleDephasing must be finite and >= 0 "
+            "(got " +
+            std::to_string(noise.idleDephasing) + ")");
+}
+
 void
 validateRequest(const Circuit &circuit, const NoiseModel &noise,
                 const TrajectoryConfig &config)
 {
+    validateRates(noise);
     if (config.trajectories <= 0)
         throw ValidationError(
             "noisyDistribution: trajectory count must be positive (got " +
@@ -43,7 +72,9 @@ validateRequest(const Circuit &circuit, const NoiseModel &noise,
             "noisyDistribution: crosstalkPhase > 0 requires a topology "
             "(restriction zones depend on atom positions); supply "
             "TrajectoryConfig::topology or disable the channel");
-    const bool needsPulses = noise.perPulse && !noise.legacyNoiseless();
+    // Only the flip rates scale with pulses (NoiseModel::bitFlipFor).
+    const bool needsPulses =
+        noise.perPulse && (noise.bitFlip > 0.0 || noise.phaseFlip > 0.0);
     const bool needsSchedule = noise.idleDephasing > 0.0;
     if (needsPulses || needsSchedule) {
         for (size_t gi = 0; gi < circuit.size(); ++gi) {

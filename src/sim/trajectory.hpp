@@ -59,11 +59,14 @@ struct TrajectoryConfig
  * Average output distribution of `circuit` under `noise`.
  *
  * Validated at entry (ValidationError):
+ *  - every probability in `noise` must be finite and in [0, 1], and
+ *    noise.idleDephasing finite and >= 0; the error names the field;
  *  - config.trajectories must be positive;
  *  - noise.crosstalkPhase > 0 requires config.topology;
- *  - noise.perPulse and noise.idleDephasing > 0 require a physical
- *    circuit (pulse counts / the ASAP schedule are undefined
- *    otherwise); the error names the first offending gate.
+ *  - noise.perPulse with a nonzero flip rate, and
+ *    noise.idleDephasing > 0, require a physical circuit (pulse counts /
+ *    the ASAP schedule are undefined otherwise); the error names the
+ *    first offending gate.
  */
 Distribution noisyDistribution(const Circuit &circuit,
                                const NoiseModel &noise,

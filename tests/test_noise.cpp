@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/metrics.hpp"
+#include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 
 namespace geyser {

@@ -1,24 +1,24 @@
 /**
  * @file
- * Composable noise-channel tests: the legacy golden-distribution pin,
- * per-channel physics, RNG-stream isolation, order invariance, and the
- * trajectory-request validation contract.
+ * Composable noise-channel tests: the paper channel against its exact
+ * Kraus reference, per-channel physics, RNG-stream isolation, order
+ * invariance, and the trajectory-request validation contract.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "metrics/metrics.hpp"
 #include "obs/obs.hpp"
+#include "sim/density_matrix.hpp"
 #include "sim/noise_channel.hpp"
 #include "sim/trajectory.hpp"
 #include "topology/topology.hpp"
@@ -30,7 +30,7 @@ namespace {
 
 // ---- Shared fixtures ------------------------------------------------
 
-/** The logical probe circuit the golden capture was generated from. */
+/** A logical probe: H/CX/CCX/CCZ mix over four qubits. */
 Circuit
 logicalProbe()
 {
@@ -48,7 +48,7 @@ logicalProbe()
     return c;
 }
 
-/** The physical probe circuit the golden capture was generated from. */
+/** A physical probe: U3/CZ/CCZ with pulse costs, over four atoms. */
 Circuit
 physicalProbe()
 {
@@ -98,146 +98,137 @@ allChannelsModel()
     return nm;
 }
 
-// ---- Golden regression: legacy model is bit-identical ---------------
-
-std::map<std::string, std::vector<uint64_t>>
-loadGolden()
-{
-    const std::string path =
-        std::string(GEYSER_NOISE_GOLDEN_DIR) + "/noise_legacy_golden.txt";
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::map<std::string, std::vector<uint64_t>> cases;
-    std::string word;
-    while (in >> word) {
-        EXPECT_EQ(word, "case");
-        std::string name;
-        size_t dim = 0;
-        in >> name >> dim;
-        auto &values = cases[name];
-        for (size_t i = 0; i < dim; ++i) {
-            std::string hex;
-            in >> hex;
-            values.push_back(std::stoull(hex, nullptr, 16));
-        }
-    }
-    return cases;
-}
-
-#ifndef __has_feature
-#define __has_feature(x) 0
-#endif
+// ---- The paper channel against its exact Kraus reference -----------
 
 /**
- * The golden bits were captured on the release preset (-O2) with the
- * default kernel dispatch; that exact configuration — release ctest and
- * the CI noise-ablation `--golden` gate — must stay bit-identical.
- * Other codegen (sanitizer builds at -O1, or a forced GEYSER_BACKEND
- * override) contracts a*b+c differently in the gate-apply kernels and
- * legitimately drifts by a few ULPs, so those runs compare with a tiny
- * ULP tolerance instead: any real draw-order or adapter regression
- * shifts outcomes by ~1e-2, orders of magnitude beyond it.
+ * Exact output of the paper channel (bit/phase flips, crosstalk) plus
+ * pre-shot atom loss, by density-matrix evolution: a mixture over every
+ * set S of atoms lost before the shot, weighted a^|S| (1-a)^(n-|S|).
+ * Within one set, each gate that touches no lost atom runs, followed by
+ * the flip channel on its operands and the crosstalk phase-flip channel
+ * on its restriction zone; lost atoms then read out uniformly.
  */
-bool
-strictBitIdentity()
+Distribution
+exactPaperChannel(const Circuit &c, const NoiseModel &nm,
+                  const Topology *topology)
 {
-#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer) || \
-    __has_feature(undefined_behavior_sanitizer)
-    return false;
-#else
-    const char *env = std::getenv("GEYSER_BACKEND");
-    return env == nullptr || *env == '\0';
-#endif
+    const int n = c.numQubits();
+    const size_t dim = size_t{1} << n;
+    Distribution mixture(dim, 0.0);
+    for (size_t lost = 0; lost < dim; ++lost) {
+        const int k = std::popcount(lost);
+        const double weight =
+            std::pow(nm.atomLoss, k) * std::pow(1.0 - nm.atomLoss, n - k);
+        if (weight == 0.0)
+            continue;
+        DensityMatrix dm(n);
+        for (const Gate &g : c.gates()) {
+            std::vector<int> operands;
+            bool touchesLost = false;
+            for (int i = 0; i < g.numQubits(); ++i) {
+                operands.push_back(g.qubit(i));
+                touchesLost |= ((lost >> g.qubit(i)) & 1) != 0;
+            }
+            if (touchesLost)
+                continue;
+            dm.applyNoisy(g, nm);
+            if (nm.crosstalkPhase > 0.0 && g.numQubits() >= 2)
+                for (const int z : topology->restrictionZone(operands))
+                    dm.applyFlipChannel(z, 0.0, nm.crosstalkPhase);
+        }
+        Distribution p = dm.probabilities();
+        for (int q = 0; q < n; ++q) {
+            if (((lost >> q) & 1) == 0)
+                continue;
+            const size_t mask = size_t{1} << q;
+            for (size_t i = 0; i < dim; ++i)
+                if (!(i & mask))
+                    p[i] = p[i | mask] = 0.5 * (p[i] + p[i | mask]);
+        }
+        for (size_t i = 0; i < dim; ++i)
+            mixture[i] += weight * p[i];
+    }
+    return mixture;
 }
 
-uint64_t
-ulpDistance(uint64_t a, uint64_t b)
+TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
 {
-    // Map the sign-magnitude double bit patterns onto a monotone
-    // integer line so adjacent doubles differ by 1.
-    const auto monotone = [](uint64_t bits) -> int64_t {
-        const int64_t s = static_cast<int64_t>(bits);
-        return s >= 0 ? s
-                      : static_cast<int64_t>(0x8000000000000000ull - bits);
+    // The trajectory average must converge to the channel the paper
+    // evaluated with, whatever order the draws are made in. Rates sit
+    // above the paper's 0.1% so that every sub-channel is visible:
+    // switching any one off moves the exact reference by at least
+    // kMargin bounds, so a source that skips a draw cannot pass.
+    constexpr int kTrajectories = 200000;
+    // Over 40 seeds per configuration the sampling TVD stayed <= 0.0015.
+    constexpr double kTvdBound = 0.003;
+    constexpr double kMargin = 5.0;
+
+    const auto topo = Topology::makeTriangular(2, 2);
+    NoiseModel flips = NoiseModel::noiseless();
+    flips.bitFlip = 0.01;
+    flips.phaseFlip = 0.05;
+    NoiseModel perPulse = flips;
+    perPulse.bitFlip = 0.004;  // Scaled by up to 5 pulses per gate.
+    perPulse.perPulse = true;
+    NoiseModel preShotLoss = flips;
+    preShotLoss.atomLoss = 0.2;
+    NoiseModel crosstalk = flips;
+    crosstalk.crosstalkPhase = 0.3;
+    NoiseModel kitchenSink = perPulse;
+    kitchenSink.atomLoss = 0.1;
+    kitchenSink.crosstalkPhase = 0.25;
+
+    struct Case
+    {
+        const char *name;
+        Circuit circuit;
+        NoiseModel model;
+        const Topology *topology;
+        uint64_t seed;
     };
-    const int64_t da = monotone(a), db = monotone(b);
-    return static_cast<uint64_t>(da > db ? da - db : db - da);
-}
+    const Case cases[] = {
+        {"paper-default-logical", logicalProbe(), flips, nullptr, 20260808},
+        {"paper-default-physical", physicalProbe(), flips, nullptr, 4242},
+        {"per-pulse-physical", physicalProbe(), perPulse, nullptr, 31337},
+        {"pre-shot-loss", logicalProbe(), preShotLoss, nullptr, 77},
+        {"crosstalk", logicalProbe(), crosstalk, &topo, 99},
+        {"kitchen-sink", physicalProbe(), kitchenSink, &topo, 5150},
+    };
+    // Each switches one sub-channel off and reports whether it was on.
+    const std::pair<const char *, bool (*)(NoiseModel &)> subChannels[] = {
+        {"bit-flip",
+         [](NoiseModel &m) { return std::exchange(m.bitFlip, 0.0) > 0.0; }},
+        {"phase-flip",
+         [](NoiseModel &m) { return std::exchange(m.phaseFlip, 0.0) > 0.0; }},
+        {"per-pulse scaling",
+         [](NoiseModel &m) { return std::exchange(m.perPulse, false); }},
+        {"pre-shot loss",
+         [](NoiseModel &m) { return std::exchange(m.atomLoss, 0.0) > 0.0; }},
+        {"crosstalk",
+         [](NoiseModel &m) {
+             return std::exchange(m.crosstalkPhase, 0.0) > 0.0;
+         }},
+    };
 
-void
-expectBitIdentical(const std::vector<uint64_t> &golden,
-                   const Distribution &got, const std::string &name)
-{
-    ASSERT_EQ(golden.size(), got.size()) << name;
-    const bool strict = strictBitIdentity();
-    for (size_t i = 0; i < got.size(); ++i) {
-        if (strict)
-            EXPECT_EQ(golden[i], bitsOf(got[i]))
-                << name << " diverges at outcome " << i;
-        else
-            EXPECT_LE(ulpDistance(golden[i], bitsOf(got[i])), 8u)
-                << name << " diverges at outcome " << i << " (golden "
-                << golden[i] << ", got " << bitsOf(got[i]) << ")";
-    }
-}
-
-TEST(NoiseGolden, LegacyModelsBitIdenticalToPreRefactorCapture)
-{
-    // Six configurations captured from the simulator BEFORE the
-    // NoiseSource refactor. The compatibility adapter must reproduce
-    // every probability bit-for-bit; any drift here is a silent break
-    // of the paper's published numbers.
-    const auto cases = loadGolden();
-    ASSERT_EQ(cases.size(), size_t{6});
-
-    {
-        TrajectoryConfig cfg{64, 20260808, false, nullptr};
-        expectBitIdentical(
-            cases.at("paper-default-logical"),
-            noisyDistribution(logicalProbe(), NoiseModel::paperDefault(),
-                              cfg),
-            "paper-default-logical");
-    }
-    {
-        TrajectoryConfig cfg{64, 4242, true, nullptr};
-        expectBitIdentical(
-            cases.at("paper-default-physical"),
-            noisyDistribution(physicalProbe(), NoiseModel::paperDefault(),
-                              cfg),
-            "paper-default-physical");
-    }
-    {
-        TrajectoryConfig cfg{64, 31337, false, nullptr};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.perPulse = true;
-        expectBitIdentical(cases.at("per-pulse-physical"),
-                           noisyDistribution(physicalProbe(), nm, cfg),
-                           "per-pulse-physical");
-    }
-    {
-        TrajectoryConfig cfg{64, 77, false, nullptr};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.atomLoss = 0.2;
-        expectBitIdentical(cases.at("atom-loss"),
-                           noisyDistribution(logicalProbe(), nm, cfg),
-                           "atom-loss");
-    }
-    {
-        const auto topo = Topology::makeTriangular(2, 2);
-        TrajectoryConfig cfg{64, 99, false, &topo};
-        NoiseModel nm = NoiseModel::paperDefault();
-        nm.crosstalkPhase = 0.3;
-        expectBitIdentical(cases.at("crosstalk"),
-                           noisyDistribution(logicalProbe(), nm, cfg),
-                           "crosstalk");
-    }
-    {
-        const auto topo = Topology::makeTriangular(2, 2);
-        TrajectoryConfig cfg{48, 5150, true, &topo};
-        NoiseModel nm{0.002, 0.0015, true, 0.1, 0.05};
-        expectBitIdentical(cases.at("kitchen-sink-legacy"),
-                           noisyDistribution(physicalProbe(), nm, cfg),
-                           "kitchen-sink-legacy");
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(tc.name);
+        const Distribution exact =
+            exactPaperChannel(tc.circuit, tc.model, tc.topology);
+        for (const auto &[sub, switchOff] : subChannels) {
+            NoiseModel without = tc.model;
+            if (!switchOff(without))
+                continue;
+            EXPECT_GE(totalVariationDistance(
+                          exact, exactPaperChannel(tc.circuit, without,
+                                                   tc.topology)),
+                      kMargin * kTvdBound)
+                << "switching off " << sub;
+        }
+        const TrajectoryConfig cfg{kTrajectories, tc.seed, true,
+                                   tc.topology};
+        EXPECT_LE(totalVariationDistance(
+                      exact, noisyDistribution(tc.circuit, tc.model, cfg)),
+                  kTvdBound);
     }
 }
 
@@ -403,6 +394,41 @@ TEST(AtomLoss, StrikesMidCircuit)
     EXPECT_NEAR(p[1], 0.255, 0.02);
 }
 
+TEST(AtomLoss, PreShotAndPerGateLossCompose)
+{
+    // One source owns both loss rates. x; x with pre-shot loss a and
+    // per-gate loss g: a lost atom reads 1 half the time, a survivor
+    // reads 0, so p(1) = 0.5a + 0.5(1 - a) g(2 - g) = 0.304.
+    Circuit c(1);
+    c.x(0);
+    c.x(0);
+    NoiseModel nm = NoiseModel::noiseless();
+    nm.atomLoss = 0.2;
+    nm.lossPerGate = 0.3;
+    TrajectoryConfig cfg{20000, 71, true, nullptr};
+    EXPECT_NEAR(noisyDistribution(c, nm, cfg)[1], 0.304, 0.01);
+}
+
+TEST(AtomLoss, PreShotLossCountsAsAtomLossEvents)
+{
+    // Certain pre-shot loss: every atom of every shot is one event of
+    // the atom-loss channel and none of the paper flip channel.
+    Circuit c(2);
+    c.x(0);
+    c.x(1);
+    obs::EnabledScope scope(true);
+    auto &loss = obs::counter("sim.noise.atom_loss_events");
+    auto &paper = obs::counter("sim.noise.legacy_pauli_events");
+    const long lossBefore = loss.value();
+    const long paperBefore = paper.value();
+    NoiseModel nm = NoiseModel::noiseless();
+    nm.atomLoss = 1.0;
+    TrajectoryConfig cfg{8, 73, false, nullptr};
+    noisyDistribution(c, nm, cfg);
+    EXPECT_EQ(loss.value() - lossBefore, 2 * 8);
+    EXPECT_EQ(paper.value() - paperBefore, 0);
+}
+
 TEST(CorrelatedPauli, OnlyFiresOnEntanglingGates)
 {
     Circuit c(2);
@@ -446,8 +472,8 @@ TEST(Readout, AppliesExactConfusionMatrix)
 TEST(Readout, ComposesAsLinearMapOverLegacyNoise)
 {
     // Readout is a deterministic linear transform, so adding it to the
-    // legacy model must give exactly the confusion matrix applied to
-    // the legacy-only distribution (same seed): the legacy channel's
+    // paper model must give exactly the confusion matrix applied to
+    // the paper-only distribution (same seed): the paper channel's
     // draws are untouched by the extra channel.
     const Circuit c = logicalProbe();
     TrajectoryConfig cfg{64, 53, false, nullptr};
@@ -477,9 +503,9 @@ TEST(Readout, ComposesAsLinearMapOverLegacyNoise)
 
 TEST(StreamIsolation, DormantChannelDoesNotPerturbLegacyDraws)
 {
-    // An enabled-but-never-firing extended channel draws only from its
-    // own keyed stream, so the legacy sequential draws — and therefore
-    // the whole distribution — are bit-identical. Under a shared
+    // An enabled-but-never-firing channel draws only from its own
+    // keyed stream, so the paper channel's draws — and therefore the
+    // whole distribution — are bit-identical. Under a shared
     // sequential RNG this test fails.
     const Circuit c = logicalProbe();
     TrajectoryConfig cfg{64, 59, false, nullptr};
@@ -580,6 +606,59 @@ TEST(Validation, RejectsPerPulseNoiseOnLogicalGates)
         EXPECT_NE(what.find("perPulse"), std::string::npos) << what;
         EXPECT_NE(what.find("gate #0"), std::string::npos) << what;
     }
+
+    // Only the flip rates scale with pulses: crosstalk or pre-shot loss
+    // alone runs on a logical circuit even with perPulse set.
+    const auto topo = Topology::makeTriangular(1, 2);
+    NoiseModel crosstalkOnly = NoiseModel::noiseless();
+    crosstalkOnly.perPulse = true;
+    crosstalkOnly.crosstalkPhase = 0.1;
+    EXPECT_NO_THROW(noisyDistribution(c, crosstalkOnly,
+                                      TrajectoryConfig{32, 5, false, &topo}));
+    NoiseModel lossOnly = NoiseModel::noiseless();
+    lossOnly.perPulse = true;
+    lossOnly.atomLoss = 0.1;
+    EXPECT_NO_THROW(noisyDistribution(c, lossOnly, cfg));
+}
+
+TEST(Validation, RejectsOutOfRangeNoiseRates)
+{
+    // A NaN or negative rate never fires a Bernoulli draw, so it used
+    // to pass as a silently noiseless run; p > 1 always fires. Every
+    // rate is checked at entry now, and the error names the field.
+    Circuit c(1);
+    c.h(0);
+    TrajectoryConfig cfg{8, 3, false, nullptr};
+    const std::pair<const char *, double NoiseModel::*> fields[] = {
+        {"bitFlip", &NoiseModel::bitFlip},
+        {"phaseFlip", &NoiseModel::phaseFlip},
+        {"atomLoss", &NoiseModel::atomLoss},
+        {"crosstalkPhase", &NoiseModel::crosstalkPhase},
+        {"ampDamping", &NoiseModel::ampDamping},
+        {"idleDephasing", &NoiseModel::idleDephasing},
+        {"lossPerGate", &NoiseModel::lossPerGate},
+        {"correlatedPauli", &NoiseModel::correlatedPauli},
+        {"readoutError", &NoiseModel::readoutError},
+    };
+    for (const auto &[name, field] : fields) {
+        // Idle dephasing is a rate per pulse: values above 1 are legal.
+        std::vector<double> bad{std::nan(""), -0.5,
+                                std::numeric_limits<double>::infinity()};
+        if (field != &NoiseModel::idleDephasing)
+            bad.push_back(1.5);
+        for (const double rate : bad) {
+            NoiseModel nm = NoiseModel::noiseless();
+            nm.*field = rate;
+            try {
+                noisyDistribution(c, nm, cfg);
+                ADD_FAILURE() << name << " = " << rate << " was accepted";
+            } catch (const ValidationError &e) {
+                EXPECT_NE(std::string(e.what()).find(name),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(Validation, ForcedNoiselessRunCollapsesToOneShot)
@@ -639,7 +718,8 @@ TEST(ChannelNames, SetChannelRateValidatesAndTargetsOneField)
                  ValidationError);
     const NoiseModel single =
         NoiseModel::singleChannel(NoiseChannelId::CorrelatedPauli, 0.3);
-    EXPECT_TRUE(single.legacyNoiseless());
+    EXPECT_EQ(single.bitFlip, 0.0);
+    EXPECT_EQ(single.phaseFlip, 0.0);
     EXPECT_EQ(single.correlatedPauli, 0.3);
 }
 
