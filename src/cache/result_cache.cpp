@@ -155,28 +155,35 @@ ResultCache::quarantineEntry(const std::string &key)
 std::optional<std::string>
 ResultCache::load(const std::string &key)
 {
+    return read(key, true);
+}
+
+std::optional<std::string>
+ResultCache::read(const std::string &key, bool countMiss)
+{
     static obs::Counter &hits = obs::counter("cache.hit");
     static obs::Counter &misses = obs::counter("cache.miss");
     if (!enabled_)
         return std::nullopt;
     obs::Span span("cache.load", "cache");
+    const auto miss = [&]() -> std::optional<std::string> {
+        if (countMiss) {
+            misses.add();
+            std::lock_guard<std::mutex> lock(statsMutex_);
+            ++stats_.misses;
+        }
+        return std::nullopt;
+    };
     const std::string path = entryPath(key);
     const auto framed = io::readFileBytes(path);
-    if (!framed) {
-        misses.add();
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.misses;
-        return std::nullopt;
-    }
+    if (!framed)
+        return miss();
     auto payload = io::unframeWithChecksum(*framed);
     if (!payload) {
         // Torn, truncated, bit-rotted, or written by an incompatible
         // frame version: quarantine and treat as a miss.
         quarantine(path);
-        misses.add();
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++stats_.misses;
-        return std::nullopt;
+        return miss();
     }
     // Refresh LRU recency so hot entries survive the size cap.
     std::error_code ec;
@@ -263,6 +270,15 @@ ResultCache::getOrCompute(const std::string &key,
             flight.cv.notify_all();
         }
     } flightRelease{flight, key};
+
+    // A winner that stored its entry and left between the miss above
+    // and taking the latch is invisible to the wait loop: re-check the
+    // disk before computing so the key still computes once.
+    if (auto late = read(key, false)) {
+        if (wasHit != nullptr)
+            *wasHit = true;
+        return *late;
+    }
 
     // Cross-process best-effort single-flight: if another process holds
     // a fresh lock on this key, poll for its entry instead of redoing

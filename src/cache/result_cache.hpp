@@ -229,6 +229,9 @@ class ResultCache
     static constexpr int kFlightStripes = 16;
 
     Flight &flightFor(const std::string &key);
+    /** load() body; `countMiss` false lets getOrCompute re-check an
+     *  entry without counting one lookup as two misses. */
+    std::optional<std::string> read(const std::string &key, bool countMiss);
     void quarantine(const std::string &path);
     void evictIfNeeded();
 

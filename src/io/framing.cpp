@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -103,8 +104,14 @@ bool
 writeFileAtomic(const std::string &path, const std::string &contents)
 {
     // Same-directory temp file so the final rename cannot cross a
-    // filesystem boundary (rename is only atomic within one).
-    std::string tmp = path + ".tmp" + std::to_string(::getpid());
+    // filesystem boundary (rename is only atomic within one). The pid
+    // keeps processes apart and the sequence number keeps threads
+    // apart: two threads publishing one path (two compiles composing
+    // the same block) must not truncate and rename each other's file.
+    static std::atomic<unsigned long> sequence{0};
+    const std::string tmp =
+        path + ".tmp" + std::to_string(::getpid()) + "-" +
+        std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -107,6 +108,49 @@ TEST(Framing, AtomicWriteLeavesNoTempFileBehind)
     for ([[maybe_unused]] const auto &e : fs::directory_iterator(dir))
         ++files;
     EXPECT_EQ(files, 1u);
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+}
+
+TEST(Framing, ConcurrentAtomicWritesToOnePathAllLand)
+{
+    // Threads of one process publishing the same path (two compiles
+    // composing the same block) must each get their own temp file: a
+    // shared one is truncated under one writer and renamed away under
+    // another, failing the store or tearing the entry.
+    char pattern[] = "/tmp/geyser_framing_race_XXXXXX";
+    ASSERT_NE(::mkdtemp(pattern), nullptr);
+    const std::string dir = pattern;
+    const std::string path = dir + "/entry";
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 50;
+    constexpr size_t kBytes = 4096;
+    std::atomic<int> failures{0};
+    std::barrier start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const std::string payload(kBytes, static_cast<char>('a' + t));
+            for (int r = 0; r < kRounds; ++r) {
+                start.arrive_and_wait();
+                if (!io::writeFileAtomic(path, payload))
+                    ++failures;
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(failures.load(), 0);
+    const auto back = io::readFileBytes(path);
+    ASSERT_TRUE(back.has_value());
+    ASSERT_EQ(back->size(), kBytes);
+    EXPECT_EQ(back->find_first_not_of((*back)[0]), std::string::npos)
+        << "entry holds bytes from two writers";
+    size_t files = 0;
+    for ([[maybe_unused]] const auto &e : fs::directory_iterator(dir))
+        ++files;
+    EXPECT_EQ(files, 1u) << "temp files left behind";
     std::error_code ec;
     fs::remove_all(dir, ec);
 }
@@ -266,6 +310,36 @@ TEST_F(CacheTest, SingleFlightComputesOnceAcrossThreads)
     for (const auto &r : results)
         EXPECT_EQ(r, "flight-payload");
     EXPECT_GE(cache.stats().singleflightWaits, 1);
+}
+
+TEST_F(CacheTest, SingleFlightHoldsWhenWinnerLeavesBeforeLateMissLatches)
+{
+    // A caller whose first load missed can reach the latch only after
+    // the winner has stored its entry and left; it must replay that
+    // entry, not compute the key again. Instant computes and threads
+    // released together onto each key make that interleaving common.
+    cache::ResultCache cache(config());
+    constexpr int kKeys = 200;
+    constexpr int kThreads = 8;
+    std::vector<std::atomic<int>> computes(kKeys);
+    std::barrier start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            for (int k = 0; k < kKeys; ++k) {
+                start.arrive_and_wait();
+                cache.getOrCompute("c-late-" + std::to_string(k), [&, k] {
+                    ++computes[static_cast<size_t>(k)];
+                    return std::string("late-payload");
+                });
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    for (int k = 0; k < kKeys; ++k)
+        EXPECT_EQ(computes[static_cast<size_t>(k)].load(), 1) << "key " << k;
 }
 
 TEST_F(CacheTest, SingleFlightRecoversWhenComputeThrows)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <string>
 
 #include "algos/suite.hpp"
 #include "geyser/pipeline.hpp"
@@ -15,8 +16,11 @@
 namespace geyser {
 namespace {
 
+// Benchmark names are std::string, not const char *: gtest prints a
+// pointer parameter as its address, and that address would otherwise
+// leak into the discovered ctest test names and change on every run.
 class SuiteSweep
-    : public ::testing::TestWithParam<std::tuple<const char *, Technique>>
+    : public ::testing::TestWithParam<std::tuple<std::string, Technique>>
 {
 };
 
@@ -59,12 +63,13 @@ TEST_P(SuiteSweep, CompileInvariantsHold)
 INSTANTIATE_TEST_SUITE_P(
     SmallRows, SuiteSweep,
     ::testing::Combine(
-        ::testing::Values("adder-4", "vqe-4", "qaoa-5", "qft-5",
-                          "multiplier-5"),
+        ::testing::Values(std::string("adder-4"), std::string("vqe-4"),
+                          std::string("qaoa-5"), std::string("qft-5"),
+                          std::string("multiplier-5")),
         ::testing::Values(Technique::Baseline, Technique::OptiMap,
                           Technique::Superconducting)),
     [](const auto &info) {
-        std::string name = std::string(std::get<0>(info.param)) + "_" +
+        std::string name = std::get<0>(info.param) + "_" +
                            techniqueName(std::get<1>(info.param));
         for (auto &c : name)
             if (!std::isalnum(static_cast<unsigned char>(c)))
