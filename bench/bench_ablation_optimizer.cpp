@@ -1,8 +1,8 @@
 /**
  * @file
  * Ablation of the paper's Sec 3.4 composition optimizer: the paper's
- * dual annealing versus this repo's rotosolve exact coordinate descent
- * versus the hybrid default, on the blocks produced by real workloads.
+ * dual annealing versus this repo's default, rotosolve exact coordinate
+ * descent, on the blocks produced by real workloads.
  */
 #include <chrono>
 #include <cstdio>
@@ -74,8 +74,7 @@ main()
     printRule(widths);
     for (const auto &[name, opt] :
          {std::pair{"Rotosolve", ComposeOptimizer::Rotosolve},
-          std::pair{"DualAnneal", ComposeOptimizer::DualAnnealing},
-          std::pair{"Hybrid", ComposeOptimizer::Hybrid}}) {
+          std::pair{"DualAnneal", ComposeOptimizer::DualAnnealing}}) {
         const Outcome o = composeAll(blocks, opt);
         char t[32];
         std::snprintf(t, sizeof(t), "%.0f", o.millis);
@@ -84,7 +83,6 @@ main()
                  widths);
     }
     std::printf("\nExpected: rotosolve composes at least as many blocks as\n"
-                "dual annealing at a fraction of the evaluations; Hybrid\n"
-                "matches rotosolve (annealing only runs as a fallback).\n");
+                "dual annealing at a fraction of the evaluations.\n");
     return 0;
 }

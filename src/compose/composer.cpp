@@ -179,11 +179,7 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
     const int dim = target.rows();
 
     Rng rng(options.seed);
-    const bool useRoto = options.optimizer == ComposeOptimizer::Rotosolve ||
-                         options.optimizer == ComposeOptimizer::Hybrid;
-    const bool useAnneal =
-        options.optimizer == ComposeOptimizer::DualAnnealing ||
-        options.optimizer == ComposeOptimizer::Hybrid;
+    const bool anneal = options.optimizer == ComposeOptimizer::DualAnnealing;
 
     std::vector<Entangler> entanglers;
     for (int layers = 1; layers <= options.maxLayers; ++layers) {
@@ -205,8 +201,8 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
             if (ansatz.pulses() >= origPulses)
                 continue;
             // One incremental evaluator per (depth, entangler) try,
-            // shared across every restart, polish, basin hop, and the
-            // annealing objective below.
+            // shared by every restart, polish and basin hop (or by the
+            // annealing objective and its polish).
             AnsatzEvaluator evaluator(ansatz, target);
 
             const long depthStart = result.evaluations;
@@ -221,12 +217,7 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
             double bestHsd = 1.0;
             std::vector<double> bestAngles;
 
-            // A depth whose best HSD stays far from the threshold after
-            // several restarts almost certainly cannot represent the
-            // block; spend the remaining budget on deeper ansatze
-            // instead.
-            const double hopeless = std::max(0.25, 500.0 * options.threshold);
-            if (useRoto) {
+            if (!anneal) {
                 // Explore-then-exploit: good basins can be narrow, so
                 // basin *discovery* (many short runs) matters more than
                 // deep polishing of a few starts. Triage with short
@@ -294,7 +285,12 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                 }
                 // Basin hopping: perturb the best point and re-sweep
                 // with shrinking step sizes. Escapes the shallow local
-                // minima coordinate descent can stall in.
+                // minima coordinate descent can stall in. A depth whose
+                // best HSD stays far from the threshold after triage
+                // almost certainly cannot represent the block; leave the
+                // budget to deeper ansatze instead.
+                const double hopeless =
+                    std::max(0.25, 500.0 * options.threshold);
                 for (int hop = 0;
                      hop < 2 * options.restarts &&
                      bestHsd > options.threshold && bestHsd < hopeless &&
@@ -315,9 +311,9 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                         bestAngles = evaluator.angles();
                     }
                 }
-            }
-            if (useAnneal && bestHsd > options.threshold &&
-                (bestHsd < hopeless || !useRoto) && depthBudgetLeft()) {
+            } else if (depthBudgetLeft()) {
+                // The paper's optimizer: global annealing, then a short
+                // rotosolve polish of the point it found.
                 const int n = ansatz.numAngles();
                 const std::vector<double> lo(static_cast<size_t>(n), 0.0);
                 const std::vector<double> hi(static_cast<size_t>(n),
@@ -465,6 +461,8 @@ memoKey(const Circuit &block, const ComposeOptions &options)
     h.feedValue(static_cast<int>(options.entanglerMode));
     h.feedValue(options.restarts);
     h.feedValue(options.maxSweeps);
+    h.feedValue(options.maxEvaluationsPerBlock);
+    h.feedValue(options.annealingEvaluations);
     h.feedValue(options.maxSplitDepth);
     for (const auto &g : block.gates()) {
         h.feedValue(static_cast<int>(g.kind()));

@@ -8,12 +8,11 @@
  * or the composed pulse count would exceed the original's.
  *
  * Two optimizers are available:
- *  - DualAnnealing: the paper's choice (global annealing + local polish).
- *  - Rotosolve: exact coordinate descent — every U3 angle enters the
- *    trace Tr(O^dagger C) sinusoidally, so its optimum given the other
- *    angles has a closed form; sweeps converge monotonically.
- * The default Hybrid strategy runs cheap rotosolve restarts first and
- * falls back to dual annealing.
+ *  - Rotosolve (the default): exact coordinate descent — every U3 angle
+ *    enters the trace Tr(O^dagger C) sinusoidally, so its optimum given
+ *    the other angles has a closed form; sweeps converge monotonically.
+ *  - DualAnnealing: the paper's choice (global annealing + local
+ *    polish), kept as the paper-faithful ablation.
  */
 #ifndef GEYSER_COMPOSE_COMPOSER_HPP
 #define GEYSER_COMPOSE_COMPOSER_HPP
@@ -31,7 +30,7 @@ class ResultCache;
 }  // namespace cache
 
 /** Optimization strategy for the angle search. */
-enum class ComposeOptimizer { Rotosolve, DualAnnealing, Hybrid };
+enum class ComposeOptimizer { Rotosolve, DualAnnealing };
 
 /** Options for composing one block. */
 struct ComposeOptions
@@ -40,7 +39,7 @@ struct ComposeOptions
     double threshold = 1e-5;
     /** Hard cap on ansatz layers tried. */
     int maxLayers = 6;
-    ComposeOptimizer optimizer = ComposeOptimizer::Hybrid;
+    ComposeOptimizer optimizer = ComposeOptimizer::Rotosolve;
     EntanglerMode entanglerMode = EntanglerMode::PaperCcz;
     /** Rotosolve restarts per layer depth (zeros, near-zeros, random). */
     int restarts = 8;
@@ -53,7 +52,7 @@ struct ComposeOptions
      * that cannot compose keep their original circuit, as always.
      */
     long maxEvaluationsPerBlock = 60000;
-    /** Dual-annealing evaluation budget per layer depth (Hybrid/DA). */
+    /** Dual-annealing evaluation budget per layer depth (DualAnnealing). */
     int annealingEvaluations = 60000;
     /**
      * When a whole block fails to compose, split it at the midpoint and

@@ -34,7 +34,11 @@ using namespace geyser::service;
 
 namespace {
 
-/** QASM text of a built-in benchmark (multiplier-5 ≈ 2 ms, adder-4 ≈ 250 ms). */
+/**
+ * QASM text of a built-in benchmark. Geyser compiles on a 4-vCPU host:
+ * multiplier-5 ≈ 0.2 ms, adder-4 ≈ 15 ms, heisenberg-16 ≈ 250 ms (the
+ * tests that must catch a compile in flight use heisenberg-16).
+ */
 std::string
 qasmFor(const std::string &benchmark)
 {
@@ -250,7 +254,7 @@ TEST(CompileService, DeadlineExpiresMidCompile)
     ServiceConfig config;
     config.workers = 1;
     CompileService service(config);
-    JobSpec spec = specFor("adder-4");  // ≈ 250 ms compile.
+    JobSpec spec = specFor("heisenberg-16");  // ≈ 250 ms compile.
     spec.deadlineMs = 40;
     const uint64_t id = service.submit(spec);
 
@@ -267,7 +271,7 @@ TEST(CompileService, CancelMidCompileUnwindsAtCheckpoint)
     ServiceConfig config;
     config.workers = 1;
     CompileService service(config);
-    const uint64_t id = service.submit(specFor("adder-4"));
+    const uint64_t id = service.submit(specFor("heisenberg-16"));
 
     // Wait for a worker to pick it up, then cancel mid-flight.
     const auto begin = std::chrono::steady_clock::now();
@@ -565,7 +569,7 @@ TEST(SocketService, DeadlineExpiryOverWire)
     ServiceClient client = ServiceClient::overTcp(harness.server.port());
 
     const Response accepted =
-        client.submit(qasmFor("adder-4"), Technique::Geyser, 0,
+        client.submit(qasmFor("heisenberg-16"), Technique::Geyser, 0,
                       /*deadlineMs=*/40, false);
     ASSERT_TRUE(accepted.ok);
     const Response expired =

@@ -244,7 +244,7 @@ TEST(ServiceSoak, ShutdownWithJobsInFlightIsClean)
 
 TEST(ServiceSoak, DestructorAbortsInFlightJobs)
 {
-    const std::string program = qasmFor("adder-4");
+    const std::string program = qasmFor("heisenberg-16");
     const auto begin = std::chrono::steady_clock::now();
     {
         ServiceConfig config;
@@ -256,7 +256,8 @@ TEST(ServiceSoak, DestructorAbortsInFlightJobs)
             spec.useCache = false;
             service.submit(spec);
         }
-        // ~1 s of queued compile work dies with the service.
+        // ~1 s of queued compile work (4 × ~250 ms of heisenberg-16 on
+        // a 4-vCPU host) dies with the service.
     }
     // Cancellation unwinds at the next checkpoint, not after the queue
     // drains: teardown must be far cheaper than the queued work.

@@ -10,6 +10,7 @@
 #include "sim/unitary_sim.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
+#include "verify/random_circuit.hpp"
 
 namespace geyser {
 namespace {
@@ -217,6 +218,35 @@ TEST(Composer, ThreeQubitRandomTwoLayerTargetComposes)
     EXPECT_LE(result.layersUsed, 6);
     EXPECT_LT(result.circuit.totalPulses(), inflated.totalPulses());
     expectEquivalent(inflated, result, 4e-5);
+}
+
+TEST(Composer, MemoKeysOnSearchBudgets)
+{
+    // A composition found under one search budget must not be served to
+    // a caller with another: the memo, and the disk spill that shares
+    // its key, hash both budgets.
+    const Circuit block = verify::randomPhysicalCircuit(3, 8, 2);
+    ComposeOptions starved;
+    starved.maxEvaluationsPerBlock = 200;
+    const ComposeResult small = composeBlockCached(block, starved);
+    const ComposeResult alone = composeBlock(block);
+    ASSERT_TRUE(alone.composed);
+    ASSERT_NE(small.circuit.totalPulses(), alone.circuit.totalPulses())
+        << "the starved budget no longer changes this block's result";
+    const ComposeResult cached = composeBlockCached(block);
+    EXPECT_EQ(cached.circuit.totalPulses(), alone.circuit.totalPulses());
+    EXPECT_EQ(cached.layersUsed, alone.layersUsed);
+    EXPECT_EQ(cached.evaluations, alone.evaluations);
+
+    ComposeOptions annealing;
+    annealing.optimizer = ComposeOptimizer::DualAnnealing;
+    annealing.maxSplitDepth = 0;  // composeBlockCached == composeBlock.
+    annealing.annealingEvaluations = 500;
+    const long shortRun = composeBlockCached(block, annealing).evaluations;
+    annealing.annealingEvaluations = 2000;
+    const long longRun = composeBlock(block, annealing).evaluations;
+    ASSERT_NE(shortRun, longRun);
+    EXPECT_EQ(composeBlockCached(block, annealing).evaluations, longRun);
 }
 
 }  // namespace

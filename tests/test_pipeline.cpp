@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "algos/algos.hpp"
+#include "algos/suite.hpp"
 #include "geyser/pipeline.hpp"
+#include "obs/obs.hpp"
 
 namespace geyser {
 namespace {
@@ -20,6 +22,23 @@ TEST(Pipeline, TechniqueNames)
     EXPECT_STREQ(techniqueName(Technique::Geyser), "Geyser");
     EXPECT_STREQ(techniqueName(Technique::Superconducting),
                  "Superconducting");
+}
+
+TEST(Pipeline, DefaultGeyserCompileRunsNoDualAnnealing)
+{
+    // Rotosolve is the default optimizer: dual annealing only runs when
+    // ComposeOptimizer::DualAnnealing is selected. adder-4 has blocks
+    // that fail at shallow depths, where a fallback would have annealed.
+    const obs::Counter &annealing =
+        obs::counter("compose.annealing_evaluations");
+    const long before = annealing.value();
+    PipelineOptions options;
+    options.trace = true;  // Counters only count while obs is enabled.
+    const CompileResult result =
+        compile(Technique::Geyser, benchmarkByName("adder-4").make(),
+                options);
+    EXPECT_GT(result.composedBlockCount, 0);
+    EXPECT_EQ(annealing.value() - before, 0);
 }
 
 TEST(Pipeline, BaselineEmitsPhysicalCircuitWithoutCcz)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parameterized invariant checks across the benchmark suite (small
- * rows) and all cheap techniques: pulse accounting consistency, depth
+ * rows) and every technique: pulse accounting consistency, depth
  * bounds, physical-basis output, and exact semantic preservation for
  * the non-composing techniques.
  */
@@ -67,7 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
                           std::string("qaoa-5"), std::string("qft-5"),
                           std::string("multiplier-5")),
         ::testing::Values(Technique::Baseline, Technique::OptiMap,
-                          Technique::Superconducting)),
+                          Technique::Geyser, Technique::Superconducting)),
     [](const auto &info) {
         std::string name = std::get<0>(info.param) + "_" +
                            techniqueName(std::get<1>(info.param));
