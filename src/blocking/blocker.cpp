@@ -9,6 +9,13 @@ namespace geyser {
 
 namespace {
 
+/**
+ * Number of highest-scoring candidates tried as the seed of a block
+ * family per round (Algorithm 1 lines 10-17). Each seed is completed
+ * greedily; the best-scoring family wins.
+ */
+constexpr int kSeedCandidates = 8;
+
 /** A candidate block grown from the current frontier over one triangle. */
 struct Candidate
 {
@@ -152,7 +159,7 @@ blockCircuit(const Circuit &circuit, const Topology &topo,
 
         // Try each of the top seeds; complete greedily by score
         // (Algorithm 1's recursive family construction).
-        const int seeds = std::min<int>(options.seedCandidates,
+        const int seeds = std::min<int>(kSeedCandidates,
                                         static_cast<int>(candidates.size()));
         std::vector<const Candidate *> bestFamily;
         long bestScore = -1;

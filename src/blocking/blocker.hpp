@@ -22,12 +22,6 @@ struct BlockerOptions
      * the ablation bench.
      */
     bool pulseAware = true;
-    /**
-     * Number of highest-scoring candidates tried as the seed of a block
-     * family per round (Algorithm 1 lines 10-17). Each seed is completed
-     * greedily; the best-scoring family wins.
-     */
-    int seedCandidates = 8;
 };
 
 /**

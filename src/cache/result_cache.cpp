@@ -448,18 +448,7 @@ compileCacheKey(const Circuit &logical, const PipelineOptions &options,
     // Every option that can change the compiled output, and nothing
     // else: verify/trace/parallelism knobs alter diagnostics or wall
     // time, never the result.
-    h.feedValue(options.blocker.pulseAware);
-    h.feedValue(options.blocker.seedCandidates);
-    h.feedValue(options.compose.threshold);
-    h.feedValue(options.compose.maxLayers);
-    h.feedValue(static_cast<int>(options.compose.optimizer));
-    h.feedValue(static_cast<int>(options.compose.entanglerMode));
-    h.feedValue(options.compose.restarts);
-    h.feedValue(options.compose.maxSweeps);
-    h.feedValue(options.compose.maxEvaluationsPerBlock);
-    h.feedValue(options.compose.annealingEvaluations);
-    h.feedValue(options.compose.maxSplitDepth);
-    h.feedValue(options.compose.seed);
+    feedBehaviourOptions(h, options.compose, &options.blocker);
     return "c-" + h.hex();
 }
 
@@ -510,19 +499,7 @@ skeletonCacheKey(const Circuit &logical,
                 h.feedValue(gate.param(p));
         }
     }
-    // Same behaviour-relevant option set as compileCacheKey.
-    h.feedValue(options.blocker.pulseAware);
-    h.feedValue(options.blocker.seedCandidates);
-    h.feedValue(options.compose.threshold);
-    h.feedValue(options.compose.maxLayers);
-    h.feedValue(static_cast<int>(options.compose.optimizer));
-    h.feedValue(static_cast<int>(options.compose.entanglerMode));
-    h.feedValue(options.compose.restarts);
-    h.feedValue(options.compose.maxSweeps);
-    h.feedValue(options.compose.maxEvaluationsPerBlock);
-    h.feedValue(options.compose.annealingEvaluations);
-    h.feedValue(options.compose.maxSplitDepth);
-    h.feedValue(options.compose.seed);
+    feedBehaviourOptions(h, options.compose, &options.blocker);
     return "s-" + h.hex();
 }
 

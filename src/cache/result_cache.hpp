@@ -246,9 +246,9 @@ class ResultCache
 /**
  * Content-addressed key for a whole-circuit compile: FNV-1a 128 over
  * kPipelineVersion, the technique, the serialized logical circuit, and
- * every PipelineOptions field that can change the compiled output
- * (blocker and compose options including the seed; verify/trace/
- * parallelism knobs are excluded — they do not alter the result).
+ * the options that can change the compiled output, as fed by
+ * feedBehaviourOptions (verify/trace/parallelism knobs are excluded —
+ * they do not alter the result).
  */
 std::string compileCacheKey(const Circuit &logical,
                             const PipelineOptions &options,

@@ -207,9 +207,9 @@ Ansatz::overlapTrace(const Matrix &target,
         }
     }
     double tre = 0.0, tim = 0.0;
-    kernel.traceConjDot(tgtRe, tgtIm, curRe, curIm,
-                        static_cast<size_t>(dim) * static_cast<size_t>(dim),
-                        &tre, &tim);
+    kernels::traceConjDot(tgtRe, tgtIm, curRe, curIm,
+                          static_cast<size_t>(dim) * static_cast<size_t>(dim),
+                          &tre, &tim);
     return {tre, tim};
 }
 

@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "blocking/blocker.hpp"
 #include "cache/result_cache.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
@@ -27,6 +28,37 @@ using verify::hsdFromTrace;
 using verify::overlapTrace;
 
 namespace {
+
+// The search setup of Algorithm 2. No caller tunes these: every compile
+// runs on this one footing, and kPipelineVersion covers any change.
+
+/** Hard cap on ansatz layers tried. */
+constexpr int kMaxLayers = 6;
+/** Rotosolve restarts per layer depth (zeros, near-zeros, random). */
+constexpr int kRestarts = 8;
+/** Rotosolve sweep budget per restart. */
+constexpr int kMaxSweeps = 400;
+/**
+ * Objective-evaluation budget per ansatz depth tried for one block
+ * (each depth gets a fresh slice, so deeper — often easier — ansatze
+ * are never starved by failed shallow searches). Blocks that cannot
+ * compose keep their original circuit, as always.
+ */
+constexpr long kMaxEvaluationsPerBlock = 60000;
+/** Dual-annealing evaluation budget per layer depth (DualAnnealing). */
+constexpr int kAnnealingEvaluations = 60000;
+/**
+ * When a whole block fails to compose, split it at the midpoint and
+ * compose the halves independently, recursively to this depth.
+ * Over-greedy blocks often contain recomposable sub-patterns (e.g. a
+ * full Toffoli inside a long MAJ/UMA chain) even when the whole block
+ * exceeds the expressible ansatz depth.
+ */
+constexpr int kMaxSplitDepth = 2;
+/** Search seed of a whole block; split halves derive theirs from it. */
+constexpr uint64_t kSeed = 7;
+/** HSD acceptance threshold (public as ComposeOptions::threshold). */
+constexpr double kThreshold = ComposeOptions::threshold;
 
 /** Exact resynthesis of a block with no entangling gates. */
 ComposeResult
@@ -159,8 +191,12 @@ rotosolve(const Ansatz &ansatz, const Matrix &target,
     return best;
 }
 
+namespace {
+
+/** composeBlock() searching from `seed`. */
 ComposeResult
-composeBlock(const Circuit &block, const ComposeOptions &options)
+composeSeeded(const Circuit &block, const ComposeOptions &options,
+              uint64_t seed)
 {
     if (block.numQubits() < 1 || block.numQubits() > 3)
         throw std::invalid_argument("composeBlock: block must be 1-3 qubits");
@@ -178,11 +214,11 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
     const Matrix target = circuitUnitary(block);
     const int dim = target.rows();
 
-    Rng rng(options.seed);
+    Rng rng(seed);
     const bool anneal = options.optimizer == ComposeOptimizer::DualAnnealing;
 
     std::vector<Entangler> entanglers;
-    for (int layers = 1; layers <= options.maxLayers; ++layers) {
+    for (int layers = 1; layers <= kMaxLayers; ++layers) {
         if (options.cancel != nullptr)
             options.cancel->checkpoint("compose");
         Entangler depthBestEntangler = Entangler::Ccz;
@@ -209,8 +245,7 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
             // Budget scales with the search dimensionality: deeper
             // ansatze get proportionally more evaluations.
             const long depthBudget =
-                options.maxEvaluationsPerBlock *
-                std::max(1, ansatz.numAngles() / 18);
+                kMaxEvaluationsPerBlock * std::max(1, ansatz.numAngles() / 18);
             auto depthBudgetLeft = [&] {
                 return result.evaluations - depthStart < depthBudget;
             };
@@ -237,8 +272,8 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                     if (shortlist.size() > 3)
                         shortlist.pop_back();
                 };
-                const int triage = 4 * options.restarts;
-                const int triageSweeps = std::max(10, options.maxSweeps / 10);
+                const int triage = 4 * kRestarts;
+                const int triageSweeps = std::max(10, kMaxSweeps / 10);
                 for (int r = 0; r < triage; ++r) {
                     // Reserve ~40% of the budget for polish and hops.
                     if (result.evaluations - depthStart >
@@ -260,10 +295,9 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                     }
                     evaluator.setAngles(angles);
                     const double h =
-                        rotosolve(evaluator, triageSweeps,
-                                  options.threshold, result.evaluations,
-                                  options.cancel);
-                    if (h <= options.threshold) {
+                        rotosolve(evaluator, triageSweeps, kThreshold,
+                                  result.evaluations, options.cancel);
+                    if (h <= kThreshold) {
                         bestHsd = h;
                         bestAngles = evaluator.angles();
                         break;
@@ -271,13 +305,12 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                     consider(h, evaluator.angles());
                 }
                 for (auto &start : shortlist) {
-                    if (bestHsd <= options.threshold || !depthBudgetLeft())
+                    if (bestHsd <= kThreshold || !depthBudgetLeft())
                         break;
                     evaluator.setAngles(start.angles);
                     const double h =
-                        rotosolve(evaluator, options.maxSweeps,
-                                  options.threshold, result.evaluations,
-                                  options.cancel);
+                        rotosolve(evaluator, kMaxSweeps, kThreshold,
+                                  result.evaluations, options.cancel);
                     if (h < bestHsd) {
                         bestHsd = h;
                         bestAngles = evaluator.angles();
@@ -289,12 +322,10 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                 // best HSD stays far from the threshold after triage
                 // almost certainly cannot represent the block; leave the
                 // budget to deeper ansatze instead.
-                const double hopeless =
-                    std::max(0.25, 500.0 * options.threshold);
+                const double hopeless = std::max(0.25, 500.0 * kThreshold);
                 for (int hop = 0;
-                     hop < 2 * options.restarts &&
-                     bestHsd > options.threshold && bestHsd < hopeless &&
-                     depthBudgetLeft();
+                     hop < 2 * kRestarts && bestHsd > kThreshold &&
+                     bestHsd < hopeless && depthBudgetLeft();
                      ++hop) {
                     const double sigma = hop % 3 == 0 ? 0.5
                                         : hop % 3 == 1 ? 0.2 : 0.05;
@@ -303,9 +334,8 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                         a += sigma * rng.normal();
                     evaluator.setAngles(angles);
                     const double h =
-                        rotosolve(evaluator, options.maxSweeps,
-                                  options.threshold, result.evaluations,
-                                  options.cancel);
+                        rotosolve(evaluator, kMaxSweeps, kThreshold,
+                                  result.evaluations, options.cancel);
                     if (h < bestHsd) {
                         bestHsd = h;
                         bestAngles = evaluator.angles();
@@ -319,9 +349,9 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                 const std::vector<double> hi(static_cast<size_t>(n),
                                              2.0 * kPi);
                 DualAnnealingOptions da;
-                da.maxEvaluations = options.annealingEvaluations;
-                da.targetValue = options.threshold;
-                da.seed = options.seed + static_cast<uint64_t>(layers);
+                da.maxEvaluations = kAnnealingEvaluations;
+                da.targetValue = kThreshold;
+                da.seed = seed + static_cast<uint64_t>(layers);
                 // The annealing objective closes over the incremental
                 // evaluator's full-trace path (cached U3 phases, split
                 // buffers) instead of the dense overlapTrace.
@@ -343,16 +373,15 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
                     obs::counter("compose.annealing_evaluations");
                 annealEvals.add(annealProbes);
                 evaluator.setAngles(out.x);
-                const double h =
-                    rotosolve(evaluator, 30, options.threshold,
-                              result.evaluations, options.cancel);
+                const double h = rotosolve(evaluator, 30, kThreshold,
+                                           result.evaluations, options.cancel);
                 if (h < bestHsd) {
                     bestHsd = h;
                     bestAngles = evaluator.angles();
                 }
             }
 
-            if (bestHsd <= options.threshold) {
+            if (bestHsd <= kThreshold) {
                 result.circuit = ansatz.toCircuit(bestAngles);
                 result.composed = true;
                 result.layersUsed = layers;
@@ -376,8 +405,6 @@ composeBlock(const Circuit &block, const ComposeOptions &options)
     return result;
 }
 
-namespace {
-
 /**
  * Composition with fallback splitting: when the whole block cannot be
  * composed, try composing its halves (prefix/suffix over the same
@@ -385,11 +412,10 @@ namespace {
  */
 ComposeResult
 composeRecursive(const Circuit &block, const ComposeOptions &options,
-                 int depth)
+                 int depth, uint64_t seed)
 {
-    ComposeResult direct = composeBlock(block, options);
-    if (direct.composed || depth >= options.maxSplitDepth ||
-        block.size() < 6)
+    ComposeResult direct = composeSeeded(block, options, seed);
+    if (direct.composed || depth >= kMaxSplitDepth || block.size() < 6)
         return direct;
     static obs::Counter &splits = obs::counter("compose.splits");
     splits.add();
@@ -399,10 +425,9 @@ composeRecursive(const Circuit &block, const ComposeOptions &options,
     for (size_t i = 0; i < block.size(); ++i)
         (i < mid ? first : second).append(block.gates()[i]);
 
-    ComposeOptions sub = options;
-    sub.seed = options.seed + 0x9e3779b9u * static_cast<uint64_t>(depth + 1);
-    ComposeResult ra = composeRecursive(first, sub, depth + 1);
-    ComposeResult rb = composeRecursive(second, sub, depth + 1);
+    const uint64_t sub = seed + 0x9e3779b9u * static_cast<uint64_t>(depth + 1);
+    ComposeResult ra = composeRecursive(first, options, depth + 1, sub);
+    ComposeResult rb = composeRecursive(second, options, depth + 1, sub);
     direct.evaluations += ra.evaluations + rb.evaluations;
     if (!ra.composed && !rb.composed)
         return direct;
@@ -425,10 +450,10 @@ composeRecursive(const Circuit &block, const ComposeOptions &options,
 
 /**
  * Memo key: a 128-bit FNV-1a hash over the exact gate content plus the
- * search-relevant options (seed excluded, as documented). Hashing the
- * raw bytes replaces the old string key — no per-lookup heap
- * allocation — and 128 bits make accidental collisions across a
- * process lifetime vanishingly unlikely.
+ * behaviour options (feedBehaviourOptions). Hashing the raw bytes
+ * replaces the old string key — no per-lookup heap allocation — and
+ * 128 bits make accidental collisions across a process lifetime
+ * vanishingly unlikely.
  */
 struct MemoKey
 {
@@ -455,15 +480,7 @@ memoKey(const Circuit &block, const ComposeOptions &options)
     // use, so the memo key doubles as the block's disk-spill identity.
     io::Fnv128 h;
     h.feedValue(block.numQubits());
-    h.feedValue(options.threshold);
-    h.feedValue(options.maxLayers);
-    h.feedValue(static_cast<int>(options.optimizer));
-    h.feedValue(static_cast<int>(options.entanglerMode));
-    h.feedValue(options.restarts);
-    h.feedValue(options.maxSweeps);
-    h.feedValue(options.maxEvaluationsPerBlock);
-    h.feedValue(options.annealingEvaluations);
-    h.feedValue(options.maxSplitDepth);
+    feedBehaviourOptions(h, options);
     for (const auto &g : block.gates()) {
         h.feedValue(static_cast<int>(g.kind()));
         h.feedValue(g.qubit(0));
@@ -496,6 +513,22 @@ memoShard(const MemoKey &key)
 }
 
 }  // namespace
+
+ComposeResult
+composeBlock(const Circuit &block, const ComposeOptions &options)
+{
+    return composeSeeded(block, options, kSeed);
+}
+
+void
+feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
+                     const BlockerOptions *blocker)
+{
+    h.feedValue(static_cast<int>(compose.optimizer));
+    h.feedValue(static_cast<int>(compose.entanglerMode));
+    if (blocker != nullptr)
+        h.feedValue(blocker->pulseAware);
+}
 
 ComposeResult
 composeBlockCached(const Circuit &block, const ComposeOptions &options)
@@ -536,7 +569,7 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options)
         }
     }
 
-    const ComposeResult result = composeRecursive(block, options, 0);
+    const ComposeResult result = composeRecursive(block, options, 0, kSeed);
     evaluations.add(result.evaluations);
     if (result.composed)
         composedBlocks.add();

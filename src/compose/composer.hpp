@@ -24,45 +24,32 @@
 namespace geyser {
 
 class CancelToken;
+struct BlockerOptions;
 
 namespace cache {
 class ResultCache;
 }  // namespace cache
 
+namespace io {
+struct Fnv128;
+}  // namespace io
+
 /** Optimization strategy for the angle search. */
 enum class ComposeOptimizer { Rotosolve, DualAnnealing };
 
-/** Options for composing one block. */
+/**
+ * Options for composing one block. Only the optimizer and the entangler
+ * mode are settable (each has an ablation bench that sets both values);
+ * the search setup — layer cap, restarts, sweep and evaluation budgets,
+ * split depth and seed — is fixed in composer.cpp, so every compile
+ * runs Algorithm 2 on one footing and kPipelineVersion covers it.
+ */
 struct ComposeOptions
 {
-    /** HSD acceptance threshold (paper uses 1e-5). */
-    double threshold = 1e-5;
-    /** Hard cap on ansatz layers tried. */
-    int maxLayers = 6;
+    /** HSD acceptance threshold (the paper's 1e-5). */
+    static constexpr double threshold = 1e-5;
     ComposeOptimizer optimizer = ComposeOptimizer::Rotosolve;
     EntanglerMode entanglerMode = EntanglerMode::PaperCcz;
-    /** Rotosolve restarts per layer depth (zeros, near-zeros, random). */
-    int restarts = 8;
-    /** Rotosolve sweep budget per restart. */
-    int maxSweeps = 400;
-    /**
-     * Objective-evaluation budget per ansatz depth tried for one block
-     * (each depth gets a fresh slice, so deeper — often easier —
-     * ansatze are never starved by failed shallow searches). Blocks
-     * that cannot compose keep their original circuit, as always.
-     */
-    long maxEvaluationsPerBlock = 60000;
-    /** Dual-annealing evaluation budget per layer depth (DualAnnealing). */
-    int annealingEvaluations = 60000;
-    /**
-     * When a whole block fails to compose, split it at the midpoint and
-     * compose the halves independently (recursively, up to this depth).
-     * Over-greedy blocks often contain recomposable sub-patterns (e.g.
-     * a full Toffoli inside a long MAJ/UMA chain) even when the whole
-     * block exceeds the expressible ansatz depth. 0 disables splitting.
-     */
-    int maxSplitDepth = 2;
-    uint64_t seed = 7;
     /**
      * Optional persistent cache (not owned) that composeBlockCached()
      * spills its memo through: an in-memory miss consults the disk
@@ -96,7 +83,7 @@ struct ComposeResult
  * Compose a block circuit over 1-3 local qubits. Entangler-free blocks
  * are resynthesized exactly (one U3 per active qubit) without any
  * search. Otherwise Algorithm 2 runs. The returned circuit is always
- * mathematically equivalent to the input within options.threshold.
+ * mathematically equivalent to the input within ComposeOptions::threshold.
  */
 ComposeResult composeBlock(const Circuit &block,
                            const ComposeOptions &options = {});
@@ -106,11 +93,24 @@ ComposeResult composeBlock(const Circuit &block,
  * gate content and the options. Trotterized and arithmetic circuits
  * produce the same local block many times (every Trotter step repeats
  * the bond pattern), so memoization removes most of the composition
- * cost. Thread-safe. The memo ignores options.seed (results for a given
- * block/option set are reused across seeds).
+ * cost. Thread-safe. When the whole block cannot compose, its halves
+ * are composed recursively (midpoint splitting, two levels deep).
  */
 ComposeResult composeBlockCached(const Circuit &block,
                                  const ComposeOptions &options = {});
+
+/**
+ * Feed every option that can change a compiled circuit into `h`: the
+ * optimizer and the entangler mode, plus the blocker's pulse-aware
+ * scoring when `blocker` is given (whole-circuit keys; how a block was
+ * found does not change its composition). compileCacheKey,
+ * skeletonCacheKey and the composition memo (whose key the disk spill
+ * reuses) all hash their options through this one function, so their
+ * option sets cannot drift apart. The spill and cancel pointers never
+ * enter a key.
+ */
+void feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
+                          const BlockerOptions *blocker = nullptr);
 
 /**
  * Rotosolve: minimize 1 - |Tr(target^dagger U(angles))| / dim over the

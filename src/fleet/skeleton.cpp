@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <unordered_map>
 
 #include "blocking/blocker.hpp"
@@ -517,25 +519,36 @@ skeletonPlanFromText(const std::string &text)
     if (v[0] < 0 || v[0] > 3)
         return std::nullopt;
     plan.technique = static_cast<Technique>(v[0]);
-    if (!cursor.line(line) || !parseKeyedLongs(line, "swaps", v, 1))
+    // rebindMember copies these counts into every re-bound member's
+    // CompileResult, so a value the compiler never produces (negative,
+    // out of range, more composed blocks than blocks, a non-finite or
+    // negative distance) must load as a miss, never be served.
+    auto readCount = [&](const char *key, long long max, long long &out) {
+        if (!cursor.line(line) || !parseKeyedLongs(line, key, v, 1))
+            return false;
+        out = v[0];
+        return out >= 0 && out <= max;
+    };
+    constexpr long long kIntMax = std::numeric_limits<int>::max();
+    long long swaps = 0, blocks = 0, composed = 0, evaluations = 0;
+    if (!readCount("swaps", kIntMax, swaps) ||
+        !readCount("blocks", kIntMax, blocks) ||
+        !readCount("composedblocks", blocks, composed) ||
+        !readCount("evaluations", std::numeric_limits<long>::max(),
+                   evaluations))
         return std::nullopt;
-    plan.swapsInserted = static_cast<int>(v[0]);
-    if (!cursor.line(line) || !parseKeyedLongs(line, "blocks", v, 1))
-        return std::nullopt;
-    plan.blockCount = static_cast<int>(v[0]);
-    if (!cursor.line(line) || !parseKeyedLongs(line, "composedblocks", v, 1))
-        return std::nullopt;
-    plan.composedBlockCount = static_cast<int>(v[0]);
-    if (!cursor.line(line) || !parseKeyedLongs(line, "evaluations", v, 1))
-        return std::nullopt;
-    plan.compositionEvaluations = static_cast<long>(v[0]);
+    plan.swapsInserted = static_cast<int>(swaps);
+    plan.blockCount = static_cast<int>(blocks);
+    plan.composedBlockCount = static_cast<int>(composed);
+    plan.compositionEvaluations = static_cast<long>(evaluations);
     if (!cursor.line(line) || line.compare(0, 7, "maxhsd ") != 0)
         return std::nullopt;
     {
         const std::string value = line.substr(7);
         char *end = nullptr;
         plan.maxBlockHsd = std::strtod(value.c_str(), &end);
-        if (end != value.c_str() + value.size())
+        if (end != value.c_str() + value.size() ||
+            !std::isfinite(plan.maxBlockHsd) || plan.maxBlockHsd < 0.0)
             return std::nullopt;
     }
     if (!cursor.line(line) || !parseKeyedLongs(line, "adopted", v, 1))
@@ -552,14 +565,20 @@ skeletonPlanFromText(const std::string &text)
         out.erase(out.begin());
         return count >= 0 && out.size() == static_cast<size_t>(count);
     };
-    if (!readCounted("ilayout", v))
+    // Layout entries are atom indices: non-negative ints.
+    auto readLayout = [&](const char *key, std::vector<Qubit> &out) {
+        if (!readCounted(key, v))
+            return false;
+        for (const long long x : v) {
+            if (x < 0 || x > kIntMax)
+                return false;
+            out.push_back(static_cast<Qubit>(x));
+        }
+        return true;
+    };
+    if (!readLayout("ilayout", plan.initialLayout) ||
+        !readLayout("flayout", plan.finalLayout))
         return std::nullopt;
-    for (const long long x : v)
-        plan.initialLayout.push_back(static_cast<Qubit>(x));
-    if (!readCounted("flayout", v))
-        return std::nullopt;
-    for (const long long x : v)
-        plan.finalLayout.push_back(static_cast<Qubit>(x));
     std::vector<long long> varyingIdx;
     if (!readCounted("varying", varyingIdx))
         return std::nullopt;

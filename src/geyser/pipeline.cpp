@@ -55,16 +55,6 @@ checkpoint(const PipelineOptions &options, const char *stage)
         options.cancel->checkpoint(stage);
 }
 
-verify::EquivalenceOptions
-verifyOptionsFrom(const PipelineOptions &options)
-{
-    verify::EquivalenceOptions eo;
-    eo.unitaryTolerance = options.verifyUnitaryTolerance;
-    eo.tvdTolerance = options.verifyTvdTolerance;
-    eo.maxUnitaryQubits = options.verifyMaxUnitaryQubits;
-    return eo;
-}
-
 /** Throw VerificationError if `candidate` diverged from `reference`. */
 void
 verifyStage(const PipelineOptions &options, const char *stage,
@@ -72,8 +62,7 @@ verifyStage(const PipelineOptions &options, const char *stage,
 {
     if (!options.verifyEquivalence)
         return;
-    const auto report =
-        verify::checkUnitary(reference, candidate, verifyOptionsFrom(options));
+    const auto report = verify::checkUnitary(reference, candidate);
     if (!report.equivalent)
         throw verify::VerificationError(std::string(stage) +
                                         " diverged: " + report.detail);
@@ -88,7 +77,7 @@ verifyRoutedStage(const PipelineOptions &options, const char *stage,
         return;
     const auto report =
         verify::checkRouted(reference, routed.circuit, routed.initialLayout,
-                            routed.finalLayout, verifyOptionsFrom(options));
+                            routed.finalLayout);
     if (!report.equivalent)
         throw verify::VerificationError(std::string(stage) +
                                         " diverged: " + report.detail);
@@ -185,8 +174,7 @@ verifyResult(const PipelineOptions &options, const CompileResult &result)
 {
     if (!options.verifyEquivalence)
         return;
-    const auto report =
-        verify::checkCompileResult(result, verifyOptionsFrom(options));
+    const auto report = verify::checkCompileResult(result);
     if (!report.equivalent)
         throw verify::VerificationError(
             std::string(techniqueName(result.technique)) +

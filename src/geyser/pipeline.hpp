@@ -68,16 +68,11 @@ struct PipelineOptions
      * the logical source, throwing verify::VerificationError on the
      * first divergence. Exact stages are checked at the unitary level up
      * to global phase (layout-aware once routed); the approximate Geyser
-     * composition is checked against the distribution bound. Costs an
+     * composition is checked against the distribution bound. The
+     * tolerances are verify::EquivalenceOptions' defaults. Costs an
      * extra simulation per stage — an opt-in self-check, not a default.
      */
     bool verifyEquivalence = false;
-    /** HSD bound for the exact-stage checks when verifying. */
-    double verifyUnitaryTolerance = 1e-8;
-    /** TVD bound for the composed-circuit check when verifying. */
-    double verifyTvdTolerance = 1e-2;
-    /** Widest circuit verified at the unitary level (else distribution). */
-    int verifyMaxUnitaryQubits = 10;
     /**
      * Force obs tracing/metrics collection on for the duration of this
      * compile (restoring the previous state afterwards), so a single

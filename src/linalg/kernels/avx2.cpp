@@ -94,41 +94,6 @@ matmulAvx2(const double *aRe, const double *aIm, const double *bRe,
 }
 
 void
-matmulDaggerAvx2(const double *aRe, const double *aIm, const double *bRe,
-                 const double *bIm, double *outRe, double *outIm, int d)
-{
-    for (int r = 0; r < d; ++r) {
-        int c = 0;
-        for (; c + 4 <= d; c += 4) {
-            __m256d sre = _mm256_setzero_pd(), sim = _mm256_setzero_pd();
-            for (int k = 0; k < d; ++k) {
-                const __m256d ar = _mm256_set1_pd(aRe[k * d + r]);
-                const __m256d ai = _mm256_set1_pd(-aIm[k * d + r]);
-                const __m256d br = _mm256_loadu_pd(bRe + k * d + c);
-                const __m256d bi = _mm256_loadu_pd(bIm + k * d + c);
-                sre = _mm256_fmadd_pd(ar, br, sre);
-                sre = _mm256_fnmadd_pd(ai, bi, sre);
-                sim = _mm256_fmadd_pd(ar, bi, sim);
-                sim = _mm256_fmadd_pd(ai, br, sim);
-            }
-            _mm256_storeu_pd(outRe + r * d + c, sre);
-            _mm256_storeu_pd(outIm + r * d + c, sim);
-        }
-        for (; c < d; ++c) {
-            double sre = 0.0, sim = 0.0;
-            for (int k = 0; k < d; ++k) {
-                const double xre = aRe[k * d + r], xim = -aIm[k * d + r];
-                const double yre = bRe[k * d + c], yim = bIm[k * d + c];
-                sre += xre * yre - xim * yim;
-                sim += xre * yim + xim * yre;
-            }
-            outRe[r * d + c] = sre;
-            outIm[r * d + c] = sim;
-        }
-    }
-}
-
-void
 traceProductAvx2(const double *aRe, const double *aIm, const double *bRe,
                  const double *bIm, int d, double *outRe, double *outIm)
 {
@@ -144,31 +109,6 @@ traceProductAvx2(const double *aRe, const double *aIm, const double *bRe,
     dotSplitAvx2(aRe, aIm, btRe, btIm,
                  static_cast<size_t>(d) * static_cast<size_t>(d), outRe,
                  outIm);
-}
-
-void
-traceConjDotAvx2(const double *tRe, const double *tIm, const double *uRe,
-                 const double *uIm, size_t n, double *outRe, double *outIm)
-{
-    __m256d tre = _mm256_setzero_pd(), tim = _mm256_setzero_pd();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d tr = _mm256_loadu_pd(tRe + i);
-        const __m256d ti = _mm256_loadu_pd(tIm + i);
-        const __m256d ur = _mm256_loadu_pd(uRe + i);
-        const __m256d ui = _mm256_loadu_pd(uIm + i);
-        tre = _mm256_fmadd_pd(tr, ur, tre);
-        tre = _mm256_fmadd_pd(ti, ui, tre);
-        tim = _mm256_fmadd_pd(tr, ui, tim);
-        tim = _mm256_fnmadd_pd(ti, ur, tim);
-    }
-    double sre = hsum(tre), sim = hsum(tim);
-    for (; i < n; ++i) {
-        sre += tRe[i] * uRe[i] + tIm[i] * uIm[i];
-        sim += tRe[i] * uIm[i] - tIm[i] * uRe[i];
-    }
-    *outRe = sre;
-    *outIm = sim;
 }
 
 void
@@ -456,11 +396,10 @@ const ComputeBackend &
 avx2Backend()
 {
     static const ComputeBackend backend = {
-        "avx2",           matmulAvx2,       matmulDaggerAvx2,
-        traceProductAvx2, traceConjDotAvx2, apply2x2RowsAvx2,
-        apply2x2ColsAvx2, flipRowsRef,      flipColsRef,
-        foldWAvx2,        probeBatchAvx2,   svApply1qAvx2,
-        svApply2qAvx2,
+        "avx2",           matmulAvx2,       traceProductAvx2,
+        apply2x2RowsAvx2, apply2x2ColsAvx2, flipRowsRef,
+        flipColsRef,      foldWAvx2,        probeBatchAvx2,
+        svApply1qAvx2,    svApply2qAvx2,
     };
     return backend;
 }

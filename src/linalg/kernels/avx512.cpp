@@ -77,32 +77,6 @@ matmulAvx512(const double *aRe, const double *aIm, const double *bRe,
 }
 
 void
-matmulDaggerAvx512(const double *aRe, const double *aIm, const double *bRe,
-                   const double *bIm, double *outRe, double *outIm, int d)
-{
-    for (int r = 0; r < d; ++r) {
-        for (int c = 0; c < d; c += 8) {
-            const __mmask8 mk = colMask(d - c);
-            __m512d sre = _mm512_setzero_pd(), sim = _mm512_setzero_pd();
-            for (int k = 0; k < d; ++k) {
-                const __m512d ar = _mm512_set1_pd(aRe[k * d + r]);
-                const __m512d ai = _mm512_set1_pd(-aIm[k * d + r]);
-                const __m512d br =
-                    _mm512_maskz_loadu_pd(mk, bRe + k * d + c);
-                const __m512d bi =
-                    _mm512_maskz_loadu_pd(mk, bIm + k * d + c);
-                sre = _mm512_fmadd_pd(ar, br, sre);
-                sre = _mm512_fnmadd_pd(ai, bi, sre);
-                sim = _mm512_fmadd_pd(ar, bi, sim);
-                sim = _mm512_fmadd_pd(ai, br, sim);
-            }
-            _mm512_mask_storeu_pd(outRe + r * d + c, mk, sre);
-            _mm512_mask_storeu_pd(outIm + r * d + c, mk, sim);
-        }
-    }
-}
-
-void
 traceProductAvx512(const double *aRe, const double *aIm, const double *bRe,
                    const double *bIm, int d, double *outRe, double *outIm)
 {
@@ -117,27 +91,6 @@ traceProductAvx512(const double *aRe, const double *aIm, const double *bRe,
     dotSplitAvx512(aRe, aIm, btRe, btIm,
                    static_cast<size_t>(d) * static_cast<size_t>(d), outRe,
                    outIm);
-}
-
-void
-traceConjDotAvx512(const double *tRe, const double *tIm, const double *uRe,
-                   const double *uIm, size_t n, double *outRe,
-                   double *outIm)
-{
-    __m512d tre = _mm512_setzero_pd(), tim = _mm512_setzero_pd();
-    for (size_t i = 0; i < n; i += 8) {
-        const __mmask8 mk = colMask(static_cast<int>(n - i));
-        const __m512d tr = _mm512_maskz_loadu_pd(mk, tRe + i);
-        const __m512d ti = _mm512_maskz_loadu_pd(mk, tIm + i);
-        const __m512d ur = _mm512_maskz_loadu_pd(mk, uRe + i);
-        const __m512d ui = _mm512_maskz_loadu_pd(mk, uIm + i);
-        tre = _mm512_fmadd_pd(tr, ur, tre);
-        tre = _mm512_fmadd_pd(ti, ui, tre);
-        tim = _mm512_fmadd_pd(tr, ui, tim);
-        tim = _mm512_fnmadd_pd(ti, ur, tim);
-    }
-    *outRe = _mm512_reduce_add_pd(tre);
-    *outIm = _mm512_reduce_add_pd(tim);
 }
 
 void
@@ -433,11 +386,10 @@ const ComputeBackend &
 avx512Backend()
 {
     static const ComputeBackend backend = {
-        "avx512",           matmulAvx512,       matmulDaggerAvx512,
-        traceProductAvx512, traceConjDotAvx512, apply2x2RowsAvx512,
-        apply2x2ColsAvx512, flipRowsRef,        flipColsRef,
-        foldWAvx512,        probeBatchAvx512,   svApply1qAvx512,
-        svApply2qAvx512,
+        "avx512",           matmulAvx512,       traceProductAvx512,
+        apply2x2RowsAvx512, apply2x2ColsAvx512, flipRowsRef,
+        flipColsRef,        foldWAvx512,        probeBatchAvx512,
+        svApply1qAvx512,    svApply2qAvx512,
     };
     return backend;
 }

@@ -62,22 +62,9 @@ struct ComputeBackend
     void (*matmul)(const double *aRe, const double *aIm, const double *bRe,
                    const double *bIm, double *outRe, double *outIm, int d);
 
-    /** out = a^dagger . b (conjugate-transposed left operand). */
-    void (*matmulDagger)(const double *aRe, const double *aIm,
-                         const double *bRe, const double *bIm,
-                         double *outRe, double *outIm, int d);
-
     /** Tr(a . b) = sum_{r,k} a(r,k) b(k,r). Requires d <= kMaxTraceDim. */
     void (*traceProduct)(const double *aRe, const double *aIm,
                          const double *bRe, const double *bIm, int d,
-                         double *outRe, double *outIm);
-
-    /**
-     * sum_i conj(t_i) u_i over n contiguous elements — the dagger-trace
-     * contraction Tr(T^dagger U) for same-layout matrices (n = d*d).
-     */
-    void (*traceConjDot)(const double *tRe, const double *tIm,
-                         const double *uRe, const double *uIm, size_t n,
                          double *outRe, double *outIm);
 
     /**
@@ -150,6 +137,16 @@ struct BackendInfo
 
 /** The always-available portable reference backend. */
 const ComputeBackend &scalarBackend();
+
+/**
+ * sum_i conj(t_i) u_i over n contiguous elements — the dagger-trace
+ * contraction Tr(T^dagger U) for same-layout matrices (n = d*d). Scalar
+ * only and outside the table: its one caller is the dense
+ * Ansatz::overlapTrace oracle, which is pinned to the reference
+ * arithmetic, so no dispatched path runs it.
+ */
+void traceConjDot(const double *tRe, const double *tIm, const double *uRe,
+                  const double *uIm, size_t n, double *outRe, double *outIm);
 
 /**
  * The reference oracle alias: fixed scalar implementations that dense

@@ -46,27 +46,6 @@ matmulRef(const double *aRe, const double *aIm, const double *bRe,
     }
 }
 
-/** out = a^dagger . b. */
-inline void
-matmulDaggerRef(const double *aRe, const double *aIm, const double *bRe,
-                const double *bIm, double *outRe, double *outIm, int d)
-{
-    for (int r = 0; r < d; ++r) {
-        for (int c = 0; c < d; ++c) {
-            double sre = 0.0, sim = 0.0;
-            for (int k = 0; k < d; ++k) {
-                // conj(a(k, r)) * b(k, c).
-                const double xre = aRe[k * d + r], xim = -aIm[k * d + r];
-                const double yre = bRe[k * d + c], yim = bIm[k * d + c];
-                sre += xre * yre - xim * yim;
-                sim += xre * yim + xim * yre;
-            }
-            outRe[r * d + c] = sre;
-            outIm[r * d + c] = sim;
-        }
-    }
-}
-
 /** Tr(a . b) = sum_{r,k} a(r,k) b(k,r). */
 inline void
 traceProductRef(const double *aRe, const double *aIm, const double *bRe,
@@ -80,20 +59,6 @@ traceProductRef(const double *aRe, const double *aIm, const double *bRe,
             tre += xre * yre - xim * yim;
             tim += xre * yim + xim * yre;
         }
-    }
-    *outRe = tre;
-    *outIm = tim;
-}
-
-/** sum_i conj(t_i) u_i over n contiguous elements. */
-inline void
-traceConjDotRef(const double *tRe, const double *tIm, const double *uRe,
-                const double *uIm, size_t n, double *outRe, double *outIm)
-{
-    double tre = 0.0, tim = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        tre += tRe[i] * uRe[i] + tIm[i] * uIm[i];
-        tim += tRe[i] * uIm[i] - tIm[i] * uRe[i];
     }
     *outRe = tre;
     *outIm = tim;

@@ -13,6 +13,13 @@ namespace geyser {
 
 namespace {
 
+/** Gates beyond the front layer contributing to the score. */
+constexpr int kLookaheadWindow = 20;
+/** Relative weight of the lookahead term. */
+constexpr double kLookaheadWeight = 0.5;
+/** Decay applied to recently swapped atoms (avoids ping-pong). */
+constexpr double kDecay = 0.001;
+
 /** Per-qubit frontier view of the circuit's dependency DAG. */
 class Frontier
 {
@@ -96,8 +103,7 @@ class Frontier
 
 RoutedCircuit
 routeSabre(const Circuit &circuit, const Topology &topo,
-           const std::vector<Qubit> &initial_layout,
-           const SabreOptions &options)
+           const std::vector<Qubit> &initial_layout)
 {
     if (!circuit.isPhysical())
         throw ValidationError("routeSabre: physical basis required");
@@ -142,8 +148,8 @@ routeSabre(const Circuit &circuit, const Topology &topo,
             l2a[static_cast<size_t>(lb)] = atom_a;
         std::swap(a2l[static_cast<size_t>(atom_a)],
                   a2l[static_cast<size_t>(atom_b)]);
-        decay[static_cast<size_t>(atom_a)] += options.decay;
-        decay[static_cast<size_t>(atom_b)] += options.decay;
+        decay[static_cast<size_t>(atom_a)] += kDecay;
+        decay[static_cast<size_t>(atom_b)] += kDecay;
         ++result.swapsInserted;
         static obs::Counter &swaps = obs::counter("sabre.swaps");
         swaps.add();
@@ -188,7 +194,7 @@ routeSabre(const Circuit &circuit, const Topology &topo,
             }
         }
 
-        const auto look = frontier.lookahead(options.lookaheadWindow);
+        const auto look = frontier.lookahead(kLookaheadWindow);
         static obs::Counter &lookaheadHits = obs::counter("sabre.lookahead_hits");
         lookaheadHits.add(static_cast<long>(look.size()));
         double bestScore = std::numeric_limits<double>::infinity();
@@ -215,7 +221,7 @@ routeSabre(const Circuit &circuit, const Topology &topo,
             const double score =
                 std::max(decay[static_cast<size_t>(edge[0])],
                          decay[static_cast<size_t>(edge[1])]) *
-                (frontCost + options.lookaheadWeight * lookCost);
+                (frontCost + kLookaheadWeight * lookCost);
 
             // Undo the tentative swap.
             if (la >= 0)
@@ -245,11 +251,9 @@ routeSabre(const Circuit &circuit, const Topology &topo,
 }
 
 RoutedCircuit
-routeSabre(const Circuit &circuit, const Topology &topo,
-           const SabreOptions &options)
+routeSabre(const Circuit &circuit, const Topology &topo)
 {
-    return routeSabre(circuit, topo, chooseInitialLayout(circuit, topo),
-                      options);
+    return routeSabre(circuit, topo, chooseInitialLayout(circuit, topo));
 }
 
 }  // namespace geyser

@@ -14,17 +14,6 @@
 
 namespace geyser {
 
-/** Tuning knobs for the SABRE search. */
-struct SabreOptions
-{
-    /** Gates beyond the front layer contributing to the score. */
-    int lookaheadWindow = 20;
-    /** Relative weight of the lookahead term. */
-    double lookaheadWeight = 0.5;
-    /** Decay applied to recently swapped atoms (avoids ping-pong). */
-    double decay = 0.001;
-};
-
 /**
  * Route a physical-basis circuit onto `topo` with SABRE lookahead
  * scoring, starting from the given initial layout. Output contract is
@@ -33,12 +22,10 @@ struct SabreOptions
  * atoms before/after.
  */
 RoutedCircuit routeSabre(const Circuit &circuit, const Topology &topo,
-                         const std::vector<Qubit> &initial_layout,
-                         const SabreOptions &options = {});
+                         const std::vector<Qubit> &initial_layout);
 
 /** routeSabre() with the interaction-aware greedy initial layout. */
-RoutedCircuit routeSabre(const Circuit &circuit, const Topology &topo,
-                         const SabreOptions &options = {});
+RoutedCircuit routeSabre(const Circuit &circuit, const Topology &topo);
 
 }  // namespace geyser
 

@@ -414,9 +414,16 @@ TEST_F(CacheTest, CompileKeySeparatesTechniquesAndCircuits)
     EXPECT_EQ(keyA, cache::compileCacheKey(a, options, Technique::Baseline));
     EXPECT_NE(keyA, cache::compileCacheKey(a, options, Technique::OptiMap));
     EXPECT_NE(keyA, cache::compileCacheKey(b, options, Technique::Baseline));
-    PipelineOptions other = options;
-    other.compose.maxLayers = 3;
-    EXPECT_NE(keyA, cache::compileCacheKey(a, other, Technique::Baseline));
+    // Each behaviour option splits the key.
+    PipelineOptions gateAware = options;
+    gateAware.blocker.pulseAware = false;
+    PipelineOptions annealing = options;
+    annealing.compose.optimizer = ComposeOptimizer::DualAnnealing;
+    PipelineOptions extended = options;
+    extended.compose.entanglerMode = EntanglerMode::Extended;
+    for (const PipelineOptions &other : {gateAware, annealing, extended})
+        EXPECT_NE(keyA,
+                  cache::compileCacheKey(a, other, Technique::Baseline));
     // Observability/verification knobs do not change the output.
     PipelineOptions traced = options;
     traced.trace = true;

@@ -8,6 +8,7 @@
 #include "sim/unitary_sim.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
+#include "verify/random_circuit.hpp"
 
 namespace geyser {
 namespace {
@@ -72,24 +73,33 @@ TEST(ComposeMemo, CachedResultMatchesDirect)
 
 TEST(ComposeMemo, DistinguishesOptions)
 {
-    Circuit block(2);
-    block.u3(0, 0.4, 0.2, 0.7);
-    block.cz(0, 1);
-    block.u3(1, 1.4, -0.2, 0.1);
-    block.cz(0, 1);
-
-    ComposeOptions tight;
-    tight.threshold = 1e-7;
-    ComposeOptions loose;
-    loose.threshold = 1e-3;
-    const auto a = composeBlockCached(block, tight);
-    const auto b = composeBlockCached(block, loose);
-    // Different thresholds must not collide in the memo; both must be
-    // valid for their own tolerance.
-    if (a.composed)
-        EXPECT_LE(a.hsd, 1e-7);
-    if (b.composed)
-        EXPECT_LE(b.hsd, 1e-3);
+    // Each compose option splits the memo key: a block composed through
+    // the memo under a non-default option right after the default gets
+    // its own search, not the default's cached result.
+    ComposeOptions extended;
+    extended.entanglerMode = EntanglerMode::Extended;
+    ComposeOptions annealing;
+    annealing.optimizer = ComposeOptimizer::DualAnnealing;
+    Circuit ccz(3);
+    ccz.ccz(0, 1, 2);
+    Circuit cczBlock = decomposeToBasis(ccz);
+    fuseU3Pass(cczBlock, true);
+    const std::pair<Circuit, ComposeOptions> cases[] = {
+        {verify::randomPhysicalCircuit(3, 8, 2), extended},
+        {cczBlock, annealing},
+    };
+    for (const auto &[block, variant] : cases) {
+        const ComposeResult base = composeBlockCached(block);
+        const ComposeResult direct = composeBlock(block, variant);
+        ASSERT_TRUE(base.composed);
+        ASSERT_TRUE(direct.composed);
+        ASSERT_NE(direct.evaluations, base.evaluations)
+            << "the option no longer changes this block's search";
+        const ComposeResult cached = composeBlockCached(block, variant);
+        EXPECT_EQ(cached.evaluations, direct.evaluations);
+        EXPECT_EQ(cached.layersUsed, direct.layersUsed);
+        EXPECT_EQ(cached.circuit.totalPulses(), direct.circuit.totalPulses());
+    }
 }
 
 TEST(ComposeMemo, DistinguishesGateParameters)

@@ -141,11 +141,16 @@ TEST(SkeletonKey, StructuralChangesChangeTheKey)
     EXPECT_NE(cache::skeletonCacheKey(base, {}, options,
                                       Technique::Superconducting),
               key);
-    // Different behaviour-relevant pipeline option.
-    PipelineOptions other = options;
-    other.compose.threshold *= 0.5;
-    EXPECT_NE(cache::skeletonCacheKey(base, {}, other, Technique::Geyser),
-              key);
+    // Each behaviour option splits the key.
+    PipelineOptions gateAware = options;
+    gateAware.blocker.pulseAware = false;
+    PipelineOptions annealing = options;
+    annealing.compose.optimizer = ComposeOptimizer::DualAnnealing;
+    PipelineOptions extended = options;
+    extended.compose.entanglerMode = EntanglerMode::Extended;
+    for (const PipelineOptions &other : {gateAware, annealing, extended})
+        EXPECT_NE(cache::skeletonCacheKey(base, {}, other, Technique::Geyser),
+                  key);
 }
 
 TEST(SkeletonKey, FixedAnglesAreBitExactVaryingAnglesCanonicalize)
@@ -327,6 +332,51 @@ TEST(SkeletonPlan, SerializationRoundTripsAndRebindsIdentically)
     EXPECT_FALSE(
         fleet::skeletonPlanFromText(text.substr(0, text.size() / 2))
             .has_value());
+}
+
+TEST(SkeletonPlan, LoaderRejectsCountsTheCompilerNeverProduces)
+{
+    // rebindMember copies a plan's counts into every re-bound member's
+    // CompileResult, so a disk entry must not load with a count or
+    // distance no compile produces: it is a miss, then a recompute.
+    std::vector<Circuit> members;
+    for (uint64_t seed = 0; seed < 2; ++seed)
+        members.push_back(vqeBenchmark(4, 1, seed));
+    const auto groups = fleet::groupBySkeleton(members);
+    const auto plan =
+        fleet::buildSkeletonPlan(Technique::Geyser, members[0],
+                                 groups[0].varyingSlots, PipelineOptions{});
+    ASSERT_TRUE(plan.has_value());
+    const std::string text = fleet::skeletonPlanToText(*plan);
+    ASSERT_TRUE(fleet::skeletonPlanFromText(text).has_value());
+
+    // The plan text with one header line's value replaced.
+    auto withValue = [&](const std::string &key, const std::string &value) {
+        const size_t at = text.find("\n" + key + " ") + 1;
+        EXPECT_NE(at, 0u) << key;
+        const size_t eol = text.find('\n', at);
+        return text.substr(0, at) + key + " " + value + text.substr(eol);
+    };
+    const std::pair<std::string, std::string> corrupt[] = {
+        {"swaps", "-1"},
+        {"swaps", "2147483648"},
+        {"blocks", "-1"},
+        {"blocks", "4294967296"},
+        {"composedblocks", "-1"},
+        {"composedblocks", "2147483648"},
+        {"composedblocks", std::to_string(plan->blockCount + 1)},
+        {"evaluations", "-1"},
+        {"maxhsd", "nan"},
+        {"maxhsd", "inf"},
+        {"maxhsd", "-inf"},
+        {"maxhsd", "-1e-09"},
+        {"ilayout", "4 0 1 2 -1"},
+        {"flayout", "4 0 1 2 2147483648"},
+    };
+    for (const auto &[key, value] : corrupt)
+        EXPECT_FALSE(
+            fleet::skeletonPlanFromText(withValue(key, value)).has_value())
+            << key << " " << value;
 }
 
 // ---- Fleet engine ----------------------------------------------------

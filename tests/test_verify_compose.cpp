@@ -17,18 +17,6 @@
 namespace geyser {
 namespace {
 
-/** Fast composer settings: enough budget to compose small blocks. */
-ComposeOptions
-quickCompose()
-{
-    ComposeOptions options;
-    options.restarts = 4;
-    options.maxSweeps = 120;
-    options.maxEvaluationsPerBlock = 20000;
-    options.annealingEvaluations = 4000;
-    return options;
-}
-
 class ComposeProperty : public ::testing::TestWithParam<int>
 {
 };
@@ -39,8 +27,7 @@ TEST_P(ComposeProperty, ComposedBlocksMatchBlockUnitaryWithinTolerance)
     const int width = 2 + seed % 2;  // 2Q and 3Q blocks.
     const Circuit block = verify::randomPhysicalCircuit(
         width, 8, static_cast<uint64_t>(seed) * 13 + 1);
-    const ComposeOptions options = quickCompose();
-    const ComposeResult result = composeBlock(block, options);
+    const ComposeResult result = composeBlock(block);
 
     // The adopted circuit — composed ansatz or the original — is always
     // equivalent to the block within the acceptance threshold (recursive
@@ -59,7 +46,7 @@ TEST_P(ComposeProperty, EntanglerFreeBlocksComposeExactly)
     rc.seed = static_cast<uint64_t>(GetParam()) * 29 + 7;
     rc.gateSet = {GateKind::U3};
     const Circuit block = verify::randomCircuit(rc);
-    const ComposeResult result = composeBlock(block, quickCompose());
+    const ComposeResult result = composeBlock(block);
     EXPECT_TRUE(result.composed);
     const auto report = verify::checkUnitary(block, result.circuit);
     EXPECT_TRUE(report.equivalent) << report.detail;
