@@ -80,22 +80,6 @@ Circuit advantageBenchmark(int cycles, uint64_t seed);
  */
 Circuit heisenbergBenchmark(int num_qubits, int steps, double dt);
 
-/** GHZ-state preparation: H then a CX chain. */
-Circuit ghzCircuit(int num_qubits);
-
-/**
- * Bernstein-Vazirani: recovers `secret` in one oracle query. Width is
- * num_bits + 1 (oracle ancilla is the top qubit); the ideal output has
- * the query register equal to `secret` with certainty.
- */
-Circuit bernsteinVazirani(int num_bits, uint64_t secret);
-
-/**
- * Grover search over 2 or 3 qubits with a native CZ/CCZ phase oracle —
- * a natural fit for neutral atoms (the 3-qubit oracle is one CCZ).
- */
-Circuit groverSearch(int num_qubits, uint64_t marked, int iterations);
-
 }  // namespace geyser
 
 #endif  // GEYSER_ALGOS_ALGOS_HPP

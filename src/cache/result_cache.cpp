@@ -446,8 +446,7 @@ compileCacheKey(const Circuit &logical, const PipelineOptions &options,
     h.feedValue(static_cast<int>(technique));
     h.feedString(circuitToText(logical));
     // Every option that can change the compiled output, and nothing
-    // else: verify/trace/parallelism knobs alter diagnostics or wall
-    // time, never the result.
+    // else: verifyEquivalence adds checks, never changes the result.
     feedBehaviourOptions(h, options.compose, &options.blocker);
     return "c-" + h.hex();
 }

@@ -45,9 +45,6 @@ class Rng
     /** A vector of n uniform draws in [lo, hi). */
     std::vector<double> uniformVector(int n, double lo, double hi);
 
-    /** Derive an independent child generator (for per-thread streams). */
-    Rng spawn() { return Rng(engine_()); }
-
     /** Access to the raw engine for std distributions. */
     std::mt19937_64 &engine() { return engine_; }
 

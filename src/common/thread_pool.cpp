@@ -23,16 +23,6 @@ thread_local ThreadPool *t_workerPool = nullptr;
 
 }  // namespace
 
-double
-PoolStats::utilizationSince(const PoolStats &start,
-                            double interval_micros) const
-{
-    if (workers <= 0 || interval_micros <= 0.0)
-        return 0.0;
-    const double busy = static_cast<double>(busyMicros - start.busyMicros);
-    return std::min(1.0, busy / (interval_micros * workers));
-}
-
 ThreadPool::ThreadPool(int n)
 {
     int count = n > 0 ? n : static_cast<int>(std::thread::hardware_concurrency());

@@ -45,13 +45,6 @@ struct PoolStats
     int workers = 0;       ///< Worker-thread count.
     long busyMicros = 0;   ///< Total wall time spent inside tasks.
     long exceptions = 0;   ///< Swallowed throws from bare submit() tasks.
-
-    /**
-     * Fraction of worker capacity spent running tasks over an interval,
-     * given a snapshot taken at its start (both from this pool).
-     */
-    double utilizationSince(const PoolStats &start,
-                            double interval_micros) const;
 };
 
 /**

@@ -494,8 +494,8 @@ memoKey(const Circuit &block, const ComposeOptions &options)
 }
 
 /**
- * The memo is sharded behind 16 striped mutexes so parallelCompose
- * workers hashing different blocks stop contending on one global lock.
+ * The memo is sharded behind 16 striped mutexes so pool workers hashing
+ * different blocks stop contending on one global lock.
  */
 constexpr int kMemoShards = 16;
 

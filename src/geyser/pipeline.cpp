@@ -83,10 +83,15 @@ verifyRoutedStage(const PipelineOptions &options, const char *stage,
                                         " diverged: " + report.detail);
 }
 
-/** Shared mapping step: lower, (optionally) optimize, route, re-optimize. */
+/**
+ * Shared mapping step: lower, optimize, route, re-optimize. The
+ * technique fixes the topology (a square grid for Superconducting, the
+ * triangular atom lattice otherwise) and whether the optimization
+ * passes run (every technique but Baseline).
+ */
 CompileResult
-mapCircuit(Technique technique, const Circuit &logical, const Topology &topo,
-           bool optimized, const PipelineOptions &options)
+mapCircuit(Technique technique, const Circuit &logical,
+           const PipelineOptions &options)
 {
     // Every compile entry point funnels through here: reject invalid
     // circuits (out-of-range operands, duplicates, non-finite angles)
@@ -94,9 +99,16 @@ mapCircuit(Technique technique, const Circuit &logical, const Topology &topo,
     logical.validate();
     checkpoint(options, "transpile");
 
+    const Topology topo = technique == Technique::Superconducting
+                              ? Topology::squareForQubits(logical.numQubits())
+                              : Topology::forQubits(logical.numQubits());
+    const bool optimized = technique != Technique::Baseline;
+
     CompileResult result;
     result.technique = technique;
     result.logical = logical;
+    // A copy, not the builder's vectors: results outlive the compile
+    // (fleets keep thousands), and the copy holds no spare capacity.
     result.topology = topo;
 
     const auto t0 = StageClock::now();
@@ -195,68 +207,10 @@ fillStats(CompileResult &result)
     }
 }
 
-}  // namespace
-
-CompileResult
-compileBaseline(const Circuit &logical, const PipelineOptions &options)
+/** Blocking (Algorithm 1) and composition (Algorithm 2), Geyser only. */
+void
+blockAndCompose(CompileResult &result, const PipelineOptions &options)
 {
-    obs::EnabledScope traceScope(options.trace);
-    const auto t0 = StageClock::now();
-    obs::Span span("compile", "pipeline");
-    span.arg("technique", "Baseline");
-    CompileResult result =
-        mapCircuit(Technique::Baseline, logical,
-                   Topology::forQubits(logical.numQubits()), false, options);
-    fillStats(result);
-    verifyResult(options, result);
-    result.totalMs = msSince(t0);
-    return result;
-}
-
-CompileResult
-compileOptiMap(const Circuit &logical, const PipelineOptions &options)
-{
-    obs::EnabledScope traceScope(options.trace);
-    const auto t0 = StageClock::now();
-    obs::Span span("compile", "pipeline");
-    span.arg("technique", "OptiMap");
-    CompileResult result =
-        mapCircuit(Technique::OptiMap, logical,
-                   Topology::forQubits(logical.numQubits()), true, options);
-    fillStats(result);
-    verifyResult(options, result);
-    result.totalMs = msSince(t0);
-    return result;
-}
-
-CompileResult
-compileSuperconducting(const Circuit &logical, const PipelineOptions &options)
-{
-    obs::EnabledScope traceScope(options.trace);
-    const auto t0 = StageClock::now();
-    obs::Span span("compile", "pipeline");
-    span.arg("technique", "Superconducting");
-    CompileResult result =
-        mapCircuit(Technique::Superconducting, logical,
-                   Topology::squareForQubits(logical.numQubits()), true,
-                   options);
-    fillStats(result);
-    verifyResult(options, result);
-    result.totalMs = msSince(t0);
-    return result;
-}
-
-CompileResult
-compileGeyser(const Circuit &logical, const PipelineOptions &options)
-{
-    obs::EnabledScope traceScope(options.trace);
-    const auto t0 = StageClock::now();
-    obs::Span span("compile", "pipeline");
-    span.arg("technique", "Geyser");
-    CompileResult result =
-        mapCircuit(Technique::Geyser, logical,
-                   Topology::forQubits(logical.numQubits()), true, options);
-
     // Blocking (Algorithm 1).
     checkpoint(options, "blocking");
     const auto tBlock = StageClock::now();
@@ -272,6 +226,8 @@ compileGeyser(const Circuit &logical, const PipelineOptions &options)
     result.blockingMs = msSince(tBlock);
 
     // Composition (Algorithm 2), independently parallel across blocks.
+    // A compile that itself runs on a pool worker (a fleet member)
+    // composes inline: parallelFor runs a nested batch on the caller.
     checkpoint(options, "compose");
     const auto tCompose = StageClock::now();
     Circuit out(result.topology.numAtoms());
@@ -320,12 +276,7 @@ compileGeyser(const Circuit &logical, const PipelineOptions &options)
             s.arg("hsd", cr.hsd);
         }
     };
-    if (options.parallelCompose) {
-        globalPool().parallelFor(static_cast<int>(blocks.size()), composeOne);
-    } else {
-        for (int i = 0; i < static_cast<int>(blocks.size()); ++i)
-            composeOne(i);
-    }
+    globalPool().parallelFor(static_cast<int>(blocks.size()), composeOne);
 
     // Reassemble: blocks in round order, each remapped to its atoms.
     for (size_t i = 0; i < blocks.size(); ++i) {
@@ -350,49 +301,60 @@ compileGeyser(const Circuit &logical, const PipelineOptions &options)
     // paper reports for the Advantage benchmark).
     if (result.composedBlockCount > 0)
         result.physical = std::move(out);
+}
+
+/** One compile body for every technique; only Geyser blocks and composes. */
+CompileResult
+compileUncached(Technique technique, const Circuit &logical,
+                const PipelineOptions &options)
+{
+    const auto t0 = StageClock::now();
+    obs::Span span("compile", "pipeline");
+    span.arg("technique", techniqueName(technique));
+    CompileResult result = mapCircuit(technique, logical, options);
+    if (technique == Technique::Geyser)
+        blockAndCompose(result, options);
     fillStats(result);
     verifyResult(options, result);
     result.totalMs = msSince(t0);
     return result;
 }
 
+}  // namespace
+
+CompileResult
+compileBaseline(const Circuit &logical, const PipelineOptions &options)
+{
+    return compileUncached(Technique::Baseline, logical, options);
+}
+
+CompileResult
+compileOptiMap(const Circuit &logical, const PipelineOptions &options)
+{
+    return compileUncached(Technique::OptiMap, logical, options);
+}
+
+CompileResult
+compileGeyser(const Circuit &logical, const PipelineOptions &options)
+{
+    return compileUncached(Technique::Geyser, logical, options);
+}
+
+CompileResult
+compileSuperconducting(const Circuit &logical, const PipelineOptions &options)
+{
+    return compileUncached(Technique::Superconducting, logical, options);
+}
+
 CompileResult
 transpileForTechnique(Technique technique, const Circuit &logical,
                       const PipelineOptions &options)
 {
-    obs::EnabledScope traceScope(options.trace);
-    const Topology topo =
-        technique == Technique::Superconducting
-            ? Topology::squareForQubits(logical.numQubits())
-            : Topology::forQubits(logical.numQubits());
-    const bool optimized = technique != Technique::Baseline;
-    CompileResult result =
-        mapCircuit(technique, logical, topo, optimized, options);
+    CompileResult result = mapCircuit(technique, logical, options);
     fillStats(result);
     result.totalMs = result.transpileMs;
     return result;
 }
-
-namespace {
-
-CompileResult
-compileUncached(Technique technique, const Circuit &logical,
-                const PipelineOptions &options)
-{
-    switch (technique) {
-      case Technique::Baseline:
-        return compileBaseline(logical, options);
-      case Technique::OptiMap:
-        return compileOptiMap(logical, options);
-      case Technique::Geyser:
-        return compileGeyser(logical, options);
-      case Technique::Superconducting:
-        return compileSuperconducting(logical, options);
-    }
-    throw InternalError("compile: unknown technique");
-}
-
-}  // namespace
 
 CompileResult
 compile(Technique technique, const Circuit &logical,

@@ -60,8 +60,6 @@ struct PipelineOptions
 {
     BlockerOptions blocker;
     ComposeOptions compose;
-    /** Compose blocks concurrently on the global thread pool. */
-    bool parallelCompose = true;
     /**
      * Differentially verify every transpiler stage (basis translation,
      * optimization, each routing candidate) and the final result against
@@ -73,14 +71,6 @@ struct PipelineOptions
      * extra simulation per stage — an opt-in self-check, not a default.
      */
     bool verifyEquivalence = false;
-    /**
-     * Force obs tracing/metrics collection on for the duration of this
-     * compile (restoring the previous state afterwards), so a single
-     * compilation can be traced without touching the process-wide
-     * obs::setEnabled flag. Export with obs::writeChromeTrace /
-     * obs::writeMetricsJsonl after the call.
-     */
-    bool trace = false;
     /**
      * Optional persistent result cache (not owned). When set, compile()
      * serves whole-circuit results content-addressed on the logical

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "circuit/schedule.hpp"
@@ -222,16 +221,6 @@ compileResultToText(const CompileResult &result)
     return out.str();
 }
 
-void
-saveCompileResult(const std::string &path, const CompileResult &result)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw IoError(SourceContext{path, 0, -1},
-                      "saveCompileResult: cannot open for writing");
-    out << compileResultToText(result);
-}
-
 std::optional<CompileResult>
 compileResultFromText(const std::string &text, const Circuit &logical)
 {
@@ -323,17 +312,6 @@ compileResultFromText(const std::string &text, const Circuit &logical)
         return std::nullopt;
     }
     return result;
-}
-
-std::optional<CompileResult>
-loadCompileResult(const std::string &path, const Circuit &logical)
-{
-    std::ifstream in(path);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return compileResultFromText(buf.str(), logical);
 }
 
 std::string

@@ -1,9 +1,9 @@
 /**
  * @file
  * Circuit serialization: a compact text format (round-trippable), an
- * OpenQASM 2.0 exporter for interoperability, and a small cache for
- * compiled results so the per-figure bench binaries don't recompile the
- * same benchmark repeatedly.
+ * OpenQASM 2.0 exporter for interoperability, and the payload formats
+ * of the persistent result cache (src/cache): compiled results and
+ * composed blocks.
  */
 #ifndef GEYSER_IO_SERIALIZE_HPP
 #define GEYSER_IO_SERIALIZE_HPP
@@ -39,16 +39,6 @@ std::string compileResultToText(const CompileResult &result);
  */
 std::optional<CompileResult> compileResultFromText(const std::string &text,
                                                    const Circuit &logical);
-
-/** compileResultToText() to a file; throws if the file cannot open. */
-void saveCompileResult(const std::string &path, const CompileResult &result);
-
-/**
- * Load a saved result; returns std::nullopt if the file is missing or
- * malformed. `logical` and the topology are filled in from the caller.
- */
-std::optional<CompileResult> loadCompileResult(const std::string &path,
-                                               const Circuit &logical);
 
 /**
  * Serialize one block-composition outcome (src/compose) — the adopted

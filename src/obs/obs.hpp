@@ -104,25 +104,29 @@ void setEnabled(bool on);
 void reset();
 
 /**
- * RAII: when constructed with on == true, enables collection and
- * restores the previous state on destruction; with on == false it is a
- * no-op (never *disables* an enclosing session). Backs
- * PipelineOptions::trace.
+ * RAII: when constructed with on == true while collection is off,
+ * enables it and turns it back off on destruction. Otherwise it is a
+ * no-op: it never turns off a flag it did not turn on (an enclosing
+ * session, or another thread's setEnabled).
  */
 class EnabledScope
 {
   public:
-    explicit EnabledScope(bool on) : previous_(enabled())
+    explicit EnabledScope(bool on) : owned_(on && !enabled())
     {
-        if (on)
+        if (owned_)
             setEnabled(true);
     }
-    ~EnabledScope() { setEnabled(previous_); }
+    ~EnabledScope()
+    {
+        if (owned_)
+            setEnabled(false);
+    }
     EnabledScope(const EnabledScope &) = delete;
     EnabledScope &operator=(const EnabledScope &) = delete;
 
   private:
-    bool previous_;
+    bool owned_;
 };
 
 /** Monotonic microseconds since the trace epoch (process start/reset). */

@@ -91,12 +91,11 @@ SocketServer::stop()
         return;
     // shutdown() wakes the thread blocked in accept() (close() alone
     // does not on Linux); shutting the connection fds likewise fails
-    // their blocking recv()s.
+    // their blocking recv()s. The listener is closed only after the
+    // accept thread has exited: it reads the fd until then, and a closed
+    // fd number can be handed out again.
     if (listener_.valid())
         ::shutdown(listener_.get(), SHUT_RDWR);
-    listener_.close();
-    if (!config_.unixPath.empty())
-        ::unlink(config_.unixPath.c_str());
     std::vector<std::thread> threads;
     {
         std::lock_guard<std::mutex> lock(connMutex_);
@@ -106,6 +105,9 @@ SocketServer::stop()
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
+    listener_.close();
+    if (!config_.unixPath.empty())
+        ::unlink(config_.unixPath.c_str());
     for (auto &t : threads)
         if (t.joinable())
             t.join();

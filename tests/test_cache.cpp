@@ -424,11 +424,11 @@ TEST_F(CacheTest, CompileKeySeparatesTechniquesAndCircuits)
     for (const PipelineOptions &other : {gateAware, annealing, extended})
         EXPECT_NE(keyA,
                   cache::compileCacheKey(a, other, Technique::Baseline));
-    // Observability/verification knobs do not change the output.
-    PipelineOptions traced = options;
-    traced.trace = true;
-    traced.parallelCompose = false;
-    EXPECT_EQ(keyA, cache::compileCacheKey(a, traced, Technique::Baseline));
+    // Verification does not change the output.
+    PipelineOptions verified = options;
+    verified.verifyEquivalence = true;
+    EXPECT_EQ(keyA,
+              cache::compileCacheKey(a, verified, Technique::Baseline));
 }
 
 TEST_F(CacheTest, CorruptCompileEntryRecompilesWithoutError)

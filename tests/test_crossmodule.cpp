@@ -102,13 +102,11 @@ TEST(CrossModule, CacheSurvivesCompileReload)
     const Circuit logical = circuitFromQasm(
         "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n");
     const auto gey = compileGeyser(logical);
-    const std::string path = "/tmp/geyser_crossmodule_cache.txt";
-    saveCompileResult(path, gey);
-    const auto loaded = loadCompileResult(path, logical);
+    const auto loaded =
+        compileResultFromText(compileResultToText(gey), logical);
     ASSERT_TRUE(loaded.has_value());
     // The reloaded circuit behaves identically under evaluation.
     EXPECT_NEAR(idealTvd(*loaded), idealTvd(gey), 1e-12);
-    std::remove(path.c_str());
 }
 
 }  // namespace

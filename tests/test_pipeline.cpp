@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "algos/algos.hpp"
 #include "algos/suite.hpp"
 #include "geyser/pipeline.hpp"
@@ -32,13 +35,25 @@ TEST(Pipeline, DefaultGeyserCompileRunsNoDualAnnealing)
     const obs::Counter &annealing =
         obs::counter("compose.annealing_evaluations");
     const long before = annealing.value();
-    PipelineOptions options;
-    options.trace = true;  // Counters only count while obs is enabled.
+    obs::EnabledScope scope(true);  // Counters only count while enabled.
     const CompileResult result =
-        compile(Technique::Geyser, benchmarkByName("adder-4").make(),
-                options);
+        compile(Technique::Geyser, benchmarkByName("adder-4").make());
     EXPECT_GT(result.composedBlockCount, 0);
     EXPECT_EQ(annealing.value() - before, 0);
+}
+
+TEST(Pipeline, CompileLeavesTheObsFlagAlone)
+{
+    // A compile must not write the process-wide obs flag: another thread
+    // may turn collection on while it runs.
+    ASSERT_FALSE(obs::enabled());
+    const Circuit logical = benchmarkByName("heisenberg-16").make();
+    std::thread compiler([&] { (void)compileGeyser(logical); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    obs::setEnabled(true);
+    compiler.join();
+    EXPECT_TRUE(obs::enabled());
+    obs::setEnabled(false);
 }
 
 TEST(Pipeline, BaselineEmitsPhysicalCircuitWithoutCcz)
