@@ -28,6 +28,9 @@ constexpr const char *kEntrySuffix = ".gce";
 /** A lock file older than this is presumed abandoned by a dead process. */
 constexpr auto kStaleLockAge = std::chrono::minutes(10);
 
+/** How skeletonCacheKey reads its mask (see there); fed into s- keys. */
+constexpr int kSkeletonKeyFormat = 2;
+
 long long
 envMaxBytes()
 {
@@ -470,10 +473,14 @@ skeletonCacheKey(const Circuit &logical,
     std::unordered_set<long long> varying;
     for (const auto &[g, p] : varyingSlots)
         varying.insert(static_cast<long long>(g) * 4 + p);
-    const bool allVarying = varyingSlots.empty();
 
     io::Fnv128 h;
     h.feedValue(kPipelineVersion);
+    // Key format 2 reads the mask literally: an empty mask hashes every
+    // angle, as the plan it addresses (nothing varies) requires. Format
+    // 1 hashed structure only for it, so a plan of identical members
+    // was served to every angle set; the tag retires all format-1 keys.
+    h.feedValue(kSkeletonKeyFormat);
     h.feedValue(static_cast<int>(technique));
     h.feedValue(logical.numQubits());
     const auto &gates = logical.gates();
@@ -486,12 +493,10 @@ skeletonCacheKey(const Circuit &logical,
             h.feedValue(static_cast<int>(gate.qubit(q)));
         // Per parameter slot: a varying-or-fixed tag, and for fixed
         // slots the value bit-exact. The tags make the key a function of
-        // the *effective* mask, so an empty mask (all varying) and an
-        // explicit every-slot mask canonicalize to the same key.
+        // the effective mask, not of how the slot list is ordered.
         const int params = gateKindParamCount(gate.kind());
         for (int p = 0; p < params; ++p) {
             const bool slotVaries =
-                allVarying ||
                 varying.count(static_cast<long long>(i) * 4 + p) != 0;
             h.feedValue(static_cast<int>(slotVaries));
             if (!slotVaries)

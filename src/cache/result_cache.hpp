@@ -272,7 +272,8 @@ std::string blockCacheKey(uint64_t hi, uint64_t lo);
  * the same structure and fixed angles but different varying angles map
  * to the same key; any change to a gate kind, operand, qubit count,
  * technique (and hence topology), fixed angle, or the mask changes it.
- * An empty mask means "every parameter varies" (pure structure hash).
+ * The mask is read literally: an empty mask means nothing varies, so
+ * every angle is hashed, exactly as buildSkeletonPlan reads it.
  */
 std::string skeletonCacheKey(
     const Circuit &logical,

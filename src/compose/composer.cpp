@@ -196,7 +196,7 @@ namespace {
 /** composeBlock() searching from `seed`. */
 ComposeResult
 composeSeeded(const Circuit &block, const ComposeOptions &options,
-              uint64_t seed)
+              uint64_t seed, const CancelToken *cancel)
 {
     if (block.numQubits() < 1 || block.numQubits() > 3)
         throw std::invalid_argument("composeBlock: block must be 1-3 qubits");
@@ -219,8 +219,8 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
 
     std::vector<Entangler> entanglers;
     for (int layers = 1; layers <= kMaxLayers; ++layers) {
-        if (options.cancel != nullptr)
-            options.cancel->checkpoint("compose");
+        if (cancel != nullptr)
+            cancel->checkpoint("compose");
         Entangler depthBestEntangler = Entangler::Ccz;
         double depthBestHsd = 2.0;
         // Candidate per-layer entangler choices to try at this depth.
@@ -296,7 +296,7 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
                     evaluator.setAngles(angles);
                     const double h =
                         rotosolve(evaluator, triageSweeps, kThreshold,
-                                  result.evaluations, options.cancel);
+                                  result.evaluations, cancel);
                     if (h <= kThreshold) {
                         bestHsd = h;
                         bestAngles = evaluator.angles();
@@ -310,7 +310,7 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
                     evaluator.setAngles(start.angles);
                     const double h =
                         rotosolve(evaluator, kMaxSweeps, kThreshold,
-                                  result.evaluations, options.cancel);
+                                  result.evaluations, cancel);
                     if (h < bestHsd) {
                         bestHsd = h;
                         bestAngles = evaluator.angles();
@@ -335,7 +335,7 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
                     evaluator.setAngles(angles);
                     const double h =
                         rotosolve(evaluator, kMaxSweeps, kThreshold,
-                                  result.evaluations, options.cancel);
+                                  result.evaluations, cancel);
                     if (h < bestHsd) {
                         bestHsd = h;
                         bestAngles = evaluator.angles();
@@ -362,8 +362,8 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
                             // Checkpoint per probe: negligible next to
                             // the trace contraction, and annealing runs
                             // can otherwise monopolise tens of seconds.
-                            if (options.cancel != nullptr)
-                                options.cancel->checkpoint("compose");
+                            if (cancel != nullptr)
+                                cancel->checkpoint("compose");
                             return hsdFromTrace(evaluator.traceAt(a), dim);
                         },
                         annealProbes),
@@ -374,7 +374,7 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
                 annealEvals.add(annealProbes);
                 evaluator.setAngles(out.x);
                 const double h = rotosolve(evaluator, 30, kThreshold,
-                                           result.evaluations, options.cancel);
+                                           result.evaluations, cancel);
                 if (h < bestHsd) {
                     bestHsd = h;
                     bestAngles = evaluator.angles();
@@ -412,9 +412,9 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
  */
 ComposeResult
 composeRecursive(const Circuit &block, const ComposeOptions &options,
-                 int depth, uint64_t seed)
+                 int depth, uint64_t seed, const CancelToken *cancel)
 {
-    ComposeResult direct = composeSeeded(block, options, seed);
+    ComposeResult direct = composeSeeded(block, options, seed, cancel);
     if (direct.composed || depth >= kMaxSplitDepth || block.size() < 6)
         return direct;
     static obs::Counter &splits = obs::counter("compose.splits");
@@ -426,8 +426,10 @@ composeRecursive(const Circuit &block, const ComposeOptions &options,
         (i < mid ? first : second).append(block.gates()[i]);
 
     const uint64_t sub = seed + 0x9e3779b9u * static_cast<uint64_t>(depth + 1);
-    ComposeResult ra = composeRecursive(first, options, depth + 1, sub);
-    ComposeResult rb = composeRecursive(second, options, depth + 1, sub);
+    ComposeResult ra =
+        composeRecursive(first, options, depth + 1, sub, cancel);
+    ComposeResult rb =
+        composeRecursive(second, options, depth + 1, sub, cancel);
     direct.evaluations += ra.evaluations + rb.evaluations;
     if (!ra.composed && !rb.composed)
         return direct;
@@ -517,7 +519,14 @@ memoShard(const MemoKey &key)
 ComposeResult
 composeBlock(const Circuit &block, const ComposeOptions &options)
 {
-    return composeSeeded(block, options, kSeed);
+    return composeSeeded(block, options, kSeed, nullptr);
+}
+
+ComposeResult
+composeBlockWithSplits(const Circuit &block, const ComposeOptions &options,
+                       const CancelToken *cancel)
+{
+    return composeRecursive(block, options, 0, kSeed, cancel);
 }
 
 void
@@ -531,7 +540,8 @@ feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
 }
 
 ComposeResult
-composeBlockCached(const Circuit &block, const ComposeOptions &options)
+composeBlockCached(const Circuit &block, const ComposeOptions &options,
+                   cache::ResultCache *spill, const CancelToken *cancel)
 {
     static obs::Counter &memoHits = obs::counter("compose.memo_hits");
     static obs::Counter &memoMisses = obs::counter("compose.memo_misses");
@@ -552,24 +562,29 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options)
 
     // In-memory miss: before searching, consult the persistent spill —
     // a previous process may already have composed this exact block.
-    cache::ResultCache *spill =
-        options.spill != nullptr && options.spill->enabled() ? options.spill
-                                                             : nullptr;
+    if (spill != nullptr && !spill->enabled())
+        spill = nullptr;
     const std::string spillKey =
         spill != nullptr ? cache::blockCacheKey(key.hi, key.lo)
                          : std::string();
     if (spill != nullptr) {
         if (auto payload = spill->load(spillKey)) {
-            if (auto replayed = composeResultFromText(*payload)) {
+            if (auto replayed = composeResultFromText(*payload, block)) {
                 obs::counter("compose.spill_hits").add();
                 std::lock_guard<std::mutex> lock(shard.mutex);
                 return shard.map.emplace(key, std::move(*replayed))
                     .first->second;
             }
+            // The entry passed the frame checksum but does not replay
+            // this block: quarantine it and recompute, as compile()
+            // does for an invalid c- payload.
+            obs::counter("cache.invalid_payload").add();
+            spill->quarantineEntry(spillKey);
         }
     }
 
-    const ComposeResult result = composeRecursive(block, options, 0, kSeed);
+    const ComposeResult result =
+        composeBlockWithSplits(block, options, cancel);
     evaluations.add(result.evaluations);
     if (result.composed)
         composedBlocks.add();

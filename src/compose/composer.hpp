@@ -38,11 +38,12 @@ struct Fnv128;
 enum class ComposeOptimizer { Rotosolve, DualAnnealing };
 
 /**
- * Options for composing one block. Only the optimizer and the entangler
- * mode are settable (each has an ablation bench that sets both values);
- * the search setup — layer cap, restarts, sweep and evaluation budgets,
- * split depth and seed — is fixed in composer.cpp, so every compile
- * runs Algorithm 2 on one footing and kPipelineVersion covers it.
+ * Options for composing one block: exactly what feedBehaviourOptions
+ * hashes. Only the optimizer and the entangler mode are settable (each
+ * has an ablation bench that sets both values); the search setup —
+ * layer cap, restarts, sweep and evaluation budgets, split depth and
+ * seed — is fixed in composer.cpp, so every compile runs Algorithm 2 on
+ * one footing and kPipelineVersion covers it.
  */
 struct ComposeOptions
 {
@@ -50,22 +51,6 @@ struct ComposeOptions
     static constexpr double threshold = 1e-5;
     ComposeOptimizer optimizer = ComposeOptimizer::Rotosolve;
     EntanglerMode entanglerMode = EntanglerMode::PaperCcz;
-    /**
-     * Optional persistent cache (not owned) that composeBlockCached()
-     * spills its memo through: an in-memory miss consults the disk
-     * entry for the block's content hash before searching, and every
-     * fresh composition is stored back. Excluded from the memo key.
-     * Normally plumbed from PipelineOptions::cache by compileGeyser.
-     */
-    cache::ResultCache *spill = nullptr;
-    /**
-     * Optional cancellation/deadline token (not owned), polled between
-     * optimizer restarts and rotosolve sweeps so a cancel or an expired
-     * deadline unwinds mid-block — a single block's angle search can
-     * run for seconds. Excluded from the memo key, like `spill`.
-     * Normally plumbed from PipelineOptions::cancel by compileGeyser.
-     */
-    const CancelToken *cancel = nullptr;
 };
 
 /** Outcome of composing one block. */
@@ -89,15 +74,28 @@ ComposeResult composeBlock(const Circuit &block,
                            const ComposeOptions &options = {});
 
 /**
- * composeBlock() through a process-wide memo keyed on the block's exact
- * gate content and the options. Trotterized and arithmetic circuits
- * produce the same local block many times (every Trotter step repeats
- * the bond pattern), so memoization removes most of the composition
- * cost. Thread-safe. When the whole block cannot compose, its halves
- * are composed recursively (midpoint splitting, two levels deep).
+ * composeBlock() plus the midpoint split: a block that cannot compose
+ * has its halves composed recursively (two levels deep). This is what a
+ * composeBlockCached() miss runs. `cancel` is checkpointed per ansatz
+ * depth and per rotosolve sweep.
+ */
+ComposeResult composeBlockWithSplits(const Circuit &block,
+                                     const ComposeOptions &options = {},
+                                     const CancelToken *cancel = nullptr);
+
+/**
+ * composeBlockWithSplits() through a process-wide memo keyed on the
+ * block's exact gate content and the options. Trotterized and
+ * arithmetic circuits produce the same local block many times (every
+ * Trotter step repeats the bond pattern), so memoization removes most
+ * of the composition cost. Thread-safe. A non-null `spill` (not owned)
+ * backs the memo with the block's `b-` entry; an entry that does not
+ * replay the block is quarantined and recomputed.
  */
 ComposeResult composeBlockCached(const Circuit &block,
-                                 const ComposeOptions &options = {});
+                                 const ComposeOptions &options = {},
+                                 cache::ResultCache *spill = nullptr,
+                                 const CancelToken *cancel = nullptr);
 
 /**
  * Feed every option that can change a compiled circuit into `h`: the
@@ -106,8 +104,7 @@ ComposeResult composeBlockCached(const Circuit &block,
  * found does not change its composition). compileCacheKey,
  * skeletonCacheKey and the composition memo (whose key the disk spill
  * reuses) all hash their options through this one function, so their
- * option sets cannot drift apart. The spill and cancel pointers never
- * enter a key.
+ * option sets cannot drift apart.
  */
 void feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
                           const BlockerOptions *blocker = nullptr);

@@ -9,9 +9,7 @@
 #include <limits>
 #include <unordered_map>
 
-#include "blocking/blocker.hpp"
 #include "circuit/schedule.hpp"
-#include "compose/composer.hpp"
 #include "io/framing.hpp"
 #include "io/serialize.hpp"
 #include "metrics/metrics.hpp"
@@ -218,84 +216,14 @@ buildSkeletonPlan(Technique technique, const Circuit &representative,
     plan.initialLayout = t0.initialLayout;
     plan.finalLayout = t0.finalLayout;
     plan.swapsInserted = t0.swapsInserted;
-    plan.paramVarying = varying;
-
-    const BlockedCircuit blocked =
-        blockCircuit(t0.physical, t0.topology, options.blocker);
-    plan.blockCount = blocked.blockCount();
-
-    ComposeOptions composeOptions = options.compose;
-    if (cachedCompose) {
-        if (composeOptions.spill == nullptr)
-            composeOptions.spill = options.cache;
-    } else {
-        composeOptions.spill = nullptr;
-    }
-    if (composeOptions.cancel == nullptr)
-        composeOptions.cancel = options.cancel;
-
-    const int numAtoms = t0.topology.numAtoms();
-    Circuit stitched(numAtoms);
-    int composedSegments = 0;
-    for (const Round &round : blocked.rounds) {
-        for (const Block &block : round.blocks) {
-            const Circuit local = blocked.localCircuit(block);
-            Circuit segment(static_cast<int>(block.atoms.size()));
-            bool blockComposed = false;
-            auto flush = [&] {
-                if (segment.size() == 0)
-                    return;
-                const ComposeResult cr =
-                    cachedCompose
-                        ? composeBlockCached(segment, composeOptions)
-                        : composeBlock(segment, composeOptions);
-                stitched.append(cr.circuit.remapped(block.atoms, numAtoms));
-                if (cr.composed) {
-                    ++composedSegments;
-                    blockComposed = true;
-                }
-                plan.compositionEvaluations += cr.evaluations;
-                plan.maxBlockHsd = std::max(plan.maxBlockHsd, cr.hsd);
-                segment = Circuit(static_cast<int>(block.atoms.size()));
-            };
-            for (size_t k = 0; k < local.size(); ++k) {
-                const int src = block.opIndices[k];
-                const Gate &gate = local.gates()[k];
-                const bool gateVaries =
-                    varying[static_cast<size_t>(src) * 3] != 0 ||
-                    varying[static_cast<size_t>(src) * 3 + 1] != 0 ||
-                    varying[static_cast<size_t>(src) * 3 + 2] != 0;
-                if (!gateVaries) {
-                    segment.append(gate);
-                    continue;
-                }
-                // Emit the varying U3 verbatim (1 pulse) between the
-                // composed fixed segments, and remember where it landed
-                // so re-binding is an O(1) parameter copy.
-                flush();
-                plan.rebindMap.emplace_back(
-                    static_cast<int>(stitched.size()), src);
-                stitched.append(Gate(
-                    GateKind::U3,
-                    block.atoms[static_cast<size_t>(gate.qubit(0))],
-                    gate.param(0), gate.param(1), gate.param(2)));
-            }
-            flush();
-            if (blockComposed)
-                ++plan.composedBlockCount;
-        }
-    }
-
-    // Mirror compileGeyser's adoption rule: when no segment composed,
-    // the block-order reshuffle buys nothing — keep the routed circuit.
-    plan.adopted = composedSegments > 0;
-    if (plan.adopted) {
-        plan.stitched = std::move(stitched);
-    } else {
-        plan.stitched = plan.transpiled;
-        plan.rebindMap.clear();
-        plan.composedBlockCount = 0;
-    }
+    plan.rebindMap = blockAndCompose(t0, options, varying, cachedCompose);
+    plan.paramVarying = std::move(varying);
+    plan.stitched = std::move(t0.physical);
+    plan.blockCount = t0.blockCount;
+    plan.composedBlockCount = t0.composedBlockCount;
+    plan.compositionEvaluations = t0.compositionEvaluations;
+    plan.maxBlockHsd = t0.maxBlockHsd;
+    plan.adopted = t0.composedBlockCount > 0;
     return plan;
 }
 

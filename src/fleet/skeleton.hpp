@@ -15,11 +15,11 @@
  *  2. a plan (`buildSkeletonPlan`): the group's representative is
  *     transpiled once, the varying logical slots are traced through the
  *     transpiler onto physical U3 parameters by perturbation
- *     differencing, the circuit is blocked, and each block's maximal
- *     runs of *fixed* gates are composed (through the composed-block
- *     cache) while the varying U3s are emitted verbatim — yielding one
- *     stitched "composed skeleton" circuit plus a re-bind map from
- *     stitched varying slots back to transpiled gate indices;
+ *     differencing, and compile()'s `blockAndCompose` composes each
+ *     block's maximal runs of *fixed* gates while the varying U3s are
+ *     emitted verbatim — yielding one stitched "composed skeleton"
+ *     circuit plus a re-bind map from stitched varying slots back to
+ *     transpiled gate indices;
  *  3. a per-member re-bind (`rebindMember`): transpile the member
  *     (cheap — milliseconds vs seconds of composition), check its
  *     structure and *fixed* parameters bit-exactly against the plan,
@@ -126,13 +126,14 @@ struct SkeletonPlan
 
 /**
  * Build a plan from a group representative. `varyingSlots` are the
- * group's varying logical slots. When `cachedCompose` is set, fixed
- * segments compose through the process memo + persistent spill
- * (options.cache); otherwise composition runs from scratch — the
- * oracle path used to verify re-bound results. Returns nullopt when
- * the transpiler output is structurally angle-sensitive for this
- * circuit (perturbation differencing detects it) or a varying angle
- * lands outside a plain U3 — the caller then full-compiles the group.
+ * group's varying logical slots (empty: nothing varies). When
+ * `cachedCompose` is set, fixed runs compose through the process memo +
+ * persistent spill (options.cache); otherwise the same search runs
+ * without them — the oracle path used to verify re-bound results.
+ * Returns nullopt when the transpiler output is structurally
+ * angle-sensitive for this circuit (perturbation differencing detects
+ * it) or a varying angle lands outside a plain U3 — the caller then
+ * full-compiles the group.
  */
 std::optional<SkeletonPlan> buildSkeletonPlan(
     Technique technique, const Circuit &representative,

@@ -207,10 +207,37 @@ fillStats(CompileResult &result)
     }
 }
 
-/** Blocking (Algorithm 1) and composition (Algorithm 2), Geyser only. */
-void
-blockAndCompose(CompileResult &result, const PipelineOptions &options)
+/** One compile body for every technique; only Geyser blocks and composes. */
+CompileResult
+compileUncached(Technique technique, const Circuit &logical,
+                const PipelineOptions &options)
 {
+    const auto t0 = StageClock::now();
+    obs::Span span("compile", "pipeline");
+    span.arg("technique", techniqueName(technique));
+    CompileResult result = mapCircuit(technique, logical, options);
+    if (technique == Technique::Geyser)
+        blockAndCompose(result, options);
+    fillStats(result);
+    verifyResult(options, result);
+    result.totalMs = msSince(t0);
+    return result;
+}
+
+}  // namespace
+
+std::vector<std::pair<int, int>>
+blockAndCompose(CompileResult &result, const PipelineOptions &options,
+                const std::vector<uint8_t> &varying, bool memo)
+{
+    if (!varying.empty() && varying.size() != result.physical.size() * 3)
+        throw std::invalid_argument("blockAndCompose: mask size mismatch");
+    auto varies = [&](size_t gate) {
+        return !varying.empty() && (varying[gate * 3] != 0 ||
+                                    varying[gate * 3 + 1] != 0 ||
+                                    varying[gate * 3 + 2] != 0);
+    };
+
     // Blocking (Algorithm 1).
     checkpoint(options, "blocking");
     const auto tBlock = StageClock::now();
@@ -230,7 +257,9 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options)
     // composes inline: parallelFor runs a nested batch on the caller.
     checkpoint(options, "compose");
     const auto tCompose = StageClock::now();
-    Circuit out(result.topology.numAtoms());
+    const int numAtoms = result.topology.numAtoms();
+    Circuit out(numAtoms);
+    std::vector<std::pair<int, int>> rebindMap;
     {
     obs::Span composeSpan("compose", "pipeline");
     std::vector<const Block *> blocks;
@@ -238,17 +267,15 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options)
         for (const auto &block : round.blocks)
             blocks.push_back(&block);
 
-    // The composed-block memo spills through the persistent cache when
-    // one is attached, so repeated blocks survive process restarts.
-    ComposeOptions composeOptions = options.compose;
-    if (composeOptions.spill == nullptr)
-        composeOptions.spill = options.cache;
-    // Mid-block cancellation: one block's angle search can dominate the
-    // whole compile, so the token must reach the optimizer loops too.
-    if (composeOptions.cancel == nullptr)
-        composeOptions.cancel = options.cancel;
-
-    std::vector<ComposeResult> composed(blocks.size());
+    // A block's output in order: the composed runs of its fixed gates
+    // and, between them, each varying gate verbatim (`gate` holds its
+    // routed index, -1 for a run).
+    struct Piece
+    {
+        ComposeResult composed;
+        int gate = -1;
+    };
+    std::vector<std::vector<Piece>> pieces(blocks.size());
     // Pool workers don't inherit this thread's trace context (it is
     // thread-local), so capture it here and re-enter it per block;
     // TraceScope(0) is a no-op when no trace is active.
@@ -258,36 +285,62 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options)
         // Per-block cancellation: a cancelled compile drains the rest of
         // the batch in O(blocks) cheap throws instead of composing on.
         checkpoint(options, "compose");
-        // Identical local blocks (every Trotter step, every ripple-carry
-        // stage) share one composition through the memo, so the seed must
-        // not vary per block.
         obs::Span s("compose.block", "compose");
-        const auto &cr = composed[static_cast<size_t>(i)] = composeBlockCached(
-            blocked.localCircuit(*blocks[static_cast<size_t>(i)]),
-            composeOptions);
-        if (s.active()) {
-            s.arg("block", i);
-            s.arg("atoms",
-                  static_cast<double>(
-                      blocks[static_cast<size_t>(i)]->atoms.size()));
-            s.arg("evaluations", static_cast<double>(cr.evaluations));
-            s.arg("composed", cr.composed ? 1.0 : 0.0);
-            s.arg("layers", cr.layersUsed);
-            s.arg("hsd", cr.hsd);
+        const Block &block = *blocks[static_cast<size_t>(i)];
+        const Circuit local = blocked.localCircuit(block);
+        std::vector<Piece> &blockPieces = pieces[static_cast<size_t>(i)];
+        // Cut the block at each varying gate into runs of fixed gates.
+        for (size_t k = 0; k < local.size(); ++k) {
+            const int src = block.opIndices[k];
+            const int gate = varies(static_cast<size_t>(src)) ? src : -1;
+            if (gate >= 0 || blockPieces.empty() ||
+                blockPieces.back().gate >= 0)
+                blockPieces.push_back(
+                    {ComposeResult{Circuit(local.numQubits())}, gate});
+            blockPieces.back().composed.circuit.append(local.gates()[k]);
         }
+        // Identical local runs (every Trotter step, every ripple-carry
+        // stage) share one composition through the memo, so the seed
+        // must not vary per block. Span args sum over the runs.
+        double evaluations = 0.0, composed = 0.0, layers = 0.0, hsd = 0.0;
+        for (Piece &piece : blockPieces) {
+            if (piece.gate >= 0)
+                continue;
+            const Circuit run = std::move(piece.composed.circuit);
+            const ComposeResult &cr = piece.composed =
+                memo ? composeBlockCached(run, options.compose,
+                                          options.cache, options.cancel)
+                     : composeBlockWithSplits(run, options.compose,
+                                              options.cancel);
+            evaluations += static_cast<double>(cr.evaluations);
+            composed += cr.composed ? 1.0 : 0.0;
+            layers += cr.layersUsed;
+            hsd += cr.hsd;
+        }
+        s.arg("block", i);
+        s.arg("atoms", static_cast<double>(block.atoms.size()));
+        s.arg("evaluations", evaluations);
+        s.arg("composed", composed);
+        s.arg("layers", layers);
+        s.arg("hsd", hsd);
     };
     globalPool().parallelFor(static_cast<int>(blocks.size()), composeOne);
 
-    // Reassemble: blocks in round order, each remapped to its atoms.
+    // Reassemble: blocks in round order, each piece remapped to its atoms.
     for (size_t i = 0; i < blocks.size(); ++i) {
-        const Block &block = *blocks[i];
-        const ComposeResult &cr = composed[i];
-        out.append(cr.circuit.remapped(block.atoms,
-                                       result.topology.numAtoms()));
-        if (cr.composed)
+        bool blockComposed = false;
+        for (const Piece &piece : pieces[i]) {
+            if (piece.gate >= 0)
+                rebindMap.emplace_back(static_cast<int>(out.size()),
+                                       piece.gate);
+            const ComposeResult &cr = piece.composed;
+            out.append(cr.circuit.remapped(blocks[i]->atoms, numAtoms));
+            blockComposed = blockComposed || cr.composed;
+            result.compositionEvaluations += cr.evaluations;
+            result.maxBlockHsd = std::max(result.maxBlockHsd, cr.hsd);
+        }
+        if (blockComposed)
             ++result.composedBlockCount;
-        result.compositionEvaluations += cr.evaluations;
-        result.maxBlockHsd = std::max(result.maxBlockHsd, cr.hsd);
     }
     composeSpan.arg("blocks", result.blockCount);
     composeSpan.arg("composed", result.composedBlockCount);
@@ -297,30 +350,13 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options)
     }
     result.composeMs = msSince(tCompose);
     // If nothing composed, the block-order reshuffle buys nothing: keep
-    // the mapped circuit verbatim (Geyser degenerates to OptiMap, as the
+    // the routed circuit verbatim (Geyser degenerates to OptiMap, as the
     // paper reports for the Advantage benchmark).
-    if (result.composedBlockCount > 0)
-        result.physical = std::move(out);
+    if (result.composedBlockCount == 0)
+        return {};
+    result.physical = std::move(out);
+    return rebindMap;
 }
-
-/** One compile body for every technique; only Geyser blocks and composes. */
-CompileResult
-compileUncached(Technique technique, const Circuit &logical,
-                const PipelineOptions &options)
-{
-    const auto t0 = StageClock::now();
-    obs::Span span("compile", "pipeline");
-    span.arg("technique", techniqueName(technique));
-    CompileResult result = mapCircuit(technique, logical, options);
-    if (technique == Technique::Geyser)
-        blockAndCompose(result, options);
-    fillStats(result);
-    verifyResult(options, result);
-    result.totalMs = msSince(t0);
-    return result;
-}
-
-}  // namespace
 
 CompileResult
 compileBaseline(const Circuit &logical, const PipelineOptions &options)

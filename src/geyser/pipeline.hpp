@@ -16,7 +16,9 @@
 #ifndef GEYSER_GEYSER_PIPELINE_HPP
 #define GEYSER_GEYSER_PIPELINE_HPP
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blocking/blocker.hpp"
@@ -84,11 +86,11 @@ struct PipelineOptions
     cache::ResultCache *cache = nullptr;
     /**
      * Optional cooperative cancellation/deadline token (not owned).
-     * compile() calls cancel->checkpoint(stage) at every stage boundary
-     * and once per composed block; a tripped token unwinds the compile
-     * with CancelledError/DeadlineError at the next checkpoint and
-     * records the stage a running compile is currently in. nullptr
-     * compiles uninterruptible (the pre-service behaviour).
+     * compile() calls cancel->checkpoint(stage) at every stage boundary,
+     * per composed block and in the composer's search loops; a tripped
+     * token unwinds the compile with CancelledError/DeadlineError at the
+     * next checkpoint and records the stage a running compile is in.
+     * nullptr compiles uninterruptible (the pre-service behaviour).
      */
     const CancelToken *cancel = nullptr;
 };
@@ -150,6 +152,23 @@ CompileResult compileSuperconducting(const Circuit &logical,
 CompileResult transpileForTechnique(Technique technique,
                                     const Circuit &logical,
                                     const PipelineOptions &options = {});
+
+/**
+ * Blocking (Algorithm 1) and composition (Algorithm 2) on the global
+ * pool: the one stage that composes blocks, for compile() and for fleet
+ * skeleton plans. Updates a routed `result` (transpileForTechnique) in
+ * place: block counts, evaluations, max HSD, stage times, and
+ * `physical` once any block composed. `varying` holds three flags per
+ * routed gate (empty: none vary); a flagged gate passes through
+ * verbatim between the composed runs of fixed gates, and the returned
+ * map lists it as (output gate index, routed gate index) — empty when
+ * nothing composed. `memo` composes through composeBlockCached (spilled
+ * through options.cache); without it each run takes the same search
+ * from scratch (composeBlockWithSplits).
+ */
+std::vector<std::pair<int, int>> blockAndCompose(
+    CompileResult &result, const PipelineOptions &options,
+    const std::vector<uint8_t> &varying = {}, bool memo = true);
 
 /**
  * Project a distribution over the physical atoms down to the logical

@@ -1,11 +1,14 @@
 #include "io/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "circuit/schedule.hpp"
 #include "common/error.hpp"
+#include "sim/unitary_sim.hpp"
+#include "verify/equivalence.hpp"
 
 namespace geyser {
 
@@ -30,6 +33,50 @@ techniqueFromName(const std::string &name)
     }
     throw ParseError(SourceContext{"cache-entry", 0, -1},
                      "unknown technique: " + name);
+}
+
+/**
+ * The largest HSD a composed block can honestly carry. The composer
+ * accepts one piece at ComposeOptions::threshold, and two split levels
+ * concatenate up to four pieces. The phase-invariant Frobenius distance
+ * sqrt(2 d HSD) is subadditive under concatenation, so four accepted
+ * pieces reach at most 16x the threshold; 20x leaves rounding slack.
+ */
+constexpr double kMaxReplayHsd = 20.0 * ComposeOptions::threshold;
+
+/**
+ * True when `result` is something the composer could have produced for
+ * `block`: the block's width, native gates only, and either the block's
+ * gates verbatim (not composed) or a cheaper circuit with a consistent
+ * pulse saving whose claimed and recomputed HSD are within
+ * kMaxReplayHsd. An entangler-free block resynthesizes to one U3 per
+ * active qubit, so it may keep its pulse count.
+ */
+bool
+replaysBlock(const ComposeResult &result, const Circuit &block)
+{
+    const Circuit &body = result.circuit;
+    if (body.numQubits() != block.numQubits())
+        return false;
+    for (const Gate &g : body.gates())
+        if (!g.isPhysical())
+            return false;
+    if (!result.composed)
+        return result.hsd == 0.0 && result.pulsesSaved == 0 &&
+               body.gates() == block.gates();
+    const bool blockEntangles =
+        std::any_of(block.gates().begin(), block.gates().end(),
+                    [](const Gate &g) { return g.isEntangling(); });
+    const long saved = block.totalPulses() - body.totalPulses();
+    if (result.pulsesSaved != saved || saved < 0 ||
+        (saved == 0 && blockEntangles))
+        return false;
+    if (!(result.hsd >= 0.0 && result.hsd <= kMaxReplayHsd))
+        return false;
+    const Matrix target = circuitUnitary(block);
+    const double hsd = verify::hsdFromTrace(
+        verify::overlapTrace(target, circuitUnitary(body)), target.rows());
+    return hsd <= kMaxReplayHsd;
 }
 
 /** Byte offset of the last successfully consumed stream position. */
@@ -330,7 +377,7 @@ composeResultToText(const ComposeResult &result)
 }
 
 std::optional<ComposeResult>
-composeResultFromText(const std::string &text)
+composeResultFromText(const std::string &text, const Circuit &block)
 {
     std::istringstream in(text);
     std::string line;
@@ -367,6 +414,8 @@ composeResultFromText(const std::string &text)
         return std::nullopt;
     }
     if (result.layersUsed < 0 || result.evaluations < 0)
+        return std::nullopt;
+    if (!replaysBlock(result, block))
         return std::nullopt;
     return result;
 }

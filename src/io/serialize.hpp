@@ -47,8 +47,16 @@ std::optional<CompileResult> compileResultFromText(const std::string &text,
  */
 std::string composeResultToText(const ComposeResult &result);
 
-/** Parse composeResultToText() output; nullopt on malformed input. */
-std::optional<ComposeResult> composeResultFromText(const std::string &text);
+/**
+ * Parse composeResultToText() output for `block`, the block whose memo
+ * key addressed the entry; nullopt on malformed input and on any result
+ * the composer could not have produced for it: another width, a gate
+ * outside {U3, CZ, CCZ}, an uncomposed body that differs from the
+ * block, a composed body that saves no pulses or misstates its saving,
+ * or a claimed or recomputed HSD beyond what composition accepts.
+ */
+std::optional<ComposeResult> composeResultFromText(const std::string &text,
+                                                   const Circuit &block);
 
 }  // namespace geyser
 

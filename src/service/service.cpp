@@ -69,9 +69,6 @@ CompileService::CompileService(ServiceConfig config)
         config_.maxQueuedJobs = 1;
     if (config_.maxRetainedJobs <= 0)
         config_.maxRetainedJobs = 1;
-    if (config_.perJobTrace)
-        obs::setTraceLimits(config_.perJobTraceEvents,
-                            config_.retainedJobTraces);
     metrics();  // Register the service domain before the first scrape.
 }
 
@@ -198,7 +195,6 @@ CompileService::compileBatch(const BatchSpec &spec)
 
     fleet::FleetOptions options;
     options.techniques = {spec.technique};
-    options.pipeline = config_.pipeline;
     options.pipeline.cache = spec.useCache ? config_.cache : nullptr;
     options.verifySample = spec.verifySample;
     return fleet::compileFleet(jobs, options);
@@ -242,11 +238,9 @@ CompileService::execute(JobRecord &record)
     // including the pipeline's, on whatever worker thread it runs —
     // lands in a bounded buffer keyed by the job id, served later by
     // the `trace <job-id>` wire verb. Independent of the global
-    // tracing flag; TraceScope(0) is a no-op when disabled.
-    const uint64_t traceId = config_.perJobTrace ? record.id : 0;
-    if (traceId != 0)
-        obs::beginTrace(traceId);
-    obs::TraceScope trace(traceId);
+    // tracing flag; obs bounds the buffers (obs::setTraceLimits).
+    obs::beginTrace(record.id);
+    obs::TraceScope trace(record.id);
 
     obs::Span span("service.job", "service");
     span.arg("id", static_cast<double>(record.id));
@@ -255,7 +249,7 @@ CompileService::execute(JobRecord &record)
 
     const auto started = std::chrono::steady_clock::now();
     try {
-        PipelineOptions options = config_.pipeline;
+        PipelineOptions options;
         options.cancel = &record.token;
         options.cache = record.spec.useCache ? config_.cache : nullptr;
         const CompileResult result =

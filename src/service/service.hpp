@@ -94,18 +94,6 @@ struct ServiceConfig
      * is trivial next to a compile.
      */
     AccessLog *accessLog = nullptr;
-    /**
-     * Per-job trace capture (obs trace contexts): every executed job
-     * records its pipeline spans into a bounded per-job buffer, served
-     * by the `trace <job-id>` wire verb — independent of the global
-     * tracing flag. The caps below feed obs::setTraceLimits at
-     * construction (a process-wide knob; the last service built wins).
-     */
-    bool perJobTrace = true;
-    size_t perJobTraceEvents = 2048;
-    size_t retainedJobTraces = 64;
-    /** Pipeline knobs shared by every job (cache/cancel are per-job). */
-    PipelineOptions pipeline;
     /** Cap on members in one `batch` request (each is one circuit). */
     int maxBatchMembers = 4096;
 };

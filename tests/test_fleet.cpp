@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "algos/algos.hpp"
+#include "algos/suite.hpp"
 #include "cache/result_cache.hpp"
 #include "common/error.hpp"
 #include "fleet/fleet.hpp"
@@ -73,19 +74,21 @@ TEST(SkeletonKey, SameStructureDifferentAnglesShareOneKey)
     const Circuit a = vqeBenchmark(4, 2, 1);
     const Circuit b = vqeBenchmark(4, 2, 2);
 
-    // Empty mask = every parameter varies: a pure structure hash.
+    // Every slot varies: a pure structure hash.
     const std::string keyA =
-        cache::skeletonCacheKey(a, {}, options, Technique::Geyser);
+        cache::skeletonCacheKey(a, allSlots(a), options, Technique::Geyser);
     const std::string keyB =
-        cache::skeletonCacheKey(b, {}, options, Technique::Geyser);
+        cache::skeletonCacheKey(b, allSlots(b), options, Technique::Geyser);
     EXPECT_EQ(keyA, keyB);
     EXPECT_EQ(keyA.rfind("s-", 0), 0u) << keyA;
 
-    // The explicit all-slots mask canonicalizes to the same key as the
-    // empty mask — there is one representation of "all varying".
-    EXPECT_EQ(cache::skeletonCacheKey(a, allSlots(a), options,
-                                      Technique::Geyser),
-              keyA);
+    // An empty mask means nothing varies, as in the plan it addresses:
+    // it hashes every angle, so the two angle sets get two keys.
+    const std::string fixedA =
+        cache::skeletonCacheKey(a, {}, options, Technique::Geyser);
+    EXPECT_NE(fixedA,
+              cache::skeletonCacheKey(b, {}, options, Technique::Geyser));
+    EXPECT_NE(fixedA, keyA);
 
     // And the skeleton key is distinct from the exact compile key,
     // which hashes the angles.
@@ -236,38 +239,62 @@ TEST(SkeletonGrouping, PartitionsByStructureAndDerivesVaryingSlots)
 
 TEST(SkeletonPlan, RebindMatchesFromScratchOracleTo1e12)
 {
-    std::vector<Circuit> members;
+    // A VQE sweep (nothing composes, angles vary) and two identical
+    // copies each of adder-9 and multiplier-10 (nothing varies, and
+    // some blocks compose only through the midpoint split).
+    std::vector<Circuit> vqe;
     for (uint64_t seed = 0; seed < 4; ++seed)
-        members.push_back(vqeBenchmark(4, 1, seed));
-    const auto groups = fleet::groupBySkeleton(members);
-    ASSERT_EQ(groups.size(), 1u);
+        vqe.push_back(vqeBenchmark(4, 1, seed));
+    const Circuit adder = benchmarkByName("adder-9").make();
+    const Circuit multiplier = benchmarkByName("multiplier-10").make();
+    const std::vector<std::vector<Circuit>> sweeps = {
+        vqe, {adder, adder}, {multiplier, multiplier}};
 
     PipelineOptions options;
-    const auto plan = fleet::buildSkeletonPlan(
-        Technique::Geyser, members[0], groups[0].varyingSlots, options);
-    ASSERT_TRUE(plan.has_value());
-    EXPECT_GT(plan->blockCount, 0);
+    for (const std::vector<Circuit> &members : sweeps) {
+        const auto groups = fleet::groupBySkeleton(members);
+        ASSERT_EQ(groups.size(), 1u);
+        const auto plan = fleet::buildSkeletonPlan(
+            Technique::Geyser, members[0], groups[0].varyingSlots, options);
+        ASSERT_TRUE(plan.has_value());
+        EXPECT_GT(plan->blockCount, 0);
 
-    for (size_t m = 1; m < members.size(); ++m) {
-        const auto rebound =
-            fleet::rebindMember(*plan, members[m], options);
-        ASSERT_TRUE(rebound.has_value()) << "member " << m;
+        for (size_t m = 1; m < members.size(); ++m) {
+            const auto rebound =
+                fleet::rebindMember(*plan, members[m], options);
+            ASSERT_TRUE(rebound.has_value()) << "member " << m;
 
-        // Oracle: the same stitched construction, rebuilt from scratch
-        // for this member — no memo, no persistent cache.
-        const auto oracle = fleet::buildSkeletonPlan(
-            Technique::Geyser, members[m], groups[0].varyingSlots,
-            options, /*cachedCompose=*/false);
-        ASSERT_TRUE(oracle.has_value()) << "member " << m;
-        const auto fromScratch =
-            fleet::rebindMember(*oracle, members[m], options);
-        ASSERT_TRUE(fromScratch.has_value()) << "member " << m;
+            // Oracle: the same stitched construction, rebuilt from
+            // scratch for this member — no memo, no persistent cache.
+            const auto oracle = fleet::buildSkeletonPlan(
+                Technique::Geyser, members[m], groups[0].varyingSlots,
+                options, /*cachedCompose=*/false);
+            ASSERT_TRUE(oracle.has_value()) << "member " << m;
+            const auto fromScratch =
+                fleet::rebindMember(*oracle, members[m], options);
+            ASSERT_TRUE(fromScratch.has_value()) << "member " << m;
 
-        expectCircuitsMatch(rebound->physical, fromScratch->physical,
-                            1e-12);
-        EXPECT_EQ(rebound->stats.totalPulses,
-                  fromScratch->stats.totalPulses);
-        EXPECT_EQ(rebound->swapsInserted, fromScratch->swapsInserted);
+            expectCircuitsMatch(rebound->physical, fromScratch->physical,
+                                1e-12);
+            EXPECT_EQ(rebound->stats.totalPulses,
+                      fromScratch->stats.totalPulses);
+            EXPECT_EQ(rebound->swapsInserted, fromScratch->swapsInserted);
+        }
+    }
+
+    // The fleet driver's own verification agrees on the skeletons that
+    // compose.
+    for (const Circuit &circuit : {adder, multiplier}) {
+        std::vector<fleet::FleetJob> jobs(2);
+        for (size_t m = 0; m < jobs.size(); ++m) {
+            jobs[m].name = "m" + std::to_string(m);
+            jobs[m].logical = circuit;
+        }
+        const fleet::FleetReport report =
+            fleet::compileFleet(jobs, fleet::FleetOptions{});
+        EXPECT_EQ(report.rebound, 2);
+        EXPECT_EQ(report.verified, 1);
+        EXPECT_EQ(report.verifyFailures, 0);
     }
 }
 
@@ -428,6 +455,44 @@ TEST(FleetCompile, WarmCacheServesThePlanWithoutRebuilding)
         EXPECT_EQ(warm.rows[i].pulses, cold.rows[i].pulses) << i;
         EXPECT_EQ(warm.rows[i].depth, cold.rows[i].depth) << i;
     }
+}
+
+TEST(FleetCompile, IdenticalMembersGetAPlanPerAngleSet)
+{
+    // A group of identical members, or of one member, has nothing
+    // varying, so its plan fixes every angle — and so must its key.
+    // Otherwise a later group with other angles loads that plan, fails
+    // the fixed-angle check on every member and never stores its own.
+    auto fleetOf = [](uint64_t seed, int copies) {
+        std::vector<fleet::FleetJob> jobs(static_cast<size_t>(copies));
+        for (size_t m = 0; m < jobs.size(); ++m) {
+            jobs[m].name = "m" + std::to_string(m);
+            jobs[m].logical = vqeBenchmark(4, 2, seed);
+        }
+        return jobs;
+    };
+    const std::string dir = tempDir("fixed");
+    cache::CacheConfig cacheConfig;
+    cacheConfig.dir = dir;
+    cache::ResultCache cacheStore(cacheConfig);
+    fleet::FleetOptions options;
+    options.pipeline.cache = &cacheStore;
+
+    // Three identical members per angle set, then single members.
+    const std::pair<uint64_t, int> fleets[] = {{1, 3}, {2, 3}, {3, 1}, {4, 1}};
+    for (const auto &[seed, copies] : fleets) {
+        const fleet::FleetReport report =
+            fleet::compileFleet(fleetOf(seed, copies), options);
+        EXPECT_EQ(report.planHits, 0) << "seed " << seed;
+        EXPECT_EQ(report.planStores, 1) << "seed " << seed;
+        EXPECT_EQ(report.rebound, copies) << "seed " << seed;
+        EXPECT_EQ(report.fallback, 0) << "seed " << seed;
+    }
+    // Each angle set's plan is served on a warm run.
+    const fleet::FleetReport warm =
+        fleet::compileFleet(fleetOf(2, 3), options);
+    EXPECT_EQ(warm.planHits, 1);
+    EXPECT_EQ(warm.rebound, 3);
 }
 
 TEST(FleetCompile, MultiTechniqueReportCoversEveryMember)
