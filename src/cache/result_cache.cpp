@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -452,16 +453,6 @@ compileCacheKey(const Circuit &logical, const PipelineOptions &options,
     // else: verifyEquivalence adds checks, never changes the result.
     feedBehaviourOptions(h, options.compose, &options.blocker);
     return "c-" + h.hex();
-}
-
-std::string
-blockCacheKey(uint64_t hi, uint64_t lo)
-{
-    io::Fnv128 h;
-    h.feedValue(kPipelineVersion);
-    h.feedValue(hi);
-    h.feedValue(lo);
-    return "b-" + h.hex();
 }
 
 std::string

@@ -1,12 +1,13 @@
 /**
  * @file
- * Crash-safe persistent result cache for compiled circuits and composed
- * blocks — the first-class promotion of what used to be an ad-hoc
- * per-bench-binary file cache in bench/common.cpp. Usable by the
- * pipeline (PipelineOptions::cache), geyserc (--cache-dir), and every
- * bench binary; composition dominates every evaluation run, so serving
- * repeated traffic hinges on never recomputing a circuit or block that
- * any process on the machine has already compiled.
+ * Crash-safe persistent result cache for whole compiles (`c-` keys) and
+ * fleet skeleton plans (`s-` keys) — the first-class promotion of what
+ * used to be an ad-hoc per-bench-binary file cache in bench/common.cpp.
+ * Usable by the pipeline (PipelineOptions::cache), geyserc (--cache-dir),
+ * and every bench binary; composition dominates every evaluation run, so
+ * serving repeated traffic hinges on never recomputing a circuit that
+ * any process on the machine has already compiled. Repeated blocks are
+ * reused in-process by the composition memo, not here.
  *
  * Guarantees:
  *  - Content-addressed keys: FNV-1a 128 over the serialized logical
@@ -37,7 +38,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -253,13 +253,6 @@ class ResultCache
 std::string compileCacheKey(const Circuit &logical,
                             const PipelineOptions &options,
                             Technique technique);
-
-/**
- * Key for one composed block, derived from the composition memo's
- * 128-bit content hash (block gates + compose options) plus
- * kPipelineVersion.
- */
-std::string blockCacheKey(uint64_t hi, uint64_t lo);
 
 /**
  * Content-addressed key for a circuit *skeleton*: the structural

@@ -9,11 +9,9 @@
 #include <unordered_map>
 
 #include "blocking/blocker.hpp"
-#include "cache/result_cache.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "io/framing.hpp"
-#include "io/serialize.hpp"
 #include "obs/obs.hpp"
 #include "opt/dual_annealing.hpp"
 #include "sim/unitary_sim.hpp"
@@ -83,7 +81,6 @@ composeWithoutEntanglers(const Circuit &block)
             out.u3(q, p.theta, p.phi, p.lambda);
         }
     }
-    result.pulsesSaved = block.totalPulses() - out.totalPulses();
     result.circuit = std::move(out);
     return result;
 }
@@ -386,7 +383,6 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
                 result.composed = true;
                 result.layersUsed = layers;
                 result.hsd = bestHsd;
-                result.pulsesSaved = origPulses - ansatz.pulses();
                 return result;
             }
             if (bestHsd < depthBestHsd) {
@@ -401,7 +397,6 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
     // No composed circuit beat the original: keep the original block.
     result.composed = false;
     result.hsd = 0.0;
-    result.pulsesSaved = 0;
     return result;
 }
 
@@ -446,7 +441,6 @@ composeRecursive(const Circuit &block, const ComposeOptions &options,
     // Unitary errors of concatenated halves add at most linearly.
     result.hsd = ra.hsd + rb.hsd;
     result.evaluations = direct.evaluations;
-    result.pulsesSaved = block.totalPulses() - result.circuit.totalPulses();
     return result;
 }
 
@@ -478,8 +472,6 @@ struct MemoKeyHash
 MemoKey
 memoKey(const Circuit &block, const ComposeOptions &options)
 {
-    // io::Fnv128 is the same incremental hash the persistent cache keys
-    // use, so the memo key doubles as the block's disk-spill identity.
     io::Fnv128 h;
     h.feedValue(block.numQubits());
     feedBehaviourOptions(h, options);
@@ -541,7 +533,7 @@ feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
 
 ComposeResult
 composeBlockCached(const Circuit &block, const ComposeOptions &options,
-                   cache::ResultCache *spill, const CancelToken *cancel)
+                   const CancelToken *cancel)
 {
     static obs::Counter &memoHits = obs::counter("compose.memo_hits");
     static obs::Counter &memoMisses = obs::counter("compose.memo_misses");
@@ -560,29 +552,6 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options,
     }
     memoMisses.add();
 
-    // In-memory miss: before searching, consult the persistent spill —
-    // a previous process may already have composed this exact block.
-    if (spill != nullptr && !spill->enabled())
-        spill = nullptr;
-    const std::string spillKey =
-        spill != nullptr ? cache::blockCacheKey(key.hi, key.lo)
-                         : std::string();
-    if (spill != nullptr) {
-        if (auto payload = spill->load(spillKey)) {
-            if (auto replayed = composeResultFromText(*payload, block)) {
-                obs::counter("compose.spill_hits").add();
-                std::lock_guard<std::mutex> lock(shard.mutex);
-                return shard.map.emplace(key, std::move(*replayed))
-                    .first->second;
-            }
-            // The entry passed the frame checksum but does not replay
-            // this block: quarantine it and recompute, as compile()
-            // does for an invalid c- payload.
-            obs::counter("cache.invalid_payload").add();
-            spill->quarantineEntry(spillKey);
-        }
-    }
-
     const ComposeResult result =
         composeBlockWithSplits(block, options, cancel);
     evaluations.add(result.evaluations);
@@ -591,8 +560,6 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options,
     if (obs::enabled())
         obs::histogram("compose.evaluations_per_block")
             .record(static_cast<double>(result.evaluations));
-    if (spill != nullptr)
-        spill->store(spillKey, composeResultToText(result));
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.map.emplace(key, result);

@@ -26,10 +26,6 @@ namespace geyser {
 class CancelToken;
 struct BlockerOptions;
 
-namespace cache {
-class ResultCache;
-}  // namespace cache
-
 namespace io {
 struct Fnv128;
 }  // namespace io
@@ -61,7 +57,6 @@ struct ComposeResult
     int layersUsed = 0;   ///< Ansatz depth when composed.
     double hsd = 0.0;     ///< Distance achieved by the adopted circuit.
     long evaluations = 0; ///< Objective evaluations spent.
-    long pulsesSaved = 0; ///< originalPulses - adoptedPulses (>= 0).
 };
 
 /**
@@ -88,13 +83,11 @@ ComposeResult composeBlockWithSplits(const Circuit &block,
  * block's exact gate content and the options. Trotterized and
  * arithmetic circuits produce the same local block many times (every
  * Trotter step repeats the bond pattern), so memoization removes most
- * of the composition cost. Thread-safe. A non-null `spill` (not owned)
- * backs the memo with the block's `b-` entry; an entry that does not
- * replay the block is quarantined and recomputed.
+ * of the composition cost. Thread-safe; `cancel` reaches the search on
+ * a miss.
  */
 ComposeResult composeBlockCached(const Circuit &block,
                                  const ComposeOptions &options = {},
-                                 cache::ResultCache *spill = nullptr,
                                  const CancelToken *cancel = nullptr);
 
 /**
@@ -102,9 +95,8 @@ ComposeResult composeBlockCached(const Circuit &block,
  * optimizer and the entangler mode, plus the blocker's pulse-aware
  * scoring when `blocker` is given (whole-circuit keys; how a block was
  * found does not change its composition). compileCacheKey,
- * skeletonCacheKey and the composition memo (whose key the disk spill
- * reuses) all hash their options through this one function, so their
- * option sets cannot drift apart.
+ * skeletonCacheKey and the composition memo all hash their options
+ * through this one function, so their option sets cannot drift apart.
  */
 void feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
                           const BlockerOptions *blocker = nullptr);

@@ -230,8 +230,8 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                 // Verify a sample of re-bound members against a
                 // from-scratch compile of the same construction — the
                 // oracle builds its own plan with member-as-rep and a
-                // memo-free, spill-free composition path, so equality
-                // proves the cached segments replay exactly.
+                // memo-free composition path, so equality proves the
+                // cached segments replay exactly.
                 int checked = 0;
                 for (const int m : group.members) {
                     if (checked >= options.verifySample)

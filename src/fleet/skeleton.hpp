@@ -127,9 +127,9 @@ struct SkeletonPlan
 /**
  * Build a plan from a group representative. `varyingSlots` are the
  * group's varying logical slots (empty: nothing varies). When
- * `cachedCompose` is set, fixed runs compose through the process memo +
- * persistent spill (options.cache); otherwise the same search runs
- * without them — the oracle path used to verify re-bound results.
+ * `cachedCompose` is set, fixed runs compose through the process memo;
+ * otherwise the same search runs without it — the oracle path used to
+ * verify re-bound results.
  * Returns nullopt when the transpiler output is structurally
  * angle-sensitive for this circuit (perturbation differencing detects
  * it) or a varying angle lands outside a plain U3 — the caller then

@@ -308,8 +308,7 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options,
                 continue;
             const Circuit run = std::move(piece.composed.circuit);
             const ComposeResult &cr = piece.composed =
-                memo ? composeBlockCached(run, options.compose,
-                                          options.cache, options.cancel)
+                memo ? composeBlockCached(run, options.compose, options.cancel)
                      : composeBlockWithSplits(run, options.compose,
                                               options.cancel);
             evaluations += static_cast<double>(cr.evaluations);
@@ -415,15 +414,17 @@ compile(Technique technique, const Circuit &logical,
     }, &wasHit);
     if (computed)
         return std::move(*computed);
-    if (auto replayed = compileResultFromText(payload, logical)) {
+    auto replayed = compileResultFromText(payload, logical);
+    if (replayed && replayed->technique == technique) {
         replayed->cacheHit = wasHit;
         return std::move(*replayed);
     }
     // A payload that passed the checksum but fails to parse or
-    // validate means the serializer and parser disagree, or the entry
-    // was written by a skewed build. Quarantine it so the next run
-    // recomputes a good entry instead of replaying the poisoned one
-    // forever, and degrade to an uncached compile.
+    // validate, or names another technique than its key, means the
+    // serializer and parser disagree, or the entry was written by a
+    // skewed build or by hand. Quarantine it so the next run recomputes
+    // a good entry instead of replaying the poisoned one forever, and
+    // degrade to an uncached compile.
     obs::counter("cache.invalid_payload").add();
     cache->quarantineEntry(key);
     return compileUncached(technique, logical, options);

@@ -76,11 +76,9 @@ struct PipelineOptions
     /**
      * Optional persistent result cache (not owned). When set, compile()
      * serves whole-circuit results content-addressed on the logical
-     * circuit + behavioural options + technique + kPipelineVersion, and
-     * the Geyser composition stage spills its composed-block memo
-     * through the same cache, so repeated blocks survive process
-     * restarts. Concurrent misses on one key compute once
-     * (single-flight); corrupt or stale entries degrade to a recompute,
+     * circuit + behavioural options + technique + kPipelineVersion.
+     * Concurrent misses on one key compute once (single-flight);
+     * corrupt, stale or inconsistent entries degrade to a recompute,
      * never an error. nullptr compiles uncached.
      */
     cache::ResultCache *cache = nullptr;
@@ -162,9 +160,9 @@ CompileResult transpileForTechnique(Technique technique,
  * routed gate (empty: none vary); a flagged gate passes through
  * verbatim between the composed runs of fixed gates, and the returned
  * map lists it as (output gate index, routed gate index) — empty when
- * nothing composed. `memo` composes through composeBlockCached (spilled
- * through options.cache); without it each run takes the same search
- * from scratch (composeBlockWithSplits).
+ * nothing composed. `memo` composes through the process memo
+ * (composeBlockCached); without it each run takes the same search from
+ * scratch (composeBlockWithSplits).
  */
 std::vector<std::pair<int, int>> blockAndCompose(
     CompileResult &result, const PipelineOptions &options,

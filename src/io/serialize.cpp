@@ -1,14 +1,11 @@
 #include "io/serialize.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "circuit/schedule.hpp"
 #include "common/error.hpp"
-#include "sim/unitary_sim.hpp"
-#include "verify/equivalence.hpp"
 
 namespace geyser {
 
@@ -33,50 +30,6 @@ techniqueFromName(const std::string &name)
     }
     throw ParseError(SourceContext{"cache-entry", 0, -1},
                      "unknown technique: " + name);
-}
-
-/**
- * The largest HSD a composed block can honestly carry. The composer
- * accepts one piece at ComposeOptions::threshold, and two split levels
- * concatenate up to four pieces. The phase-invariant Frobenius distance
- * sqrt(2 d HSD) is subadditive under concatenation, so four accepted
- * pieces reach at most 16x the threshold; 20x leaves rounding slack.
- */
-constexpr double kMaxReplayHsd = 20.0 * ComposeOptions::threshold;
-
-/**
- * True when `result` is something the composer could have produced for
- * `block`: the block's width, native gates only, and either the block's
- * gates verbatim (not composed) or a cheaper circuit with a consistent
- * pulse saving whose claimed and recomputed HSD are within
- * kMaxReplayHsd. An entangler-free block resynthesizes to one U3 per
- * active qubit, so it may keep its pulse count.
- */
-bool
-replaysBlock(const ComposeResult &result, const Circuit &block)
-{
-    const Circuit &body = result.circuit;
-    if (body.numQubits() != block.numQubits())
-        return false;
-    for (const Gate &g : body.gates())
-        if (!g.isPhysical())
-            return false;
-    if (!result.composed)
-        return result.hsd == 0.0 && result.pulsesSaved == 0 &&
-               body.gates() == block.gates();
-    const bool blockEntangles =
-        std::any_of(block.gates().begin(), block.gates().end(),
-                    [](const Gate &g) { return g.isEntangling(); });
-    const long saved = block.totalPulses() - body.totalPulses();
-    if (result.pulsesSaved != saved || saved < 0 ||
-        (saved == 0 && blockEntangles))
-        return false;
-    if (!(result.hsd >= 0.0 && result.hsd <= kMaxReplayHsd))
-        return false;
-    const Matrix target = circuitUnitary(block);
-    const double hsd = verify::hsdFromTrace(
-        verify::overlapTrace(target, circuitUnitary(body)), target.rows());
-    return hsd <= kMaxReplayHsd;
 }
 
 /** Byte offset of the last successfully consumed stream position. */
@@ -325,9 +278,20 @@ compileResultFromText(const std::string &text, const Circuit &logical)
 
     // Semantic validation: the entry passed the frame checksum, but the
     // payload is still untrusted (version skew, hand edits, serializer
-    // bugs). Anything inconsistent is a miss, never a crash.
+    // bugs). Anything inconsistent is a miss, never a crash, and so is
+    // any count, HSD or stage time no compile produces.
+    auto finiteNonNegative = [](double v) {
+        return std::isfinite(v) && v >= 0.0;
+    };
     if (result.swapsInserted < 0 || result.blockCount < 0 ||
-        result.composedBlockCount < 0 || result.compositionEvaluations < 0)
+        result.composedBlockCount < 0 ||
+        result.composedBlockCount > result.blockCount ||
+        result.compositionEvaluations < 0 ||
+        !finiteNonNegative(result.maxBlockHsd) ||
+        !finiteNonNegative(result.transpileMs) ||
+        !finiteNonNegative(result.blockingMs) ||
+        !finiteNonNegative(result.composeMs) ||
+        !finiteNonNegative(result.totalMs))
         return std::nullopt;
     if (result.physical.numQubits() < logical.numQubits())
         return std::nullopt;
@@ -358,65 +322,6 @@ compileResultFromText(const std::string &text, const Circuit &logical)
     } catch (const std::exception &) {
         return std::nullopt;
     }
-    return result;
-}
-
-std::string
-composeResultToText(const ComposeResult &result)
-{
-    std::ostringstream out;
-    out << "geyser-compose-v1\n";
-    out << "composed " << (result.composed ? 1 : 0) << "\n";
-    out << "layers " << result.layersUsed << "\n";
-    out << "hsd " << formatDouble(result.hsd) << "\n";
-    out << "evals " << result.evaluations << "\n";
-    out << "saved " << result.pulsesSaved << "\n";
-    out << "endheader\n";
-    out << circuitToText(result.circuit);
-    return out.str();
-}
-
-std::optional<ComposeResult>
-composeResultFromText(const std::string &text, const Circuit &block)
-{
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != "geyser-compose-v1")
-        return std::nullopt;
-    ComposeResult result;
-    try {
-        std::string key;
-        while (in >> key && key != "endheader") {
-            if (key == "composed") {
-                int v = 0;
-                in >> v;
-                result.composed = v != 0;
-            } else if (key == "layers") {
-                in >> result.layersUsed;
-            } else if (key == "hsd") {
-                in >> result.hsd;
-            } else if (key == "evals") {
-                in >> result.evaluations;
-            } else if (key == "saved") {
-                in >> result.pulsesSaved;
-            } else {
-                return std::nullopt;
-            }
-            if (!in)
-                return std::nullopt;
-        }
-        if (key != "endheader" || !in)
-            return std::nullopt;
-        std::ostringstream rest;
-        rest << in.rdbuf();
-        result.circuit = circuitFromText(rest.str());
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-    if (result.layersUsed < 0 || result.evaluations < 0)
-        return std::nullopt;
-    if (!replaysBlock(result, block))
-        return std::nullopt;
     return result;
 }
 

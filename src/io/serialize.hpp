@@ -1,9 +1,8 @@
 /**
  * @file
  * Circuit serialization: a compact text format (round-trippable), an
- * OpenQASM 2.0 exporter for interoperability, and the payload formats
- * of the persistent result cache (src/cache): compiled results and
- * composed blocks.
+ * OpenQASM 2.0 exporter for interoperability, and the compiled-result
+ * payload of the persistent result cache (src/cache).
  */
 #ifndef GEYSER_IO_SERIALIZE_HPP
 #define GEYSER_IO_SERIALIZE_HPP
@@ -39,24 +38,6 @@ std::string compileResultToText(const CompileResult &result);
  */
 std::optional<CompileResult> compileResultFromText(const std::string &text,
                                                    const Circuit &logical);
-
-/**
- * Serialize one block-composition outcome (src/compose) — the adopted
- * circuit plus the search summary — for the composed-block spill of the
- * persistent cache.
- */
-std::string composeResultToText(const ComposeResult &result);
-
-/**
- * Parse composeResultToText() output for `block`, the block whose memo
- * key addressed the entry; nullopt on malformed input and on any result
- * the composer could not have produced for it: another width, a gate
- * outside {U3, CZ, CCZ}, an uncomposed body that differs from the
- * block, a composed body that saves no pulses or misstates its saving,
- * or a claimed or recomputed HSD beyond what composition accepts.
- */
-std::optional<ComposeResult> composeResultFromText(const std::string &text,
-                                                   const Circuit &block);
 
 }  // namespace geyser
 

@@ -323,14 +323,11 @@ TEST(CompileService, WarmCacheResubmissionHitsWithoutRecompiling)
     EXPECT_EQ(warmInfo.state, JobState::Done);
     EXPECT_TRUE(warmInfo.cacheHit);
 
-    // Identical payloads, one compile: the second run replayed. (The
-    // cold compile may add block-spill misses on top of the pipeline
-    // miss when the process-wide compose memo is cold, so assert the
-    // floor, not an exact count.)
+    // Identical payloads, one compile: the second run replayed.
     EXPECT_EQ(service.result(cold).payload, service.result(warm).payload);
     const cache::CacheStats cs = cache.stats();
-    EXPECT_GE(cs.misses, 1);
-    EXPECT_GE(cs.hits, 1);
+    EXPECT_EQ(cs.misses, 1);
+    EXPECT_EQ(cs.hits, 1);
     EXPECT_EQ(cs.corrupt, 0);
     EXPECT_EQ(service.stats().cacheHits, 1);
 }

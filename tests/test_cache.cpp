@@ -17,11 +17,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algos/suite.hpp"
 #include "cache/result_cache.hpp"
 #include "compose/composer.hpp"
 #include "geyser/pipeline.hpp"
@@ -468,205 +468,44 @@ TEST_F(CacheTest, CorruptCompileEntryRecompilesWithoutError)
     EXPECT_GE(cache.stats().hits, 1);
 }
 
-TEST_F(CacheTest, ComposeResultTextRoundTrip)
+TEST_F(CacheTest, CompileEntryOfAnotherTechniqueIsQuarantined)
 {
-    ComposeResult result;
-    result.circuit = Circuit(2);
-    result.circuit.append(Gate(GateKind::U3, 0, 0.25, -0.5, 1.0));
-    result.circuit.append(Gate(GateKind::CZ, 0, 1));
-    result.composed = true;
-    result.layersUsed = 2;
-    result.hsd = 3.5e-7;
-    result.evaluations = 1234;
-    result.pulsesSaved = 9;
-    // A block this result replays: the same unitary in 9 more pulses
-    // (a cancelling CZ pair and three identity U3s).
-    Circuit block = result.circuit;
-    block.append(Gate(GateKind::CZ, 0, 1));
-    block.append(Gate(GateKind::CZ, 0, 1));
-    for (const Qubit q : {0, 1, 0})
-        block.append(Gate(GateKind::U3, q, 0.0, 0.0, 0.0));
-
-    const auto back =
-        composeResultFromText(composeResultToText(result), block);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(circuitToText(back->circuit), circuitToText(result.circuit));
-    EXPECT_EQ(back->composed, result.composed);
-    EXPECT_EQ(back->layersUsed, result.layersUsed);
-    EXPECT_DOUBLE_EQ(back->hsd, result.hsd);
-    EXPECT_EQ(back->evaluations, result.evaluations);
-    EXPECT_EQ(back->pulsesSaved, result.pulsesSaved);
-    EXPECT_FALSE(composeResultFromText("garbage", block).has_value());
-}
-
-TEST_F(CacheTest, ComposeReplayMustMatchItsBlock)
-{
-    // A b- entry is addressed by its block's memo key, but its payload
-    // is untrusted: only a result the composer could have produced for
-    // that block may replay.
-    Circuit block(3);
-    block.append(Gate(GateKind::U3, 0, 0.3, 0.1, -0.2));
-    block.append(Gate(GateKind::CZ, 0, 1));
-    block.append(Gate(GateKind::CZ, 1, 2));
-    block.append(Gate(GateKind::U3, 2, 1.1, 0.0, 0.4));
-    block.append(Gate(GateKind::CZ, 0, 2));
-    auto replays = [](const ComposeResult &r, const Circuit &forBlock) {
-        return composeResultFromText(composeResultToText(r), forBlock)
-            .has_value();
-    };
-
-    // What the composer produces replays: the block kept verbatim, and
-    // an exact resynthesis of an entangler-free block at equal pulses.
-    ComposeResult kept;
-    kept.circuit = block;
-    EXPECT_TRUE(replays(kept, block));
-    Circuit single(1);
-    single.append(Gate(GateKind::U3, 0, 0.112233, -0.445566, 0.778899));
-    const ComposeResult exact = composeBlock(single);
-    ASSERT_TRUE(exact.composed);
-    EXPECT_TRUE(replays(exact, single));
-
-    // A composed body: the same unitary in fewer pulses. Here the block
-    // is padded with an identity U3 that the body drops.
-    Circuit padded = block;
-    padded.append(Gate(GateKind::U3, 1, 0.0, 0.0, 0.0));
-    ComposeResult composed;
-    composed.composed = true;
-    composed.circuit = block;
-    composed.pulsesSaved = 1;
-    composed.hsd = 1e-6;
-    EXPECT_TRUE(replays(composed, padded));
-
-    // Rejected: a body wider than the block (it would index past the
-    // block's atoms when remapped).
-    ComposeResult wide = kept;
-    wide.circuit = Circuit(5);
-    wide.circuit.append(Gate(GateKind::CZ, 3, 4));
-    EXPECT_FALSE(replays(wide, block));
-    // A gate outside {U3, CZ, CCZ}.
-    ComposeResult nonNative = kept;
-    nonNative.circuit.append(Gate(GateKind::CX, 0, 1));
-    EXPECT_FALSE(replays(nonNative, block));
-    // An uncomposed body that is not the block.
-    ComposeResult edited = kept;
-    edited.circuit.gates()[0].setParam(0, 0.31);
-    EXPECT_FALSE(replays(edited, block));
-    // A same-width composed body that is cheaper but not equivalent.
-    ComposeResult wrong;
-    wrong.composed = true;
-    wrong.circuit = Circuit(3);
-    wrong.circuit.append(Gate(GateKind::U3, 0, 0.1, 0.2, 0.3));
-    wrong.pulsesSaved = block.totalPulses() - 1;
-    EXPECT_FALSE(replays(wrong, block));
-    // An equivalent body that misstates its saving, saves nothing, or
-    // claims an HSD composition never accepts.
-    ComposeResult misstated = composed;
-    misstated.pulsesSaved = 2;
-    EXPECT_FALSE(replays(misstated, padded));
-    ComposeResult noSaving = kept;
-    noSaving.composed = true;
-    EXPECT_FALSE(replays(noSaving, block));
-    ComposeResult farClaim = composed;
-    farClaim.hsd = 0.5;
-    EXPECT_FALSE(replays(farClaim, padded));
-}
-
-TEST_F(CacheTest, ComposeSpillWritesBlockEntries)
-{
+    // The key hashes the technique and so does the payload: a Baseline
+    // payload stored under the Geyser key must not replay as the Geyser
+    // compile (105 pulses instead of 66).
+    const Circuit logical = benchmarkByName("adder-4").make();
     cache::ResultCache cache(config());
-    // An entangler-free block composes exactly (no search), with angles
-    // unlikely to collide with any other test's memo entries.
-    Circuit block(1);
-    block.append(Gate(GateKind::U3, 0, 0.112233, -0.445566, 0.778899));
-    const ComposeResult composed =
-        composeBlockCached(block, ComposeOptions{}, &cache);
+    PipelineOptions options;
+    options.cache = &cache;
+    const std::string key =
+        cache::compileCacheKey(logical, options, Technique::Geyser);
+    ASSERT_TRUE(
+        cache.store(key, compileResultToText(compileBaseline(logical))));
 
-    size_t blockEntries = 0;
-    for (const auto &entry : fs::directory_iterator(dir_)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("b-", 0) == 0)
-            ++blockEntries;
-    }
-    EXPECT_EQ(blockEntries, 1u) << "composition must spill to the cache";
-
-    // The spilled payload replays to the same circuit.
-    bool checked = false;
-    for (const auto &entry : fs::directory_iterator(dir_)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("b-", 0) != 0)
-            continue;
-        const auto framed = io::readFileBytes(entry.path().string());
-        ASSERT_TRUE(framed.has_value());
-        const auto payload = io::unframeWithChecksum(*framed);
-        ASSERT_TRUE(payload.has_value());
-        const auto replayed = composeResultFromText(*payload, block);
-        ASSERT_TRUE(replayed.has_value());
-        EXPECT_EQ(circuitToText(replayed->circuit),
-                  circuitToText(composed.circuit));
-        checked = true;
-    }
-    EXPECT_TRUE(checked);
+    const CompileResult result =
+        compile(Technique::Geyser, logical, options);
+    EXPECT_EQ(result.technique, Technique::Geyser);
+    EXPECT_EQ(result.stats.totalPulses, 66);
+    EXPECT_FALSE(result.cacheHit);
+    EXPECT_EQ(cache.stats().corrupt, 1);
+    EXPECT_TRUE(fs::exists(cache.entryPath(key) + ".corrupt"));
 }
 
-
-TEST_F(CacheTest, ComposeSpillQuarantinesAnEntryThatDoesNotReplayItsBlock)
+TEST_F(CacheTest, GeyserCompileStoresOnlyItsCompileEntry)
 {
-    // The composition memo lives for the whole process, so each spill
-    // read runs in a child process that has never composed the block.
-    Circuit block(1);
-    block.append(Gate(GateKind::U3, 0, -0.918273, 0.645546, 0.372819));
-    auto inChild = [](const std::function<bool()> &body) {
-        const pid_t child = ::fork();
-        if (child == 0)
-            ::_exit(body() ? 0 : 1);
-        int status = 0;
-        return child > 0 && ::waitpid(child, &status, 0) == child &&
-               WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    };
-    auto blockEntry = [&]() -> std::string {
-        for (const auto &entry : fs::directory_iterator(dir_)) {
-            const std::string name = entry.path().filename().string();
-            if (name.rfind("b-", 0) == 0 && entry.path().extension() == ".gce")
-                return entry.path().stem().string();
-        }
-        return "";
-    };
-
-    ASSERT_TRUE(inChild([&] {
-        cache::ResultCache cache(config());
-        return composeBlockCached(block, ComposeOptions{}, &cache).composed;
-    }));
-    const std::string key = blockEntry();
-    ASSERT_FALSE(key.empty());
-
-    // Overwrite the entry with a well-framed body of the same width that
-    // is not equivalent to the block.
-    ComposeResult poisoned;
-    poisoned.composed = true;
-    poisoned.circuit = Circuit(1);
-    poisoned.circuit.append(Gate(GateKind::U3, 0, 2.0, 0.0, 0.0));
-    {
-        cache::ResultCache cache(config());
-        ASSERT_TRUE(cache.store(key, composeResultToText(poisoned)));
-    }
-
-    const std::string expected = circuitToText(composeBlock(block).circuit);
-    EXPECT_TRUE(inChild([&] {
-        cache::ResultCache cache(config());
-        const ComposeResult r =
-            composeBlockCached(block, ComposeOptions{}, &cache);
-        return circuitToText(r.circuit) == expected &&
-               cache.stats().corrupt == 1;
-    })) << "the poisoned entry must be rejected and recomputed";
-
-    // The poisoned entry was quarantined and the recompute healed it.
-    EXPECT_TRUE(fs::exists(fs::path(dir_) / (key + ".gce.corrupt")));
+    // Repeated blocks are reused through the process memo alone: the
+    // cache holds the whole compile and nothing per block.
     cache::ResultCache cache(config());
-    const auto payload = cache.load(key);
-    ASSERT_TRUE(payload.has_value());
-    const auto replayed = composeResultFromText(*payload, block);
-    ASSERT_TRUE(replayed.has_value());
-    EXPECT_EQ(circuitToText(replayed->circuit), expected);
+    PipelineOptions options;
+    options.cache = &cache;
+    compile(Technique::Geyser, benchmarkByName("adder-4").make(), options);
+
+    std::vector<std::string> entries;
+    for (const auto &entry : fs::directory_iterator(dir_))
+        if (entry.path().extension() == ".gce")
+            entries.push_back(entry.path().filename().string());
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].rfind("c-", 0), 0u) << entries[0];
 }
 
 // ---- Satellite 1: stale-lock stat-error handling (PR 10) -------------

@@ -61,7 +61,7 @@ TEST(Composer, RecomposesDecomposedCczIntoNativeCcz)
     EXPECT_EQ(result.layersUsed, 1);
     EXPECT_EQ(result.circuit.countKind(GateKind::CCZ), 1);
     EXPECT_LE(result.circuit.totalPulses(), 11);
-    EXPECT_GT(result.pulsesSaved, 10);
+    EXPECT_GT(block.totalPulses() - result.circuit.totalPulses(), 10);
     expectEquivalent(block, result);
 }
 
@@ -85,7 +85,7 @@ TEST(Composer, KeepsOriginalWhenBlockIsAlreadyCheap)
     const auto result = composeBlock(block);
     EXPECT_FALSE(result.composed);
     EXPECT_EQ(result.circuit.size(), 1u);
-    EXPECT_EQ(result.pulsesSaved, 0);
+    EXPECT_EQ(result.circuit.totalPulses(), block.totalPulses());
 }
 
 TEST(Composer, ComposesTwoQubitBlocks)

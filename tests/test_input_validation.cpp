@@ -265,6 +265,13 @@ TEST(InputValidation, CacheEntryRejectsMalformedHeaders)
              "geyser-cache-v1\ntechnique Baseline\n",  // No endheader.
              "geyser-cache-v1\nlayout 0\nilayout 0\nendheader\n"
              "qubits 1\ncx 0 1\n",  // Invalid circuit body.
+             // Well-formed values no compile produces.
+             "geyser-cache-v1\nblocks 1 3\nlayout 0\nilayout 0\n"
+             "endheader\nqubits 1\n",  // More composed blocks than blocks.
+             "geyser-cache-v1\nmaxhsd -1\nlayout 0\nilayout 0\n"
+             "endheader\nqubits 1\n",
+             "geyser-cache-v1\ntimes -5 0 0 0\nlayout 0\nilayout 0\n"
+             "endheader\nqubits 1\n",
          }) {
         EXPECT_FALSE(compileResultFromText(text, logical).has_value())
             << text;
