@@ -1,12 +1,26 @@
 #include "sim/statevector.hpp"
 
-#include <cassert>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/kernels/backend.hpp"
 
 namespace geyser {
+
+namespace {
+
+/** Mask of every qubit of an n-qubit register; checks the width cap. */
+size_t
+allQubits(int num_qubits)
+{
+    if (num_qubits < 0 || num_qubits > 28)
+        throw std::invalid_argument("StateVector: unsupported qubit count");
+    return (size_t{1} << num_qubits) - 1;
+}
+
+}  // namespace
 
 StateVector::StateVector(int num_qubits)
     : StateVector(num_qubits, 0)
@@ -14,41 +28,71 @@ StateVector::StateVector(int num_qubits)
 }
 
 StateVector::StateVector(int num_qubits, size_t basis_index)
-    : numQubits_(num_qubits), amps_(size_t{1} << num_qubits)
+    : StateVector(num_qubits, allQubits(num_qubits), basis_index)
 {
-    if (num_qubits < 0 || num_qubits > 28)
-        throw std::invalid_argument("StateVector: unsupported qubit count");
+}
+
+StateVector
+StateVector::pinned(int num_qubits, size_t simulated)
+{
+    if ((simulated & ~allQubits(num_qubits)) != 0)
+        throw std::invalid_argument(
+            "StateVector: simulated qubit outside the register");
+    return StateVector(num_qubits, simulated, 0);
+}
+
+StateVector::StateVector(int num_qubits, size_t simulated,
+                         size_t basis_index)
+    : numQubits_(num_qubits), simulated_(simulated),
+      amps_(size_t{1} << std::popcount(simulated))
+{
     if (basis_index >= amps_.size())
         throw std::out_of_range("StateVector: basis index out of range");
     amps_[basis_index] = 1.0;
 }
 
+int
+StateVector::slotOf(Qubit q) const
+{
+    if (q < 0 || q >= numQubits_)
+        throw std::out_of_range("StateVector: qubit " + std::to_string(q) +
+                                " outside the register");
+    if (isPinned(q))
+        throw std::logic_error("StateVector: qubit " + std::to_string(q) +
+                               " is pinned to |0>");
+    return std::popcount(simulated_ & ((size_t{1} << q) - 1));
+}
+
 void
 StateVector::apply(const Gate &gate)
 {
+    int slots[3];
+    const int k = gate.numQubits();
+    for (int i = 0; i < k; ++i)
+        slots[i] = slotOf(gate.qubit(i));
     // Fast paths for the common physical gates.
     switch (gate.kind()) {
       case GateKind::X:
-        applyX(gate.qubit(0));
+        applyXAt(size_t{1} << slots[0]);
         return;
       case GateKind::Z:
-        applyZ(gate.qubit(0));
+        applyZAt(size_t{1} << slots[0]);
         return;
       case GateKind::Y:
-        applyY(gate.qubit(0));
+        applyYAt(size_t{1} << slots[0]);
         return;
       case GateKind::CZ: {
-        const size_t ma = size_t{1} << gate.qubit(0);
-        const size_t mb = size_t{1} << gate.qubit(1);
+        const size_t ma = size_t{1} << slots[0];
+        const size_t mb = size_t{1} << slots[1];
         for (size_t i = 0; i < amps_.size(); ++i)
             if ((i & ma) && (i & mb))
                 amps_[i] = -amps_[i];
         return;
       }
       case GateKind::CCZ: {
-        const size_t m = (size_t{1} << gate.qubit(0)) |
-                         (size_t{1} << gate.qubit(1)) |
-                         (size_t{1} << gate.qubit(2));
+        const size_t m = (size_t{1} << slots[0]) |
+                         (size_t{1} << slots[1]) |
+                         (size_t{1} << slots[2]);
         for (size_t i = 0; i < amps_.size(); ++i)
             if ((i & m) == m)
                 amps_[i] = -amps_[i];
@@ -57,11 +101,7 @@ StateVector::apply(const Gate &gate)
       default:
         break;
     }
-    std::vector<Qubit> qs;
-    qs.reserve(static_cast<size_t>(gate.numQubits()));
-    for (int i = 0; i < gate.numQubits(); ++i)
-        qs.push_back(gate.qubit(i));
-    applyMatrix(gate.matrix(), qs);
+    applyMatrixAt(gate.matrix(), slots, k);
 }
 
 void
@@ -76,17 +116,26 @@ StateVector::apply(const Circuit &circuit)
 void
 StateVector::applyMatrix(const Matrix &m, const std::vector<Qubit> &qubits)
 {
+    if (qubits.size() > 3)
+        throw std::invalid_argument("applyMatrix: at most 3 qubits");
+    int slots[3];
     const int k = static_cast<int>(qubits.size());
+    for (int i = 0; i < k; ++i)
+        slots[i] = slotOf(qubits[static_cast<size_t>(i)]);
+    applyMatrixAt(m, slots, k);
+}
+
+void
+StateVector::applyMatrixAt(const Matrix &m, const int *slots, int k)
+{
     const size_t sub = size_t{1} << k;
     if (m.rows() != static_cast<int>(sub) || m.cols() != static_cast<int>(sub))
         throw std::invalid_argument("applyMatrix: matrix/qubit mismatch");
 
-    // Masks of the target qubits, and the mask of all of them.
+    // Mask of all the target storage bits.
     size_t qmask = 0;
-    for (Qubit q : qubits) {
-        assert(q >= 0 && q < numQubits_);
-        qmask |= size_t{1} << q;
-    }
+    for (int b = 0; b < k; ++b)
+        qmask |= size_t{1} << slots[b];
 
     // One- and two-qubit gates — the overwhelmingly common cases — go
     // through the dispatched compute backend instead of the generic
@@ -96,27 +145,28 @@ StateVector::applyMatrix(const Matrix &m, const std::vector<Qubit> &qubits)
         for (int r = 0; r < 2; ++r)
             for (int c = 0; c < 2; ++c)
                 u[r * 2 + c] = m(r, c);
-        kernels::active().svApply1q(amps_.data(), amps_.size(), qubits[0],
+        kernels::active().svApply1q(amps_.data(), amps_.size(), slots[0],
                                     u);
         return;
     }
-    if (k == 2 && qubits[0] != qubits[1]) {
+    if (k == 2 && slots[0] != slots[1]) {
         Complex u[16];
         for (int r = 0; r < 4; ++r)
             for (int c = 0; c < 4; ++c)
                 u[r * 4 + c] = m(r, c);
-        kernels::active().svApply2q(amps_.data(), amps_.size(), qubits[0],
-                                    qubits[1], u);
+        kernels::active().svApply2q(amps_.data(), amps_.size(), slots[0],
+                                    slots[1], u);
         return;
     }
 
+    const int stored = std::popcount(simulated_);
     Complex local[8], out[8];
     const size_t outer = amps_.size() >> k;
     for (size_t o = 0; o < outer; ++o) {
         // Scatter the outer index bits into the non-target positions.
         size_t base = 0;
         size_t rem = o;
-        for (int bit = 0; bit < numQubits_; ++bit) {
+        for (int bit = 0; bit < stored; ++bit) {
             const size_t bmask = size_t{1} << bit;
             if (qmask & bmask)
                 continue;
@@ -129,7 +179,7 @@ StateVector::applyMatrix(const Matrix &m, const std::vector<Qubit> &qubits)
             size_t idx = base;
             for (int b = 0; b < k; ++b)
                 if (v & (size_t{1} << b))
-                    idx |= size_t{1} << qubits[static_cast<size_t>(b)];
+                    idx |= size_t{1} << slots[b];
             local[v] = amps_[idx];
         }
         for (size_t r = 0; r < sub; ++r) {
@@ -142,7 +192,7 @@ StateVector::applyMatrix(const Matrix &m, const std::vector<Qubit> &qubits)
             size_t idx = base;
             for (int b = 0; b < k; ++b)
                 if (v & (size_t{1} << b))
-                    idx |= size_t{1} << qubits[static_cast<size_t>(b)];
+                    idx |= size_t{1} << slots[b];
             amps_[idx] = out[v];
         }
     }
@@ -151,25 +201,43 @@ StateVector::applyMatrix(const Matrix &m, const std::vector<Qubit> &qubits)
 void
 StateVector::applyX(Qubit q)
 {
-    const size_t mask = size_t{1} << q;
+    applyXAt(size_t{1} << slotOf(q));
+}
+
+void
+StateVector::applyZ(Qubit q)
+{
+    // Z|0> = |0>: a pinned qubit has nothing to negate.
+    if (isPinned(q))
+        return;
+    applyZAt(size_t{1} << slotOf(q));
+}
+
+void
+StateVector::applyY(Qubit q)
+{
+    applyYAt(size_t{1} << slotOf(q));
+}
+
+void
+StateVector::applyXAt(size_t mask)
+{
     for (size_t i = 0; i < amps_.size(); ++i)
         if (!(i & mask))
             std::swap(amps_[i], amps_[i | mask]);
 }
 
 void
-StateVector::applyZ(Qubit q)
+StateVector::applyZAt(size_t mask)
 {
-    const size_t mask = size_t{1} << q;
     for (size_t i = 0; i < amps_.size(); ++i)
         if (i & mask)
             amps_[i] = -amps_[i];
 }
 
 void
-StateVector::applyY(Qubit q)
+StateVector::applyYAt(size_t mask)
 {
-    const size_t mask = size_t{1} << q;
     for (size_t i = 0; i < amps_.size(); ++i) {
         if (!(i & mask)) {
             const Complex a0 = amps_[i];
@@ -183,7 +251,10 @@ StateVector::applyY(Qubit q)
 double
 StateVector::probOne(Qubit q) const
 {
-    const size_t mask = size_t{1} << q;
+    // A pinned qubit reads 0 with certainty.
+    if (isPinned(q))
+        return 0.0;
+    const size_t mask = size_t{1} << slotOf(q);
     double p1 = 0.0;
     for (size_t i = 0; i < amps_.size(); ++i)
         if (i & mask)
@@ -194,7 +265,7 @@ StateVector::probOne(Qubit q) const
 bool
 StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
 {
-    const size_t mask = size_t{1} << q;
+    const size_t mask = size_t{1} << slotOf(q);
     const double p1 = probOne(q);
     const double pJump = gamma * p1;
     if (u < pJump) {
@@ -222,17 +293,23 @@ StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
 Distribution
 StateVector::probabilities() const
 {
-    Distribution p(amps_.size());
-    for (size_t i = 0; i < amps_.size(); ++i)
-        p[i] = std::norm(amps_[i]);
+    // Storage index i in increasing order visits the register indices
+    // whose pinned bits are 0, also in increasing order: `full` steps to
+    // the next subset of the simulated mask.
+    Distribution p(size_t{1} << numQubits_);
+    size_t full = 0;
+    for (size_t i = 0; i < amps_.size(); ++i) {
+        p[full] = std::norm(amps_[i]);
+        full = (full - simulated_) & simulated_;
+    }
     return p;
 }
 
 Complex
 StateVector::innerProduct(const StateVector &other) const
 {
-    if (dim() != other.dim())
-        throw std::invalid_argument("innerProduct: dimension mismatch");
+    if (numQubits_ != other.numQubits_ || simulated_ != other.simulated_)
+        throw std::invalid_argument("innerProduct: register mismatch");
     Complex acc{};
     for (size_t i = 0; i < amps_.size(); ++i)
         acc += std::conj(amps_[i]) * other.amps_[i];

@@ -18,6 +18,14 @@ namespace geyser {
 /**
  * State of an n-qubit register. Basis index bit k is the value of qubit
  * k (qubit 0 = least-significant bit).
+ *
+ * A register may pin some of its qubits to |0>: only the simulated
+ * qubits get amplitudes, so the storage holds 2^s entries for s
+ * simulated qubits, with storage bit j the j-th simulated qubit in
+ * increasing order. Every method still takes register indices. Z on a
+ * pinned qubit is a no-op (Z|0> = |0>) and probOne() of one is 0; X, Y,
+ * amplitude damping or a gate on one is a logic error and throws
+ * std::logic_error. probabilities() widens back to all 2^n outcomes.
  */
 class StateVector
 {
@@ -28,9 +36,19 @@ class StateVector
     /** Basis state |index> over n qubits. */
     StateVector(int num_qubits, size_t basis_index);
 
+    /**
+     * |0...0> over n qubits where only the qubits whose bit is set in
+     * `simulated` (a basis-index mask) get amplitudes; the others are
+     * pinned to |0>.
+     */
+    static StateVector pinned(int num_qubits, size_t simulated);
+
     int numQubits() const { return numQubits_; }
+
+    /** Stored amplitudes: 2^(simulated qubits). */
     size_t dim() const { return amps_.size(); }
 
+    /** The stored amplitudes, indexed as described on the class. */
     const std::vector<Complex> &amplitudes() const { return amps_; }
     std::vector<Complex> &amplitudes() { return amps_; }
 
@@ -69,17 +87,36 @@ class StateVector
      */
     bool applyAmplitudeDamping(Qubit q, double gamma, double u);
 
-    /** |amplitude|^2 per basis state. */
+    /** |amplitude|^2 per basis state of the whole register (2^n). */
     Distribution probabilities() const;
 
-    /** Inner product <this|other>. */
+    /** Inner product <this|other>; both must pin the same qubits. */
     Complex innerProduct(const StateVector &other) const;
 
     /** Sum of |amplitude|^2 (should be 1 for a valid state). */
     double normSquared() const;
 
   private:
+    StateVector(int num_qubits, size_t simulated, size_t basis_index);
+
+    /** True for a register qubit that gets no amplitudes. */
+    bool isPinned(Qubit q) const
+    {
+        return q >= 0 && q < numQubits_ && !((simulated_ >> q) & 1);
+    }
+
+    /** Storage bit of qubit q; throws std::logic_error if q is pinned. */
+    int slotOf(Qubit q) const;
+
+    /** The Pauli and matrix kernels, on storage bits. */
+    void applyXAt(size_t mask);
+    void applyZAt(size_t mask);
+    void applyYAt(size_t mask);
+    void applyMatrixAt(const Matrix &m, const int *slots, int k);
+
     int numQubits_ = 0;
+    /** Basis-index mask of the qubits that get amplitudes. */
+    size_t simulated_ = 0;
     std::vector<Complex> amps_;
 };
 

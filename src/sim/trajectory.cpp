@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -10,7 +11,6 @@
 #include "circuit/schedule.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "metrics/metrics.hpp"
 #include "obs/obs.hpp"
 #include "sim/noise_channel.hpp"
 
@@ -24,6 +24,8 @@ using ChannelTally = std::array<uint64_t, kNumNoiseChannels>;
 /** Precomputed per-circuit context shared by every trajectory. */
 struct EngineContext
 {
+    /** Basis-index mask of the atoms that get amplitudes. */
+    size_t simulated = 0;
     /** Sources in application order (already reversed if requested). */
     std::vector<const NoiseSource *> sources;
     /** Restriction zones per gate (empty when crosstalk is off). */
@@ -72,6 +74,14 @@ validateRequest(const Circuit &circuit, const NoiseModel &noise,
             "noisyDistribution: crosstalkPhase > 0 requires a topology "
             "(restriction zones depend on atom positions); supply "
             "TrajectoryConfig::topology or disable the channel");
+    if (noise.crosstalkPhase > 0.0 &&
+        config.topology->numAtoms() != circuit.numQubits())
+        throw ValidationError(
+            "noisyDistribution: the crosstalk topology has " +
+            std::to_string(config.topology->numAtoms()) +
+            " atoms but the circuit has " +
+            std::to_string(circuit.numQubits()) +
+            " qubits; restriction zones must index the circuit's atoms");
     // Only the flip rates scale with pulses (NoiseModel::bitFlipFor).
     const bool needsPulses =
         noise.perPulse && (noise.bitFlip > 0.0 || noise.phaseFlip > 0.0);
@@ -89,6 +99,26 @@ validateRequest(const Circuit &circuit, const NoiseModel &noise,
                 ") has no pulse cost");
         }
     }
+}
+
+/**
+ * The atoms a trajectory simulates: every gate operand, plus atoms 0
+ * and 1 even when idle. Every other atom stays |0>: the only state
+ * operation that reaches one is crosstalk's Z, a no-op on |0>, and
+ * pre-shot loss and readout error act on the widened distribution. So
+ * those atoms get no amplitudes. Atoms 0 and 1 keep storage bits 0 and
+ * 1 and the rest follow in increasing order, so every kernel call takes
+ * the SIMD path it takes at full width and the output is bit-identical
+ * (DESIGN §14).
+ */
+size_t
+simulatedAtoms(const Circuit &circuit)
+{
+    size_t mask = (size_t{1} << std::min(circuit.numQubits(), 2)) - 1;
+    for (const Gate &g : circuit.gates())
+        for (int i = 0; i < g.numQubits(); ++i)
+            mask |= size_t{1} << g.qubit(i);
+    return mask;
 }
 
 /**
@@ -123,7 +153,8 @@ accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
     for (const NoiseSource *s : engine.sources)
         s->onShotStart(ctx);
 
-    StateVector sv(circuit.numQubits());
+    StateVector sv = StateVector::pinned(circuit.numQubits(),
+                                         engine.simulated);
     for (size_t gi = 0; gi < circuit.size(); ++gi) {
         const Gate &g = circuit.gates()[gi];
         GateEvent ev;
@@ -214,22 +245,24 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
     // plain statevector evolution, so one shot is the whole average.
     const int traj =
         noise.isNoiseless() ? 1 : config.trajectories;
+    EngineContext engine;
+    engine.simulated = simulatedAtoms(circuit);
     obs::Span span("sim.trajectories", "sim");
     span.arg("trajectories", traj);
     span.arg("qubits", circuit.numQubits());
+    span.arg("simulated_qubits", std::popcount(engine.simulated));
     span.arg("parallel", config.parallel ? 1.0 : 0.0);
     static obs::Counter &trajectoriesRun =
         obs::counter("sim.trajectories_run");
     trajectoriesRun.add(traj);
 
-    EngineContext engine;
     const auto owned = buildNoiseSources(noise);
     for (const auto &s : owned)
         engine.sources.push_back(s.get());
     if (config.reverseChannelOrder)
         std::reverse(engine.sources.begin(), engine.sources.end());
     // Precompute restriction zones once when crosstalk is enabled.
-    if (noise.crosstalkPhase > 0.0 && config.topology != nullptr) {
+    if (noise.crosstalkPhase > 0.0) {
         engine.zones.resize(circuit.size());
         for (size_t gi = 0; gi < circuit.size(); ++gi) {
             const Gate &g = circuit.gates()[gi];
@@ -295,15 +328,6 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
             span.arg("traj_per_sec", traj / seconds);
     }
     return total;
-}
-
-double
-noisyTvd(const Circuit &circuit, const Circuit &reference,
-         const NoiseModel &noise, const TrajectoryConfig &config)
-{
-    const auto ideal = idealDistribution(reference);
-    const auto noisy = noisyDistribution(circuit, noise, config);
-    return totalVariationDistance(ideal, noisy);
 }
 
 }  // namespace geyser

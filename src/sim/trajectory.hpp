@@ -35,7 +35,8 @@ struct TrajectoryConfig
      * Atom arrangement, needed only when the noise model enables
      * Rydberg crosstalk (restriction zones depend on positions). Must
      * outlive the simulation call. A crosstalk-enabled model without a
-     * topology is rejected with ValidationError.
+     * topology, or with one whose atom count is not the circuit's
+     * qubit count, is rejected with ValidationError.
      */
     const Topology *topology = nullptr;
     /**
@@ -58,11 +59,17 @@ struct TrajectoryConfig
 /**
  * Average output distribution of `circuit` under `noise`.
  *
+ * Each trajectory simulates atoms 0 and 1 and every atom some gate acts
+ * on. Every other atom stays |0> and gets no amplitudes
+ * (StateVector::pinned); the distribution still covers all 2^n
+ * outcomes and is bit-identical to a whole-register run (DESIGN §14).
+ *
  * Validated at entry (ValidationError):
  *  - every probability in `noise` must be finite and in [0, 1], and
  *    noise.idleDephasing finite and >= 0; the error names the field;
  *  - config.trajectories must be positive;
- *  - noise.crosstalkPhase > 0 requires config.topology;
+ *  - noise.crosstalkPhase > 0 requires config.topology, with as many
+ *    atoms as the circuit has qubits; the error names both counts;
  *  - noise.perPulse with a nonzero flip rate, and
  *    noise.idleDephasing > 0, require a physical circuit (pulse counts /
  *    the ASAP schedule are undefined otherwise); the error names the
@@ -71,14 +78,6 @@ struct TrajectoryConfig
 Distribution noisyDistribution(const Circuit &circuit,
                                const NoiseModel &noise,
                                const TrajectoryConfig &config = {});
-
-/**
- * TVD of the noisy output of `circuit` against the ideal output of
- * `reference` (paper Fig 15-18 metric; `reference` is the original
- * logical circuit, `circuit` the compiled one).
- */
-double noisyTvd(const Circuit &circuit, const Circuit &reference,
-                const NoiseModel &noise, const TrajectoryConfig &config = {});
 
 }  // namespace geyser
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/metrics.hpp"
+#include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 
 namespace geyser {
@@ -57,10 +58,12 @@ TEST(AtomLoss, TvdDegradesMonotonicallyWithLossRate)
     c.cx(0, 1);
     c.cx(1, 2);
     TrajectoryConfig cfg{3000, 15, true};
+    const auto ideal = idealDistribution(c);
     double prev = -1.0;
     for (const double loss : {0.0, 0.05, 0.2, 0.5}) {
         NoiseModel nm{0.0, 0.0, false, loss};
-        const double tvd = noisyTvd(c, c, nm, cfg);
+        const double tvd =
+            totalVariationDistance(ideal, noisyDistribution(c, nm, cfg));
         EXPECT_GT(tvd, prev - 0.02) << loss;
         prev = tvd;
     }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "metrics/metrics.hpp"
@@ -39,6 +41,44 @@ TEST(Crosstalk, RejectedWithoutTopology)
     cfg.topology = &topo;
     const auto noisy = noisyDistribution(c, crosstalkOnly(0.5), cfg);
     EXPECT_EQ(noisy.size(), size_t{4});
+}
+
+TEST(Crosstalk, RejectsTopologyOfAnotherWidth)
+{
+    // Restriction zones index the topology's atoms. A narrower topology
+    // used to read past its atom table; a wider one drew and counted
+    // crosstalk events on atoms the register does not have.
+    Circuit wide(12);
+    for (int q = 0; q + 1 < 12; ++q)
+        wide.cz(q, q + 1);
+    Circuit narrow(4);
+    narrow.h(2);
+    narrow.cz(0, 1);
+    narrow.h(2);
+    const auto small = Topology::makeTriangular(2, 2);
+    const auto big = Topology::makeTriangular(2, 3);
+    const std::pair<const Circuit *, const Topology *> mismatches[] = {
+        {&wide, &small}, {&narrow, &big}};
+    for (const auto &[circuit, topo] : mismatches) {
+        TrajectoryConfig cfg{8, 3, false, topo};
+        try {
+            noisyDistribution(*circuit, crosstalkOnly(0.5), cfg);
+            ADD_FAILURE() << circuit->numQubits() << " qubits on "
+                          << topo->numAtoms() << " atoms was accepted";
+        } catch (const ValidationError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::to_string(topo->numAtoms()) + " atoms"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(std::to_string(circuit->numQubits()) +
+                                " qubits"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    // The topology only matters to crosstalk: without it, any width runs.
+    TrajectoryConfig cfg{8, 3, false, &small};
+    EXPECT_NO_THROW(noisyDistribution(wide, NoiseModel::paperDefault(), cfg));
 }
 
 TEST(Crosstalk, DephasesZoneAtoms)

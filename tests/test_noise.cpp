@@ -6,7 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <string>
+
 #include "metrics/metrics.hpp"
+#include "obs/obs.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 
@@ -98,9 +103,13 @@ TEST(Trajectory, TvdIncreasesWithNoiseRate)
     TrajectoryConfig cfg;
     cfg.trajectories = 400;
     cfg.seed = 21;
-    const double t1 = noisyTvd(c, c, NoiseModel::withRate(0.0005), cfg);
-    const double t2 = noisyTvd(c, c, NoiseModel::withRate(0.005), cfg);
-    const double t3 = noisyTvd(c, c, NoiseModel::withRate(0.02), cfg);
+    const auto ideal = idealDistribution(c);
+    const double t1 = totalVariationDistance(
+        ideal, noisyDistribution(c, NoiseModel::withRate(0.0005), cfg));
+    const double t2 = totalVariationDistance(
+        ideal, noisyDistribution(c, NoiseModel::withRate(0.005), cfg));
+    const double t3 = totalVariationDistance(
+        ideal, noisyDistribution(c, NoiseModel::withRate(0.02), cfg));
     EXPECT_LT(t1, t2);
     EXPECT_LT(t2, t3);
 }
@@ -123,8 +132,11 @@ TEST(Trajectory, FewerGatesMeanLowerTvd)
     TrajectoryConfig cfg;
     cfg.trajectories = 2000;
     cfg.seed = 33;
-    const double tvdSmall = noisyTvd(small, small, nm, cfg);
-    const double tvdBig = noisyTvd(big, small, nm, cfg);
+    const auto ideal = idealDistribution(small);
+    const double tvdSmall =
+        totalVariationDistance(ideal, noisyDistribution(small, nm, cfg));
+    const double tvdBig =
+        totalVariationDistance(ideal, noisyDistribution(big, nm, cfg));
     EXPECT_LT(tvdSmall, tvdBig);
 }
 
@@ -156,6 +168,47 @@ TEST(Trajectory, ParallelMatchesSerial)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_NEAR(a[i], b[i], 1e-12);
+}
+
+/** Numeric args of the `sim.trajectories` span of one traced call. */
+std::map<std::string, double>
+trajectorySpanArgs(const Circuit &c)
+{
+    constexpr uint64_t kTrace = 19;
+    obs::beginTrace(kTrace);
+    {
+        obs::TraceScope scope(kTrace);
+        noisyDistribution(c, NoiseModel::paperDefault(),
+                          TrajectoryConfig{16, 5, false});
+    }
+    std::map<std::string, double> args;
+    for (const auto &e : obs::traceEvents(kTrace))
+        if (e.name == "sim.trajectories")
+            args.insert(e.numArgs.begin(), e.numArgs.end());
+    return args;
+}
+
+TEST(Trajectory, SpanReportsSimulatedQubits)
+{
+    // Twelve atoms, ten of them (0 and 1 among them) touched by a gate:
+    // the engine pins atoms 7 and 11 and the span says so.
+    Circuit c(12);
+    const Qubit touched[] = {0, 1, 2, 3, 4, 5, 6, 8, 9, 10};
+    for (const Qubit q : touched)
+        c.h(q);
+    for (size_t i = 0; i + 1 < std::size(touched); ++i)
+        c.cx(touched[i], touched[i + 1]);
+    auto args = trajectorySpanArgs(c);
+    EXPECT_EQ(args["qubits"], 12.0);
+    EXPECT_EQ(args["simulated_qubits"], 10.0);
+
+    // Atoms 0 and 1 stay simulated even when no gate touches them: they
+    // keep every SIMD kernel call on its full-width path.
+    Circuit far(12);
+    for (Qubit q = 2; q < 10; ++q)
+        far.h(q);
+    args = trajectorySpanArgs(far);
+    EXPECT_EQ(args["simulated_qubits"], 10.0);
 }
 
 TEST(Metrics, TvdBasicProperties)

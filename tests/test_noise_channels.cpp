@@ -66,6 +66,29 @@ physicalProbe()
     return c;
 }
 
+/**
+ * A physical probe on the six atoms of Topology::makeTriangular(2, 3)
+ * that never touches atoms 2 and 5. Both sit in restriction zones
+ * (cz(0, 1) has zone {2, 3, 4}, cz(3, 4) has {0, 1, 2, 5}), so
+ * crosstalk and pre-shot loss reach them although no gate does.
+ */
+Circuit
+idleAtomProbe()
+{
+    Circuit c(6);
+    c.u3(0, 1.5707963267948966, 0.0, 3.141592653589793);
+    c.u3(3, 0.9, 0.2, 0.4);
+    c.cz(0, 1);
+    c.u3(1, 0.7, 0.1, 0.3);
+    c.ccz(0, 1, 3);
+    c.cz(3, 4);
+    c.u3(4, 0.5, 0.3, 0.2);
+    c.cz(1, 4);
+    c.u3(0, 1.5707963267948966, 0.0, 3.141592653589793);
+    c.u3(3, 1.5707963267948966, 0.0, 3.141592653589793);
+    return c;
+}
+
 uint64_t
 bitsOf(double v)
 {
@@ -158,8 +181,11 @@ TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
     // above the paper's 0.1% so that every sub-channel is visible:
     // switching any one off moves the exact reference by at least
     // kMargin bounds, so a source that skips a draw cannot pass.
-    constexpr int kTrajectories = 200000;
-    // Over 40 seeds per configuration the sampling TVD stayed <= 0.0015.
+    // The sampling TVD grows with the square root of the outcome count,
+    // so the budget grows with the outcome count: 200 000 trajectories
+    // on four qubits. Over 40 seeds per configuration the sampling TVD
+    // stayed <= 0.0015.
+    constexpr int kTrajectoriesPerOutcome = 12500;
     constexpr double kTvdBound = 0.003;
     constexpr double kMargin = 5.0;
 
@@ -177,6 +203,11 @@ TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
     NoiseModel kitchenSink = perPulse;
     kitchenSink.atomLoss = 0.1;
     kitchenSink.crosstalkPhase = 0.25;
+    // The two sub-channels that reach atoms no gate touches.
+    NoiseModel idleAtoms = flips;
+    idleAtoms.atomLoss = 0.15;
+    idleAtoms.crosstalkPhase = 0.3;
+    const auto wideTopo = Topology::makeTriangular(2, 3);
 
     struct Case
     {
@@ -193,6 +224,7 @@ TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
         {"pre-shot-loss", logicalProbe(), preShotLoss, nullptr, 77},
         {"crosstalk", logicalProbe(), crosstalk, &topo, 99},
         {"kitchen-sink", physicalProbe(), kitchenSink, &topo, 5150},
+        {"idle-atoms-in-zones", idleAtomProbe(), idleAtoms, &wideTopo, 6061},
     };
     // Each switches one sub-channel off and reports whether it was on.
     const std::pair<const char *, bool (*)(NoiseModel &)> subChannels[] = {
@@ -224,8 +256,9 @@ TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
                       kMargin * kTvdBound)
                 << "switching off " << sub;
         }
-        const TrajectoryConfig cfg{kTrajectories, tc.seed, true,
-                                   tc.topology};
+        const TrajectoryConfig cfg{
+            kTrajectoriesPerOutcome << tc.circuit.numQubits(), tc.seed, true,
+            tc.topology};
         EXPECT_LE(totalVariationDistance(
                       exact, noisyDistribution(tc.circuit, tc.model, cfg)),
                   kTvdBound);

@@ -1,12 +1,20 @@
 /**
  * @file
  * Statevector simulator tests: basis-state evolution, entanglement,
- * agreement between the generic matrix path and the fast paths.
+ * agreement between the generic matrix path and the fast paths, and a
+ * register with pinned qubits against the full register.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "sim/statevector.hpp"
 #include "sim/unitary_sim.hpp"
 
@@ -167,6 +175,147 @@ TEST(StateVector, InnerProductOfOrthogonalStates)
     StateVector a(2, 0), b(2, 3);
     EXPECT_NEAR(std::abs(a.innerProduct(b)), 0.0, 1e-15);
     EXPECT_NEAR(std::abs(a.innerProduct(a)), 1.0, 1e-15);
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/** `count` distinct qubits drawn from `pool` (which must be that big). */
+std::vector<Qubit>
+pickDistinct(Rng &rng, std::vector<Qubit> pool, int count)
+{
+    std::vector<Qubit> out;
+    for (int i = 0; i < count; ++i) {
+        const int k = rng.uniformInt(static_cast<int>(pool.size()));
+        out.push_back(pool[static_cast<size_t>(k)]);
+        pool.erase(pool.begin() + k);
+    }
+    return out;
+}
+
+TEST(StateVector, PinnedRegisterMatchesFullRegisterBitForBit)
+{
+    // The trajectory engine's rule: atoms 0 and 1 are simulated even
+    // when idle, every other idle atom is pinned. Then each kernel call
+    // takes the SIMD path it takes at full width, so random physical op
+    // sequences must leave bit-identical probabilities on every backend.
+    constexpr int kQubits = 7;
+    const std::vector<std::vector<Qubit>> idleSets = {
+        {0}, {1}, {2}, {6}, {0, 1, 6}, {2, 4}, {1, 3, 5, 6}};
+    for (const auto &idle : idleSets) {
+        size_t simulated = (size_t{1} << kQubits) - 1;
+        for (const Qubit q : idle)
+            if (q >= 2)
+                simulated &= ~(size_t{1} << q);
+        std::vector<Qubit> busy, pinned;
+        for (Qubit q = 0; q < kQubits; ++q) {
+            if ((simulated >> q) & 1) {
+                if (std::find(idle.begin(), idle.end(), q) == idle.end())
+                    busy.push_back(q);
+            } else {
+                pinned.push_back(q);
+            }
+        }
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(::testing::Message() << "simulated mask "
+                                              << simulated << ", seed "
+                                              << seed);
+            Rng rng(seed);
+            StateVector full(kQubits);
+            StateVector part = StateVector::pinned(kQubits, simulated);
+            EXPECT_EQ(part.dim(), size_t{1} << std::popcount(simulated));
+            for (int step = 0; step < 120; ++step) {
+                const int op = rng.uniformInt(9);
+                if (op == 0) {
+                    const Gate g(GateKind::U3, pickDistinct(rng, busy, 1)[0],
+                                 rng.uniform(0.0, 3.2), rng.uniform(-3.2, 3.2),
+                                 rng.uniform(-3.2, 3.2));
+                    full.apply(g);
+                    part.apply(g);
+                } else if (op == 1) {
+                    const auto qs = pickDistinct(rng, busy, 2);
+                    full.apply(Gate(GateKind::CZ, qs[0], qs[1]));
+                    part.apply(Gate(GateKind::CZ, qs[0], qs[1]));
+                } else if (op == 2) {
+                    const auto qs = pickDistinct(rng, busy, 3);
+                    full.apply(Gate(GateKind::CCZ, qs[0], qs[1], qs[2]));
+                    part.apply(Gate(GateKind::CCZ, qs[0], qs[1], qs[2]));
+                } else if (op == 3) {
+                    const Qubit q = pickDistinct(rng, busy, 1)[0];
+                    full.applyX(q);
+                    part.applyX(q);
+                } else if (op == 4) {
+                    const Qubit q = pickDistinct(rng, busy, 1)[0];
+                    full.applyY(q);
+                    part.applyY(q);
+                } else if (op == 5) {
+                    const Qubit q = pickDistinct(rng, busy, 1)[0];
+                    full.applyZ(q);
+                    part.applyZ(q);
+                } else if (op == 6 && !pinned.empty()) {
+                    // Crosstalk's Z on an idle atom: a no-op when pinned.
+                    const Qubit q = pickDistinct(rng, pinned, 1)[0];
+                    full.applyZ(q);
+                    part.applyZ(q);
+                    EXPECT_EQ(bitsOf(full.probOne(q)),
+                              bitsOf(part.probOne(q)));
+                } else if (op == 7) {
+                    const Qubit q = pickDistinct(rng, busy, 1)[0];
+                    const double gamma = rng.uniform(0.0, 0.6);
+                    const double u = rng.uniform();
+                    EXPECT_EQ(full.applyAmplitudeDamping(q, gamma, u),
+                              part.applyAmplitudeDamping(q, gamma, u));
+                } else if (op == 8) {
+                    const Qubit q = pickDistinct(rng, busy, 1)[0];
+                    EXPECT_EQ(bitsOf(full.probOne(q)),
+                              bitsOf(part.probOne(q)));
+                }
+            }
+            const Distribution want = full.probabilities();
+            const Distribution got = part.probabilities();
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i)
+                EXPECT_EQ(bitsOf(got[i]), bitsOf(want[i])) << "outcome " << i;
+        }
+    }
+}
+
+TEST(StateVector, PinnedQubitAllowsOnlyZ)
+{
+    // Qubit 2 of 4 is pinned to |0>: Z leaves it there, anything that
+    // could move it is a logic error.
+    StateVector sv = StateVector::pinned(4, 0b1011);
+    EXPECT_EQ(sv.dim(), 8u);
+    sv.apply(Gate(GateKind::U3, 3, 1.1, 0.2, 0.3));
+    sv.applyZ(2);
+    EXPECT_EQ(sv.probOne(2), 0.0);
+    EXPECT_THROW(sv.applyX(2), std::logic_error);
+    EXPECT_THROW(sv.applyY(2), std::logic_error);
+    EXPECT_THROW(sv.applyAmplitudeDamping(2, 0.5, 0.0), std::logic_error);
+    EXPECT_THROW(sv.apply(Gate(GateKind::U3, 2, 0.4, 0.0, 0.0)),
+                 std::logic_error);
+    EXPECT_THROW(sv.apply(Gate(GateKind::CZ, 0, 2)), std::logic_error);
+    EXPECT_THROW(sv.apply(Gate(GateKind::CCZ, 0, 1, 2)), std::logic_error);
+    EXPECT_THROW(sv.apply(Gate(GateKind::Z, 2)), std::logic_error);
+    EXPECT_THROW(sv.applyMatrix(Gate(GateKind::H, 2).matrix(), {2}),
+                 std::logic_error);
+    // The failed calls left the state alone.
+    const Distribution p = sv.probabilities();
+    ASSERT_EQ(p.size(), 16u);
+    double sum = 0.0;
+    for (size_t i = 0; i < p.size(); ++i) {
+        if (i & 0b0100) {
+            EXPECT_EQ(p[i], 0.0) << "outcome " << i;
+        }
+        sum += p[i];
+    }
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+    EXPECT_THROW(StateVector::pinned(4, 0b10001), std::invalid_argument);
 }
 
 TEST(UnitarySim, SingleGateMatchesGateMatrix)
