@@ -1,15 +1,11 @@
 #include "cache/result_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <thread>
 #include <vector>
 
 #include "common/env.hpp"
@@ -26,8 +22,8 @@ namespace {
 
 constexpr const char *kEntrySuffix = ".gce";
 
-/** A lock file older than this is presumed abandoned by a dead process. */
-constexpr auto kStaleLockAge = std::chrono::minutes(10);
+/** A .tmp* or .corrupt file older than this was abandoned: reapable. */
+constexpr auto kStaleLitterAge = std::chrono::minutes(10);
 
 /** How skeletonCacheKey reads its mask (see there); fed into s- keys. */
 constexpr int kSkeletonKeyFormat = 2;
@@ -42,47 +38,6 @@ envMaxBytes()
     return mb > 0 ? mb * 1024 * 1024 : 0;
 }
 
-/** O_CREAT|O_EXCL lock-file acquisition; true if we own the lock. */
-bool
-tryCreateLockFile(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0)
-        return false;
-    char pid[32];
-    const int len = std::snprintf(pid, sizeof(pid), "%ld",
-                                  static_cast<long>(::getpid()));
-    if (len > 0) {
-        // Best-effort provenance only; the lock is the file's existence.
-        [[maybe_unused]] const ssize_t n = ::write(fd, pid, len);
-    }
-    ::close(fd);
-    return true;
-}
-
-/**
- * One observation of a lock file for detail::LockWatch. A failed stat
- * used to be folded into "vanished — owner finished", which let a
- * transient EACCES/EIO break cross-process single-flight and duplicate
- * hours of composition; Missing and Error are now distinct outcomes.
- */
-detail::LockStat
-statLock(const std::string &path,
-         std::chrono::steady_clock::duration &ageOut)
-{
-    std::error_code ec;
-    const auto mtime = fs::last_write_time(path, ec);
-    if (ec) {
-        ageOut = {};
-        return ec == std::errc::no_such_file_or_directory
-                   ? detail::LockStat::Missing
-                   : detail::LockStat::Error;
-    }
-    ageOut = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        fs::file_time_type::clock::now() - mtime);
-    return detail::LockStat::Ok;
-}
-
 }  // namespace
 
 CacheConfig
@@ -92,8 +47,20 @@ CacheConfig::fromEnv()
     const char *dir = std::getenv("GEYSER_CACHE_DIR");
     config.dir = dir != nullptr ? dir : "/tmp/geyser_cache";
     config.maxBytes = envMaxBytes();
-    const char *off = std::getenv("GEYSER_NO_CACHE");
-    config.enabled = !(off != nullptr && std::string(off) == "1");
+    config.enabled = env::envInt("GEYSER_NO_CACHE", 0, 0, 1) == 0;
+    return config;
+}
+
+CacheConfig
+CacheConfig::forTool(const std::string &cacheDir, bool noCache)
+{
+    CacheConfig config = fromEnv();
+    if (!cacheDir.empty())
+        config.dir = cacheDir;
+    else if (std::getenv("GEYSER_CACHE_DIR") == nullptr)
+        config.enabled = false;  // No cache unless asked for one.
+    if (noCache)
+        config.enabled = false;
     return config;
 }
 
@@ -284,52 +251,6 @@ ResultCache::getOrCompute(const std::string &key,
         return *late;
     }
 
-    // Cross-process best-effort single-flight: if another process holds
-    // a fresh lock on this key, poll for its entry instead of redoing
-    // the work. Stale locks (dead owner) are ignored.
-    const std::string lockPath = entryPath(key) + ".lock";
-    const bool ownLock = tryCreateLockFile(lockPath);
-    struct LockRelease
-    {
-        const std::string &path;
-        bool owned;
-        ~LockRelease()
-        {
-            if (owned) {
-                std::error_code ec;
-                fs::remove(path, ec);
-            }
-        }
-    } lockRelease{lockPath, ownLock};
-
-    if (!ownLock && config_.crossProcessWaitMs > 0) {
-        waits.add();
-        {
-            std::lock_guard<std::mutex> slock(statsMutex_);
-            ++stats_.singleflightWaits;
-        }
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(config_.crossProcessWaitMs);
-        detail::LockWatch watch(kStaleLockAge);
-        auto lockIsFresh = [&](const std::string &path) {
-            std::chrono::steady_clock::duration age{};
-            const detail::LockStat stat = statLock(path, age);
-            return watch.isFresh(stat, age, std::chrono::steady_clock::now());
-        };
-        while (std::chrono::steady_clock::now() < deadline &&
-               lockIsFresh(lockPath)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            if (auto theirs = load(key)) {
-                if (wasHit != nullptr)
-                    *wasHit = true;
-                return *theirs;
-            }
-        }
-        // Timed out or the lock is stale: compute locally (best-effort
-        // means duplicated work beats blocking forever).
-    }
-
     const std::string payload = compute();
     store(key, payload);
     return payload;
@@ -372,24 +293,22 @@ ResultCache::evictIfNeeded()
     std::vector<Entry> entries;
     long long total = 0;
     const auto now = fs::file_time_type::clock::now();
-    const auto grace = std::chrono::milliseconds(
-        config_.evictionGraceMs > 0 ? config_.evictionGraceMs : 0);
     std::error_code ec;
     for (fs::directory_iterator it(config_.dir, ec), end;
          !ec && it != end; it.increment(ec)) {
         const std::string ext = it->path().extension().string();
         if (ext != kEntrySuffix) {
-            // Never an eviction candidate: .lock files guard an
-            // in-flight compute, .tmp<pid> files are mid-publish, and
-            // .corrupt files are quarantined evidence. The janitor
-            // reaps only the ones a dead process abandoned.
-            const bool reapable = ext == ".lock" || ext == ".corrupt" ||
-                                  ext.rfind(".tmp", 0) == 0;
+            // Never an eviction candidate: .tmp* files are mid-publish
+            // and .corrupt files are quarantined evidence. The janitor
+            // reaps only the ones a dead process abandoned; any other
+            // file is not the cache's to manage.
+            const bool reapable =
+                ext == ".corrupt" || ext.rfind(".tmp", 0) == 0;
             if (!reapable)
                 continue;
             std::error_code staleEc;
             const auto mtime = fs::last_write_time(it->path(), staleEc);
-            if (staleEc || now - mtime < kStaleLockAge)
+            if (staleEc || now - mtime < kStaleLitterAge)
                 continue;
             std::error_code removeEc;
             if (fs::remove(it->path(), removeEc) && !removeEc) {
@@ -409,11 +328,6 @@ ResultCache::evictIfNeeded()
         if (entryEc)
             continue;
         total += entry.size;
-        // A freshly written entry (possibly by a concurrent process that
-        // has not yet read it back) is charged against the cap but kept
-        // out of the candidate list for the grace window.
-        if (now - entry.mtime < grace)
-            continue;
         entries.push_back(std::move(entry));
     }
     if (total <= config_.maxBytes)

@@ -22,12 +22,13 @@
  *    entry is treated as a miss, quarantined to <entry>.corrupt, and
  *    counted (cache.corrupt) — never a crash, never a wrong result.
  *  - Single-flight: concurrent misses on the same key inside one
- *    process compute once (striped latches); across processes a
- *    best-effort lock file lets late arrivals wait briefly for the
- *    winner's entry instead of duplicating hours of composition.
+ *    process compute once (striped latches). Across processes there is
+ *    no lock: two processes missing at once both compute, and the
+ *    atomic rename lets the last publish win with an identical entry.
  *  - Bounded size: GEYSER_CACHE_MAX_MB (or CacheConfig::maxBytes) caps
  *    the directory; least-recently-used entries are evicted (hits
- *    refresh an entry's mtime).
+ *    refresh an entry's mtime) and abandoned .tmp and .corrupt files
+ *    are reaped. Any other file in the directory is left alone.
  *
  * Obs surface: cache.hit / cache.miss / cache.corrupt / cache.evicted /
  * cache.singleflight_wait counters and a cache.lookup span, plus
@@ -36,7 +37,6 @@
 #ifndef GEYSER_CACHE_RESULT_CACHE_HPP
 #define GEYSER_CACHE_RESULT_CACHE_HPP
 
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -60,26 +60,19 @@ struct CacheConfig
     long long maxBytes = 0;
     /** Master switch (GEYSER_NO_CACHE=1 turns it off from the env). */
     bool enabled = true;
-    /**
-     * How long a getOrCompute() miss waits on another process's lock
-     * file before giving up and computing anyway (best-effort
-     * cross-process single-flight; 0 disables the wait).
-     */
-    int crossProcessWaitMs = 10000;
-    /**
-     * Entries younger than this survive LRU eviction even over the size
-     * cap, so an entry a concurrent process just finished writing is
-     * never deleted before its first reader arrives. The cap may be
-     * exceeded transiently by the youngest generation; the next store
-     * converges once the grace window lapses. 0 disables the window.
-     */
-    int evictionGraceMs = 2000;
 
     /**
      * Environment-driven config: GEYSER_CACHE_DIR (default
-     * /tmp/geyser_cache), GEYSER_NO_CACHE=1, GEYSER_CACHE_MAX_MB.
+     * /tmp/geyser_cache), GEYSER_NO_CACHE (0 or 1), GEYSER_CACHE_MAX_MB.
      */
     static CacheConfig fromEnv();
+
+    /**
+     * fromEnv() under the command-line tools' rule: `cacheDir`
+     * (--cache-dir) wins, else GEYSER_CACHE_DIR, else no cache at all;
+     * `noCache` (--no-cache) or GEYSER_NO_CACHE=1 turns the cache off.
+     */
+    static CacheConfig forTool(const std::string &cacheDir, bool noCache);
 };
 
 /** Always-on activity counters (obs counters mirror these when enabled). */
@@ -89,66 +82,10 @@ struct CacheStats
     long misses = 0;
     long corrupt = 0;       ///< Entries quarantined (checksum/frame skew).
     long evicted = 0;       ///< Entries removed by the LRU size cap.
-    long singleflightWaits = 0;  ///< Lookups that waited on another flight.
+    long singleflightWaits = 0;  ///< Lookups that waited on another thread.
     long storeFailures = 0; ///< Best-effort writes that did not land.
-    long janitorRemoved = 0;  ///< Stale .lock/.tmp/.corrupt files cleaned.
+    long janitorRemoved = 0;  ///< Stale .tmp*/.corrupt files cleaned.
 };
-
-namespace detail {
-
-/** What one stat of a cross-process lock file observed. */
-enum class LockStat
-{
-    Ok,       ///< Stat succeeded; an mtime age is available.
-    Missing,  ///< The file is gone (ENOENT) — the owner finished.
-    Error,    ///< Stat failed for any other reason (EACCES, EIO, ...).
-};
-
-/**
- * Freshness decision for one cross-process lock file across repeated
- * polls. Pure logic, fed observations by the caller, so the
- * unreachable-in-tests stat-error path has a unit-testable seam.
- *
- * Rules: a stat success is fresh while the mtime age is under the
- * stale-age budget; a missing file is never fresh (the owner released
- * it); a stat *error* must not be conflated with either — the lock is
- * presumed fresh from the first failed observation until the stale-age
- * budget elapses, then presumed abandoned. A later successful stat
- * resets the error clock.
- */
-class LockWatch
-{
-  public:
-    explicit LockWatch(std::chrono::steady_clock::duration staleAge)
-        : staleAge_(staleAge) {}
-
-    bool isFresh(LockStat stat, std::chrono::steady_clock::duration age,
-                 std::chrono::steady_clock::time_point now)
-    {
-        switch (stat) {
-        case LockStat::Ok:
-            errorSeen_ = false;
-            return age < staleAge_;
-        case LockStat::Missing:
-            errorSeen_ = false;
-            return false;
-        case LockStat::Error:
-            if (!errorSeen_) {
-                errorSeen_ = true;
-                firstError_ = now;
-            }
-            return now - firstError_ < staleAge_;
-        }
-        return false;
-    }
-
-  private:
-    std::chrono::steady_clock::duration staleAge_;
-    bool errorSeen_ = false;
-    std::chrono::steady_clock::time_point firstError_{};
-};
-
-}  // namespace detail
 
 /**
  * A persistent, process-shared result cache rooted at one directory.
@@ -190,11 +127,11 @@ class ResultCache
 
     /**
      * load(), falling back to compute() exactly once per key across
-     * every concurrent caller in this process (and, best-effort, across
-     * processes via a lock file): late arrivals block until the winner
-     * has stored the entry, then read it back. `wasHit`, when given,
-     * reports whether the payload came from disk. If compute() throws,
-     * the flight is released and the exception propagates.
+     * every concurrent caller in this process: late arrivals block
+     * until the winner has stored the entry, then read it back.
+     * `wasHit`, when given, reports whether the payload came from disk.
+     * If compute() throws, the flight is released and the exception
+     * propagates.
      */
     std::string getOrCompute(const std::string &key,
                              const std::function<std::string()> &compute,

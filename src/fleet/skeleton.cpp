@@ -538,17 +538,35 @@ skeletonPlanFromText(const std::string &text)
     if (!cursor.line(line) || line != "end")
         return std::nullopt;
 
+    // Beyond parsing, the plan must be one buildSkeletonPlan writes and
+    // rebindMember relies on: otherwise a checksummed plan re-binds every
+    // member wrongly, or none at all, and loads as a hit forever.
+    const int width = plan.transpiled.numQubits();
+    if (plan.adopted != (plan.composedBlockCount > 0) ||
+        plan.stitched.numQubits() != width)
+        return std::nullopt;
+    if (!plan.adopted &&
+        (!rebind.empty() || plan.stitched.gates() != plan.transpiled.gates()))
+        return std::nullopt;
+    const int logicalQubits = static_cast<int>(plan.initialLayout.size());
+    if (!layoutIsValid(plan.initialLayout, logicalQubits, width) ||
+        !layoutIsValid(plan.finalLayout, logicalQubits, width))
+        return std::nullopt;
+    auto isU3 = [](const Circuit &circuit, long long gate) {
+        return gate >= 0 && gate < static_cast<long long>(circuit.size()) &&
+               circuit.gates()[static_cast<size_t>(gate)].kind() ==
+                   GateKind::U3;
+    };
     plan.paramVarying.assign(plan.transpiled.size() * 3, 0);
     for (const long long idx : varyingIdx) {
-        if (idx < 0 || idx >= static_cast<long long>(plan.paramVarying.size()))
+        if (idx < 0 || !isU3(plan.transpiled, idx / 3))
             return std::nullopt;
         plan.paramVarying[static_cast<size_t>(idx)] = 1;
     }
     for (size_t i = 0; i + 1 < rebind.size(); i += 2) {
         const long long s = rebind[i];
         const long long t = rebind[i + 1];
-        if (s < 0 || s >= static_cast<long long>(plan.stitched.size()) ||
-            t < 0 || t >= static_cast<long long>(plan.transpiled.size()))
+        if (!isU3(plan.stitched, s) || !isU3(plan.transpiled, t))
             return std::nullopt;
         plan.rebindMap.emplace_back(static_cast<int>(s),
                                     static_cast<int>(t));

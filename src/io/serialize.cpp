@@ -50,13 +50,8 @@ failText(std::istream &in, const std::string &message)
     throw ParseError(SourceContext{"circuit-text", 0, offsetOf(in)}, message);
 }
 
-/**
- * Layouts loaded from a cache entry are untrusted: a corrupt or
- * hand-edited entry with an out-of-range atom index would otherwise
- * flow into projectToLogical's bit shifts as undefined behavior.
- * Returns false unless `layout` is an injective map of every logical
- * qubit onto the physical atoms.
- */
+}  // namespace
+
 bool
 layoutIsValid(const std::vector<Qubit> &layout, int num_logical,
               int num_atoms)
@@ -72,8 +67,6 @@ layoutIsValid(const std::vector<Qubit> &layout, int num_logical,
     }
     return true;
 }
-
-}  // namespace
 
 std::string
 circuitToText(const Circuit &circuit)

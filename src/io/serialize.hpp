@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "geyser/pipeline.hpp"
 
@@ -19,6 +20,16 @@ std::string circuitToText(const Circuit &circuit);
 
 /** Parse the native text format; throws on malformed input. */
 Circuit circuitFromText(const std::string &text);
+
+/**
+ * The rule every layout loaded from a cache entry must pass: an
+ * injective map of `num_logical` qubits onto atoms [0, num_atoms).
+ * Loaded layouts are untrusted, and an out-of-range atom index would
+ * otherwise flow into projectToLogical's bit shifts as undefined
+ * behavior.
+ */
+bool layoutIsValid(const std::vector<Qubit> &layout, int num_logical,
+                   int num_atoms);
 
 /** Export to OpenQASM 2.0 (logical gates use their standard mnemonics). */
 std::string circuitToQasm(const Circuit &circuit);

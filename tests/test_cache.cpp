@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -55,8 +56,6 @@ class CacheTest : public ::testing::Test
         cache::CacheConfig cfg;
         cfg.dir = dir_;
         cfg.maxBytes = max_bytes;
-        cfg.crossProcessWaitMs = 0;  // No other processes in tests.
-        cfg.evictionGraceMs = 0;     // Evict freshly written entries too.
         return cfg;
     }
 
@@ -166,6 +165,35 @@ TEST(Framing, CreateDirectoriesIsRecursive)
     EXPECT_TRUE(io::createDirectories(nested));  // Idempotent.
     std::error_code ec;
     fs::remove_all(pattern, ec);
+}
+
+TEST(CacheConfig, ToolRuleTakesFlagThenEnvThenNoCache)
+{
+    for (const char *name : {"GEYSER_NO_CACHE", "GEYSER_CACHE_MAX_MB"})
+        ::unsetenv(name);
+
+    // --cache-dir wins over GEYSER_CACHE_DIR.
+    ::setenv("GEYSER_CACHE_DIR", "/tmp/from-env", 1);
+    cache::CacheConfig cfg = cache::CacheConfig::forTool("/tmp/flag", false);
+    EXPECT_EQ(cfg.dir, "/tmp/flag");
+    EXPECT_TRUE(cfg.enabled);
+
+    // Without the flag, GEYSER_CACHE_DIR names the directory.
+    cfg = cache::CacheConfig::forTool("", false);
+    EXPECT_EQ(cfg.dir, "/tmp/from-env");
+    EXPECT_TRUE(cfg.enabled);
+
+    // With neither, the tool runs uncached.
+    ::unsetenv("GEYSER_CACHE_DIR");
+    EXPECT_FALSE(cache::CacheConfig::forTool("", false).enabled);
+
+    // --no-cache or GEYSER_NO_CACHE=1 turns even a named cache off.
+    EXPECT_FALSE(cache::CacheConfig::forTool("/tmp/flag", true).enabled);
+    ::setenv("GEYSER_NO_CACHE", "1", 1);
+    EXPECT_FALSE(cache::CacheConfig::forTool("/tmp/flag", false).enabled);
+    ::setenv("GEYSER_NO_CACHE", "0", 1);
+    EXPECT_TRUE(cache::CacheConfig::forTool("/tmp/flag", false).enabled);
+    ::unsetenv("GEYSER_NO_CACHE");
 }
 
 TEST_F(CacheTest, StoreLoadRoundTrip)
@@ -355,6 +383,34 @@ TEST_F(CacheTest, SingleFlightRecoversWhenComputeThrows)
     EXPECT_EQ(value, "ok");
 }
 
+TEST_F(CacheTest, LeftoverLockFileDoesNotDelayACompile)
+{
+    // A process killed mid-compile by an older build left <entry>.lock
+    // behind. It is an inert foreign file: a miss on that key computes
+    // at once, waits on nothing, and creates only its entry.
+    cache::CacheConfig cfg;
+    cfg.dir = dir_;
+    cache::ResultCache cache(cfg);
+    const std::string lockPath = cache.entryPath("c-leftover") + ".lock";
+    std::ofstream(lockPath) << "12345";
+
+    int computes = 0;
+    const auto value = cache.getOrCompute("c-leftover", [&] {
+        ++computes;
+        return std::string("computed");
+    });
+    EXPECT_EQ(value, "computed");
+    EXPECT_EQ(computes, 1);
+    EXPECT_EQ(cache.stats().singleflightWaits, 0);
+
+    std::vector<std::string> files;
+    for (const auto &entry : fs::directory_iterator(dir_))
+        files.push_back(entry.path().string());
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{
+                         cache.entryPath("c-leftover"), lockPath}));
+}
+
 TEST_F(CacheTest, LruEvictionRespectsSizeCapAndRecency)
 {
     const std::string payload(4096, 'x');
@@ -508,62 +564,7 @@ TEST_F(CacheTest, GeyserCompileStoresOnlyItsCompileEntry)
     EXPECT_EQ(entries[0].rfind("c-", 0), 0u) << entries[0];
 }
 
-// ---- Satellite 1: stale-lock stat-error handling (PR 10) -------------
-
-TEST(LockWatch, OkObservationsAreFreshUntilStaleAge)
-{
-    using namespace std::chrono;
-    cache::detail::LockWatch watch(minutes(10));
-    const auto now = steady_clock::now();
-    EXPECT_TRUE(watch.isFresh(cache::detail::LockStat::Ok, seconds(1),
-                              now));
-    EXPECT_TRUE(watch.isFresh(cache::detail::LockStat::Ok,
-                              minutes(10) - seconds(1), now));
-    EXPECT_FALSE(watch.isFresh(cache::detail::LockStat::Ok, minutes(10),
-                               now));
-    EXPECT_FALSE(watch.isFresh(cache::detail::LockStat::Ok, minutes(20),
-                               now));
-}
-
-TEST(LockWatch, MissingLockIsNeverFresh)
-{
-    using namespace std::chrono;
-    cache::detail::LockWatch watch(minutes(10));
-    EXPECT_FALSE(watch.isFresh(cache::detail::LockStat::Missing,
-                               seconds(0), steady_clock::now()));
-}
-
-TEST(LockWatch, StatErrorIsFreshOnlyForStaleAgeFromFirstObservation)
-{
-    // The regression this pins down: a stat *error* (EACCES, EIO — not
-    // ENOENT) must not be read as "the lock is stale, barge ahead".
-    // The lock is presumed held from the first failed observation and
-    // only treated as abandoned once the stale-age budget has elapsed
-    // across repeated failures.
-    using namespace std::chrono;
-    cache::detail::LockWatch watch(minutes(10));
-    const auto t0 = steady_clock::now();
-    EXPECT_TRUE(watch.isFresh(cache::detail::LockStat::Error, seconds(0),
-                              t0));
-    EXPECT_TRUE(watch.isFresh(cache::detail::LockStat::Error, seconds(0),
-                              t0 + minutes(10) - seconds(1)));
-    EXPECT_FALSE(watch.isFresh(cache::detail::LockStat::Error, seconds(0),
-                               t0 + minutes(10)));
-
-    // A successful stat resets the error clock: a fresh error after an
-    // Ok observation gets a full budget again.
-    cache::detail::LockWatch reset(minutes(10));
-    EXPECT_TRUE(reset.isFresh(cache::detail::LockStat::Error, seconds(0),
-                              t0));
-    EXPECT_TRUE(reset.isFresh(cache::detail::LockStat::Ok, seconds(1),
-                              t0 + minutes(5)));
-    EXPECT_TRUE(reset.isFresh(cache::detail::LockStat::Error, seconds(0),
-                              t0 + minutes(12)));
-    EXPECT_FALSE(reset.isFresh(cache::detail::LockStat::Error, seconds(0),
-                               t0 + minutes(22)));
-}
-
-// ---- Satellite 2: eviction vs non-entry files + grace window ---------
+// ---- Eviction vs non-entry files ------------------------------------
 
 TEST_F(CacheTest, EvictionSkipsNonEntryFilesAndJanitorsStaleLitter)
 {
@@ -579,8 +580,9 @@ TEST_F(CacheTest, EvictionSkipsNonEntryFilesAndJanitorsStaleLitter)
             backdate(p);
         return p;
     };
-    // A live lock (fresh), litter a dead process abandoned (old), and a
-    // foreign file that is not the cache's to manage however old it is.
+    // Litter a dead process abandoned (old), and foreign files that are
+    // not the cache's to manage however old they are: a lock file an
+    // older build left behind is one of them.
     const fs::path freshLock = plant("inflight.lock", false);
     const fs::path staleLock = plant("dead.lock", true);
     const fs::path staleTmp = plant("e.gce.tmp4242", true);
@@ -597,45 +599,20 @@ TEST_F(CacheTest, EvictionSkipsNonEntryFilesAndJanitorsStaleLitter)
     // Entries were evicted, but never the non-entry files...
     EXPECT_GE(cache.stats().evicted, 1);
     EXPECT_TRUE(fs::exists(freshLock));
+    EXPECT_TRUE(fs::exists(staleLock));
     EXPECT_TRUE(fs::exists(foreign));
     // ...while the janitor reaped exactly the abandoned litter.
-    EXPECT_FALSE(fs::exists(staleLock));
     EXPECT_FALSE(fs::exists(staleTmp));
     EXPECT_FALSE(fs::exists(staleCorrupt));
-    EXPECT_EQ(cache.stats().janitorRemoved, 3);
-}
-
-TEST_F(CacheTest, EvictionGraceWindowShieldsFreshlyWrittenEntries)
-{
-    const std::string payload(4096, 'x');
-    cache::CacheConfig cfg = config(4 * 5000);
-    cfg.evictionGraceMs = 60'000;
-    cache::ResultCache cache(cfg);
-    // Every entry is younger than the grace window: the cap may be
-    // exceeded transiently, but nothing fresh is deleted.
-    for (int i = 0; i < 12; ++i)
-        ASSERT_TRUE(cache.store("c-young" + std::to_string(i), payload));
-    EXPECT_EQ(cache.stats().evicted, 0);
-    for (int i = 0; i < 12; ++i)
-        EXPECT_TRUE(cache.load("c-young" + std::to_string(i)).has_value())
-            << i;
-
-    // Once entries age past the window they become candidates again.
-    for (int i = 0; i < 12; ++i)
-        fs::last_write_time(cache.entryPath("c-young" + std::to_string(i)),
-                            fs::file_time_type::clock::now() -
-                                std::chrono::minutes(2));
-    ASSERT_TRUE(cache.store("c-trigger", payload));
-    EXPECT_GE(cache.stats().evicted, 1);
-    EXPECT_TRUE(cache.load("c-trigger").has_value());
-    EXPECT_FALSE(fs::exists(cache.entryPath("c-young0")));
+    EXPECT_EQ(cache.stats().janitorRemoved, 2);
 }
 
 TEST_F(CacheTest, EvictionFromASecondProcessSparesLocksAndFreshEntries)
 {
-    // Two-process shape of the same invariants: one process holds a
-    // lock and has just published an entry; another process's eviction
-    // pass (over the shared directory) must not delete either.
+    // Two-process shape of the same invariants: the directory holds a
+    // lock file an older build left behind; another process's eviction
+    // pass (over the shared directory) must delete neither it nor the
+    // entry that process has just published.
     const std::string payload(4096, 'x');
     {
         cache::ResultCache writer(config());  // Unbounded: no eviction.
@@ -650,20 +627,17 @@ TEST_F(CacheTest, EvictionFromASecondProcessSparesLocksAndFreshEntries)
                                    std::chrono::minutes(2) -
                                    std::chrono::seconds(i));
     }
-    const fs::path heldLock = fs::path(dir_) / "c-held.gce.lock";
-    std::ofstream(heldLock) << "pid 12345";
+    const fs::path leftoverLock = fs::path(dir_) / "c-held.gce.lock";
+    std::ofstream(leftoverLock) << "pid 12345";
 
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
-        // The second process: a capped cache with the default-style
-        // grace window stores one fresh entry, which runs eviction over
-        // everything the first process left behind.
+        // The second process: a capped cache stores one fresh entry,
+        // which runs eviction over everything the first process left.
         cache::CacheConfig cfg;
         cfg.dir = dir_;
         cfg.maxBytes = 4 * 5000;
-        cfg.crossProcessWaitMs = 0;
-        cfg.evictionGraceMs = 60'000;
         cache::ResultCache evictor(cfg);
         const bool stored = evictor.store("c-fresh", payload);
         const bool evicted = evictor.stats().evicted >= 1;
@@ -674,10 +648,10 @@ TEST_F(CacheTest, EvictionFromASecondProcessSparesLocksAndFreshEntries)
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
 
-    // The lock guarding the first process's in-flight compute survived,
-    // as did the second process's own fresh entry; the old generation
-    // was trimmed toward the cap.
-    EXPECT_TRUE(fs::exists(heldLock));
+    // The foreign lock file survived, as did the second process's own
+    // fresh entry (LRU removes the newest entry last); the old
+    // generation was trimmed toward the cap.
+    EXPECT_TRUE(fs::exists(leftoverLock));
     cache::ResultCache reader(config());
     EXPECT_TRUE(reader.load("c-fresh").has_value());
     // LRU trims oldest-first, so the most backdated entry goes first.

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "cache/result_cache.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
 
@@ -110,9 +111,9 @@ TEST(EnvDouble, RejectsGarbageNonFiniteAndRange)
 
 TEST(EnvKnobs, WiredKnobsGoThroughTheCheckedHelpers)
 {
-    // The three knobs the ISSUE names must reject garbage loudly; each
-    // is read at its use site, so this exercises the shared helper the
-    // way bench/common.cpp and cache/result_cache.cpp do.
+    // Every wired knob must reject garbage loudly; each is read at its
+    // use site, so this exercises the shared helper the way
+    // bench/common.cpp and cache/result_cache.cpp do.
     ::setenv("GEYSER_TRAJECTORIES", "many", 1);
     EXPECT_THROW(env::envInt("GEYSER_TRAJECTORIES", 200, 1, 10'000'000),
                  ValidationError);
@@ -126,4 +127,8 @@ TEST(EnvKnobs, WiredKnobsGoThroughTheCheckedHelpers)
                                 1e6),
                  ValidationError);
     ::unsetenv("GEYSER_KERNEL_SPEEDUP_FLOOR");
+    // GEYSER_NO_CACHE takes 0 or 1: a "yes" must not leave it on.
+    ::setenv("GEYSER_NO_CACHE", "yes", 1);
+    EXPECT_THROW(cache::CacheConfig::fromEnv(), ValidationError);
+    ::unsetenv("GEYSER_NO_CACHE");
 }

@@ -9,7 +9,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -404,6 +406,55 @@ TEST(SkeletonPlan, LoaderRejectsCountsTheCompilerNeverProduces)
         EXPECT_FALSE(
             fleet::skeletonPlanFromText(withValue(key, value)).has_value())
             << key << " " << value;
+
+    // Header lines that break what buildSkeletonPlan guarantees and
+    // rebindMember relies on: `adopted` disagreeing with the composed
+    // blocks, a repeated atom, an atom outside the transpiled circuit,
+    // and layouts of unequal length.
+    ASSERT_GE(plan->initialLayout.size(), 2u);
+    auto layoutText = [](std::vector<Qubit> layout) {
+        std::string out = std::to_string(layout.size());
+        for (const Qubit q : layout)
+            out += " " + std::to_string(q);
+        return out;
+    };
+    std::vector<Qubit> repeated = plan->initialLayout;
+    repeated.back() = repeated.front();
+    std::vector<Qubit> outside = plan->finalLayout;
+    outside.back() = plan->transpiled.numQubits();
+    std::vector<Qubit> shorter = plan->finalLayout;
+    shorter.pop_back();
+    const std::pair<std::string, std::string> inconsistent[] = {
+        {"adopted", plan->adopted ? "0" : "1"},
+        {"ilayout", layoutText(repeated)},
+        {"flayout", layoutText(outside)},
+        {"flayout", layoutText(shorter)},
+    };
+    for (const auto &[key, value] : inconsistent)
+        EXPECT_FALSE(
+            fleet::skeletonPlanFromText(withValue(key, value)).has_value())
+            << key << " " << value;
+
+    // Body-level cases: a stitched circuit wider than the transpiled
+    // one, and a re-bind pair whose stitched gate is not a U3.
+    ASSERT_TRUE(plan->adopted);
+    ASSERT_FALSE(plan->rebindMap.empty());
+    fleet::SkeletonPlan wider = *plan;
+    wider.stitched = Circuit(plan->stitched.numQubits() + 1);
+    for (const Gate &gate : plan->stitched.gates())
+        wider.stitched.append(gate);
+    EXPECT_FALSE(fleet::skeletonPlanFromText(fleet::skeletonPlanToText(wider))
+                     .has_value());
+    fleet::SkeletonPlan onCz = *plan;
+    const auto &stitchedGates = plan->stitched.gates();
+    const auto cz = std::find_if(
+        stitchedGates.begin(), stitchedGates.end(),
+        [](const Gate &gate) { return gate.kind() == GateKind::CZ; });
+    ASSERT_NE(cz, stitchedGates.end());
+    onCz.rebindMap.front().first =
+        static_cast<int>(cz - stitchedGates.begin());
+    EXPECT_FALSE(fleet::skeletonPlanFromText(fleet::skeletonPlanToText(onCz))
+                     .has_value());
 }
 
 // ---- Fleet engine ----------------------------------------------------
@@ -454,6 +505,78 @@ TEST(FleetCompile, WarmCacheServesThePlanWithoutRebuilding)
     for (size_t i = 0; i < warm.rows.size(); ++i) {
         EXPECT_EQ(warm.rows[i].pulses, cold.rows[i].pulses) << i;
         EXPECT_EQ(warm.rows[i].depth, cold.rows[i].depth) << i;
+    }
+}
+
+TEST(FleetCompile, StoredPlanNoBuildWritesIsQuarantinedAndRebuilt)
+{
+    // A plan entry with a valid frame whose header contradicts itself or
+    // its circuits must not be served: flipping `adopted` re-bound every
+    // member to the uncomposed circuit (330 pulses instead of 126), and
+    // a layout naming a repeated or missing atom made every member fall
+    // back on every run. Both now load as a miss, quarantined and
+    // rebuilt.
+    std::vector<fleet::FleetJob> jobs(6);
+    for (size_t m = 0; m < jobs.size(); ++m) {
+        Circuit circuit(3);
+        circuit.ry(0, 0.7 + 0.01 * static_cast<double>(m));
+        circuit.ry(1, 1.9);
+        circuit.ry(2, 2.6);
+        circuit.ccx(0, 1, 2);
+        circuit.h(2);
+        circuit.ccx(2, 0, 1);
+        circuit.rz(0, 0.4 + 0.02 * static_cast<double>(m));
+        jobs[m].name = "m" + std::to_string(m);
+        jobs[m].logical = std::move(circuit);
+    }
+    const std::string dir = tempDir("rewritten");
+    cache::CacheConfig cacheConfig;
+    cacheConfig.dir = dir;
+    cache::ResultCache cacheStore(cacheConfig);
+    fleet::FleetOptions options;
+    options.pipeline.cache = &cacheStore;
+    auto totalPulses = [](const fleet::FleetReport &report) {
+        long total = 0;
+        for (const auto &row : report.rows)
+            total += row.pulses;
+        return total;
+    };
+
+    const fleet::FleetReport cold = fleet::compileFleet(jobs, options);
+    EXPECT_EQ(cold.planStores, 1);
+    EXPECT_EQ(cold.rebound, 6);
+    ASSERT_EQ(totalPulses(cold), 126);
+    std::string key;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("s-", 0) == 0 && entry.path().extension() == ".gce")
+            key = entry.path().stem().string();
+    }
+    ASSERT_FALSE(key.empty());
+    const std::string text = cacheStore.load(key).value_or("");
+    ASSERT_NE(text.find("\nadopted 1\n"), std::string::npos) << text;
+    ASSERT_NE(text.find("\nilayout 3 0 1 2\n"), std::string::npos) << text;
+
+    const std::pair<std::string, std::string> rewrites[] = {
+        {"adopted 1", "adopted 0"},
+        {"ilayout 3 0 1 2", "ilayout 3 0 1 1"},
+        {"ilayout 3 0 1 2", "ilayout 3 0 1 9"},
+    };
+    for (const auto &[from, to] : rewrites) {
+        std::string rewritten = text;
+        rewritten.replace(rewritten.find("\n" + from + "\n") + 1,
+                          from.size(), to);
+        ASSERT_TRUE(cacheStore.store(key, rewritten));
+        const fleet::FleetReport warm = fleet::compileFleet(jobs, options);
+        EXPECT_EQ(warm.planHits, 0) << to;
+        EXPECT_EQ(warm.planStores, 1) << to;
+        EXPECT_EQ(warm.cacheCorrupt, 1) << to;
+        EXPECT_EQ(warm.rebound, 6) << to;
+        EXPECT_EQ(warm.fallback, 0) << to;
+        EXPECT_EQ(warm.verifyFailures, 0) << to;
+        EXPECT_EQ(totalPulses(warm), 126) << to;
+        // The rebuilt plan is the one the cold run stored.
+        EXPECT_EQ(cacheStore.load(key).value_or(""), text) << to;
     }
 }
 

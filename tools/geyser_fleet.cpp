@@ -220,14 +220,8 @@ main(int argc, char **argv)
         if (options.techniques.empty())
             options.techniques.push_back(Technique::Geyser);
 
-        cache::CacheConfig cacheConfig = cache::CacheConfig::fromEnv();
-        if (!cacheDir.empty())
-            cacheConfig.dir = cacheDir;
-        else if (std::getenv("GEYSER_CACHE_DIR") == nullptr)
-            cacheConfig.enabled = false;
-        if (noCache)
-            cacheConfig.enabled = false;
-        cache::ResultCache resultCache(cacheConfig);
+        cache::ResultCache resultCache(
+            cache::CacheConfig::forTool(cacheDir, noCache));
         if (resultCache.enabled())
             options.pipeline.cache = &resultCache;
 

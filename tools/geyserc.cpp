@@ -305,18 +305,8 @@ main(int argc, char **argv)
             return rc;
         }
 
-        // Persistent result cache: --cache-dir wins, else GEYSER_CACHE_DIR
-        // from the environment; --no-cache (or GEYSER_NO_CACHE=1) compiles
-        // uncached. Library/CLI users get the same crash-safe cache the
-        // bench binaries use.
-        cache::CacheConfig cacheConfig = cache::CacheConfig::fromEnv();
-        if (!cacheDir.empty())
-            cacheConfig.dir = cacheDir;
-        else if (std::getenv("GEYSER_CACHE_DIR") == nullptr)
-            cacheConfig.enabled = false;  // No cache unless asked for one.
-        if (noCache)
-            cacheConfig.enabled = false;
-        cache::ResultCache resultCache(cacheConfig);
+        cache::ResultCache resultCache(
+            cache::CacheConfig::forTool(cacheDir, noCache));
 
         PipelineOptions options;
         if (resultCache.enabled())

@@ -158,14 +158,8 @@ main(int argc, char **argv)
             obs::setThreadName("main");
         }
 
-        cache::CacheConfig cacheConfig = cache::CacheConfig::fromEnv();
-        if (!cacheDir.empty())
-            cacheConfig.dir = cacheDir;
-        else if (std::getenv("GEYSER_CACHE_DIR") == nullptr)
-            cacheConfig.enabled = false;
-        if (noCache)
-            cacheConfig.enabled = false;
-        cache::ResultCache resultCache(cacheConfig);
+        cache::ResultCache resultCache(
+            cache::CacheConfig::forTool(cacheDir, noCache));
 
         std::unique_ptr<AccessLog> accessLog;
         if (!accessLogPath.empty())
