@@ -137,57 +137,70 @@ pulsesForKind(GateKind kind)
     }
 }
 
-Matrix
+Matrix2
 u3Matrix(double theta, double phi, double lambda)
 {
     const double c = std::cos(theta / 2.0);
     const double s = std::sin(theta / 2.0);
-    return Matrix{
-        {c, -std::exp(kI * lambda) * s},
-        {std::exp(kI * phi) * s, std::exp(kI * (phi + lambda)) * c},
-    };
+    return Matrix2(c, -std::exp(kI * lambda) * s,
+                   std::exp(kI * phi) * s, std::exp(kI * (phi + lambda)) * c);
 }
 
-Matrix
-Gate::matrix() const
+Matrix2
+Gate::matrix2() const
 {
     const double p0 = params_[0];
     switch (kind_) {
       case GateKind::U3:
         return u3Matrix(params_[0], params_[1], params_[2]);
       case GateKind::I:
-        return Matrix::identity(2);
+        return Matrix2::identity();
       case GateKind::X:
-        return Matrix{{0, 1}, {1, 0}};
+        return Matrix2(0, 1, 1, 0);
       case GateKind::Y:
-        return Matrix{{0, -kI}, {kI, 0}};
+        return Matrix2(0, -kI, kI, 0);
       case GateKind::Z:
-        return Matrix{{1, 0}, {0, -1}};
+        return Matrix2(1, 0, 0, -1);
       case GateKind::H: {
         const double r = 1.0 / std::sqrt(2.0);
-        return Matrix{{r, r}, {r, -r}};
+        return Matrix2(r, r, r, -r);
       }
       case GateKind::S:
-        return Matrix{{1, 0}, {0, kI}};
+        return Matrix2(1, 0, 0, kI);
       case GateKind::SDG:
-        return Matrix{{1, 0}, {0, -kI}};
+        return Matrix2(1, 0, 0, -kI);
       case GateKind::T:
-        return Matrix{{1, 0}, {0, std::exp(kI * (kPi / 4.0))}};
+        return Matrix2(1, 0, 0, std::exp(kI * (kPi / 4.0)));
       case GateKind::TDG:
-        return Matrix{{1, 0}, {0, std::exp(-kI * (kPi / 4.0))}};
+        return Matrix2(1, 0, 0, std::exp(-kI * (kPi / 4.0)));
       case GateKind::RX: {
         const double c = std::cos(p0 / 2.0), s = std::sin(p0 / 2.0);
-        return Matrix{{c, -kI * s}, {-kI * s, c}};
+        return Matrix2(c, -kI * s, -kI * s, c);
       }
       case GateKind::RY: {
         const double c = std::cos(p0 / 2.0), s = std::sin(p0 / 2.0);
-        return Matrix{{c, -s}, {s, c}};
+        return Matrix2(c, -s, s, c);
       }
       case GateKind::RZ:
-        return Matrix{{std::exp(-kI * (p0 / 2.0)), 0},
-                      {0, std::exp(kI * (p0 / 2.0))}};
+        return Matrix2(std::exp(-kI * (p0 / 2.0)), 0, 0,
+                       std::exp(kI * (p0 / 2.0)));
       case GateKind::P:
-        return Matrix{{1, 0}, {0, std::exp(kI * p0)}};
+        return Matrix2(1, 0, 0, std::exp(kI * p0));
+      default:
+        break;
+    }
+    throw std::logic_error(std::string("Gate::matrix2: not a one-qubit "
+                                       "gate: ") +
+                           gateKindName(kind_));
+}
+
+Matrix
+Gate::matrix() const
+{
+    if (numQubits_ == 1)
+        return Matrix(matrix2());
+    const double p0 = params_[0];
+    switch (kind_) {
       case GateKind::CZ:
         return Matrix::diagonal({1, 1, 1, -1});
       case GateKind::CX: {
@@ -243,6 +256,8 @@ Gate::matrix() const
         m(7, 3) = m(3, 7) = 1;
         return m;
       }
+      default:
+        break;
     }
     throw std::logic_error("Gate::matrix: unhandled kind");
 }

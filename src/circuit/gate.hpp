@@ -107,8 +107,12 @@ class Gate
     /**
      * The 2^k x 2^k unitary of this gate over its own qubits, with
      * qubit(0) as the least-significant bit of the local basis index.
+     * For a one-qubit gate it holds matrix2()'s entries.
      */
     Matrix matrix() const;
+
+    /** The 2x2 unitary of a one-qubit gate; throws for wider gates. */
+    Matrix2 matrix2() const;
 
     /** The inverse gate (same qubits): U3/rotations negate angles,
      *  S <-> SDG, T <-> TDG, self-inverse kinds unchanged. */
@@ -127,7 +131,7 @@ class Gate
 };
 
 /** The U3 unitary (paper Sec 2.1). */
-Matrix u3Matrix(double theta, double phi, double lambda);
+Matrix2 u3Matrix(double theta, double phi, double lambda);
 
 /** Pulse cost of a physical gate kind. */
 int pulsesForKind(GateKind kind);

@@ -112,15 +112,14 @@ Ansatz::unitary(const std::vector<double> &angles) const
         // Build kron over qubits with qubit 0 as least-significant:
         // U = u3(q_{n-1}) (x) ... (x) u3(q_0).
         const int base = col * numQubits_ * 3;
-        Matrix u = u3Matrix(angles[static_cast<size_t>(base + (numQubits_ - 1) * 3)],
-                            angles[static_cast<size_t>(base + (numQubits_ - 1) * 3 + 1)],
-                            angles[static_cast<size_t>(base + (numQubits_ - 1) * 3 + 2)]);
-        for (int q = numQubits_ - 2; q >= 0; --q) {
-            const int o = base + q * 3;
-            u = u.kron(u3Matrix(angles[static_cast<size_t>(o)],
-                                angles[static_cast<size_t>(o + 1)],
-                                angles[static_cast<size_t>(o + 2)]));
-        }
+        auto u3At = [&](int o) {
+            return Matrix(u3Matrix(angles[static_cast<size_t>(o)],
+                                   angles[static_cast<size_t>(o + 1)],
+                                   angles[static_cast<size_t>(o + 2)]));
+        };
+        Matrix u = u3At(base + (numQubits_ - 1) * 3);
+        for (int q = numQubits_ - 2; q >= 0; --q)
+            u = u.kron(u3At(base + q * 3));
         return u;
     };
 

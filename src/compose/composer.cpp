@@ -68,11 +68,11 @@ composeWithoutEntanglers(const Circuit &block)
 
     Circuit out(block.numQubits());
     for (Qubit q = 0; q < block.numQubits(); ++q) {
-        Matrix m = Matrix::identity(2);
+        Matrix2 m = Matrix2::identity();
         bool any = false;
         for (const auto &g : block.gates()) {
             if (g.numQubits() == 1 && g.qubit(0) == q) {
-                m = g.matrix() * m;
+                m = g.matrix2() * m;
                 any = true;
             }
         }

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <string_view>
+#include <utility>
 
 #include "cache/result_cache.hpp"
 #include "common/error.hpp"
@@ -123,6 +125,43 @@ acquirePlan(const SkeletonGroup &group, const Circuit &representative,
     return plan;
 }
 
+/**
+ * The served circuits of a group's first `limit` re-bound members in
+ * group order, collected while members finish in any order. The verify
+ * loop compares what was served; keeping only these circuits, not every
+ * member's whole result, bounds a sweep's memory by the sample.
+ */
+class VerifySample
+{
+  public:
+    explicit VerifySample(int limit) : limit_(limit) {}
+
+    /** Offer re-bound member `gi`'s served circuit. */
+    void offer(int gi, const Circuit &physical)
+    {
+        if (limit_ <= 0)
+            return;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (static_cast<int>(kept_.size()) == limit_) {
+            if (gi > kept_.back().first)
+                return;
+            kept_.pop_back();
+        }
+        const auto at = std::lower_bound(
+            kept_.begin(), kept_.end(), gi,
+            [](const auto &entry, int value) { return entry.first < value; });
+        kept_.emplace(at, gi, physical);
+    }
+
+    /** (group index, served circuit), in group order. */
+    const std::vector<std::pair<int, Circuit>> &kept() const { return kept_; }
+
+  private:
+    const int limit_;
+    std::mutex mu_;
+    std::vector<std::pair<int, Circuit>> kept_;
+};
+
 void
 forEach(int n, bool parallel, const std::function<void(int)> &fn)
 {
@@ -177,9 +216,11 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
 
     for (const Technique technique : options.techniques) {
         std::vector<MemberRow> rows(jobs.size());
-        std::vector<CompileResult> results(jobs.size());
-        auto recordRow = [&](int m, const CompileResult &result,
-                             bool viaRebind, bool viaFallback) {
+        // Whole results are kept for the TVD sample only.
+        std::vector<CompileResult> tvdResults(std::min(
+            jobs.size(), static_cast<size_t>(std::max(options.tvdSample, 0))));
+        auto recordRow = [&](int m, CompileResult &&result, bool viaRebind,
+                             bool viaFallback) {
             MemberRow &row = rows[static_cast<size_t>(m)];
             row.name = jobs[static_cast<size_t>(m)].name;
             row.technique = technique;
@@ -189,7 +230,8 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
             row.rebound = viaRebind;
             row.fallback = viaFallback;
             row.cacheHit = result.cacheHit;
-            results[static_cast<size_t>(m)] = result;
+            if (static_cast<size_t>(m) < tvdResults.size())
+                tvdResults[static_cast<size_t>(m)] = std::move(result);
         };
 
         if (technique != Technique::Geyser) {
@@ -197,10 +239,11 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
             // the exact cache (identical members still dedupe there).
             forEach(static_cast<int>(jobs.size()), options.parallel,
                     [&](int m) {
-                        const CompileResult result = compile(
-                            technique, circuits[static_cast<size_t>(m)],
-                            options.pipeline);
-                        recordRow(m, result, false, false);
+                        recordRow(m,
+                                  compile(technique,
+                                          circuits[static_cast<size_t>(m)],
+                                          options.pipeline),
+                                  false, false);
                     });
         } else {
             for (const SkeletonGroup &group : groups) {
@@ -208,6 +251,7 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                     circuits[static_cast<size_t>(group.members.front())];
                 std::optional<SkeletonPlan> plan =
                     acquirePlan(group, representative, options, report);
+                VerifySample sample(options.verifySample);
 
                 forEach(static_cast<int>(group.members.size()),
                         options.parallel, [&](int gi) {
@@ -218,28 +262,25 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                             if (plan) {
                                 if (auto r = rebindMember(*plan, member,
                                                           options.pipeline)) {
-                                    recordRow(m, *r, true, false);
+                                    sample.offer(gi, r->physical);
+                                    recordRow(m, std::move(*r), true, false);
                                     return;
                                 }
                             }
-                            const CompileResult full = compile(
-                                technique, member, options.pipeline);
-                            recordRow(m, full, false, plan.has_value());
+                            recordRow(m,
+                                      compile(technique, member,
+                                              options.pipeline),
+                                      false, plan.has_value());
                         });
 
-                // Verify a sample of re-bound members against a
-                // from-scratch compile of the same construction — the
-                // oracle builds its own plan with member-as-rep and a
-                // memo-free composition path, so equality proves the
-                // cached segments replay exactly.
-                int checked = 0;
-                for (const int m : group.members) {
-                    if (checked >= options.verifySample)
-                        break;
+                // Verify the group's first `verifySample` re-bound
+                // members against a from-scratch compile of the same
+                // construction — the oracle builds its own plan with
+                // member-as-rep and a memo-free composition path, so
+                // equality proves the cached segments replay exactly.
+                for (const auto &[gi, served] : sample.kept()) {
+                    const int m = group.members[static_cast<size_t>(gi)];
                     MemberRow &row = rows[static_cast<size_t>(m)];
-                    if (!row.rebound)
-                        continue;
-                    ++checked;
                     const Circuit &member =
                         circuits[static_cast<size_t>(m)];
                     bool ok = false;
@@ -248,9 +289,8 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                             options.pipeline, /*cachedCompose=*/false)) {
                         if (auto oracle = rebindMember(
                                 *oraclePlan, member, options.pipeline))
-                            ok = circuitsMatch(
-                                results[static_cast<size_t>(m)].physical,
-                                oracle->physical, options.verifyTolerance);
+                            ok = circuitsMatch(served, oracle->physical,
+                                               options.verifyTolerance);
                     }
                     ++report.verified;
                     if (ok) {
@@ -264,12 +304,9 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
         }
 
         // Optional noisy-TVD sample for the fair-comparison column.
-        for (int s = 0; s < options.tvdSample &&
-                        s < static_cast<int>(jobs.size());
-             ++s)
-            rows[static_cast<size_t>(s)].tvd =
-                evaluateTvd(results[static_cast<size_t>(s)], options.noise,
-                            options.trajectories);
+        for (size_t s = 0; s < tvdResults.size(); ++s)
+            rows[s].tvd = evaluateTvd(tvdResults[s], options.noise,
+                                      options.trajectories);
 
         // Fold this technique's rows into the report.
         TechniqueSummary summary;

@@ -10,6 +10,44 @@
 
 namespace geyser {
 
+namespace {
+
+/** std::max(m, d) that keeps a NaN. std::max(m, NaN) returns m, so a
+ *  NaN matrix would pass isUnitary(). */
+double
+maxKeepingNan(double m, double d)
+{
+    return std::isnan(d) || d > m ? d : m;
+}
+
+}  // namespace
+
+Matrix2
+Matrix2::dagger() const
+{
+    Matrix2 out;
+    for (int i = 0; i < 2; ++i)
+        for (int j = 0; j < 2; ++j)
+            out(j, i) = std::conj((*this)(i, j));
+    return out;
+}
+
+double
+Matrix2::maxAbsDiff(const Matrix2 &rhs) const
+{
+    double m = 0.0;
+    for (size_t i = 0; i < m_.size(); ++i)
+        m = maxKeepingNan(m, std::abs(m_[i] - rhs.m_[i]));
+    return m;
+}
+
+bool
+Matrix2::isUnitary(double tol) const
+{
+    const Matrix2 prod = (*this) * dagger();
+    return prod.maxAbsDiff(identity()) <= tol;
+}
+
 Matrix::Matrix(int rows, int cols)
     : rows_(rows), cols_(cols),
       data_(static_cast<size_t>(rows) * static_cast<size_t>(cols))
@@ -28,6 +66,11 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<Complex>> rows)
         for (const auto &v : row)
             data_.push_back(v);
     }
+}
+
+Matrix::Matrix(const Matrix2 &m)
+    : rows_(2), cols_(2), data_{m(0, 0), m(0, 1), m(1, 0), m(1, 1)}
+{
 }
 
 Matrix
@@ -182,7 +225,7 @@ Matrix::maxAbsDiff(const Matrix &rhs) const
         throw std::invalid_argument("maxAbsDiff: shape mismatch");
     double m = 0.0;
     for (size_t i = 0; i < data_.size(); ++i)
-        m = std::max(m, std::abs(data_[i] - rhs.data_[i]));
+        m = maxKeepingNan(m, std::abs(data_[i] - rhs.data_[i]));
     return m;
 }
 

@@ -4,11 +4,13 @@
  *
  * Dimensions in this library are small (2x2 for one-qubit gates up to a
  * few thousand for whole-circuit unitaries of <= ~10 qubits), so a plain
- * row-major dense representation is the right tool.
+ * row-major dense representation is the right tool. One-qubit unitaries
+ * on the transpile path use the fixed-size Matrix2 instead.
  */
 #ifndef GEYSER_LINALG_MATRIX_HPP
 #define GEYSER_LINALG_MATRIX_HPP
 
+#include <array>
 #include <cstddef>
 #include <initializer_list>
 #include <string>
@@ -17,6 +19,65 @@
 #include "common/types.hpp"
 
 namespace geyser {
+
+/**
+ * Fixed-size 2x2 complex matrix: the one representation of a one-qubit
+ * unitary on the transpile path (gate matrices, ZYZ resynthesis,
+ * one-qubit fusion). A stack value; nothing allocates.
+ *
+ * Its arithmetic is Matrix's, entry for entry, so a product or check
+ * computed here is bit-identical to the same one on a 2x2 Matrix.
+ */
+class Matrix2
+{
+  public:
+    /** Zero matrix. */
+    Matrix2() = default;
+
+    /** [[a, b], [c, d]], row by row. */
+    Matrix2(Complex a, Complex b, Complex c, Complex d) : m_{{a, b, c, d}} {}
+
+    static Matrix2 identity() { return Matrix2(1.0, 0.0, 0.0, 1.0); }
+
+    Complex &operator()(int r, int c) { return m_[index(r, c)]; }
+    const Complex &operator()(int r, int c) const { return m_[index(r, c)]; }
+
+    /**
+     * Matrix::operator*'s small-matrix loop: start from zero, skip zero
+     * entries of the left factor, accumulate a * b in (i, k, j) order.
+     */
+    Matrix2 operator*(const Matrix2 &rhs) const
+    {
+        Matrix2 out;
+        for (int i = 0; i < 2; ++i) {
+            for (int k = 0; k < 2; ++k) {
+                const Complex a = (*this)(i, k);
+                if (a == Complex{})
+                    continue;
+                for (int j = 0; j < 2; ++j)
+                    out(i, j) += a * rhs(k, j);
+            }
+        }
+        return out;
+    }
+
+    /** Conjugate transpose. */
+    Matrix2 dagger() const;
+
+    /** Max |a_ij - b_ij|; NaN if any difference is NaN. */
+    double maxAbsDiff(const Matrix2 &rhs) const;
+
+    /** True if U U^dagger = I within tol (entrywise); false on NaN. */
+    bool isUnitary(double tol = 1e-9) const;
+
+  private:
+    static size_t index(int r, int c)
+    {
+        return static_cast<size_t>(2 * r + c);
+    }
+
+    std::array<Complex, 4> m_{};
+};
 
 /**
  * Row-major dense complex matrix with the operations needed for quantum
@@ -34,6 +95,9 @@ class Matrix
 
     /** Construct from nested initializer lists (row by row). */
     Matrix(std::initializer_list<std::initializer_list<Complex>> rows);
+
+    /** The 2x2 matrix holding a Matrix2's entries. */
+    explicit Matrix(const Matrix2 &m);
 
     /** n x n identity. */
     static Matrix identity(int n);
@@ -69,10 +133,11 @@ class Matrix
     /** Frobenius norm. */
     double frobeniusNorm() const;
 
-    /** Max |a_ij - b_ij| between two same-shape matrices. */
+    /** Max |a_ij - b_ij| between two same-shape matrices; NaN if any
+     *  difference is NaN. */
     double maxAbsDiff(const Matrix &rhs) const;
 
-    /** True if U U^dagger = I within tol (entrywise). */
+    /** True if U U^dagger = I within tol (entrywise); false on NaN. */
     bool isUnitary(double tol = 1e-9) const;
 
     /**

@@ -62,7 +62,7 @@ u3FromGate(const Gate &gate)
 {
     if (gate.numQubits() != 1)
         throw ValidationError("u3FromGate: not a one-qubit gate");
-    const U3Params p = u3FromMatrix(gate.matrix());
+    const U3Params p = u3FromMatrix(gate.matrix2());
     return Gate(GateKind::U3, gate.qubit(0), p.theta, p.phi, p.lambda);
 }
 

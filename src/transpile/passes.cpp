@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -35,36 +37,56 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
 
     const size_t before = circuit.size();
     Circuit out(circuit.numQubits());
+    out.gates().reserve(before);
 
-    // Pending accumulated 2x2 unitary per qubit (empty = identity).
-    std::vector<Matrix> pending(static_cast<size_t>(circuit.numQubits()));
-    std::vector<bool> hasPending(static_cast<size_t>(circuit.numQubits()),
-                                 false);
+    // The pending run per qubit: the 2x2 product of its gates, its first
+    // gate and its length (0 = no run).
+    struct Run
+    {
+        Matrix2 product;
+        const Gate *first = nullptr;
+        int length = 0;
+    };
+    std::vector<Run> runs(static_cast<size_t>(circuit.numQubits()));
+    // Runs of one gate are copied verbatim. If the round changes the
+    // circuit they are resynthesized below, so every emitted U3 is the
+    // one eager resynthesis would emit; if it does not, the input stays.
+    std::vector<std::pair<size_t, Matrix2>> verbatim;
     int fusedRuns = 0;
 
     auto flush = [&](Qubit q) {
-        if (!hasPending[static_cast<size_t>(q)])
+        Run &run = runs[static_cast<size_t>(q)];
+        if (run.length == 0)
             return;
-        auto &m = pending[static_cast<size_t>(q)];
-        if (!(drop_identity && isIdentityUpToPhase(m))) {
-            const U3Params p = u3FromMatrix(m);
-            out.u3(q, p.theta, p.phi, p.lambda);
+        if (!(drop_identity && isIdentityUpToPhase(run.product))) {
+            if (run.length > 1) {
+                const U3Params p = u3FromMatrix(run.product);
+                out.u3(q, p.theta, p.phi, p.lambda);
+            } else {
+                // ZYZ would reject a NaN unitary; reject its cause here.
+                for (int i = 0; i < run.first->numParams(); ++i)
+                    if (!std::isfinite(run.first->param(i)))
+                        throw ValidationError(
+                            "fuseU3Pass: non-finite U3 angle");
+                verbatim.emplace_back(out.size(), run.product);
+                out.append(*run.first);
+            }
         }
-        hasPending[static_cast<size_t>(q)] = false;
+        run.length = 0;
     };
 
     for (const auto &g : circuit.gates()) {
         if (g.numQubits() == 1) {
-            const Qubit q = g.qubit(0);
-            if (hasPending[static_cast<size_t>(q)]) {
+            Run &run = runs[static_cast<size_t>(g.qubit(0))];
+            if (run.length > 0) {
                 // Later gate acts after: left-multiply.
-                pending[static_cast<size_t>(q)] =
-                    g.matrix() * pending[static_cast<size_t>(q)];
+                run.product = g.matrix2() * run.product;
                 ++fusedRuns;
             } else {
-                pending[static_cast<size_t>(q)] = g.matrix();
-                hasPending[static_cast<size_t>(q)] = true;
+                run.product = g.matrix2();
+                run.first = &g;
             }
+            ++run.length;
         } else {
             for (int i = 0; i < g.numQubits(); ++i)
                 flush(g.qubit(i));
@@ -76,6 +98,11 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
 
     const bool changed = fusedRuns > 0 || out.size() != before;
     if (changed) {
+        for (const auto &[index, product] : verbatim) {
+            const U3Params p = u3FromMatrix(product);
+            Gate &g = out.gates()[index];
+            g = Gate(GateKind::U3, g.qubit(0), p.theta, p.phi, p.lambda);
+        }
         static obs::Counter &fused = obs::counter("transpile.u3_fused");
         static obs::Counter &dropped =
             obs::counter("transpile.gates_dropped");

@@ -17,7 +17,10 @@ namespace geyser {
  * Fuse runs of adjacent one-qubit gates into a single U3 each (resynthesis
  * through the 2x2 product). With drop_identity, fused gates equal to the
  * identity (up to phase) are deleted. Returns true if the circuit changed.
- * Requires a physical-basis circuit.
+ * A round that changes nothing leaves the circuit as it was and does no
+ * resynthesis; a round that changes it resynthesizes every surviving
+ * run, runs of one gate included. Requires a physical-basis circuit;
+ * throws ValidationError on a non-finite U3 angle.
  */
 bool fuseU3Pass(Circuit &circuit, bool drop_identity = true);
 

@@ -9,10 +9,8 @@
 namespace geyser {
 
 U3Params
-u3FromMatrix(const Matrix &u)
+u3FromMatrix(const Matrix2 &u)
 {
-    if (u.rows() != 2 || u.cols() != 2)
-        throw ValidationError("u3FromMatrix: not a 2x2 matrix");
     if (!u.isUnitary(1e-8))
         throw ValidationError("u3FromMatrix: not unitary");
 
@@ -44,20 +42,11 @@ u3FromMatrix(const Matrix &u)
 }
 
 bool
-isIdentityUpToPhase(const Matrix &u, double tol)
+isIdentityUpToPhase(const Matrix2 &u, double tol)
 {
-    if (u.rows() != 2 || u.cols() != 2)
-        return false;
     const Complex t = u(0, 0) + u(1, 1);
     return std::abs(u(0, 1)) <= tol && std::abs(u(1, 0)) <= tol &&
            std::abs(std::abs(t) - 2.0) <= tol;
-}
-
-bool
-isDiagonal(const Matrix &u, double tol)
-{
-    return u.rows() == 2 && u.cols() == 2 && std::abs(u(0, 1)) <= tol &&
-           std::abs(u(1, 0)) <= tol;
 }
 
 }  // namespace geyser

@@ -25,15 +25,13 @@ struct U3Params
 /**
  * Decompose a 2x2 unitary into U3 angles. The reconstruction
  * e^{i phase} U3(theta, phi, lambda) equals the input to ~1e-12.
- * Throws if the input is not 2x2 or not unitary.
+ * Throws ValidationError if the input is not unitary (a NaN entry
+ * included).
  */
-U3Params u3FromMatrix(const Matrix &u);
+U3Params u3FromMatrix(const Matrix2 &u);
 
 /** True if the 2x2 unitary is the identity up to global phase. */
-bool isIdentityUpToPhase(const Matrix &u, double tol = 1e-9);
-
-/** True if the 2x2 unitary is diagonal (commutes with CZ/CCZ). */
-bool isDiagonal(const Matrix &u, double tol = 1e-9);
+bool isIdentityUpToPhase(const Matrix2 &u, double tol = 1e-9);
 
 }  // namespace geyser
 

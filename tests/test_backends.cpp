@@ -64,12 +64,16 @@ struct OffsetBuf
     }
 };
 
+/** Max |a_i - b_i|; NaN if any difference is NaN, so EXPECT_LT fails
+ *  on a NaN output instead of reading it as a 0 difference. */
 double
 maxAbsDiff(const double *a, const double *b, size_t n)
 {
     double m = 0.0;
-    for (size_t i = 0; i < n; ++i)
-        m = std::max(m, std::abs(a[i] - b[i]));
+    for (size_t i = 0; i < n; ++i) {
+        const double d = std::abs(a[i] - b[i]);
+        m = std::isnan(d) || d > m ? d : m;
+    }
     return m;
 }
 

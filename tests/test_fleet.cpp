@@ -651,6 +651,28 @@ TEST(FleetCompile, MultiTechniqueReportCoversEveryMember)
     EXPECT_NE(table.find("Geyser"), std::string::npos);
 }
 
+TEST(FleetCompile, VerifiesTheFirstSampledReboundMembersInOrder)
+{
+    std::vector<fleet::FleetJob> jobs;
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+        fleet::FleetJob job;
+        job.name = "m" + std::to_string(seed);
+        job.logical = vqeBenchmark(4, 1, seed);
+        jobs.push_back(std::move(job));
+    }
+    fleet::FleetOptions options;
+    options.verifySample = 3;
+    const fleet::FleetReport report = fleet::compileFleet(jobs, options);
+
+    EXPECT_EQ(report.groups, 1);
+    ASSERT_EQ(report.rebound, 6);
+    EXPECT_EQ(report.verified, 3);
+    EXPECT_EQ(report.verifyFailures, 0);
+    ASSERT_EQ(report.rows.size(), 6u);
+    for (size_t m = 0; m < report.rows.size(); ++m)
+        EXPECT_EQ(report.rows[m].verified, m < 3) << "member " << m;
+}
+
 // ---- Batch payload parser --------------------------------------------
 
 TEST(FleetPayload, SplitsOnSeparatorLinesAndNamesMembers)

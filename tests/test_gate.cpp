@@ -67,10 +67,19 @@ TEST(GateMatrix, U3SpecialCases)
 {
     // H = U3(pi/2, 0, pi); X = U3(pi, 0, pi); I = U3(0, 0, 0).
     EXPECT_LT(u3Matrix(kPi / 2, 0, kPi)
-                  .maxAbsDiff(Gate(GateKind::H, 0).matrix()), 1e-12);
+                  .maxAbsDiff(Gate(GateKind::H, 0).matrix2()), 1e-12);
     EXPECT_LT(u3Matrix(kPi, 0, kPi)
-                  .maxAbsDiff(Gate(GateKind::X, 0).matrix()), 1e-12);
-    EXPECT_LT(u3Matrix(0, 0, 0).maxAbsDiff(Matrix::identity(2)), 1e-12);
+                  .maxAbsDiff(Gate(GateKind::X, 0).matrix2()), 1e-12);
+    EXPECT_LT(u3Matrix(0, 0, 0).maxAbsDiff(Matrix2::identity()), 1e-12);
+}
+
+TEST(GateMatrix, Matrix2IsOneQubitOnly)
+{
+    const Gate t(GateKind::T, 0);
+    const Matrix2 m = t.matrix2();
+    EXPECT_EQ(m(1, 1), std::exp(kI * (kPi / 4.0)));
+    EXPECT_EQ(t.matrix()(1, 1), m(1, 1));
+    EXPECT_THROW(Gate(GateKind::CZ, 0, 1).matrix2(), std::logic_error);
 }
 
 TEST(GateMatrix, CxFromCzAndH)

@@ -1,10 +1,14 @@
 /**
  * @file
- * Unit tests for the dense complex matrix substrate.
+ * Unit tests for the dense complex matrix substrate and its fixed-size
+ * 2x2 counterpart.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "linalg/matrix.hpp"
 
@@ -100,6 +104,87 @@ TEST(Matrix, IsUnitaryRejectsNonUnitary)
 {
     Matrix m{{1.0, 1.0}, {0.0, 1.0}};
     EXPECT_FALSE(m.isUnitary());
+}
+
+TEST(Matrix, NanEntryPropagatesAndIsNotUnitary)
+{
+    // std::max(m, NaN) keeps m; the fold must not, or a NaN entry reads
+    // as a 0 difference and passes isUnitary() where an infinite one
+    // fails.
+    const double nan = std::nan("");
+    const Matrix m{{nan, 0.0}, {0.0, 1.0}};
+    EXPECT_TRUE(std::isnan(m.maxAbsDiff(Matrix::identity(2))));
+    EXPECT_TRUE(std::isnan(Matrix::identity(2).maxAbsDiff(m)));
+    EXPECT_FALSE(m.isUnitary());
+    const Matrix inf{{HUGE_VAL, 0.0}, {0.0, 1.0}};
+    EXPECT_FALSE(inf.isUnitary());
+}
+
+/** Bitwise equality of both parts (distinguishes -0.0 from 0.0). */
+bool
+sameBits(Complex a, Complex b)
+{
+    return std::bit_cast<uint64_t>(a.real()) ==
+               std::bit_cast<uint64_t>(b.real()) &&
+           std::bit_cast<uint64_t>(a.imag()) ==
+               std::bit_cast<uint64_t>(b.imag());
+}
+
+void
+expectSameBits(const Matrix2 &a, const Matrix &b)
+{
+    ASSERT_EQ(b.rows(), 2);
+    ASSERT_EQ(b.cols(), 2);
+    for (int r = 0; r < 2; ++r)
+        for (int c = 0; c < 2; ++c)
+            EXPECT_TRUE(sameBits(a(r, c), b(r, c)))
+                << "(" << r << ", " << c << "): " << a(r, c) << " vs "
+                << b(r, c);
+}
+
+TEST(Matrix2, ArithmeticIsBitIdenticalToMatrix)
+{
+    // Entries from a pool with exact and signed zeros, so the zero skip
+    // and the accumulation order both matter.
+    std::mt19937_64 rng(22);
+    std::uniform_real_distribution<double> uniform(-2.0, 2.0);
+    std::uniform_int_distribution<int> pick(0, 5);
+    auto entry = [&] {
+        switch (pick(rng)) {
+          case 0:
+            return Complex{};
+          case 1:
+            return Complex{-0.0, 0.0};
+          case 2:
+            return Complex{uniform(rng), -0.0};
+          case 3:
+            return Complex{0.0, uniform(rng)};
+          default:
+            return Complex{uniform(rng), uniform(rng)};
+        }
+    };
+    for (int trial = 0; trial < 2000; ++trial) {
+        const Matrix2 a(entry(), entry(), entry(), entry());
+        const Matrix2 b(entry(), entry(), entry(), entry());
+        expectSameBits(a * b, Matrix(a) * Matrix(b));
+        expectSameBits(a.dagger(), Matrix(a).dagger());
+        const double diff = a.maxAbsDiff(b);
+        EXPECT_EQ(std::bit_cast<uint64_t>(diff),
+                  std::bit_cast<uint64_t>(Matrix(a).maxAbsDiff(Matrix(b))));
+        EXPECT_EQ(a.isUnitary(), Matrix(a).isUnitary());
+    }
+    expectSameBits(Matrix2::identity(), Matrix::identity(2));
+    expectSameBits(Matrix2(), Matrix(2, 2));
+}
+
+TEST(Matrix2, NanEntryPropagatesAndIsNotUnitary)
+{
+    const Matrix2 m(std::nan(""), 0.0, 0.0, 1.0);
+    EXPECT_TRUE(std::isnan(m.maxAbsDiff(Matrix2::identity())));
+    EXPECT_FALSE(m.isUnitary());
+    const double r = 1.0 / std::sqrt(2.0);
+    EXPECT_TRUE(Matrix2(r, r, r, -r).isUnitary());
+    EXPECT_FALSE(Matrix2(1.0, 1.0, 0.0, 1.0).isUnitary());
 }
 
 TEST(Hsd, ZeroForEqualUnitaries)

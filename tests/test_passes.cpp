@@ -5,12 +5,156 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "sim/unitary_sim.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
+#include "transpile/zyz.hpp"
 
 namespace geyser {
 namespace {
+
+/** A 2x2 Matrix's entries as a Matrix2, for the ZYZ calls only. */
+Matrix2
+toMatrix2(const Matrix &m)
+{
+    return Matrix2(m(0, 0), m(0, 1), m(1, 0), m(1, 1));
+}
+
+/**
+ * Reference one-qubit fusion: heap Matrix products, and in a round that
+ * changes the circuit every run is resynthesized, runs of one gate
+ * included. fuseU3Pass must match it bit for bit.
+ */
+bool
+referenceFuse(Circuit &circuit, bool drop_identity)
+{
+    const size_t before = circuit.size();
+    const auto n = static_cast<size_t>(circuit.numQubits());
+    Circuit out(circuit.numQubits());
+    std::vector<Matrix> pending(n);
+    std::vector<bool> hasPending(n, false);
+    int fusedRuns = 0;
+
+    auto flush = [&](Qubit q) {
+        if (!hasPending[static_cast<size_t>(q)])
+            return;
+        const Matrix2 m = toMatrix2(pending[static_cast<size_t>(q)]);
+        if (!(drop_identity && isIdentityUpToPhase(m))) {
+            const U3Params p = u3FromMatrix(m);
+            out.u3(q, p.theta, p.phi, p.lambda);
+        }
+        hasPending[static_cast<size_t>(q)] = false;
+    };
+
+    for (const auto &g : circuit.gates()) {
+        if (g.numQubits() == 1) {
+            const auto q = static_cast<size_t>(g.qubit(0));
+            if (hasPending[q]) {
+                pending[q] = g.matrix() * pending[q];
+                ++fusedRuns;
+            } else {
+                pending[q] = g.matrix();
+                hasPending[q] = true;
+            }
+        } else {
+            for (int i = 0; i < g.numQubits(); ++i)
+                flush(g.qubit(i));
+            out.append(g);
+        }
+    }
+    for (Qubit q = 0; q < circuit.numQubits(); ++q)
+        flush(q);
+
+    const bool changed = fusedRuns > 0 || out.size() != before;
+    if (changed)
+        circuit = std::move(out);
+    return changed;
+}
+
+/** optimize() over referenceFuse. */
+void
+referenceOptimize(Circuit &circuit)
+{
+    for (int round = 0; round < 20; ++round) {
+        bool changed = referenceFuse(circuit, true);
+        changed = cancelCzPass(circuit) || changed;
+        if (!changed)
+            break;
+    }
+}
+
+/** Same gates, operands and parameter bits (-0.0 differs from 0.0). */
+void
+expectBitIdentical(const Circuit &a, const Circuit &b, int trial)
+{
+    ASSERT_EQ(a.size(), b.size()) << "trial " << trial;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const Gate &ga = a.gates()[i];
+        const Gate &gb = b.gates()[i];
+        ASSERT_EQ(ga.kind(), gb.kind()) << "trial " << trial << " gate " << i;
+        for (int q = 0; q < ga.numQubits(); ++q)
+            ASSERT_EQ(ga.qubit(q), gb.qubit(q))
+                << "trial " << trial << " gate " << i;
+        for (int k = 0; k < ga.numParams(); ++k)
+            ASSERT_EQ(std::bit_cast<uint64_t>(ga.param(k)),
+                      std::bit_cast<uint64_t>(gb.param(k)))
+                << "trial " << trial << " gate " << i << " param " << k
+                << ": " << ga.param(k) << " vs " << gb.param(k);
+    }
+}
+
+/**
+ * A physical circuit whose U3 angles come from a grid of 0, +-pi and
+ * 2*pi plus random values, so runs hit identity products, the
+ * theta = pi branch and the diagonal branch of the ZYZ decomposition;
+ * CZ and CCZ gates sit between the U3s.
+ */
+Circuit
+gridCircuit(int width, int numGates, Rng &rng)
+{
+    auto angle = [&] {
+        switch (rng.uniformInt(6)) {
+          case 0:
+            return 0.0;
+          case 1:
+            return kPi;
+          case 2:
+            return -kPi;
+          case 3:
+            return 2.0 * kPi;
+          default:
+            return rng.uniform(-2.0 * kPi, 2.0 * kPi);
+        }
+    };
+    Circuit c(width);
+    for (int i = 0; i < numGates; ++i) {
+        const int kind = rng.uniformInt(10);
+        if (kind == 0 && width >= 2) {
+            const int a = rng.uniformInt(width);
+            const int b = (a + 1 + rng.uniformInt(width - 1)) % width;
+            c.cz(a, b);
+        } else if (kind == 1 && width >= 3) {
+            const int a = rng.uniformInt(width);
+            const int b = (a + 1 + rng.uniformInt(width - 1)) % width;
+            int d = rng.uniformInt(width);
+            while (d == a || d == b)
+                d = rng.uniformInt(width);
+            c.ccz(a, b, d);
+        } else {
+            const double theta = angle();
+            const double phi = angle();
+            c.u3(rng.uniformInt(width), theta, phi, angle());
+        }
+    }
+    return c;
+}
 
 TEST(FusePass, MergesAdjacentU3Runs)
 {
@@ -74,6 +218,76 @@ TEST(FusePass, RejectsLogicalCircuits)
     Circuit c(1);
     c.h(0);
     EXPECT_THROW(fuseU3Pass(c), std::invalid_argument);
+}
+
+TEST(FusePass, RejectsNonFiniteAngles)
+{
+    const double nan = std::nan("");
+    // Inside a fused run: ZYZ sees a NaN product.
+    Circuit fused(1);
+    fused.u3(0, nan, 0.0, 0.0);
+    fused.u3(0, 0.3, 0.0, 0.0);
+    EXPECT_THROW(fuseU3Pass(fused), ValidationError);
+
+    // Alone, in a round that changes nothing: the gate is copied, not
+    // decomposed, and is still rejected.
+    for (const bool dropIdentity : {true, false}) {
+        Circuit lone(2);
+        lone.u3(0, 0.0, nan, 0.0);
+        lone.cz(0, 1);
+        lone.u3(1, 0.2, 0.0, 0.0);
+        EXPECT_THROW(fuseU3Pass(lone, dropIdentity), ValidationError);
+    }
+    Circuit infinite(1);
+    infinite.u3(0, 0.4, 0.0, HUGE_VAL);
+    EXPECT_THROW(fuseU3Pass(infinite), ValidationError);
+}
+
+TEST(FusePass, BitIdenticalToMatrixProductsAndEagerResynthesis)
+{
+    Rng rng(2022);
+    long changedRounds = 0, unchangedRounds = 0;
+    long identityDrops = 0, thetaPi = 0, diagonal = 0;
+    for (int trial = 0; trial < 1200; ++trial) {
+        const int width = 1 + trial % 4;
+        const Circuit c = gridCircuit(width, rng.uniformInt(61), rng);
+        for (const bool dropIdentity : {true, false}) {
+            Circuit lazy = c, eager = c;
+            const bool changed = fuseU3Pass(lazy, dropIdentity);
+            ASSERT_EQ(changed, referenceFuse(eager, dropIdentity))
+                << "trial " << trial;
+            expectBitIdentical(lazy, eager, trial);
+            (changed ? changedRounds : unchangedRounds) += 1;
+            // A second round sees runs of one only.
+            EXPECT_EQ(fuseU3Pass(lazy, dropIdentity),
+                      referenceFuse(eager, dropIdentity));
+            expectBitIdentical(lazy, eager, trial);
+        }
+        Circuit lazy = c, eager = c;
+        optimize(lazy);
+        referenceOptimize(eager);
+        expectBitIdentical(lazy, eager, trial);
+
+        // The grid reaches every branch of the resynthesis: identity
+        // drops, and in a changed round (every U3 resynthesized) the
+        // theta = pi and the diagonal (phi = 0, theta ~ 0) branches.
+        Circuit kept = c, dropped = c;
+        fuseU3Pass(dropped, true);
+        if (!fuseU3Pass(kept, false))
+            continue;
+        identityDrops += dropped.size() < kept.size() ? 1 : 0;
+        for (const Gate &g : kept.gates()) {
+            if (g.kind() != GateKind::U3)
+                continue;
+            thetaPi += g.param(0) == kPi ? 1 : 0;
+            diagonal += g.param(1) == 0.0 && g.param(0) < 1e-6 ? 1 : 0;
+        }
+    }
+    EXPECT_GT(changedRounds, 100);
+    EXPECT_GT(unchangedRounds, 10);
+    EXPECT_GT(identityDrops, 10);
+    EXPECT_GT(thetaPi, 10);
+    EXPECT_GT(diagonal, 10);
 }
 
 TEST(CancelCz, AdjacentPairCancels)

@@ -323,7 +323,7 @@ TEST(UnitarySim, SingleGateMatchesGateMatrix)
     Circuit c(1);
     c.u3(0, 0.4, 1.2, -0.8);
     const auto u = circuitUnitary(c);
-    EXPECT_LT(u.maxAbsDiff(u3Matrix(0.4, 1.2, -0.8)), 1e-12);
+    EXPECT_LT(u.maxAbsDiff(Matrix(u3Matrix(0.4, 1.2, -0.8))), 1e-12);
 }
 
 TEST(UnitarySim, CircuitUnitaryIsUnitary)
