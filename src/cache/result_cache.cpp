@@ -363,8 +363,9 @@ compileCacheKey(const Circuit &logical, const PipelineOptions &options,
     h.feedValue(kPipelineVersion);
     h.feedValue(static_cast<int>(technique));
     h.feedString(circuitToText(logical));
-    // Every option that can change the compiled output, and nothing
-    // else: verifyEquivalence adds checks, never changes the result.
+    // Every option (and the arithmetic) that can change the compiled
+    // output, and nothing else: verifyEquivalence adds checks, never
+    // changes the result.
     feedBehaviourOptions(h, options.compose, &options.blocker);
     return "c-" + h.hex();
 }

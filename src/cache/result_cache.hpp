@@ -183,9 +183,9 @@ class ResultCache
 /**
  * Content-addressed key for a whole-circuit compile: FNV-1a 128 over
  * kPipelineVersion, the technique, the serialized logical circuit, and
- * the options that can change the compiled output, as fed by
- * feedBehaviourOptions (verifyEquivalence is excluded — it does not
- * alter the result).
+ * the options and arithmetic (compute backend, compiler) that can change
+ * the compiled output, as fed by feedBehaviourOptions (verifyEquivalence
+ * is excluded — it does not alter the result).
  */
 std::string compileCacheKey(const Circuit &logical,
                             const PipelineOptions &options,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <type_traits>
@@ -12,6 +13,7 @@
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "io/framing.hpp"
+#include "linalg/kernels/backend.hpp"
 #include "obs/obs.hpp"
 #include "opt/dual_annealing.hpp"
 #include "sim/unitary_sim.hpp"
@@ -529,6 +531,13 @@ feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
     h.feedValue(static_cast<int>(compose.entanglerMode));
     if (blocker != nullptr)
         h.feedValue(blocker->pulseAware);
+    // The arithmetic the search runs on. Backends round differently, so
+    // rotosolve can settle on other angles within the threshold; another
+    // compiler's codegen and libm can do the same. Each name is fed with
+    // its terminating NUL so the two cannot run together.
+    const char *backend = kernels::active().name;
+    h.feed(backend, std::strlen(backend) + 1);
+    h.feed(__VERSION__, sizeof(__VERSION__));
 }
 
 ComposeResult

@@ -94,9 +94,12 @@ ComposeResult composeBlockCached(const Circuit &block,
  * Feed every option that can change a compiled circuit into `h`: the
  * optimizer and the entangler mode, plus the blocker's pulse-aware
  * scoring when `blocker` is given (whole-circuit keys; how a block was
- * found does not change its composition). compileCacheKey,
- * skeletonCacheKey and the composition memo all hash their options
- * through this one function, so their option sets cannot drift apart.
+ * found does not change its composition), then the arithmetic the
+ * compile runs on: the active compute backend's name and the compiler
+ * identity (`__VERSION__`), since either can move composed angles.
+ * compileCacheKey, skeletonCacheKey and the composition memo all hash
+ * their options through this one function, so their option sets cannot
+ * drift apart.
  */
 void feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
                           const BlockerOptions *blocker = nullptr);

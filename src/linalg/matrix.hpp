@@ -5,7 +5,8 @@
  * Dimensions in this library are small (2x2 for one-qubit gates up to a
  * few thousand for whole-circuit unitaries of <= ~10 qubits), so a plain
  * row-major dense representation is the right tool. One-qubit unitaries
- * on the transpile path use the fixed-size Matrix2 instead.
+ * on the transpile path and in the statevector simulator use the
+ * fixed-size Matrix2 instead.
  */
 #ifndef GEYSER_LINALG_MATRIX_HPP
 #define GEYSER_LINALG_MATRIX_HPP
@@ -23,7 +24,8 @@ namespace geyser {
 /**
  * Fixed-size 2x2 complex matrix: the one representation of a one-qubit
  * unitary on the transpile path (gate matrices, ZYZ resynthesis,
- * one-qubit fusion). A stack value; nothing allocates.
+ * one-qubit fusion) and in the statevector simulator. A stack value;
+ * nothing allocates.
  *
  * Its arithmetic is Matrix's, entry for entry, so a product or check
  * computed here is bit-identical to the same one on a 2x2 Matrix.
@@ -41,6 +43,9 @@ class Matrix2
 
     Complex &operator()(int r, int c) { return m_[index(r, c)]; }
     const Complex &operator()(int r, int c) const { return m_[index(r, c)]; }
+
+    /** The four entries, row by row. */
+    const Complex *data() const { return m_.data(); }
 
     /**
      * Matrix::operator*'s small-matrix loop: start from zero, skip zero

@@ -281,17 +281,8 @@ class ReadoutErrorSource final : public NoiseSource
 
     void onReadout(Distribution &p, ShotContext &ctx) const override
     {
-        for (Qubit q = 0; q < ctx.numQubits; ++q) {
-            const size_t mask = size_t{1} << q;
-            for (size_t i = 0; i < p.size(); ++i) {
-                if (i & mask)
-                    continue;
-                const double p0 = p[i];
-                const double p1 = p[i | mask];
-                p[i] = (1.0 - flip_) * p0 + flip_ * p1;
-                p[i | mask] = flip_ * p0 + (1.0 - flip_) * p1;
-            }
-        }
+        for (Qubit q = 0; q < ctx.numQubits; ++q)
+            applyReadoutFlip(p, q, flip_);
         ctx.countEvent(id());
     }
 

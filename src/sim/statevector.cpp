@@ -20,6 +20,31 @@ allQubits(int num_qubits)
     return (size_t{1} << num_qubits) - 1;
 }
 
+/**
+ * Calls f(i) for every index i < n with all bits of `mask` set, in
+ * increasing order: (i + 1) | mask is the next such index after i.
+ */
+template <typename F>
+void
+forEachSet(size_t n, size_t mask, F &&f)
+{
+    for (size_t i = mask; i < n; i = (i + 1) | mask)
+        f(i);
+}
+
+/**
+ * Calls f(i, i | bit) for every index i < n with the one-bit mask `bit`
+ * clear, in increasing order of i.
+ */
+template <typename F>
+void
+forEachPair(size_t n, size_t bit, F &&f)
+{
+    for (size_t base = 0; base < n; base += 2 * bit)
+        for (size_t i = base; i < base + bit; ++i)
+            f(i, i | bit);
+}
+
 }  // namespace
 
 StateVector::StateVector(int num_qubits)
@@ -76,32 +101,39 @@ StateVector::apply(const Gate &gate)
         applyXAt(size_t{1} << slots[0]);
         return;
       case GateKind::Z:
-        applyZAt(size_t{1} << slots[0]);
+        negateWhereSet(size_t{1} << slots[0]);
         return;
       case GateKind::Y:
         applyYAt(size_t{1} << slots[0]);
         return;
-      case GateKind::CZ: {
-        const size_t ma = size_t{1} << slots[0];
-        const size_t mb = size_t{1} << slots[1];
-        for (size_t i = 0; i < amps_.size(); ++i)
-            if ((i & ma) && (i & mb))
-                amps_[i] = -amps_[i];
+      case GateKind::CZ:
+        negateWhereSet((size_t{1} << slots[0]) | (size_t{1} << slots[1]));
         return;
-      }
-      case GateKind::CCZ: {
-        const size_t m = (size_t{1} << slots[0]) |
-                         (size_t{1} << slots[1]) |
-                         (size_t{1} << slots[2]);
-        for (size_t i = 0; i < amps_.size(); ++i)
-            if ((i & m) == m)
-                amps_[i] = -amps_[i];
+      case GateKind::CCZ:
+        negateWhereSet((size_t{1} << slots[0]) | (size_t{1} << slots[1]) |
+                       (size_t{1} << slots[2]));
         return;
-      }
       default:
         break;
     }
-    applyMatrixAt(gate.matrix(), slots, k);
+    if (k == 1)
+        apply1qAt(gate.matrix2(), slots[0]);
+    else
+        applyMatrixAt(gate.matrix(), slots, k);
+}
+
+void
+StateVector::apply(const Matrix2 &u, Qubit q)
+{
+    apply1qAt(u, slotOf(q));
+}
+
+bool
+StateVector::usesMatrix2(const Gate &gate)
+{
+    const GateKind kind = gate.kind();
+    return gate.numQubits() == 1 && kind != GateKind::X &&
+           kind != GateKind::Y && kind != GateKind::Z;
 }
 
 void
@@ -141,12 +173,7 @@ StateVector::applyMatrixAt(const Matrix &m, const int *slots, int k)
     // through the dispatched compute backend instead of the generic
     // gather/scatter loop below.
     if (k == 1) {
-        Complex u[4];
-        for (int r = 0; r < 2; ++r)
-            for (int c = 0; c < 2; ++c)
-                u[r * 2 + c] = m(r, c);
-        kernels::active().svApply1q(amps_.data(), amps_.size(), slots[0],
-                                    u);
+        apply1qAt(Matrix2(m(0, 0), m(0, 1), m(1, 0), m(1, 1)), slots[0]);
         return;
     }
     if (k == 2 && slots[0] != slots[1]) {
@@ -199,6 +226,12 @@ StateVector::applyMatrixAt(const Matrix &m, const int *slots, int k)
 }
 
 void
+StateVector::apply1qAt(const Matrix2 &u, int slot)
+{
+    kernels::active().svApply1q(amps_.data(), amps_.size(), slot, u.data());
+}
+
+void
 StateVector::applyX(Qubit q)
 {
     applyXAt(size_t{1} << slotOf(q));
@@ -210,7 +243,7 @@ StateVector::applyZ(Qubit q)
     // Z|0> = |0>: a pinned qubit has nothing to negate.
     if (isPinned(q))
         return;
-    applyZAt(size_t{1} << slotOf(q));
+    negateWhereSet(size_t{1} << slotOf(q));
 }
 
 void
@@ -222,30 +255,26 @@ StateVector::applyY(Qubit q)
 void
 StateVector::applyXAt(size_t mask)
 {
-    for (size_t i = 0; i < amps_.size(); ++i)
-        if (!(i & mask))
-            std::swap(amps_[i], amps_[i | mask]);
+    forEachPair(amps_.size(), mask, [this](size_t i0, size_t i1) {
+        std::swap(amps_[i0], amps_[i1]);
+    });
 }
 
 void
-StateVector::applyZAt(size_t mask)
+StateVector::negateWhereSet(size_t mask)
 {
-    for (size_t i = 0; i < amps_.size(); ++i)
-        if (i & mask)
-            amps_[i] = -amps_[i];
+    forEachSet(amps_.size(), mask, [this](size_t i) { amps_[i] = -amps_[i]; });
 }
 
 void
 StateVector::applyYAt(size_t mask)
 {
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        if (!(i & mask)) {
-            const Complex a0 = amps_[i];
-            const Complex a1 = amps_[i | mask];
-            amps_[i] = -kI * a1;
-            amps_[i | mask] = kI * a0;
-        }
-    }
+    forEachPair(amps_.size(), mask, [this](size_t i0, size_t i1) {
+        const Complex a0 = amps_[i0];
+        const Complex a1 = amps_[i1];
+        amps_[i0] = -kI * a1;
+        amps_[i1] = kI * a0;
+    });
 }
 
 double
@@ -254,11 +283,10 @@ StateVector::probOne(Qubit q) const
     // A pinned qubit reads 0 with certainty.
     if (isPinned(q))
         return 0.0;
-    const size_t mask = size_t{1} << slotOf(q);
+    // A serial sum in increasing index order; never reassociate it.
     double p1 = 0.0;
-    for (size_t i = 0; i < amps_.size(); ++i)
-        if (i & mask)
-            p1 += std::norm(amps_[i]);
+    forEachSet(amps_.size(), size_t{1} << slotOf(q),
+               [&](size_t i) { p1 += std::norm(amps_[i]); });
     return p1;
 }
 
@@ -273,20 +301,20 @@ StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
         // K1|psi> has no other support, so the in-place overwrite of
         // the old q=0 amplitudes is exactly the channel's action.
         const double inv = 1.0 / std::sqrt(p1);
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (i & mask) {
-                amps_[i & ~mask] = amps_[i] * inv;
-                amps_[i] = 0.0;
-            }
-        }
+        forEachPair(amps_.size(), mask, [&](size_t i0, size_t i1) {
+            amps_[i0] = amps_[i1] * inv;
+            amps_[i1] = 0.0;
+        });
         return true;
     }
     // No jump (K0 = diag(1, sqrt(1 - gamma))), renormalized by the
     // branch probability 1 - gamma * p1.
     const double invNorm = 1.0 / std::sqrt(1.0 - pJump);
     const double scale1 = std::sqrt(1.0 - gamma) * invNorm;
-    for (size_t i = 0; i < amps_.size(); ++i)
-        amps_[i] *= (i & mask) ? scale1 : invNorm;
+    forEachPair(amps_.size(), mask, [&](size_t i0, size_t i1) {
+        amps_[i0] *= invNorm;
+        amps_[i1] *= scale1;
+    });
     return false;
 }
 
@@ -331,6 +359,26 @@ idealDistribution(const Circuit &circuit)
     StateVector sv(circuit.numQubits());
     sv.apply(circuit);
     return sv.probabilities();
+}
+
+void
+depolarizeOutcome(Distribution &p, Qubit q)
+{
+    forEachPair(p.size(), size_t{1} << q, [&p](size_t i0, size_t i1) {
+        const double avg = 0.5 * (p[i0] + p[i1]);
+        p[i0] = p[i1] = avg;
+    });
+}
+
+void
+applyReadoutFlip(Distribution &p, Qubit q, double flip)
+{
+    forEachPair(p.size(), size_t{1} << q, [&p, flip](size_t i0, size_t i1) {
+        const double p0 = p[i0];
+        const double p1 = p[i1];
+        p[i0] = (1.0 - flip) * p0 + flip * p1;
+        p[i1] = flip * p0 + (1.0 - flip) * p1;
+    });
 }
 
 }  // namespace geyser

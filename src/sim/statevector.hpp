@@ -59,6 +59,20 @@ class StateVector
     void apply(const Circuit &circuit);
 
     /**
+     * Apply the one-qubit unitary u to qubit q. apply(gate) runs every
+     * one-qubit gate but X, Y and Z (see usesMatrix2) through this with
+     * gate.matrix2(), so a caller that applies one gate many times may
+     * build u once and get the same amplitudes bit for bit.
+     */
+    void apply(const Matrix2 &u, Qubit q);
+
+    /**
+     * True when apply(gate) applies gate.matrix2() through apply(u, q):
+     * a one-qubit gate other than X, Y and Z, which keep fast paths.
+     */
+    static bool usesMatrix2(const Gate &gate);
+
+    /**
      * Apply a k-qubit matrix to the given qubits; qubits[0] is the local
      * least-significant bit. The matrix must be 2^k x 2^k.
      */
@@ -108,10 +122,15 @@ class StateVector
     /** Storage bit of qubit q; throws std::logic_error if q is pinned. */
     int slotOf(Qubit q) const;
 
-    /** The Pauli and matrix kernels, on storage bits. */
+    /**
+     * The kernels, on storage bits. Each visits only the amplitudes it
+     * changes, in increasing index order (DESIGN §14, "Per-gate work").
+     */
     void applyXAt(size_t mask);
-    void applyZAt(size_t mask);
     void applyYAt(size_t mask);
+    /** Negate every amplitude whose index has all bits of `mask` set. */
+    void negateWhereSet(size_t mask);
+    void apply1qAt(const Matrix2 &u, int slot);
     void applyMatrixAt(const Matrix &m, const int *slots, int k);
 
     int numQubits_ = 0;
@@ -122,6 +141,20 @@ class StateVector
 
 /** Ideal output distribution of a circuit started from |0...0>. */
 Distribution idealDistribution(const Circuit &circuit);
+
+/**
+ * The readout of a lost atom: each pair of outcomes of `p` that differ
+ * only in qubit q gets the pair's mean, so q reads 0 or 1 with equal
+ * odds. `p` covers a whole register (2^n entries, q < n).
+ */
+void depolarizeOutcome(Distribution &p, Qubit q);
+
+/**
+ * The symmetric readout confusion matrix on qubit q of `p`: each pair
+ * (p0, p1) that differs only in q becomes ((1 - flip) p0 + flip p1,
+ * flip p0 + (1 - flip) p1). `p` covers a whole register (q < n).
+ */
+void applyReadoutFlip(Distribution &p, Qubit q, double flip);
 
 }  // namespace geyser
 

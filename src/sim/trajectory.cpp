@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -26,6 +27,12 @@ struct EngineContext
 {
     /** Basis-index mask of the atoms that get amplitudes. */
     size_t simulated = 0;
+    /**
+     * Per gate, its matrix2() when StateVector::apply would build one
+     * (StateVector::usesMatrix2): built once per call, not once per
+     * trajectory.
+     */
+    std::vector<std::optional<Matrix2>> unitaries;
     /** Sources in application order (already reversed if requested). */
     std::vector<const NoiseSource *> sources;
     /** Restriction zones per gate (empty when crosstalk is off). */
@@ -174,7 +181,10 @@ accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
         }
         for (const NoiseSource *s : engine.sources)
             s->onIdle(sv, ev, ctx);
-        sv.apply(g);
+        if (const auto &u = engine.unitaries[gi])
+            sv.apply(*u, g.qubit(0));
+        else
+            sv.apply(g);
         // Two canonical phases: Pauli-type injection (commutes up to a
         // global phase), then relaxation (damping, which does not
         // commute with injection) — so registration order cannot
@@ -188,20 +198,11 @@ accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
     }
 
     auto p = sv.probabilities();
-    if (ctx.anyLost) {
-        // Depolarized readout: average each lost qubit over both values.
-        for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-            if (!ctx.isLost(q))
-                continue;
-            const size_t mask = size_t{1} << q;
-            for (size_t i = 0; i < p.size(); ++i) {
-                if (!(i & mask)) {
-                    const double avg = 0.5 * (p[i] + p[i | mask]);
-                    p[i] = p[i | mask] = avg;
-                }
-            }
-        }
-    }
+    // Depolarized readout: a lost qubit reads either value.
+    if (ctx.anyLost)
+        for (Qubit q = 0; q < circuit.numQubits(); ++q)
+            if (ctx.isLost(q))
+                depolarizeOutcome(p, q);
     for (const NoiseSource *s : engine.sources)
         s->onReadout(p, ctx);
 
@@ -247,6 +248,10 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
         noise.isNoiseless() ? 1 : config.trajectories;
     EngineContext engine;
     engine.simulated = simulatedAtoms(circuit);
+    engine.unitaries.resize(circuit.size());
+    for (size_t gi = 0; gi < circuit.size(); ++gi)
+        if (StateVector::usesMatrix2(circuit.gates()[gi]))
+            engine.unitaries[gi] = circuit.gates()[gi].matrix2();
     obs::Span span("sim.trajectories", "sim");
     span.arg("trajectories", traj);
     span.arg("qubits", circuit.numQubits());
@@ -279,40 +284,50 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
         engine.idle = idleDurations(circuit);
 
     // Trajectories accumulate in fixed-size chunks and the chunk sums
-    // combine in chunk order, so serial and parallel runs (on any worker
-    // count) produce bit-identical distributions for the same seed.
+    // fold into the total in chunk order, so serial and parallel runs
+    // (on any worker count) produce bit-identical distributions for the
+    // same seed. Chunks run in windows of kWindow whose sums fold as the
+    // window completes, so at most kWindow sums (one on the serial path)
+    // exist however many trajectories run.
     constexpr int kChunk = 16;
+    constexpr int kWindow = 64;
     const int chunks = (traj + kChunk - 1) / kChunk;
-    std::vector<Distribution> partial(static_cast<size_t>(chunks),
-                                      Distribution(dim, 0.0));
-    std::vector<ChannelTally> tallies(static_cast<size_t>(chunks),
-                                      ChannelTally{});
-    auto runChunk = [&](int c) {
-        const int begin = c * kChunk;
-        const int end = std::min(traj, begin + kChunk);
-        for (int t = begin; t < end; ++t)
-            accumulateTrajectory(circuit, engine,
-                                 config.seed + static_cast<uint64_t>(t),
-                                 partial[static_cast<size_t>(c)],
-                                 tallies[static_cast<size_t>(c)]);
-    };
-    if (config.parallel && chunks > 1) {
-        globalPool().parallelFor(chunks, runChunk);
-    } else {
-        for (int c = 0; c < chunks; ++c)
-            runChunk(c);
-    }
+    const bool parallel = config.parallel && chunks > 1;
+    const int window = parallel ? std::min(chunks, kWindow) : 1;
+    std::vector<Distribution> partial(static_cast<size_t>(window));
+    std::vector<ChannelTally> tallies(static_cast<size_t>(window));
     Distribution total(dim, 0.0);
-    for (const auto &p : partial)
-        for (size_t i = 0; i < dim; ++i)
-            total[i] += p[i];
+    ChannelTally events{};
+    for (int first = 0; first < chunks; first += window) {
+        const int count = std::min(window, chunks - first);
+        auto runChunk = [&](int w) {
+            Distribution &acc = partial[static_cast<size_t>(w)];
+            acc.assign(dim, 0.0);
+            tallies[static_cast<size_t>(w)] = {};
+            const int begin = (first + w) * kChunk;
+            const int end = std::min(traj, begin + kChunk);
+            for (int t = begin; t < end; ++t)
+                accumulateTrajectory(circuit, engine,
+                                     config.seed + static_cast<uint64_t>(t),
+                                     acc, tallies[static_cast<size_t>(w)]);
+        };
+        if (parallel && count > 1) {
+            globalPool().parallelFor(count, runChunk);
+        } else {
+            for (int w = 0; w < count; ++w)
+                runChunk(w);
+        }
+        for (int w = 0; w < count; ++w) {
+            const Distribution &p = partial[static_cast<size_t>(w)];
+            for (size_t i = 0; i < dim; ++i)
+                total[i] += p[i];
+            for (size_t c = 0; c < kNumNoiseChannels; ++c)
+                events[c] += tallies[static_cast<size_t>(w)][c];
+        }
+    }
     for (auto &v : total)
         v /= traj;
 
-    ChannelTally events{};
-    for (const auto &t : tallies)
-        for (size_t c = 0; c < kNumNoiseChannels; ++c)
-            events[c] += t[c];
     for (size_t c = 0; c < kNumNoiseChannels; ++c) {
         if (events[c] == 0)
             continue;

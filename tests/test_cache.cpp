@@ -28,6 +28,7 @@
 #include "geyser/pipeline.hpp"
 #include "io/framing.hpp"
 #include "io/serialize.hpp"
+#include "linalg/kernels/backend.hpp"
 
 namespace geyser {
 namespace {
@@ -545,6 +546,39 @@ TEST_F(CacheTest, CompileEntryOfAnotherTechniqueIsQuarantined)
     EXPECT_FALSE(result.cacheHit);
     EXPECT_EQ(cache.stats().corrupt, 1);
     EXPECT_TRUE(fs::exists(cache.entryPath(key) + ".corrupt"));
+}
+
+TEST_F(CacheTest, CompileOnAnotherBackendMisses)
+{
+    // Backends round differently, so a Geyser compile can settle on
+    // other angles: an entry a scalar compile stored must not be served
+    // to a compile on a SIMD backend.
+    std::string simd;
+    for (const auto &info : kernels::availableBackends()) {  // best first
+        if (info.backend != nullptr && info.name != "scalar") {
+            simd = info.name;
+            break;
+        }
+    }
+    if (simd.empty())
+        GTEST_SKIP() << "only the scalar backend is usable on this host";
+    const Circuit logical = benchmarkByName("adder-4").make();
+    cache::ResultCache cache(config());
+    PipelineOptions options;
+    options.cache = &cache;
+    {
+        kernels::ScopedBackend scoped("scalar");
+        EXPECT_FALSE(compile(Technique::Geyser, logical, options).cacheHit);
+    }
+    kernels::ScopedBackend scoped(simd);
+    ASSERT_TRUE(scoped.honoured()) << simd;
+    const CompileResult served = compile(Technique::Geyser, logical, options);
+    EXPECT_FALSE(served.cacheHit);
+    EXPECT_EQ(cache.stats().hits, 0);
+    PipelineOptions uncached;
+    EXPECT_EQ(circuitToText(served.physical),
+              circuitToText(compile(Technique::Geyser, logical, uncached)
+                                .physical));
 }
 
 TEST_F(CacheTest, GeyserCompileStoresOnlyItsCompileEntry)

@@ -4,7 +4,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/rng.hpp"
 #include "compose/composer.hpp"
+#include "io/serialize.hpp"
+#include "linalg/kernels/backend.hpp"
 #include "sim/unitary_sim.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
@@ -100,6 +105,47 @@ TEST(ComposeMemo, DistinguishesOptions)
         EXPECT_EQ(cached.layersUsed, direct.layersUsed);
         EXPECT_EQ(cached.circuit.totalPulses(), direct.circuit.totalPulses());
     }
+}
+
+TEST(ComposeMemo, DistinguishesBackends)
+{
+    // Backends round differently, so rotosolve can settle on other
+    // angles: a block the memo composed under scalar must not be served
+    // to a compile on a SIMD backend.
+    std::string simd;
+    for (const auto &info : kernels::availableBackends()) {  // best first
+        if (info.backend != nullptr && info.name != "scalar") {
+            simd = info.name;
+            break;
+        }
+    }
+    if (simd.empty())
+        GTEST_SKIP() << "only the scalar backend is usable on this host";
+    // Three rounds of random U3s and a CZ; no other test composes it.
+    Rng rng(7);
+    Circuit block(2);
+    for (int round = 0; round < 3; ++round) {
+        for (Qubit q = 0; q < 2; ++q) {
+            const double theta = rng.uniform(0.0, 3.1);
+            const double phi = rng.uniform(-3.1, 3.1);
+            const double lambda = rng.uniform(-3.1, 3.1);
+            block.u3(q, theta, phi, lambda);
+        }
+        block.cz(0, 1);
+    }
+    std::string scalarText;
+    {
+        kernels::ScopedBackend scoped("scalar");
+        scalarText = circuitToText(composeBlockCached(block).circuit);
+    }
+    kernels::ScopedBackend scoped(simd);
+    ASSERT_TRUE(scoped.honoured()) << simd;
+    const ComposeResult direct = composeBlockWithSplits(block);
+    ASSERT_TRUE(direct.composed);
+    ASSERT_NE(circuitToText(direct.circuit), scalarText)
+        << "scalar and " << simd << " no longer compose this block apart";
+    EXPECT_EQ(circuitToText(composeBlockCached(block).circuit),
+              circuitToText(direct.circuit));
 }
 
 TEST(ComposeMemo, DistinguishesGateParameters)

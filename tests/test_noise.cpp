@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <cstring>
 #include <iterator>
 #include <map>
 #include <string>
@@ -168,6 +171,73 @@ TEST(Trajectory, ParallelMatchesSerial)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_NEAR(a[i], b[i], 1e-12);
+}
+
+TEST(Trajectory, ChunkSumsFoldInChunkOrderAcrossWindows)
+{
+    // A chunk sums 16 trajectories, exactly 16 times the output of a
+    // 16-trajectory run from the chunk's first seed (dividing by 16 is
+    // exact). So the whole run is those runs folded in chunk order,
+    // bit for bit. 200 chunks span several of the engine's fold windows.
+    Circuit c(3);
+    c.h(0);
+    c.cx(0, 1);
+    c.cx(1, 2);
+    c.rx(2, 0.3);
+    NoiseModel noise = NoiseModel::paperDefault();
+    noise.ampDamping = 0.02;
+    noise.readoutError = 0.01;
+    constexpr int kChunks = 200;
+    constexpr uint64_t kSeed = 99;
+    Distribution want(8, 0.0);
+    for (int chunk = 0; chunk < kChunks; ++chunk) {
+        const Distribution run = noisyDistribution(
+            c, noise,
+            TrajectoryConfig{16, kSeed + 16 * static_cast<uint64_t>(chunk),
+                             false});
+        for (size_t i = 0; i < want.size(); ++i)
+            want[i] += 16.0 * run[i];
+    }
+    for (auto &v : want)
+        v /= 16 * kChunks;
+    for (const bool parallel : {false, true}) {
+        const Distribution got = noisyDistribution(
+            c, noise, TrajectoryConfig{16 * kChunks, kSeed, parallel});
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << (parallel ? "parallel" : "serial");
+    }
+}
+
+/** Peak resident set of this process, KiB (Linux ru_maxrss). */
+long
+peakRssKib()
+{
+    struct rusage usage {};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(Trajectory, ChunkSumsStayBoundedAsTrajectoriesGrow)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "a sanitizer allocator holds freed blocks and shadow "
+                    "memory, so peak RSS does not track live buffers";
+#endif
+    // Gates on atoms 0 and 1 of 14: each trajectory is cheap, but every
+    // chunk sum covers 2^14 outcomes (128 KiB). Holding all 1024 chunk
+    // sums to the end would raise peak RSS by 128 MiB per call; the
+    // fold window holds 64 (8 MiB), one when serial.
+    Circuit c(14);
+    c.h(0);
+    c.cx(0, 1);
+    const long before = peakRssKib();
+    for (const bool parallel : {false, true})
+        noisyDistribution(c, NoiseModel::paperDefault(),
+                          TrajectoryConfig{16 * 1024, 5, parallel});
+    EXPECT_LT(peakRssKib() - before, 48 * 1024);
 }
 
 /** Numeric args of the `sim.trajectories` span of one traced call. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Statevector simulator tests: basis-state evolution, entanglement,
- * agreement between the generic matrix path and the fast paths, and a
- * register with pinned qubits against the full register.
+ * agreement between the generic matrix path and the fast paths, a
+ * register with pinned qubits against the full register, and the
+ * strided loops against a test-every-index reference.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "linalg/kernels/backend.hpp"
 #include "sim/statevector.hpp"
 #include "sim/unitary_sim.hpp"
 
@@ -230,7 +232,7 @@ TEST(StateVector, PinnedRegisterMatchesFullRegisterBitForBit)
             StateVector part = StateVector::pinned(kQubits, simulated);
             EXPECT_EQ(part.dim(), size_t{1} << std::popcount(simulated));
             for (int step = 0; step < 120; ++step) {
-                const int op = rng.uniformInt(9);
+                const int op = rng.uniformInt(10);
                 if (op == 0) {
                     const Gate g(GateKind::U3, pickDistinct(rng, busy, 1)[0],
                                  rng.uniform(0.0, 3.2), rng.uniform(-3.2, 3.2),
@@ -274,6 +276,15 @@ TEST(StateVector, PinnedRegisterMatchesFullRegisterBitForBit)
                     const Qubit q = pickDistinct(rng, busy, 1)[0];
                     EXPECT_EQ(bitsOf(full.probOne(q)),
                               bitsOf(part.probOne(q)));
+                } else if (op == 9) {
+                    // The one-qubit entry the trajectory engine uses.
+                    const Qubit q = pickDistinct(rng, busy, 1)[0];
+                    const double theta = rng.uniform(0.0, 3.2);
+                    const double phi = rng.uniform(-3.2, 3.2);
+                    const double lambda = rng.uniform(-3.2, 3.2);
+                    const Matrix2 u = u3Matrix(theta, phi, lambda);
+                    full.apply(u, q);
+                    part.apply(u, q);
                 }
             }
             const Distribution want = full.probabilities();
@@ -283,6 +294,233 @@ TEST(StateVector, PinnedRegisterMatchesFullRegisterBitForBit)
                 EXPECT_EQ(bitsOf(got[i]), bitsOf(want[i])) << "outcome " << i;
         }
     }
+}
+
+/**
+ * The statevector and readout operations as loops that test every
+ * index: the reference the strided loops must match bit for bit. Masks
+ * are storage bits; a one-qubit gate applies the entries of
+ * gate.matrix() through the active backend's svApply1q.
+ */
+namespace reference {
+
+void
+apply1q(std::vector<Complex> &a, size_t mask, const Matrix &m)
+{
+    const Complex u[4] = {m(0, 0), m(0, 1), m(1, 0), m(1, 1)};
+    kernels::active().svApply1q(a.data(), a.size(), std::countr_zero(mask),
+                                u);
+}
+
+void
+applyX(std::vector<Complex> &a, size_t mask)
+{
+    for (size_t i = 0; i < a.size(); ++i)
+        if (!(i & mask))
+            std::swap(a[i], a[i | mask]);
+}
+
+void
+applyY(std::vector<Complex> &a, size_t mask)
+{
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (!(i & mask)) {
+            const Complex a0 = a[i];
+            const Complex a1 = a[i | mask];
+            a[i] = -kI * a1;
+            a[i | mask] = kI * a0;
+        }
+    }
+}
+
+void
+applyZ(std::vector<Complex> &a, size_t mask)
+{
+    for (size_t i = 0; i < a.size(); ++i)
+        if (i & mask)
+            a[i] = -a[i];
+}
+
+void
+applyCz(std::vector<Complex> &a, size_t ma, size_t mb)
+{
+    for (size_t i = 0; i < a.size(); ++i)
+        if ((i & ma) && (i & mb))
+            a[i] = -a[i];
+}
+
+void
+applyCcz(std::vector<Complex> &a, size_t m)
+{
+    for (size_t i = 0; i < a.size(); ++i)
+        if ((i & m) == m)
+            a[i] = -a[i];
+}
+
+double
+probOne(const std::vector<Complex> &a, size_t mask)
+{
+    double p1 = 0.0;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (i & mask)
+            p1 += std::norm(a[i]);
+    return p1;
+}
+
+bool
+applyAmplitudeDamping(std::vector<Complex> &a, size_t mask, double gamma,
+                      double u)
+{
+    const double p1 = probOne(a, mask);
+    const double pJump = gamma * p1;
+    if (u < pJump) {
+        const double inv = 1.0 / std::sqrt(p1);
+        for (size_t i = 0; i < a.size(); ++i) {
+            if (i & mask) {
+                a[i & ~mask] = a[i] * inv;
+                a[i] = 0.0;
+            }
+        }
+        return true;
+    }
+    const double invNorm = 1.0 / std::sqrt(1.0 - pJump);
+    const double scale1 = std::sqrt(1.0 - gamma) * invNorm;
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] *= (i & mask) ? scale1 : invNorm;
+    return false;
+}
+
+void
+depolarize(Distribution &p, Qubit q)
+{
+    const size_t mask = size_t{1} << q;
+    for (size_t i = 0; i < p.size(); ++i) {
+        if (!(i & mask)) {
+            const double avg = 0.5 * (p[i] + p[i | mask]);
+            p[i] = p[i | mask] = avg;
+        }
+    }
+}
+
+void
+readoutFlip(Distribution &p, Qubit q, double flip)
+{
+    const size_t mask = size_t{1} << q;
+    for (size_t i = 0; i < p.size(); ++i) {
+        if (i & mask)
+            continue;
+        const double p0 = p[i];
+        const double p1 = p[i | mask];
+        p[i] = (1.0 - flip) * p0 + flip * p1;
+        p[i | mask] = flip * p0 + (1.0 - flip) * p1;
+    }
+}
+
+}  // namespace reference
+
+template <typename T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
+{
+    // Seeded random op sequences on full and pinned registers (idle sets
+    // with atoms 0, 1, 2 and the top atom), every amplitude and
+    // probability compared bit for bit with the reference after every
+    // op; then readout flips and depolarization on the widened output.
+    constexpr int kQubits = 7;
+    const std::vector<std::vector<Qubit>> idleSets = {
+        {}, {0}, {1}, {2}, {6}, {0, 1, 6}, {2, 4}, {1, 3, 5, 6}};
+    int jumps = 0, stays = 0;
+    for (const auto &idle : idleSets) {
+        size_t simulated = (size_t{1} << kQubits) - 1;
+        for (const Qubit q : idle)
+            if (q >= 2)
+                simulated &= ~(size_t{1} << q);
+        std::vector<Qubit> busy;
+        for (Qubit q = 0; q < kQubits; ++q)
+            if (((simulated >> q) & 1) &&
+                std::find(idle.begin(), idle.end(), q) == idle.end())
+                busy.push_back(q);
+        // Storage-bit mask of a simulated qubit.
+        const auto slot = [simulated](Qubit q) {
+            return size_t{1}
+                   << std::popcount(simulated & ((size_t{1} << q) - 1));
+        };
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(::testing::Message() << "simulated mask "
+                                              << simulated << ", seed "
+                                              << seed);
+            Rng rng(seed);
+            StateVector sv = StateVector::pinned(kQubits, simulated);
+            std::vector<Complex> ref = sv.amplitudes();
+            for (int step = 0; step < 150; ++step) {
+                const int op = rng.uniformInt(9);
+                const auto qs = pickDistinct(rng, busy, op == 6 ? 3 : 2);
+                if (op <= 1) {
+                    const double theta = rng.uniform(0.0, 3.2);
+                    const double phi = rng.uniform(-3.2, 3.2);
+                    const double lambda = rng.uniform(-3.2, 3.2);
+                    const Gate g(GateKind::U3, qs[0], theta, phi, lambda);
+                    if (op == 0)
+                        sv.apply(g);
+                    else
+                        sv.apply(g.matrix2(), qs[0]);
+                    reference::apply1q(ref, slot(qs[0]), g.matrix());
+                } else if (op == 2) {
+                    sv.applyX(qs[0]);
+                    reference::applyX(ref, slot(qs[0]));
+                } else if (op == 3) {
+                    sv.applyY(qs[0]);
+                    reference::applyY(ref, slot(qs[0]));
+                } else if (op == 4) {
+                    sv.applyZ(qs[0]);
+                    reference::applyZ(ref, slot(qs[0]));
+                } else if (op == 5) {
+                    sv.apply(Gate(GateKind::CZ, qs[0], qs[1]));
+                    reference::applyCz(ref, slot(qs[0]), slot(qs[1]));
+                } else if (op == 6) {
+                    sv.apply(Gate(GateKind::CCZ, qs[0], qs[1], qs[2]));
+                    reference::applyCcz(ref, slot(qs[0]) | slot(qs[1]) |
+                                                 slot(qs[2]));
+                } else if (op == 7) {
+                    const double gamma = rng.uniform(0.0, 0.9);
+                    const double u = rng.uniform();
+                    const bool jumped =
+                        sv.applyAmplitudeDamping(qs[0], gamma, u);
+                    ASSERT_EQ(jumped, reference::applyAmplitudeDamping(
+                                          ref, slot(qs[0]), gamma, u));
+                    ++(jumped ? jumps : stays);
+                } else {
+                    ASSERT_EQ(bitsOf(sv.probOne(qs[0])),
+                              bitsOf(reference::probOne(ref, slot(qs[0]))));
+                }
+                ASSERT_TRUE(sameBits(sv.amplitudes(), ref))
+                    << "step " << step << ", op " << op;
+            }
+            Distribution p = sv.probabilities();
+            Distribution want = p;
+            for (int step = 0; step < 24; ++step) {
+                const Qubit q = rng.uniformInt(kQubits);
+                if (rng.uniformInt(2) == 0) {
+                    depolarizeOutcome(p, q);
+                    reference::depolarize(want, q);
+                } else {
+                    const double flip = rng.uniform(0.0, 0.2);
+                    applyReadoutFlip(p, q, flip);
+                    reference::readoutFlip(want, q, flip);
+                }
+                ASSERT_TRUE(sameBits(p, want)) << "readout step " << step;
+            }
+        }
+    }
+    // Both damping branches ran.
+    EXPECT_GT(jumps, 10);
+    EXPECT_GT(stays, 10);
 }
 
 TEST(StateVector, PinnedQubitAllowsOnlyZ)
