@@ -1,6 +1,7 @@
 #include "compose/composer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "blocking/blocker.hpp"
 #include "common/cancel.hpp"
@@ -59,6 +61,11 @@ constexpr int kMaxSplitDepth = 2;
 constexpr uint64_t kSeed = 7;
 /** HSD acceptance threshold (public as ComposeOptions::threshold). */
 constexpr double kThreshold = ComposeOptions::threshold;
+/**
+ * How far depthOneHsdBound() must clear the threshold to skip a search:
+ * far above the bound's rounding (~1e-14), far below the threshold.
+ */
+constexpr double kCertificateMargin = 1e-9;
 
 /** Exact resynthesis of a block with no entangling gates. */
 ComposeResult
@@ -87,7 +94,92 @@ composeWithoutEntanglers(const Circuit &block)
     return result;
 }
 
+/** The two largest operator-Schmidt coefficients across each one-qubit cut. */
+using CutSpectra = std::vector<std::array<double, 2>>;
+
+/**
+ * `u`'s coefficients across the cut of local qubit q from the others,
+ * for every q. Realigned into a 4 x (d/2)^2 matrix R, whose rows index
+ * (r_q, c_q) and whose columns index the other qubits' (r, c), u's
+ * coefficients are R's singular values: the square roots of the
+ * eigenvalues of the 4 x 4 Hermitian Gram R R^dagger.
+ */
+CutSpectra
+cutSpectra(const Matrix &u)
+{
+    const int d = u.rows();
+    const int rest = d / 2 * (d / 2);
+    CutSpectra spectra;
+    for (int q = 0; (1 << q) < d; ++q) {
+        auto others = [q](int i) {
+            return ((i >> (q + 1)) << q) | (i & ((1 << q) - 1));
+        };
+        std::vector<Complex> realigned(static_cast<size_t>(4 * rest));
+        for (int r = 0; r < d; ++r)
+            for (int c = 0; c < d; ++c)
+                realigned[static_cast<size_t>(
+                    (((r >> q) & 1) * 2 + ((c >> q) & 1)) * rest +
+                    others(r) * (d / 2) + others(c))] = u(r, c);
+        // The Gram's real embedding [[Re G, -Im G], [Im G, Re G]].
+        std::vector<double> embedding(64);
+        for (int i = 0; i < 4; ++i) {
+            for (int j = 0; j < 4; ++j) {
+                const Complex *a = realigned.data() + i * rest;
+                const Complex *b = realigned.data() + j * rest;
+                double re = 0.0, im = 0.0;
+                for (int k = 0; k < rest; ++k) {
+                    re += a[k].real() * b[k].real() +
+                          a[k].imag() * b[k].imag();
+                    im += a[k].imag() * b[k].real() -
+                          a[k].real() * b[k].imag();
+                }
+                embedding[static_cast<size_t>(i * 8 + j)] = re;
+                embedding[static_cast<size_t>((i + 4) * 8 + j + 4)] = re;
+                embedding[static_cast<size_t>(i * 8 + j + 4)] = -im;
+                embedding[static_cast<size_t>((i + 4) * 8 + j)] = im;
+            }
+        }
+        // Each eigenvalue appears twice; rounding can leave a zero one
+        // slightly negative.
+        const std::vector<double> ev =
+            symmetricEigenvalues(std::move(embedding), 8);
+        spectra.push_back({std::sqrt(std::max(ev[0], 0.0)),
+                           std::sqrt(std::max(ev[2], 0.0))});
+    }
+    return spectra;
+}
+
+/** depthOneHsdBound() from the target's spectra. */
+double
+depthOneBound(const CutSpectra &target, Entangler e, int num_qubits)
+{
+    const int d = 1 << num_qubits;
+    const int mask = entanglerFlipMask(e, num_qubits);
+    Matrix entangler = Matrix::identity(d);
+    for (int r = 0; r < d; ++r)
+        if ((r & mask) == mask)
+            entangler(r, r) = -1.0;
+    const CutSpectra tau = cutSpectra(entangler);
+    double bound = 0.0;
+    for (size_t q = 0; q < target.size(); ++q) {
+        const double overlap =
+            target[q][0] * tau[q][0] + target[q][1] * tau[q][1];
+        bound = std::max(bound, 1.0 - overlap / static_cast<double>(d));
+    }
+    return bound;
+}
+
 }  // namespace
+
+double
+depthOneHsdBound(const Matrix &target, Entangler e)
+{
+    const int d = target.rows();
+    if (target.cols() != d || (d != 4 && d != 8))
+        throw std::invalid_argument(
+            "depthOneHsdBound: target must be 2- or 3-qubit");
+    return depthOneBound(cutSpectra(target), e, d == 4 ? 2 : 3);
+}
 
 double
 rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
@@ -207,11 +299,52 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
     if (!hasEntangler)
         return composeWithoutEntanglers(block);
 
+    // A search that ends in failure keeps the block as it is.
     ComposeResult result;
     result.circuit = block;
     const long origPulses = block.totalPulses();
+    const int numQubits = block.numQubits();
+    // Candidate per-layer entangler choices, the same at every depth.
+    std::vector<Entangler> tries{Entangler::Ccz};
+    if (options.entanglerMode == EntanglerMode::Extended && numQubits == 3)
+        tries = {Entangler::Ccz, Entangler::Cz01, Entangler::Cz02,
+                 Entangler::Cz12};
+
+    // The pulse budget, checked before the unitary is built: which
+    // depth-1 tries are cheaper than the block, and whether any deeper
+    // one can be (pulses add up per layer, so the cheapest entangler
+    // twice decides).
+    std::vector<Entangler> shallow;
+    bool deeper = false;
+    for (const Entangler e : tries) {
+        if (Ansatz(numQubits, 1, {e}).pulses() < origPulses)
+            shallow.push_back(e);
+        deeper = deeper || Ansatz(numQubits, 2, {e, e}).pulses() < origPulses;
+    }
+    if (shallow.empty())
+        return result;
+
     const Matrix target = circuitUnitary(block);
     const int dim = target.rows();
+
+    // When only depth-1 tries fit and the bound rules each one out, the
+    // search cannot succeed: skip it. Every depth draws from the one
+    // Rng below, so a search is skipped whole or not at all, and the
+    // result is the failed search's, evaluation count aside.
+    if (!deeper) {
+        const CutSpectra spectra = cutSpectra(target);
+        const bool futile = std::all_of(
+            shallow.begin(), shallow.end(), [&](Entangler e) {
+                return depthOneBound(spectra, e, numQubits) >
+                       kThreshold + kCertificateMargin;
+            });
+        if (futile) {
+            static obs::Counter &certified = obs::counter("compose.certified");
+            certified.add();
+            result.certified = 1;
+            return result;
+        }
+    }
 
     Rng rng(seed);
     const bool anneal = options.optimizer == ComposeOptimizer::DualAnnealing;
@@ -222,17 +355,11 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
             cancel->checkpoint("compose");
         Entangler depthBestEntangler = Entangler::Ccz;
         double depthBestHsd = 2.0;
-        // Candidate per-layer entangler choices to try at this depth.
-        std::vector<Entangler> tries{Entangler::Ccz};
-        if (options.entanglerMode == EntanglerMode::Extended &&
-            block.numQubits() == 3)
-            tries = {Entangler::Ccz, Entangler::Cz01, Entangler::Cz02,
-                     Entangler::Cz12};
 
         for (const Entangler e : tries) {
             auto chosen = entanglers;
             chosen.push_back(e);
-            const Ansatz ansatz(block.numQubits(), layers, chosen);
+            const Ansatz ansatz(numQubits, layers, chosen);
             if (ansatz.pulses() >= origPulses)
                 continue;
             // One incremental evaluator per (depth, entangler) try,
@@ -397,8 +524,6 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
         entanglers.push_back(depthBestEntangler);
     }
     // No composed circuit beat the original: keep the original block.
-    result.composed = false;
-    result.hsd = 0.0;
     return result;
 }
 
@@ -428,6 +553,7 @@ composeRecursive(const Circuit &block, const ComposeOptions &options,
     ComposeResult rb =
         composeRecursive(second, options, depth + 1, sub, cancel);
     direct.evaluations += ra.evaluations + rb.evaluations;
+    direct.certified += ra.certified + rb.certified;
     if (!ra.composed && !rb.composed)
         return direct;
 
@@ -443,37 +569,18 @@ composeRecursive(const Circuit &block, const ComposeOptions &options,
     // Unitary errors of concatenated halves add at most linearly.
     result.hsd = ra.hsd + rb.hsd;
     result.evaluations = direct.evaluations;
+    result.certified = direct.certified;
     return result;
 }
 
-/**
- * Memo key: a 128-bit FNV-1a hash over the exact gate content plus the
- * behaviour options (feedBehaviourOptions). Hashing the raw bytes
- * replaces the old string key — no per-lookup heap allocation — and
- * 128 bits make accidental collisions across a process lifetime
- * vanishingly unlikely.
- */
-struct MemoKey
-{
-    uint64_t hi = 0;
-    uint64_t lo = 0;
-    bool operator==(const MemoKey &o) const
-    {
-        return hi == o.hi && lo == o.lo;
-    }
-};
+}  // namespace
 
-struct MemoKeyHash
+ComposeKey
+composeKey(const Circuit &block, const ComposeOptions &options)
 {
-    size_t operator()(const MemoKey &k) const
-    {
-        return static_cast<size_t>(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ull));
-    }
-};
-
-MemoKey
-memoKey(const Circuit &block, const ComposeOptions &options)
-{
+    // Raw bytes, not a string key: no heap allocation per lookup, and
+    // 128 bits make accidental collisions across a process lifetime
+    // vanishingly unlikely.
     io::Fnv128 h;
     h.feedValue(block.numQubits());
     feedBehaviourOptions(h, options);
@@ -489,6 +596,8 @@ memoKey(const Circuit &block, const ComposeOptions &options)
     return {h.hi, h.lo};
 }
 
+namespace {
+
 /**
  * The memo is sharded behind 16 striped mutexes so pool workers hashing
  * different blocks stop contending on one global lock.
@@ -498,11 +607,11 @@ constexpr int kMemoShards = 16;
 struct MemoShard
 {
     std::mutex mutex;
-    std::unordered_map<MemoKey, ComposeResult, MemoKeyHash> map;
+    std::unordered_map<ComposeKey, ComposeResult, ComposeKeyHash> map;
 };
 
 MemoShard &
-memoShard(const MemoKey &key)
+memoShard(const ComposeKey &key)
 {
     static MemoShard shards[kMemoShards];
     return shards[key.lo & (kMemoShards - 1)];
@@ -549,7 +658,7 @@ composeBlockCached(const Circuit &block, const ComposeOptions &options,
     static obs::Counter &evaluations = obs::counter("compose.evaluations");
     static obs::Counter &composedBlocks = obs::counter("compose.blocks_composed");
 
-    const MemoKey key = memoKey(block, options);
+    const ComposeKey key = composeKey(block, options);
     MemoShard &shard = memoShard(key);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);

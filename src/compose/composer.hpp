@@ -17,6 +17,9 @@
 #ifndef GEYSER_COMPOSE_COMPOSER_HPP
 #define GEYSER_COMPOSE_COMPOSER_HPP
 
+#include <cstddef>
+#include <cstdint>
+
 #include "compose/ansatz.hpp"
 #include "compose/evaluator.hpp"
 #include "linalg/matrix.hpp"
@@ -57,13 +60,19 @@ struct ComposeResult
     int layersUsed = 0;   ///< Ansatz depth when composed.
     double hsd = 0.0;     ///< Distance achieved by the adopted circuit.
     long evaluations = 0; ///< Objective evaluations spent.
+    int certified = 0;    ///< Searches depthOneHsdBound() skipped,
+                          ///< split halves included.
 };
 
 /**
  * Compose a block circuit over 1-3 local qubits. Entangler-free blocks
  * are resynthesized exactly (one U3 per active qubit) without any
- * search. Otherwise Algorithm 2 runs. The returned circuit is always
- * mathematically equivalent to the input within ComposeOptions::threshold.
+ * search. Otherwise Algorithm 2 runs, unless its outcome is already
+ * fixed: when no ansatz is cheaper than the block, or when every try
+ * that is cheaper has depth 1 and depthOneHsdBound() puts it above the
+ * threshold, the block is kept as it is without a search (the latter
+ * counts in `certified`). The returned circuit is always mathematically
+ * equivalent to the input within ComposeOptions::threshold.
  */
 ComposeResult composeBlock(const Circuit &block,
                            const ComposeOptions &options = {});
@@ -79,11 +88,52 @@ ComposeResult composeBlockWithSplits(const Circuit &block,
                                      const CancelToken *cancel = nullptr);
 
 /**
- * composeBlockWithSplits() through a process-wide memo keyed on the
- * block's exact gate content and the options. Trotterized and
- * arithmetic circuits produce the same local block many times (every
- * Trotter step repeats the bond pattern), so memoization removes most
- * of the composition cost. Thread-safe; `cancel` reaches the search on
+ * Exact lower bound on the HSD between `target`, a 2- or 3-qubit
+ * unitary, and every depth-1 ansatz U3s * E * U3s with entangler `e`.
+ * Across a cut of one qubit from the rest, the U3 columns are local, so
+ * every such ansatz has E's operator-Schmidt coefficients tau; with
+ * sigma the target's, von Neumann's trace inequality gives
+ * |Tr(target^dagger V)| <= sum_i sigma_i tau_i. E has at most two
+ * coefficients across any such cut, so the bound is the largest over the
+ * cuts of 1 - (sigma_1 tau_1 + sigma_2 tau_2) / d. Plain double
+ * arithmetic outside the kernel layer, so a target gets the same bound
+ * on every compute backend. Throws std::invalid_argument unless
+ * `target` is 4 x 4 or 8 x 8.
+ */
+double depthOneHsdBound(const Matrix &target, Entangler e);
+
+/**
+ * What the composition memo keys a block on: a 128-bit FNV-1a hash of
+ * its exact content (width, gate kinds, operands, angle bits) and of
+ * feedBehaviourOptions(). Blocks with equal keys compose to equal
+ * results.
+ */
+struct ComposeKey
+{
+    uint64_t hi = 0;
+    uint64_t lo = 0;
+    bool operator==(const ComposeKey &o) const
+    {
+        return hi == o.hi && lo == o.lo;
+    }
+};
+
+/** Hash of a ComposeKey, for unordered containers. */
+struct ComposeKeyHash
+{
+    size_t operator()(const ComposeKey &k) const
+    {
+        return static_cast<size_t>(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ull));
+    }
+};
+
+ComposeKey composeKey(const Circuit &block, const ComposeOptions &options);
+
+/**
+ * composeBlockWithSplits() through a process-wide memo keyed on
+ * composeKey(). Trotterized and arithmetic circuits produce the same
+ * local block many times (every Trotter step repeats the bond pattern),
+ * so memoization removes most of the composition cost. Thread-safe; `cancel` reaches the search on
  * a miss.
  */
 ComposeResult composeBlockCached(const Circuit &block,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "cache/result_cache.hpp"
 #include "common/cancel.hpp"
@@ -252,9 +254,16 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options,
     result.blockCount = blocked.blockCount();
     result.blockingMs = msSince(tBlock);
 
-    // Composition (Algorithm 2), independently parallel across blocks.
-    // A compile that itself runs on a pool worker (a fleet member)
-    // composes inline: parallelFor runs a nested batch on the caller.
+    // Composition (Algorithm 2). Each block is cut at its varying gates
+    // into runs of fixed gates, and identical runs (every Trotter step,
+    // every ripple-carry stage) compose once: a run's composition is a
+    // pure function of its content and the options, so neither the seed
+    // nor the outcome depends on which block holds it or on the order
+    // the runs compose in. The distinct runs go to the pool costliest
+    // first, so no long search starts last while the other workers
+    // idle. A compile that itself runs on a pool worker (a fleet
+    // member) composes inline: parallelFor runs a nested batch on the
+    // caller.
     checkpoint(options, "compose");
     const auto tCompose = StageClock::now();
     const int numAtoms = result.topology.numAtoms();
@@ -267,72 +276,105 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options,
         for (const auto &block : round.blocks)
             blocks.push_back(&block);
 
-    // A block's output in order: the composed runs of its fixed gates
-    // and, between them, each varying gate verbatim (`gate` holds its
-    // routed index, -1 for a run).
+    struct Run
+    {
+        Circuit circuit;      ///< Over the local qubits of its blocks.
+        long pulses = 0;
+        int firstBlock = 0;   ///< The first block that holds it.
+        int copies = 0;       ///< How many times the blocks hold it.
+        ComposeResult composed;
+    };
+    // A block's output in order: its runs and, between them, each
+    // varying gate verbatim (`gate` holds its routed index).
     struct Piece
     {
-        ComposeResult composed;
+        int run = -1;  ///< Index into `runs`, -1 for a varying gate.
         int gate = -1;
+        Circuit verbatim;
     };
+    std::vector<Run> runs;
+    std::unordered_map<ComposeKey, int, ComposeKeyHash> runIndex;
     std::vector<std::vector<Piece>> pieces(blocks.size());
-    // Pool workers don't inherit this thread's trace context (it is
-    // thread-local), so capture it here and re-enter it per block;
-    // TraceScope(0) is a no-op when no trace is active.
-    const uint64_t traceId = obs::currentTraceId();
-    auto composeOne = [&](int i) {
-        obs::TraceScope trace(traceId);
-        // Per-block cancellation: a cancelled compile drains the rest of
-        // the batch in O(blocks) cheap throws instead of composing on.
-        checkpoint(options, "compose");
-        obs::Span s("compose.block", "compose");
-        const Block &block = *blocks[static_cast<size_t>(i)];
+    for (size_t i = 0; i < blocks.size(); ++i) {
+        const Block &block = *blocks[i];
         const Circuit local = blocked.localCircuit(block);
-        std::vector<Piece> &blockPieces = pieces[static_cast<size_t>(i)];
-        // Cut the block at each varying gate into runs of fixed gates.
+        Circuit run(local.numQubits());
+        auto endRun = [&] {
+            if (run.size() == 0)
+                return;
+            const auto [it, fresh] =
+                runIndex.emplace(composeKey(run, options.compose),
+                                 static_cast<int>(runs.size()));
+            if (fresh) {
+                Run &added = runs.emplace_back();
+                added.pulses = run.totalPulses();
+                added.circuit = std::move(run);
+                added.firstBlock = static_cast<int>(i);
+            }
+            ++runs[static_cast<size_t>(it->second)].copies;
+            pieces[i].push_back({it->second, -1, {}});
+            run = Circuit(local.numQubits());
+        };
         for (size_t k = 0; k < local.size(); ++k) {
             const int src = block.opIndices[k];
-            const int gate = varies(static_cast<size_t>(src)) ? src : -1;
-            if (gate >= 0 || blockPieces.empty() ||
-                blockPieces.back().gate >= 0)
-                blockPieces.push_back(
-                    {ComposeResult{Circuit(local.numQubits())}, gate});
-            blockPieces.back().composed.circuit.append(local.gates()[k]);
-        }
-        // Identical local runs (every Trotter step, every ripple-carry
-        // stage) share one composition through the memo, so the seed
-        // must not vary per block. Span args sum over the runs.
-        double evaluations = 0.0, composed = 0.0, layers = 0.0, hsd = 0.0;
-        for (Piece &piece : blockPieces) {
-            if (piece.gate >= 0)
+            if (!varies(static_cast<size_t>(src))) {
+                run.append(local.gates()[k]);
                 continue;
-            const Circuit run = std::move(piece.composed.circuit);
-            const ComposeResult &cr = piece.composed =
-                memo ? composeBlockCached(run, options.compose, options.cancel)
-                     : composeBlockWithSplits(run, options.compose,
-                                              options.cancel);
-            evaluations += static_cast<double>(cr.evaluations);
-            composed += cr.composed ? 1.0 : 0.0;
-            layers += cr.layersUsed;
-            hsd += cr.hsd;
+            }
+            endRun();
+            Circuit gate(local.numQubits());
+            gate.append(local.gates()[k]);
+            pieces[i].push_back({-1, src, std::move(gate)});
         }
-        s.arg("block", i);
-        s.arg("atoms", static_cast<double>(block.atoms.size()));
-        s.arg("evaluations", evaluations);
-        s.arg("composed", composed);
-        s.arg("layers", layers);
-        s.arg("hsd", hsd);
+        endRun();
+    }
+    std::vector<size_t> order(runs.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return runs[a].pulses > runs[b].pulses;
+    });
+
+    // Pool workers don't inherit this thread's trace context (it is
+    // thread-local), so capture it here and re-enter it per run;
+    // TraceScope(0) is a no-op when no trace is active.
+    const uint64_t traceId = obs::currentTraceId();
+    auto composeOne = [&](int k) {
+        obs::TraceScope trace(traceId);
+        // Per-run cancellation: a cancelled compile drains the rest of
+        // the batch in O(runs) cheap throws instead of composing on.
+        checkpoint(options, "compose");
+        obs::Span s("compose.block", "compose");
+        Run &run = runs[order[static_cast<size_t>(k)]];
+        run.composed =
+            memo ? composeBlockCached(run.circuit, options.compose,
+                                      options.cancel)
+                 : composeBlockWithSplits(run.circuit, options.compose,
+                                          options.cancel);
+        const ComposeResult &cr = run.composed;
+        s.arg("block", run.firstBlock);
+        s.arg("atoms", run.circuit.numQubits());
+        s.arg("copies", run.copies);
+        s.arg("evaluations", static_cast<double>(cr.evaluations));
+        s.arg("composed", cr.composed ? 1.0 : 0.0);
+        s.arg("layers", cr.layersUsed);
+        s.arg("hsd", cr.hsd);
+        s.arg("certified", cr.certified);
     };
-    globalPool().parallelFor(static_cast<int>(blocks.size()), composeOne);
+    globalPool().parallelFor(static_cast<int>(order.size()), composeOne);
 
     // Reassemble: blocks in round order, each piece remapped to its atoms.
     for (size_t i = 0; i < blocks.size(); ++i) {
         bool blockComposed = false;
         for (const Piece &piece : pieces[i]) {
-            if (piece.gate >= 0)
+            if (piece.run < 0) {
                 rebindMap.emplace_back(static_cast<int>(out.size()),
                                        piece.gate);
-            const ComposeResult &cr = piece.composed;
+                out.append(piece.verbatim.remapped(blocks[i]->atoms,
+                                                   numAtoms));
+                continue;
+            }
+            const ComposeResult &cr =
+                runs[static_cast<size_t>(piece.run)].composed;
             out.append(cr.circuit.remapped(blocks[i]->atoms, numAtoms));
             blockComposed = blockComposed || cr.composed;
             result.compositionEvaluations += cr.evaluations;

@@ -47,9 +47,11 @@ class ResultCache;
  * wall times, v5 the incremental composition kernel, v6 this constant
  * and the checksummed cache framing, v7 the SIMD compute backends —
  * FMA contraction and reduction-order changes shift composed circuits
- * within rounding).
+ * within rounding, v8 the depth-1 composition certificate — circuits
+ * unchanged, but certified searches charge no evaluations, and cache
+ * entries store compositionEvaluations).
  */
-inline constexpr int kPipelineVersion = 7;
+inline constexpr int kPipelineVersion = 8;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };
@@ -160,7 +162,9 @@ CompileResult transpileForTechnique(Technique technique,
  * routed gate (empty: none vary); a flagged gate passes through
  * verbatim between the composed runs of fixed gates, and the returned
  * map lists it as (output gate index, routed gate index) — empty when
- * nothing composed. `memo` composes through the process memo
+ * nothing composed. Identical runs (equal composeKey()) compose once,
+ * the costliest first, and every copy takes that result and is charged
+ * its evaluations. `memo` composes through the process memo
  * (composeBlockCached); without it each run takes the same search from
  * scratch (composeBlockWithSplits).
  */

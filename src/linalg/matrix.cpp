@@ -1,8 +1,10 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -275,6 +277,61 @@ hilbertSchmidtDistance(const Matrix &u1, const Matrix &u2)
         for (int j = 0; j < u1.cols(); ++j)
             t += std::conj(u1(i, j)) * u2(i, j);
     return 1.0 - std::abs(t) / static_cast<double>(u1.rows());
+}
+
+std::vector<double>
+symmetricEigenvalues(std::vector<double> a, int n)
+{
+    if (n < 0 || a.size() != static_cast<size_t>(n) * static_cast<size_t>(n))
+        throw std::invalid_argument("symmetricEigenvalues: shape mismatch");
+    auto at = [&](int r, int c) -> double & {
+        return a[static_cast<size_t>(r) * static_cast<size_t>(n) +
+                 static_cast<size_t>(c)];
+    };
+    double total = 0.0;
+    for (const double v : a)
+        total += v * v;
+    // Jacobi converges quadratically: a handful of sweeps take the
+    // off-diagonal mass down to rounding, which is where this stops.
+    for (int sweep = 0; sweep < 64; ++sweep) {
+        double off = 0.0;
+        for (int p = 0; p < n; ++p)
+            for (int q = p + 1; q < n; ++q)
+                off += at(p, q) * at(p, q);
+        if (off <= 1e-30 * total)
+            break;
+        for (int p = 0; p < n; ++p) {
+            for (int q = p + 1; q < n; ++q) {
+                const double apq = at(p, q);
+                if (apq == 0.0)
+                    continue;
+                // The rotation (c, s) = (cos, sin) of the angle that
+                // zeroes a_pq in J^T A J; t is its tangent, the smaller
+                // root of t^2 + 2 theta t - 1 = 0.
+                const double theta = (at(q, q) - at(p, p)) / (2.0 * apq);
+                const double t =
+                    (theta >= 0.0 ? 1.0 : -1.0) /
+                    (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+                const double c = 1.0 / std::sqrt(t * t + 1.0);
+                const double s = t * c;
+                for (int k = 0; k < n; ++k) {
+                    const double akp = at(k, p), akq = at(k, q);
+                    at(k, p) = c * akp - s * akq;
+                    at(k, q) = s * akp + c * akq;
+                }
+                for (int k = 0; k < n; ++k) {
+                    const double apk = at(p, k), aqk = at(q, k);
+                    at(p, k) = c * apk - s * aqk;
+                    at(q, k) = s * apk + c * aqk;
+                }
+            }
+        }
+    }
+    std::vector<double> eigenvalues(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        eigenvalues[static_cast<size_t>(i)] = at(i, i);
+    std::sort(eigenvalues.begin(), eigenvalues.end(), std::greater<>());
+    return eigenvalues;
 }
 
 }  // namespace geyser

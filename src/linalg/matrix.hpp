@@ -174,6 +174,16 @@ class Matrix
  */
 double hilbertSchmidtDistance(const Matrix &u1, const Matrix &u2);
 
+/**
+ * Eigenvalues of the real symmetric n x n matrix `a` (row-major; only
+ * symmetric input is meaningful), in descending order, by cyclic Jacobi
+ * rotations in plain double arithmetic. For the small eigenproblems of
+ * the composer: a Hermitian k x k matrix H enters as its 2k x 2k real
+ * embedding [[Re H, -Im H], [Im H, Re H]], whose spectrum is H's with
+ * every eigenvalue twice.
+ */
+std::vector<double> symmetricEigenvalues(std::vector<double> a, int n);
+
 }  // namespace geyser
 
 #endif  // GEYSER_LINALG_MATRIX_HPP

@@ -30,7 +30,7 @@ namespace geyser {
 namespace {
 
 /** The kPipelineVersion the table below was recorded at. */
-constexpr int kFingerprintVersion = 7;
+constexpr int kFingerprintVersion = 8;
 
 struct Fingerprint
 {

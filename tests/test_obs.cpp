@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "algos/algos.hpp"
+#include "algos/suite.hpp"
 #include "common/thread_pool.hpp"
 #include "geyser/pipeline.hpp"
 #include "io/serialize.hpp"
@@ -598,6 +599,38 @@ TEST_F(ObsTest, TraceContextPropagatesAcrossThePipelinePool)
     EXPECT_NE(findEvent(events, "compose.block"), nullptr)
         << "pool workers must inherit the submitting thread's trace";
     EXPECT_TRUE(obs::events().empty());
+}
+
+TEST_F(ObsTest, ComposeBlockSpansCarryCopiesAndCertified)
+{
+    // One compose.block span per distinct run: `copies` counts the
+    // blocks that take its result, `certified` the searches the depth-1
+    // bound skipped. Every vqe-4 search is certified.
+    constexpr uint64_t kTrace = 77;
+    obs::beginTrace(kTrace);
+    const CompileResult result = [&] {
+        obs::TraceScope trace(kTrace);
+        return compileGeyser(benchmarkByName("vqe-4").make());
+    }();
+    auto numArg = [](const obs::TraceEvent &e, const std::string &key) {
+        for (const auto &[name, value] : e.numArgs)
+            if (name == key)
+                return value;
+        ADD_FAILURE() << "compose.block has no " << key << " arg";
+        return 0.0;
+    };
+    int spans = 0;
+    double copies = 0.0, certified = 0.0;
+    for (const auto &e : obs::traceEvents(kTrace)) {
+        if (e.name != "compose.block")
+            continue;
+        ++spans;
+        copies += numArg(e, "copies");
+        certified += numArg(e, "certified");
+    }
+    EXPECT_GT(spans, 0);
+    EXPECT_EQ(copies, result.blockCount);
+    EXPECT_EQ(certified, spans);
 }
 
 TEST_F(ObsTest, PercentileBucketEdges)

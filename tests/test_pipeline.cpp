@@ -8,11 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <random>
+#include <string>
 #include <thread>
 
 #include "algos/algos.hpp"
 #include "algos/suite.hpp"
+#include "blocking/blocker.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "fleet/skeleton.hpp"
 #include "geyser/pipeline.hpp"
+#include "io/serialize.hpp"
 #include "obs/obs.hpp"
 
 namespace geyser {
@@ -161,6 +169,133 @@ TEST(Pipeline, EvaluateTvdOrdersTechniquesUnderNoise)
     const double tvdBase = evaluateTvd(base, nm, cfg);
     const double tvdGey = evaluateTvd(gey, nm, cfg);
     EXPECT_LT(tvdGey, tvdBase);
+}
+
+/**
+ * A Trotter-style chain whose every step repeats one bond pattern, so
+ * its blocks repeat. The angles come from `seed`; drawn fresh per run,
+ * no other compile in the process can have put one of its runs in the
+ * composition memo.
+ */
+Circuit
+trotterChain(uint64_t seed)
+{
+    Rng rng(seed);
+    constexpr int kQubits = 5;
+    Circuit c(kQubits);
+    for (Qubit q = 0; q < kQubits; ++q)
+        c.u3(q, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0),
+             rng.uniform(0.1, 3.0));
+    const double xx = rng.uniform(0.1, 1.0);
+    const double zz = rng.uniform(0.1, 1.0);
+    const double field = rng.uniform(0.1, 1.0);
+    for (int step = 0; step < 4; ++step) {
+        for (Qubit q = 0; q + 1 < kQubits; ++q) {
+            c.rxx(q, q + 1, xx);
+            c.rzz(q, q + 1, zz);
+        }
+        for (Qubit q = 0; q < kQubits; ++q)
+            c.rz(q, field);
+    }
+    return c;
+}
+
+TEST(Pipeline, ComposesEachDistinctRunOnce)
+{
+    const uint64_t seed = std::random_device{}();
+    SCOPED_TRACE(::testing::Message() << "angle seed " << seed);
+    const Circuit logical = trotterChain(seed);
+
+    // The expected output, built without the pipeline's stage: block
+    // the routed circuit, compose each distinct block memo-free, and
+    // reassemble block by block (with no varying gates, a block is one
+    // run).
+    const CompileResult routed =
+        transpileForTechnique(Technique::Geyser, logical);
+    const int numAtoms = routed.topology.numAtoms();
+    const BlockedCircuit blocked =
+        blockCircuit(routed.physical, routed.topology, BlockerOptions{});
+    std::map<std::string, ComposeResult> distinct;
+    Circuit reassembled(numAtoms);
+    long evaluations = 0;
+    int composed = 0;
+    for (const auto &round : blocked.rounds) {
+        for (const Block &block : round.blocks) {
+            const Circuit local = blocked.localCircuit(block);
+            const std::string text = std::to_string(local.numQubits()) +
+                                     "\n" + circuitToText(local);
+            auto it = distinct.find(text);
+            if (it == distinct.end())
+                it = distinct.emplace(text, composeBlockWithSplits(local))
+                         .first;
+            reassembled.append(
+                it->second.circuit.remapped(block.atoms, numAtoms));
+            evaluations += it->second.evaluations;
+            composed += it->second.composed ? 1 : 0;
+        }
+    }
+    ASSERT_LT(distinct.size(), static_cast<size_t>(blocked.blockCount()))
+        << "no block repeats";
+    ASSERT_GT(composed, 0);
+
+    const obs::Counter &hits = obs::counter("compose.memo_hits");
+    const obs::Counter &misses = obs::counter("compose.memo_misses");
+    obs::EnabledScope scope(true);  // Counters only count while enabled.
+    const long hits0 = hits.value();
+    const long misses0 = misses.value();
+    const CompileResult result = compile(Technique::Geyser, logical);
+    EXPECT_EQ(misses.value() - misses0, static_cast<long>(distinct.size()));
+    EXPECT_EQ(hits.value() - hits0, 0);
+    EXPECT_EQ(result.blockCount, blocked.blockCount());
+    EXPECT_EQ(result.composedBlockCount, composed);
+    EXPECT_EQ(result.compositionEvaluations, evaluations);
+    EXPECT_EQ(circuitToText(result.physical), circuitToText(reassembled));
+}
+
+TEST(Pipeline, ComposesTheSameOnAPoolWorker)
+{
+    // On a pool worker the compose batch runs inline, in order; the
+    // circuit must not depend on that.
+    const uint64_t seed = std::random_device{}();
+    SCOPED_TRACE(::testing::Message() << "angle seed " << seed);
+    const Circuit logical = trotterChain(seed);
+    const CompileResult direct = compile(Technique::Geyser, logical);
+    ASSERT_GT(direct.composedBlockCount, 0);
+    CompileResult nested;
+    CompileResult memoFree;
+    globalPool().parallelFor(1, [&](int) {
+        nested = compile(Technique::Geyser, logical);
+        memoFree = transpileForTechnique(Technique::Geyser, logical);
+        blockAndCompose(memoFree, PipelineOptions{}, {}, false);
+    });
+    EXPECT_EQ(circuitToText(nested.physical), circuitToText(direct.physical));
+    EXPECT_EQ(circuitToText(memoFree.physical),
+              circuitToText(direct.physical));
+    EXPECT_EQ(memoFree.compositionEvaluations, direct.compositionEvaluations);
+}
+
+TEST(Pipeline, Vqe4BlocksAreAllCertified)
+{
+    // No vqe-4 block can compose at depth 1 and none has room for depth
+    // 2, so the certificate skips every search: the compile spends no
+    // evaluations and still matches its fingerprint row.
+    const Circuit logical = benchmarkByName("vqe-4").make();
+    const CompileResult result = compile(Technique::Geyser, logical);
+    EXPECT_EQ(result.compositionEvaluations, 0);
+    EXPECT_EQ(result.blockCount, 20);
+    EXPECT_EQ(result.composedBlockCount, 0);
+    EXPECT_EQ(result.stats.totalPulses, 304);
+    EXPECT_EQ(result.stats.depthPulses, 241);
+    EXPECT_EQ(fleet::structureDigest(result.physical),
+              "17f067200e95c6c958962496dbd8d2a1");
+
+    const CompileResult routed =
+        transpileForTechnique(Technique::Geyser, logical);
+    const BlockedCircuit blocked =
+        blockCircuit(routed.physical, routed.topology, BlockerOptions{});
+    for (const auto &round : blocked.rounds)
+        for (const Block &block : round.blocks)
+            EXPECT_EQ(composeBlock(blocked.localCircuit(block)).certified, 1);
 }
 
 TEST(Pipeline, GeyserStatsAreConsistent)
