@@ -206,10 +206,11 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
     const cache::CacheStats statsBefore =
         cache != nullptr ? cache->stats() : cache::CacheStats{};
 
-    std::vector<Circuit> circuits;
+    // Group the jobs' own circuits: no member is copied.
+    std::vector<const Circuit *> circuits;
     circuits.reserve(jobs.size());
     for (const FleetJob &job : jobs)
-        circuits.push_back(job.logical);
+        circuits.push_back(&job.logical);
     const std::vector<SkeletonGroup> groups = groupBySkeleton(circuits);
     report.groups = static_cast<long>(groups.size());
     counters.groups.add(report.groups);
@@ -241,14 +242,14 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                     [&](int m) {
                         recordRow(m,
                                   compile(technique,
-                                          circuits[static_cast<size_t>(m)],
+                                          jobs[static_cast<size_t>(m)].logical,
                                           options.pipeline),
                                   false, false);
                     });
         } else {
             for (const SkeletonGroup &group : groups) {
                 const Circuit &representative =
-                    circuits[static_cast<size_t>(group.members.front())];
+                    jobs[static_cast<size_t>(group.members.front())].logical;
                 std::optional<SkeletonPlan> plan =
                     acquirePlan(group, representative, options, report);
                 VerifySample sample(options.verifySample);
@@ -258,7 +259,7 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                             const int m =
                                 group.members[static_cast<size_t>(gi)];
                             const Circuit &member =
-                                circuits[static_cast<size_t>(m)];
+                                jobs[static_cast<size_t>(m)].logical;
                             if (plan) {
                                 if (auto r = rebindMember(*plan, member,
                                                           options.pipeline)) {
@@ -282,7 +283,7 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                     const int m = group.members[static_cast<size_t>(gi)];
                     MemberRow &row = rows[static_cast<size_t>(m)];
                     const Circuit &member =
-                        circuits[static_cast<size_t>(m)];
+                        jobs[static_cast<size_t>(m)].logical;
                     bool ok = false;
                     if (auto oraclePlan = buildSkeletonPlan(
                             Technique::Geyser, member, group.varyingSlots,

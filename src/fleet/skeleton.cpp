@@ -9,10 +9,8 @@
 #include <limits>
 #include <unordered_map>
 
-#include "circuit/schedule.hpp"
 #include "io/framing.hpp"
 #include "io/serialize.hpp"
-#include "metrics/metrics.hpp"
 #include "obs/obs.hpp"
 
 namespace geyser {
@@ -47,6 +45,27 @@ structureEquals(const Circuit &a, const Circuit &b)
     return true;
 }
 
+/**
+ * A word-wise 64-bit hash of what structureEquals compares: width, and
+ * per gate its kind, arity and operands. Equal structures hash equal.
+ */
+uint64_t
+structureKey(const Circuit &circuit)
+{
+    uint64_t h = static_cast<uint64_t>(circuit.numQubits());
+    auto mix = [&h](uint64_t v) {
+        h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+        h ^= h >> 32;
+    };
+    for (const Gate &gate : circuit.gates()) {
+        mix(static_cast<uint64_t>(gate.kind()) |
+            static_cast<uint64_t>(gate.numQubits()) << 8);
+        for (int q = 0; q < gate.numQubits(); ++q)
+            mix(static_cast<uint32_t>(gate.qubit(q)));
+    }
+    return h;
+}
+
 /** Same routed structure: circuit structure, layouts, swap count. */
 bool
 routedEquals(const CompileResult &a, const CompileResult &b)
@@ -75,20 +94,22 @@ structureDigest(const Circuit &circuit)
 }
 
 std::vector<SkeletonGroup>
-groupBySkeleton(const std::vector<Circuit> &members)
+groupBySkeleton(const std::vector<const Circuit *> &members)
 {
     std::vector<SkeletonGroup> groups;
-    // Digest -> candidate group indices; structural equality against the
-    // representative settles hash collisions exactly.
-    std::unordered_map<std::string, std::vector<size_t>> byDigest;
+    // Per group, one flag per (gate, param) slot of its representative:
+    // set once the slot is in varyingSlots.
+    std::vector<std::vector<uint8_t>> marked;
+    // Structure key -> candidate group indices; structural equality
+    // against the representative settles key collisions exactly.
+    std::unordered_map<uint64_t, std::vector<size_t>> byKey;
     for (int m = 0; m < static_cast<int>(members.size()); ++m) {
-        const Circuit &circuit = members[static_cast<size_t>(m)];
-        const std::string digest = structureDigest(circuit);
-        auto &candidates = byDigest[digest];
+        const Circuit &circuit = *members[static_cast<size_t>(m)];
+        auto &candidates = byKey[structureKey(circuit)];
         size_t found = groups.size();
         for (const size_t gi : candidates) {
             const Circuit &rep =
-                members[static_cast<size_t>(groups[gi].members.front())];
+                *members[static_cast<size_t>(groups[gi].members.front())];
             if (structureEquals(rep, circuit)) {
                 found = gi;
                 break;
@@ -96,27 +117,27 @@ groupBySkeleton(const std::vector<Circuit> &members)
         }
         if (found == groups.size()) {
             SkeletonGroup group;
-            group.digest = digest;
+            group.digest = structureDigest(circuit);
             group.members.push_back(m);
             groups.push_back(std::move(group));
-            candidates.push_back(groups.size() - 1);
+            marked.emplace_back(circuit.size() * 3, 0);
+            candidates.push_back(found);
             continue;
         }
         SkeletonGroup &group = groups[found];
+        std::vector<uint8_t> &slotMarked = marked[found];
         const Circuit &rep =
-            members[static_cast<size_t>(group.members.front())];
+            *members[static_cast<size_t>(group.members.front())];
         for (size_t i = 0; i < circuit.size(); ++i) {
             const Gate &ga = rep.gates()[i];
             const Gate &gb = circuit.gates()[i];
             const int params = gateKindParamCount(ga.kind());
             for (int p = 0; p < params; ++p) {
-                if (ga.param(p) == gb.param(p))
+                uint8_t &flag = slotMarked[i * 3 + static_cast<size_t>(p)];
+                if (flag != 0 || ga.param(p) == gb.param(p))
                     continue;
-                const ParamSlot slot{static_cast<int>(i), p};
-                if (std::find(group.varyingSlots.begin(),
-                              group.varyingSlots.end(),
-                              slot) == group.varyingSlots.end())
-                    group.varyingSlots.push_back(slot);
+                flag = 1;
+                group.varyingSlots.push_back({static_cast<int>(i), p});
             }
         }
         group.members.push_back(m);
@@ -128,6 +149,16 @@ groupBySkeleton(const std::vector<Circuit> &members)
                                               : a.param < b.param;
                   });
     return groups;
+}
+
+std::vector<SkeletonGroup>
+groupBySkeleton(const std::vector<Circuit> &members)
+{
+    std::vector<const Circuit *> pointers;
+    pointers.reserve(members.size());
+    for (const Circuit &circuit : members)
+        pointers.push_back(&circuit);
+    return groupBySkeleton(pointers);
 }
 
 std::vector<std::pair<int, int>>
@@ -156,9 +187,11 @@ buildSkeletonPlan(Technique technique, const Circuit &representative,
     // perturbation differencing: nudge every varying angle by two
     // different deltas, re-transpile, and mark each physical parameter
     // that moved either time. The optimizer is angle-sensitive only at
-    // identity/diagonal boundaries (1e-12 checks in the passes); if a
-    // perturbation changes the routed *structure*, this circuit sits on
-    // such a boundary and cannot be skeleton-shared — report that.
+    // identity/diagonal boundaries (fusion's identity test, 1e-9 on
+    // |u01|, and CZ cancellation's diagonal test, 1e-12 on
+    // |cos(theta/2)|); if a perturbation changes the routed *structure*,
+    // this circuit sits on such a boundary and cannot be skeleton-shared
+    // — report that.
     std::vector<uint8_t> varying(t0.physical.size() * 3, 0);
     const double kDeltas[2] = {1.2345e-3, -2.3456e-3};
     for (const double delta : kDeltas) {
@@ -284,9 +317,7 @@ rebindMember(const SkeletonPlan &plan, const Circuit &memberLogical,
                 dst.setParam(p, src.param(p));
         }
         result.physical = std::move(stitched);
-        result.stats = circuitStats(result.physical);
-        result.stats.depthPulses =
-            depthPulses(result.physical, result.topology);
+        fillStats(result);
     }
     result.composeMs = msSince(tRebind);
     result.totalMs = msSince(t0);

@@ -83,7 +83,15 @@ struct SkeletonGroup
     std::vector<ParamSlot> varyingSlots;
 };
 
-/** Partition members into skeleton groups (input order preserved). */
+/**
+ * Partition members into skeleton groups (input order preserved). The
+ * circuits stay where the caller keeps them; each group's digest is
+ * computed once, from its first member.
+ */
+std::vector<SkeletonGroup> groupBySkeleton(
+    const std::vector<const Circuit *> &members);
+
+/** groupBySkeleton over a vector of circuits. */
 std::vector<SkeletonGroup> groupBySkeleton(
     const std::vector<Circuit> &members);
 

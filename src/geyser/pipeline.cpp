@@ -9,7 +9,6 @@
 #include "cache/result_cache.hpp"
 #include "common/cancel.hpp"
 #include "common/error.hpp"
-#include "circuit/schedule.hpp"
 #include "common/thread_pool.hpp"
 #include "io/serialize.hpp"
 #include "obs/obs.hpp"
@@ -101,17 +100,15 @@ mapCircuit(Technique technique, const Circuit &logical,
     logical.validate();
     checkpoint(options, "transpile");
 
-    const Topology topo = technique == Technique::Superconducting
-                              ? Topology::squareForQubits(logical.numQubits())
-                              : Topology::forQubits(logical.numQubits());
     const bool optimized = technique != Technique::Baseline;
 
     CompileResult result;
     result.technique = technique;
     result.logical = logical;
-    // A copy, not the builder's vectors: results outlive the compile
-    // (fleets keep thousands), and the copy holds no spare capacity.
-    result.topology = topo;
+    result.topology = technique == Technique::Superconducting
+                          ? Topology::squareForQubits(logical.numQubits())
+                          : Topology::forQubits(logical.numQubits());
+    const Topology &topo = result.topology;
 
     const auto t0 = StageClock::now();
     obs::Span span("transpile", "pipeline");
@@ -196,19 +193,6 @@ verifyResult(const PipelineOptions &options, const CompileResult &result)
             "): " + report.detail);
 }
 
-void
-fillStats(CompileResult &result)
-{
-    result.stats = circuitStats(result.physical);
-    if (result.technique == Technique::Superconducting) {
-        // Superconducting qubits have no Rydberg restriction zones.
-        result.stats.depthPulses = depthPulses(result.physical);
-    } else {
-        result.stats.depthPulses =
-            depthPulses(result.physical, result.topology);
-    }
-}
-
 /** One compile body for every technique; only Geyser blocks and composes. */
 CompileResult
 compileUncached(Technique technique, const Circuit &logical,
@@ -227,6 +211,16 @@ compileUncached(Technique technique, const Circuit &logical,
 }
 
 }  // namespace
+
+void
+fillStats(CompileResult &result)
+{
+    // Superconducting qubits have no Rydberg restriction zones.
+    result.stats = circuitStats(
+        result.physical, result.technique == Technique::Superconducting
+                             ? nullptr
+                             : &result.topology);
+}
 
 std::vector<std::pair<int, int>>
 blockAndCompose(CompileResult &result, const PipelineOptions &options,

@@ -154,6 +154,14 @@ CompileResult transpileForTechnique(Technique technique,
                                     const PipelineOptions &options = {});
 
 /**
+ * Set `result.stats` from `result.physical`: gate and pulse counts, and
+ * the depth in pulses from the restriction-aware schedule on
+ * `result.topology` (ASAP for Superconducting). compile(), the cache
+ * replay and fleet re-binds all take their stats from here.
+ */
+void fillStats(CompileResult &result);
+
+/**
  * Blocking (Algorithm 1) and composition (Algorithm 2) on the global
  * pool: the one stage that composes blocks, for compile() and for fleet
  * skeleton plans. Updates a routed `result` (transpileForTechnique) in

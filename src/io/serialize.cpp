@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "circuit/schedule.hpp"
 #include "common/error.hpp"
 
 namespace geyser {
@@ -296,7 +295,7 @@ compileResultFromText(const std::string &text, const Circuit &logical)
 
     // Derived fields can still reject the payload: a 0-qubit logical
     // circuit has no topology, and a body holding gates outside the
-    // native set (e.g. a stray `cx`) throws from depthPulses. Found by
+    // native set (e.g. a stray `cx`) throws from fillStats. Found by
     // fuzz_serialize (regressions/serialize/nonnative_gate_in_body);
     // both were escapes from the nullopt contract.
     try {
@@ -306,12 +305,7 @@ compileResultFromText(const std::string &text, const Circuit &logical)
                 : Topology::forQubits(logical.numQubits());
         if (result.physical.numQubits() > result.topology.numAtoms())
             return std::nullopt;  // Circuit does not fit the topology.
-        result.stats = circuitStats(result.physical);
-        if (result.technique == Technique::Superconducting)
-            result.stats.depthPulses = depthPulses(result.physical);
-        else
-            result.stats.depthPulses =
-                depthPulses(result.physical, result.topology);
+        fillStats(result);
     } catch (const std::exception &) {
         return std::nullopt;
     }

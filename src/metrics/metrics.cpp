@@ -21,13 +21,33 @@ totalVariationDistance(const Distribution &p1, const Distribution &p2)
 CircuitStats
 circuitStats(const Circuit &circuit)
 {
+    return circuitStats(circuit, nullptr);
+}
+
+CircuitStats
+circuitStats(const Circuit &circuit, const Topology *topology)
+{
     CircuitStats stats;
     stats.numQubits = circuit.numQubits();
-    stats.u3Count = circuit.countKind(GateKind::U3);
-    stats.czCount = circuit.countKind(GateKind::CZ);
-    stats.cczCount = circuit.countKind(GateKind::CCZ);
-    stats.totalPulses = circuit.totalPulses();
-    stats.depthPulses = depthPulses(circuit);
+    for (const Gate &g : circuit.gates()) {
+        switch (g.kind()) {
+          case GateKind::U3:
+            ++stats.u3Count;
+            break;
+          case GateKind::CZ:
+            ++stats.czCount;
+            break;
+          case GateKind::CCZ:
+            ++stats.cczCount;
+            break;
+          default:
+            break;
+        }
+        stats.totalPulses += g.pulses();
+    }
+    stats.depthPulses = topology != nullptr
+                            ? depthPulses(circuit, *topology)
+                            : depthPulses(circuit);
     return stats;
 }
 

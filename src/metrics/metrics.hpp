@@ -9,6 +9,7 @@
 
 #include "circuit/circuit.hpp"
 #include "common/types.hpp"
+#include "topology/topology.hpp"
 
 namespace geyser {
 
@@ -31,6 +32,12 @@ struct CircuitStats
 
 /** Collect counts; depthPulses is filled with the ASAP schedule. */
 CircuitStats circuitStats(const Circuit &circuit);
+
+/**
+ * Collect counts in one pass, then depthPulses from one schedule:
+ * restriction-aware on `topology`, or ASAP when it is null.
+ */
+CircuitStats circuitStats(const Circuit &circuit, const Topology *topology);
 
 }  // namespace geyser
 

@@ -105,23 +105,28 @@ Topology::areAdjacent(int a, int b) const
                 positions_[static_cast<size_t>(b)]) <= radius_;
 }
 
+void
+Topology::restrictionZone(std::span<const int> involved,
+                          std::vector<int> &zone) const
+{
+    zone.clear();
+    for (const int q : involved) {
+        for (const int nb : neighbors(q)) {
+            if (std::find(involved.begin(), involved.end(), nb) !=
+                involved.end())
+                continue;
+            const auto at = std::lower_bound(zone.begin(), zone.end(), nb);
+            if (at == zone.end() || *at != nb)
+                zone.insert(at, nb);
+        }
+    }
+}
+
 std::vector<int>
 Topology::restrictionZone(const std::vector<int> &involved) const
 {
-    std::vector<bool> in(static_cast<size_t>(numAtoms()), false);
-    for (int q : involved)
-        in[static_cast<size_t>(q)] = true;
     std::vector<int> zone;
-    std::vector<bool> seen(static_cast<size_t>(numAtoms()), false);
-    for (int q : involved) {
-        for (int nb : neighbors(q)) {
-            if (!in[static_cast<size_t>(nb)] && !seen[static_cast<size_t>(nb)]) {
-                seen[static_cast<size_t>(nb)] = true;
-                zone.push_back(nb);
-            }
-        }
-    }
-    std::sort(zone.begin(), zone.end());
+    restrictionZone(involved, zone);
     return zone;
 }
 

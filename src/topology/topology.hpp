@@ -13,6 +13,7 @@
 #define GEYSER_TOPOLOGY_TOPOLOGY_HPP
 
 #include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,8 +88,15 @@ class Topology
     /**
      * Restriction zone of a multi-qubit operation on `involved`: every
      * atom not in `involved` that lies within the interaction radius of
-     * any involved atom.
+     * any involved atom, in increasing order (crosstalk draws one
+     * Bernoulli per zone atom in this order). Replaces the contents of
+     * `zone`, so a reused buffer allocates nothing once it is large
+     * enough.
      */
+    void restrictionZone(std::span<const int> involved,
+                         std::vector<int> &zone) const;
+
+    /** The restriction zone as a new vector. */
     std::vector<int> restrictionZone(const std::vector<int> &involved) const;
 
     /**

@@ -39,8 +39,8 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
     Circuit out(circuit.numQubits());
     out.gates().reserve(before);
 
-    // The pending run per qubit: the 2x2 product of its gates, its first
-    // gate and its length (0 = no run).
+    // The pending run per qubit: its first gate, its length (0 = no
+    // run) and, once it has two gates or more, the 2x2 product.
     struct Run
     {
         Matrix2 product;
@@ -51,25 +51,43 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
     // Runs of one gate are copied verbatim. If the round changes the
     // circuit they are resynthesized below, so every emitted U3 is the
     // one eager resynthesis would emit; if it does not, the input stays.
-    std::vector<std::pair<size_t, Matrix2>> verbatim;
+    std::vector<size_t> verbatim;
+    verbatim.reserve(before);
     int fusedRuns = 0;
+    // 2x2 matrices built this round: a lone gate's only when the
+    // identity test may hold or the round changes the circuit.
+    long matrices = 0;
 
     auto flush = [&](Qubit q) {
         Run &run = runs[static_cast<size_t>(q)];
         if (run.length == 0)
             return;
-        if (!(drop_identity && isIdentityUpToPhase(run.product))) {
-            if (run.length > 1) {
+        if (run.length > 1) {
+            if (!(drop_identity && isIdentityUpToPhase(run.product))) {
                 const U3Params p = u3FromMatrix(run.product);
                 out.u3(q, p.theta, p.phi, p.lambda);
-            } else {
+            }
+        } else {
+            const Gate &g = *run.first;
+            // |u01| = |e^{i lambda} sin(theta/2)| (u3Matrix's expression)
+            // exceeds the identity tolerance 1e-9 whenever
+            // |sin(theta/2)| > 1e-8, so only gates that fail that test
+            // need the matrix. NaN and inf fail it and reach the
+            // identity test and the finite-angle check below.
+            bool identity = false;
+            if (drop_identity &&
+                !(std::abs(std::sin(g.param(0) / 2.0)) > 1e-8)) {
+                ++matrices;
+                identity = isIdentityUpToPhase(g.matrix2());
+            }
+            if (!identity) {
                 // ZYZ would reject a NaN unitary; reject its cause here.
-                for (int i = 0; i < run.first->numParams(); ++i)
-                    if (!std::isfinite(run.first->param(i)))
+                for (int i = 0; i < g.numParams(); ++i)
+                    if (!std::isfinite(g.param(i)))
                         throw ValidationError(
                             "fuseU3Pass: non-finite U3 angle");
-                verbatim.emplace_back(out.size(), run.product);
-                out.append(*run.first);
+                verbatim.push_back(out.size());
+                out.append(g);
             }
         }
         run.length = 0;
@@ -78,13 +96,15 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
     for (const auto &g : circuit.gates()) {
         if (g.numQubits() == 1) {
             Run &run = runs[static_cast<size_t>(g.qubit(0))];
-            if (run.length > 0) {
-                // Later gate acts after: left-multiply.
-                run.product = g.matrix2() * run.product;
-                ++fusedRuns;
-            } else {
-                run.product = g.matrix2();
+            if (run.length == 0) {
                 run.first = &g;
+            } else {
+                // Later gate acts after: left-multiply.
+                run.product = g.matrix2() * (run.length == 1
+                                                 ? run.first->matrix2()
+                                                 : run.product);
+                matrices += run.length == 1 ? 2 : 1;
+                ++fusedRuns;
             }
             ++run.length;
         } else {
@@ -98,11 +118,12 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
 
     const bool changed = fusedRuns > 0 || out.size() != before;
     if (changed) {
-        for (const auto &[index, product] : verbatim) {
-            const U3Params p = u3FromMatrix(product);
+        for (const size_t index : verbatim) {
             Gate &g = out.gates()[index];
+            const U3Params p = u3FromMatrix(g.matrix2());
             g = Gate(GateKind::U3, g.qubit(0), p.theta, p.phi, p.lambda);
         }
+        matrices += static_cast<long>(verbatim.size());
         static obs::Counter &fused = obs::counter("transpile.u3_fused");
         static obs::Counter &dropped =
             obs::counter("transpile.gates_dropped");
@@ -111,6 +132,8 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
             dropped.add(static_cast<long>(before - out.size()));
         circuit = std::move(out);
     }
+    static obs::Counter &built = obs::counter("transpile.u3_matrices");
+    built.add(matrices);
     return changed;
 }
 

@@ -19,8 +19,10 @@ namespace geyser {
  * identity (up to phase) are deleted. Returns true if the circuit changed.
  * A round that changes nothing leaves the circuit as it was and does no
  * resynthesis; a round that changes it resynthesizes every surviving
- * run, runs of one gate included. Requires a physical-basis circuit;
- * throws ValidationError on a non-finite U3 angle.
+ * run, runs of one gate included. A lone gate's 2x2 matrix is built
+ * only for that resynthesis or when |sin(theta/2)| <= 1e-8 leaves the
+ * identity test open. Requires a physical-basis circuit; throws
+ * ValidationError on a non-finite U3 angle.
  */
 bool fuseU3Pass(Circuit &circuit, bool drop_identity = true);
 

@@ -57,10 +57,10 @@ class Frontier
         return executed_[static_cast<size_t>(gate)];
     }
 
-    /** All currently ready gate indices. */
-    std::vector<int> frontLayer() const
+    /** All currently ready gate indices, replacing `front`'s contents. */
+    void frontLayer(std::vector<int> &front) const
     {
-        std::vector<int> front;
+        front.clear();
         for (size_t q = 0; q < opLists_.size(); ++q) {
             const auto &list = opLists_[q];
             const size_t pos = position_[q];
@@ -71,16 +71,15 @@ class Frontier
                 std::find(front.begin(), front.end(), gate) == front.end())
                 front.push_back(gate);
         }
-        return front;
     }
 
     /**
      * The next up-to-`window` unexecuted two-qubit gates in program
-     * order (the SABRE lookahead set).
+     * order (the SABRE lookahead set), replacing `out`'s contents.
      */
-    std::vector<int> lookahead(int window) const
+    void lookahead(int window, std::vector<int> &out) const
     {
-        std::vector<int> out;
+        out.clear();
         for (size_t i = 0; i < circuit_.size() &&
                            static_cast<int>(out.size()) < window;
              ++i) {
@@ -89,7 +88,6 @@ class Frontier
             if (circuit_.gates()[i].numQubits() == 2)
                 out.push_back(static_cast<int>(i));
         }
-        return out;
     }
 
   private:
@@ -155,13 +153,17 @@ routeSabre(const Circuit &circuit, const Topology &topo,
         swaps.add();
     };
 
+    // Per-step buffers, reused across steps.
+    std::vector<int> front, look;
+    std::vector<std::array<int, 2>> candidates;
     int sinceProgress = 0;
     for (;;) {
         // Drain every executable gate.
         bool progressed = true;
         while (progressed) {
             progressed = false;
-            for (const int gate : frontier.frontLayer()) {
+            frontier.frontLayer(front);
+            for (const int gate : front) {
                 const Gate &g = circuit.gates()[static_cast<size_t>(gate)];
                 if (g.numQubits() == 1 ||
                     (g.numQubits() == 2 && gateDistance(gate) == 1)) {
@@ -173,13 +175,13 @@ routeSabre(const Circuit &circuit, const Topology &topo,
                 sinceProgress = 0;
         }
 
-        const auto front = frontier.frontLayer();
+        frontier.frontLayer(front);
         if (front.empty())
             break;  // All gates routed.
 
         // Candidate SWAPs: every interaction edge touching an atom that
         // hosts a qubit of a front-layer gate.
-        std::vector<std::array<int, 2>> candidates;
+        candidates.clear();
         for (const int gate : front) {
             const Gate &g = circuit.gates()[static_cast<size_t>(gate)];
             for (int i = 0; i < g.numQubits(); ++i) {
@@ -194,7 +196,7 @@ routeSabre(const Circuit &circuit, const Topology &topo,
             }
         }
 
-        const auto look = frontier.lookahead(kLookaheadWindow);
+        frontier.lookahead(kLookaheadWindow, look);
         static obs::Counter &lookaheadHits = obs::counter("sabre.lookahead_hits");
         lookaheadHits.add(static_cast<long>(look.size()));
         double bestScore = std::numeric_limits<double>::infinity();

@@ -13,12 +13,14 @@
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "algos/algos.hpp"
 #include "algos/suite.hpp"
 #include "cache/result_cache.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "fleet/fleet.hpp"
 #include "io/serialize.hpp"
 
@@ -64,6 +66,80 @@ tempDir(const char *tag)
         ::testing::TempDir() + "geyser_fleet_" + tag + "_XXXXXX";
     EXPECT_NE(::mkdtemp(pattern.data()), nullptr);
     return pattern;
+}
+
+/** Gate kinds, arities, operands and width equal; parameters ignored. */
+bool
+sameStructure(const Circuit &a, const Circuit &b)
+{
+    if (a.numQubits() != b.numQubits() || a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const Gate &ga = a.gates()[i];
+        const Gate &gb = b.gates()[i];
+        if (ga.kind() != gb.kind() || ga.numQubits() != gb.numQubits())
+            return false;
+        for (int q = 0; q < ga.numQubits(); ++q)
+            if (ga.qubit(q) != gb.qubit(q))
+                return false;
+    }
+    return true;
+}
+
+/**
+ * Reference grouping: a map keyed by every member's structureDigest,
+ * and a linear search of the varying slots per differing parameter.
+ * groupBySkeleton must produce the same groups.
+ */
+std::vector<fleet::SkeletonGroup>
+referenceGroups(const std::vector<Circuit> &members)
+{
+    std::vector<fleet::SkeletonGroup> groups;
+    std::unordered_map<std::string, std::vector<size_t>> byDigest;
+    for (int m = 0; m < static_cast<int>(members.size()); ++m) {
+        const Circuit &circuit = members[static_cast<size_t>(m)];
+        const std::string digest = fleet::structureDigest(circuit);
+        auto &candidates = byDigest[digest];
+        size_t found = groups.size();
+        for (const size_t gi : candidates) {
+            if (sameStructure(
+                    members[static_cast<size_t>(groups[gi].members[0])],
+                    circuit)) {
+                found = gi;
+                break;
+            }
+        }
+        if (found == groups.size()) {
+            fleet::SkeletonGroup group;
+            group.digest = digest;
+            group.members.push_back(m);
+            groups.push_back(std::move(group));
+            candidates.push_back(found);
+            continue;
+        }
+        fleet::SkeletonGroup &group = groups[found];
+        const Circuit &rep =
+            members[static_cast<size_t>(group.members.front())];
+        for (size_t i = 0; i < circuit.size(); ++i) {
+            for (int p = 0; p < rep.gates()[i].numParams(); ++p) {
+                if (rep.gates()[i].param(p) == circuit.gates()[i].param(p))
+                    continue;
+                const ParamSlot slot{static_cast<int>(i), p};
+                if (std::find(group.varyingSlots.begin(),
+                              group.varyingSlots.end(),
+                              slot) == group.varyingSlots.end())
+                    group.varyingSlots.push_back(slot);
+            }
+        }
+        group.members.push_back(m);
+    }
+    for (auto &group : groups)
+        std::sort(group.varyingSlots.begin(), group.varyingSlots.end(),
+                  [](const ParamSlot &a, const ParamSlot &b) {
+                      return a.gate != b.gate ? a.gate < b.gate
+                                              : a.param < b.param;
+                  });
+    return groups;
 }
 
 }  // namespace
@@ -235,6 +311,53 @@ TEST(SkeletonGrouping, PartitionsByStructureAndDerivesVaryingSlots)
     // Digests separate the structures.
     EXPECT_NE(groups[0].digest, groups[1].digest);
     EXPECT_EQ(groups[0].digest, fleet::structureDigest(members[4]));
+}
+
+TEST(SkeletonGrouping, MatchesReference)
+{
+    // Four skeletons, one of them the same gates as another on a wider
+    // register, so only the width tells them apart.
+    Circuit toffoli(3);
+    toffoli.ry(0, 0.7);
+    toffoli.ccx(0, 1, 2);
+    toffoli.rz(2, 0.4);
+    Circuit wide(toffoli.numQubits() + 1);
+    for (const Gate &g : toffoli.gates())
+        wide.append(g);
+    const std::vector<Circuit> skeletons = {
+        vqeBenchmark(4, 1, 11), vqeBenchmark(4, 2, 12), toffoli, wide};
+
+    Rng rng(25);
+    for (int trial = 0; trial < 20; ++trial) {
+        // Interleave the first `kinds` skeletons; each member moves a
+        // seeded subset of its angles, so some slots never vary.
+        const int kinds = 3 + trial % 2;
+        const int count = 1 + rng.uniformInt(40);
+        std::vector<Circuit> members;
+        for (int m = 0; m < count; ++m) {
+            Circuit c = skeletons[static_cast<size_t>(
+                (m + rng.uniformInt(2)) % kinds)];
+            for (Gate &g : c.gates())
+                for (int p = 0; p < g.numParams(); ++p)
+                    if (rng.uniformInt(4) == 0)
+                        g.setParam(p, g.param(p) + rng.uniform(-0.2, 0.2));
+            members.push_back(std::move(c));
+        }
+        std::vector<const Circuit *> pointers;
+        for (const Circuit &c : members)
+            pointers.push_back(&c);
+
+        const auto want = referenceGroups(members);
+        for (const auto &got : {fleet::groupBySkeleton(members),
+                                fleet::groupBySkeleton(pointers)}) {
+            ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+            for (size_t g = 0; g < want.size(); ++g) {
+                EXPECT_EQ(got[g].digest, want[g].digest);
+                EXPECT_EQ(got[g].members, want[g].members);
+                EXPECT_EQ(got[g].varyingSlots, want[g].varyingSlots);
+            }
+        }
+    }
 }
 
 // ---- Plan build / re-bind / oracle -----------------------------------

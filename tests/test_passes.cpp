@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/obs.hpp"
 #include "sim/unitary_sim.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
@@ -112,15 +113,19 @@ expectBitIdentical(const Circuit &a, const Circuit &b, int trial)
 
 /**
  * A physical circuit whose U3 angles come from a grid of 0, +-pi and
- * 2*pi plus random values, so runs hit identity products, the
- * theta = pi branch and the diagonal branch of the ZYZ decomposition;
- * CZ and CCZ gates sit between the U3s.
+ * 2*pi, near-identity values and random values, so runs hit identity
+ * products, the theta = pi branch and the diagonal branch of the ZYZ
+ * decomposition, and lone gates fall on both sides of fuseU3Pass's
+ * |sin(theta/2)| > 1e-8 pre-test; CZ and CCZ gates sit between the U3s.
  */
 Circuit
 gridCircuit(int width, int numGates, Rng &rng)
 {
+    const double nearIdentity[] = {
+        1e-9, -1e-9, 5e-9, -5e-9, 1e-8, -1e-8, 2e-8, -2e-8,
+        2.0 * kPi + 1e-8, 2.0 * kPi - 1e-8, 4.0 * kPi};
     auto angle = [&] {
-        switch (rng.uniformInt(6)) {
+        switch (rng.uniformInt(8)) {
           case 0:
             return 0.0;
           case 1:
@@ -129,6 +134,8 @@ gridCircuit(int width, int numGates, Rng &rng)
             return -kPi;
           case 3:
             return 2.0 * kPi;
+          case 4:
+            return nearIdentity[rng.uniformInt(11)];
           default:
             return rng.uniform(-2.0 * kPi, 2.0 * kPi);
         }
@@ -288,6 +295,49 @@ TEST(FusePass, BitIdenticalToMatrixProductsAndEagerResynthesis)
     EXPECT_GT(identityDrops, 10);
     EXPECT_GT(thetaPi, 10);
     EXPECT_GT(diagonal, 10);
+}
+
+TEST(FusePass, UnchangedRoundLeavesGatesBitIdentical)
+{
+    // No two U3s meet on a qubit and none is the identity; some sit on
+    // either side of the |sin(theta/2)| pre-test and one carries -0.0.
+    // Resynthesis would rewrite them; a round that changes nothing
+    // must leave every bit as it was.
+    Circuit c(3);
+    c.u3(0, 0.3, -0.0, 0.2);
+    c.u3(1, 5e-9, 0.4, 0.6);
+    c.u3(2, 4.0 * kPi, 1.0, 0.5);
+    c.cz(0, 1);
+    c.u3(0, -1e-8, 2.0, -0.3);
+    c.ccz(0, 1, 2);
+    c.u3(1, 2.0 * kPi + 1e-8, -1.2, 0.1);
+    c.u3(2, 1.7, 0.0, -kPi);
+    for (const bool dropIdentity : {true, false}) {
+        Circuit round = c;
+        EXPECT_FALSE(fuseU3Pass(round, dropIdentity));
+        expectBitIdentical(round, c, 0);
+    }
+}
+
+TEST(FusePass, CountsTheMatricesItBuilds)
+{
+    obs::EnabledScope scope(true);
+    obs::Counter &built = obs::counter("transpile.u3_matrices");
+    // A fixed point with generic angles: no lone gate needs its matrix.
+    Circuit fixed(2);
+    fixed.u3(0, 0.3, 0.1, 0.2);
+    fixed.cz(0, 1);
+    fixed.u3(0, 1.1, -0.4, 0.6);
+    fixed.u3(1, 0.9, 0.5, -0.7);
+    const long before = built.value();
+    EXPECT_FALSE(fuseU3Pass(fixed));
+    EXPECT_EQ(built.value(), before);
+
+    // A round that fuses builds the run's factors.
+    Circuit fusing = fixed;
+    fusing.u3(1, 0.2, 0.3, 0.4);
+    EXPECT_TRUE(fuseU3Pass(fusing));
+    EXPECT_GT(built.value(), before);
 }
 
 TEST(CancelCz, AdjacentPairCancels)

@@ -80,6 +80,15 @@ TEST(Topology, RestrictionZoneExcludesInvolvedAtoms)
         EXPECT_NE(z, tri[1]);
         EXPECT_NE(z, tri[2]);
     }
+    // Strictly increasing, from the vector and the buffer form alike:
+    // crosstalk draws one Bernoulli per zone atom in zone order.
+    ASSERT_FALSE(zone.empty());
+    for (size_t i = 1; i < zone.size(); ++i)
+        EXPECT_LT(zone[i - 1], zone[i]);
+    std::vector<int> buffer = {99, -1, 7};
+    const int involved[] = {tri[2], tri[0], tri[1]};
+    t.restrictionZone(involved, buffer);
+    EXPECT_EQ(buffer, zone);
 }
 
 TEST(Topology, SetsCompatibleRequiresDistance)
