@@ -49,9 +49,11 @@ class ResultCache;
  * FMA contraction and reduction-order changes shift composed circuits
  * within rounding, v8 the depth-1 composition certificate — circuits
  * unchanged, but certified searches charge no evaluations, and cache
- * entries store compositionEvaluations).
+ * entries store compositionEvaluations; v9: trajectories defer the
+ * no-jump damping factor; noisy TVD moves within rounding; no compiled
+ * circuit changed).
  */
-inline constexpr int kPipelineVersion = 8;
+inline constexpr int kPipelineVersion = 9;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };

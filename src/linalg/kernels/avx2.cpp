@@ -7,7 +7,8 @@
  *
  * Split-complex matrix kernels vectorize across contiguous columns
  * with broadcast-FMA; interleaved statevector kernels use the
- * permute/addsub idiom for scalar-complex x vector products. Tail
+ * permute/addsub idiom for scalar-complex x vector products, except on
+ * storage bit 0, which spells the reference loop's FMA form. Tail
  * columns and sub-vector dimensions fall back to the per-TU reference
  * loops from detail.hpp (which the compiler auto-vectorizes under
  * this TU's flags — still AVX2-only code, still dispatch-gated).
@@ -15,6 +16,8 @@
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "linalg/kernels/backend.hpp"
 #include "linalg/kernels/detail.hpp"
@@ -320,12 +323,91 @@ cmulAvx2(double ur, double ui, __m256d v, __m256d vs)
                             _mm256_mul_pd(_mm256_set1_pd(ui), vs));
 }
 
+/** u in both complex lanes, and with re/im swapped. */
+struct Broadcast
+{
+    explicit Broadcast(const Complex &u)
+        : uu(_mm256_setr_pd(u.real(), u.imag(), u.real(), u.imag())),
+          swapped(_mm256_permute_pd(uu, 0x5))
+    {
+    }
+
+    __m256d uu, swapped;
+};
+
+/**
+ * u . v per complex lane, contracted as re = vr ur - [vi ui],
+ * im = vr ui + [vi ur] ([.] rounded, the rest one FMA).
+ */
+inline __m256d
+cmulFmaVu(const Broadcast &u, __m256d v)
+{
+    return _mm256_fmaddsub_pd(
+        _mm256_movedup_pd(v), u.uu,
+        _mm256_mul_pd(_mm256_permute_pd(v, 0xF), u.swapped));
+}
+
+/** u . v as re = ur vr - [ui vi], im = ur vi + [ui vr]. */
+inline __m256d
+cmulFmaUv(__m256d ur, __m256d ui, __m256d v)
+{
+    return _mm256_fmaddsub_pd(
+        ur, v, _mm256_mul_pd(ui, _mm256_permute_pd(v, 0x5)));
+}
+
+/**
+ * svApply1q on storage bit 0, two pairs (i, i + 1) per step. At -O2 in
+ * this TU GCC compiles svApply1qRef to one complex product at a time: a
+ * rounded cross product, one FMA, and a __muldc3 call when the product
+ * is NaN.
+ * It contracts u[1] . a1 as cmulFmaUv and the other three as cmulFmaVu.
+ * This loop spells the same arithmetic, so finite results are the same
+ * bits. A block with a result that is not finite goes through the
+ * reference loop, which owns the NaN and infinity rules.
+ */
+void
+svApply1qBit0Avx2(Complex *amps, size_t dim, const Complex *u)
+{
+    if (dim < 4) {
+        // Pairs are independent: pad with a zero pair.
+        Complex block[4] = {};
+        std::copy(amps, amps + dim, block);
+        svApply1qBit0Avx2(block, 4, u);
+        std::copy(block, block + dim, amps);
+        return;
+    }
+    const Broadcast u0(u[0]), u2(u[2]), u3(u[3]);
+    const __m256d u1r = _mm256_set1_pd(u[1].real());
+    const __m256d u1i = _mm256_set1_pd(u[1].imag());
+    double *p = reinterpret_cast<double *>(amps);
+    for (size_t i = 0; i < dim; i += 4) {
+        const __m256d x = _mm256_loadu_pd(p + 2 * i);
+        const __m256d y = _mm256_loadu_pd(p + 2 * i + 4);
+        const __m256d a0 = _mm256_permute2f128_pd(x, y, 0x20);
+        const __m256d a1 = _mm256_permute2f128_pd(x, y, 0x31);
+        const __m256d n0 =
+            _mm256_add_pd(cmulFmaVu(u0, a0), cmulFmaUv(u1r, u1i, a1));
+        const __m256d n1 =
+            _mm256_add_pd(cmulFmaVu(u2, a0), cmulFmaVu(u3, a1));
+        // 0 in every lane iff n0 and n1 are finite, else NaN.
+        const __m256d zero = _mm256_add_pd(_mm256_sub_pd(n0, n0),
+                                           _mm256_sub_pd(n1, n1));
+        if (_mm256_movemask_pd(_mm256_cmp_pd(zero, zero, _CMP_UNORD_Q))) {
+            svApply1qRef(amps + i, 4, 0, u);
+            continue;
+        }
+        _mm256_storeu_pd(p + 2 * i, _mm256_permute2f128_pd(n0, n1, 0x20));
+        _mm256_storeu_pd(p + 2 * i + 4,
+                         _mm256_permute2f128_pd(n0, n1, 0x31));
+    }
+}
+
 void
 svApply1qAvx2(Complex *amps, size_t dim, int qubit, const Complex *u)
 {
     const size_t mask = size_t{1} << qubit;
-    if (qubit == 0 || dim < 4) {
-        svApply1qRef(amps, dim, qubit, u);
+    if (qubit == 0) {
+        svApply1qBit0Avx2(amps, dim, u);
         return;
     }
     double *p = reinterpret_cast<double *>(amps);

@@ -1,8 +1,12 @@
 #include "sim/density_matrix.hpp"
 
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "common/error.hpp"
 #include "obs/obs.hpp"
 
 namespace geyser {
@@ -147,6 +151,31 @@ DensityMatrix::applyFlipChannel(Qubit qubit, double bit_flip,
 }
 
 void
+DensityMatrix::applyAmplitudeDamping(Qubit qubit, double gamma)
+{
+    // Per 2x2 block of the qubit: K1 moves the |1><1| entry onto
+    // |0><0|, K0 scales the coherences by sqrt(1 - gamma) and what
+    // stays in |1><1| by 1 - gamma.
+    const size_t mask = size_t{1} << qubit;
+    const double keep = std::sqrt(1.0 - gamma);
+    const auto at = [this](size_t r, size_t c) -> Complex & {
+        return rho_(static_cast<int>(r), static_cast<int>(c));
+    };
+    for (size_t r = 0; r < dim(); ++r) {
+        if (r & mask)
+            continue;
+        for (size_t c = 0; c < dim(); ++c) {
+            if (c & mask)
+                continue;
+            at(r, c) += gamma * at(r | mask, c | mask);
+            at(r, c | mask) *= keep;
+            at(r | mask, c) *= keep;
+            at(r | mask, c | mask) *= 1.0 - gamma;
+        }
+    }
+}
+
+void
 DensityMatrix::applyNoisy(const Gate &gate, const NoiseModel &noise)
 {
     apply(gate);
@@ -154,6 +183,9 @@ DensityMatrix::applyNoisy(const Gate &gate, const NoiseModel &noise)
     const double pp = noise.phaseFlipFor(gate);
     for (int i = 0; i < gate.numQubits(); ++i)
         applyFlipChannel(gate.qubit(i), pb, pp);
+    if (noise.ampDamping > 0.0)
+        for (int i = 0; i < gate.numQubits(); ++i)
+            applyAmplitudeDamping(gate.qubit(i), noise.ampDamping);
 }
 
 void
@@ -193,6 +225,23 @@ DensityMatrix::purity() const
 Distribution
 exactNoisyDistribution(const Circuit &circuit, const NoiseModel &noise)
 {
+    const std::pair<const char *, double> unmodelled[] = {
+        {"atomLoss", noise.atomLoss},
+        {"crosstalkPhase", noise.crosstalkPhase},
+        {"idleDephasing", noise.idleDephasing},
+        {"lossPerGate", noise.lossPerGate},
+        {"correlatedPauli", noise.correlatedPauli},
+        {"readoutError", noise.readoutError},
+    };
+    std::string named;
+    for (const auto &[name, rate] : unmodelled)
+        if (rate != 0.0)
+            named += std::string(named.empty() ? "" : ", ") + name;
+    if (!named.empty())
+        throw ValidationError(
+            "exactNoisyDistribution: the density-matrix reference models "
+            "bit/phase flips and amplitude damping only; " +
+            named + " must be 0");
     obs::Span span("sim.density_matrix", "sim");
     span.arg("qubits", circuit.numQubits());
     span.arg("gates", static_cast<double>(circuit.size()));

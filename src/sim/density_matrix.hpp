@@ -44,9 +44,17 @@ class DensityMatrix
     void applyFlipChannel(Qubit qubit, double bit_flip, double phase_flip);
 
     /**
-     * Apply a gate followed by the noise model's per-qubit channels on
-     * its operands — the exact semantics the trajectory simulator
-     * samples.
+     * Apply the amplitude-damping channel rho -> K0 rho K0^dagger +
+     * K1 rho K1^dagger to one qubit, with K0 = diag(1, sqrt(1 - gamma))
+     * and K1 = sqrt(gamma) |0><1|.
+     */
+    void applyAmplitudeDamping(Qubit qubit, double gamma);
+
+    /**
+     * Apply a gate followed by the noise model's per-gate channels on
+     * its operands, in the trajectory engine's order: the bit/phase
+     * flips, then amplitude damping. Other channels of `noise` are not
+     * applied (see exactNoisyDistribution).
      */
     void applyNoisy(const Gate &gate, const NoiseModel &noise);
 
@@ -69,7 +77,14 @@ class DensityMatrix
     Matrix rho_;
 };
 
-/** Exact noisy output distribution (density-matrix evolution). */
+/**
+ * Exact noisy output distribution (density-matrix evolution): the
+ * channel noisyDistribution samples, for the rates it models — bit and
+ * phase flips (per pulse with noise.perPulse) and amplitude damping.
+ * A model with any other channel on (atomLoss, crosstalkPhase,
+ * idleDephasing, lossPerGate, correlatedPauli, readoutError) is a
+ * ValidationError naming each such field.
+ */
 Distribution exactNoisyDistribution(const Circuit &circuit,
                                     const NoiseModel &noise);
 

@@ -1,5 +1,6 @@
 #include "sim/statevector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -15,7 +16,7 @@ namespace {
 size_t
 allQubits(int num_qubits)
 {
-    if (num_qubits < 0 || num_qubits > 28)
+    if (num_qubits < 0 || num_qubits > StateVector::kMaxQubits)
         throw std::invalid_argument("StateVector: unsupported qubit count");
     return (size_t{1} << num_qubits) - 1;
 }
@@ -176,6 +177,7 @@ StateVector::applyMatrixAt(const Matrix &m, const int *slots, int k)
         apply1qAt(Matrix2(m(0, 0), m(0, 1), m(1, 0), m(1, 1)), slots[0]);
         return;
     }
+    flushFactors(qmask);
     if (k == 2 && slots[0] != slots[1]) {
         Complex u[16];
         for (int r = 0; r < 4; ++r)
@@ -228,7 +230,31 @@ StateVector::applyMatrixAt(const Matrix &m, const int *slots, int k)
 void
 StateVector::apply1qAt(const Matrix2 &u, int slot)
 {
-    kernels::active().svApply1q(amps_.data(), amps_.size(), slot, u.data());
+    const size_t bit = size_t{1} << slot;
+    if (!(pending_ & bit)) {
+        kernels::active().svApply1q(amps_.data(), amps_.size(), slot,
+                                    u.data());
+        return;
+    }
+    // U diag(1, f): the deferred factor scales U's second column, so the
+    // gate's own pass applies it.
+    const double f = factor_[static_cast<size_t>(slot)];
+    const Complex absorbed[4] = {u(0, 0), u(0, 1) * f, u(1, 0), u(1, 1) * f};
+    pending_ &= ~bit;
+    kernels::active().svApply1q(amps_.data(), amps_.size(), slot, absorbed);
+}
+
+void
+StateVector::flushFactors(size_t bits)
+{
+    bits &= pending_;
+    pending_ &= ~bits;
+    for (; bits != 0; bits &= bits - 1) {
+        const int slot = std::countr_zero(bits);
+        const double f = factor_[static_cast<size_t>(slot)];
+        forEachSet(amps_.size(), size_t{1} << slot,
+                   [&](size_t i) { amps_[i] *= f; });
+    }
 }
 
 void
@@ -255,6 +281,7 @@ StateVector::applyY(Qubit q)
 void
 StateVector::applyXAt(size_t mask)
 {
+    flushFactors(mask);
     forEachPair(amps_.size(), mask, [this](size_t i0, size_t i1) {
         std::swap(amps_[i0], amps_[i1]);
     });
@@ -269,6 +296,7 @@ StateVector::negateWhereSet(size_t mask)
 void
 StateVector::applyYAt(size_t mask)
 {
+    flushFactors(mask);
     forEachPair(amps_.size(), mask, [this](size_t i0, size_t i1) {
         const Complex a0 = amps_[i0];
         const Complex a1 = amps_[i1];
@@ -293,14 +321,34 @@ StateVector::probOne(Qubit q) const
 bool
 StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
 {
-    const size_t mask = size_t{1} << slotOf(q);
-    const double p1 = probOne(q);
-    const double pJump = gamma * p1;
-    if (u < pJump) {
+    const int slot = slotOf(q);
+    const size_t mask = size_t{1} << slot;
+    if (u >= gamma) {
+        // P(jump) = gamma * P(q = 1) <= gamma <= u: K0 applies whatever
+        // the state is. It is diagonal, so it waits for the next
+        // operation that does not commute with it (DESIGN §14).
+        const double f = std::sqrt(1.0 - gamma);
+        double &factor = factor_[static_cast<size_t>(slot)];
+        factor = (pending_ & mask) ? factor * f : f;
+        pending_ |= mask;
+        unnormalized_ = true;
+        return false;
+    }
+    flushFactors(pending_);
+    // Serial sums in increasing index order; never reassociate them.
+    double w = 0.0, w1 = 0.0;
+    for (size_t i = 0; i < amps_.size(); ++i) {
+        const double v = std::norm(amps_[i]);
+        w += v;
+        if (i & mask)
+            w1 += v;
+    }
+    unnormalized_ = false;
+    if (u < gamma * std::min(1.0, w1 / w)) {
         // Jump (K1): every q=1 amplitude moves to its q=0 partner —
         // K1|psi> has no other support, so the in-place overwrite of
         // the old q=0 amplitudes is exactly the channel's action.
-        const double inv = 1.0 / std::sqrt(p1);
+        const double inv = 1.0 / std::sqrt(w1);
         forEachPair(amps_.size(), mask, [&](size_t i0, size_t i1) {
             amps_[i0] = amps_[i1] * inv;
             amps_[i1] = 0.0;
@@ -308,8 +356,8 @@ StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
         return true;
     }
     // No jump (K0 = diag(1, sqrt(1 - gamma))), renormalized by the
-    // branch probability 1 - gamma * p1.
-    const double invNorm = 1.0 / std::sqrt(1.0 - pJump);
+    // branch weight w - gamma * w1.
+    const double invNorm = 1.0 / std::sqrt(w - gamma * w1);
     const double scale1 = std::sqrt(1.0 - gamma) * invNorm;
     forEachPair(amps_.size(), mask, [&](size_t i0, size_t i1) {
         amps_[i0] *= invNorm;
@@ -326,8 +374,27 @@ StateVector::probabilities() const
     // the next subset of the simulated mask.
     Distribution p(size_t{1} << numQubits_);
     size_t full = 0;
+    if (!unnormalized_) {
+        for (size_t i = 0; i < amps_.size(); ++i) {
+            p[full] = std::norm(amps_[i]);
+            full = (full - simulated_) & simulated_;
+        }
+        return p;
+    }
+    // Each amplitude times its pending factors in increasing bit order
+    // (what flushFactors would store), then one serial norm.
+    double w = 0.0;
     for (size_t i = 0; i < amps_.size(); ++i) {
-        p[full] = std::norm(amps_[i]);
+        Complex a = amps_[i];
+        for (size_t bits = pending_ & i; bits != 0; bits &= bits - 1)
+            a *= factor_[static_cast<size_t>(std::countr_zero(bits))];
+        p[full] = std::norm(a);
+        w += p[full];
+        full = (full - simulated_) & simulated_;
+    }
+    full = 0;
+    for (size_t i = 0; i < amps_.size(); ++i) {
+        p[full] /= w;
         full = (full - simulated_) & simulated_;
     }
     return p;

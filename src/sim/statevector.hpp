@@ -7,6 +7,7 @@
 #ifndef GEYSER_SIM_STATEVECTOR_HPP
 #define GEYSER_SIM_STATEVECTOR_HPP
 
+#include <array>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -26,10 +27,24 @@ namespace geyser {
  * pinned qubit is a no-op (Z|0> = |0>) and probOne() of one is 0; X, Y,
  * amplitude damping or a gate on one is a logic error and throws
  * std::logic_error. probabilities() widens back to all 2^n outcomes.
+ *
+ * Amplitude damping defers its no-jump Kraus operator (DESIGN §14,
+ * "Per-gate work"): each storage bit b carries a factor f_b, and the
+ * stored amplitudes s stand for the state D s / |D s| with
+ * D = (x)_b diag(1, f_b). A step that cannot jump only multiplies f_b;
+ * the next one-qubit unitary on the atom absorbs it, and X, Y, a dense
+ * gate of two or more qubits and a step that can jump apply it to the
+ * state first. probabilities() applies D and the normalization.
+ * amplitudes(), probOne(), innerProduct() and normSquared() read s as
+ * stored: for a state that a damping step left unnormalized they are
+ * not the state's own values (probOne is not a probability then).
  */
 class StateVector
 {
   public:
+    /** Widest register a StateVector holds. */
+    static constexpr int kMaxQubits = 28;
+
     /** |0...0> over n qubits. */
     explicit StateVector(int num_qubits);
 
@@ -87,27 +102,41 @@ class StateVector
     /** Fast Pauli-Y on one qubit. */
     void applyY(Qubit q);
 
-    /** Probability that qubit q reads 1. */
+    /**
+     * Sum of |amplitude|^2 over the stored amplitudes with qubit q = 1:
+     * the probability that q reads 1 unless damping left deferred
+     * factors or an unnormalized state (see the class comment).
+     */
     double probOne(Qubit q) const;
 
     /**
-     * One amplitude-damping (T1) trajectory step on qubit q: with
-     * probability gamma * P(q = 1) the state jumps (K1, the qubit
-     * collapses to |0>); otherwise the no-jump Kraus K0 =
-     * diag(1, sqrt(1 - gamma)) is applied. Either branch renormalizes.
-     * `u` is the caller's uniform [0, 1) draw deciding the branch
-     * (passed in so the RNG stream stays with the noise channel).
-     * Returns true when the jump occurred.
+     * One amplitude-damping (T1) trajectory step on qubit q: the state
+     * jumps (K1, the qubit collapses to |0>) when
+     * u < gamma * min(1, P(q = 1)); otherwise the no-jump Kraus
+     * K0 = diag(1, sqrt(1 - gamma)) applies. `u` is the caller's
+     * uniform [0, 1) draw (passed in so the RNG stream stays with the
+     * noise channel). A draw u >= gamma cannot jump whatever the state,
+     * so it only multiplies q's deferred factor by sqrt(1 - gamma) and
+     * reads no amplitude. A draw u < gamma applies every deferred
+     * factor, decides on the normalized P(q = 1) and renormalizes the
+     * state in either branch. Returns true when the jump occurred.
      */
     bool applyAmplitudeDamping(Qubit q, double gamma, double u);
 
-    /** |amplitude|^2 per basis state of the whole register (2^n). */
+    /**
+     * Probability per basis state of the whole register (2^n): the
+     * deferred factors applied and the result normalized. A state that
+     * no deferred damping step left unnormalized gives |amplitude|^2.
+     */
     Distribution probabilities() const;
 
-    /** Inner product <this|other>; both must pin the same qubits. */
+    /**
+     * Inner product <this|other> of the stored amplitudes; both must pin
+     * the same qubits.
+     */
     Complex innerProduct(const StateVector &other) const;
 
-    /** Sum of |amplitude|^2 (should be 1 for a valid state). */
+    /** Sum of |amplitude|^2 over the stored amplitudes. */
     double normSquared() const;
 
   private:
@@ -130,13 +159,29 @@ class StateVector
     void applyYAt(size_t mask);
     /** Negate every amplitude whose index has all bits of `mask` set. */
     void negateWhereSet(size_t mask);
+    /** U on storage bit `slot`, absorbing its deferred factor. */
     void apply1qAt(const Matrix2 &u, int slot);
     void applyMatrixAt(const Matrix &m, const int *slots, int k);
+
+    /**
+     * Multiply the |1> half of each storage bit of `bits` that has a
+     * deferred factor by it, in increasing bit order.
+     */
+    void flushFactors(size_t bits);
 
     int numQubits_ = 0;
     /** Basis-index mask of the qubits that get amplitudes. */
     size_t simulated_ = 0;
     std::vector<Complex> amps_;
+    /** Deferred no-jump factor per storage bit; read where pending_. */
+    std::array<double, kMaxQubits> factor_{};
+    /** Storage bits whose factor is not yet applied to amps_. */
+    size_t pending_ = 0;
+    /**
+     * True from a deferred damping step until the next renormalization:
+     * the stored norm may then be below 1.
+     */
+    bool unnormalized_ = false;
 };
 
 /** Ideal output distribution of a circuit started from |0...0>. */

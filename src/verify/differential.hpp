@@ -7,8 +7,8 @@
  *    trajectory loop applies exactly the same gate operations, so the
  *    outputs must agree to floating-point identity;
  *  - exact density-matrix (Kraus) evolution vs the trajectory average of
- *    the same stochastic Pauli channel: must agree within a Monte-Carlo
- *    tolerance.
+ *    the same per-gate channels (Pauli flips and amplitude damping):
+ *    must agree within a Monte-Carlo tolerance.
  *
  * On divergence the report carries a *minimized* reproducer circuit (a
  * greedy delta-debugging shrink of the failing input), so a fuzz failure
@@ -65,10 +65,10 @@ struct DifferentialReport
 };
 
 /**
- * Cross-check all simulators on `circuit`. The channel stage strips
- * atom-loss and crosstalk from `noise` (the density-matrix engine models
- * the per-gate Pauli channel only) and is skipped entirely when the
- * remaining channel is noiseless or the circuit is too wide.
+ * Cross-check all simulators on `circuit`. The channel stage keeps the
+ * rates of `noise` the density-matrix engine models (bit/phase flips,
+ * per-pulse scaling, amplitude damping) and zeroes the rest; it is
+ * skipped when what remains is noiseless or the circuit is too wide.
  */
 DifferentialReport runDifferential(const Circuit &circuit,
                                    const NoiseModel &noise,

@@ -378,6 +378,91 @@ TEST(BackendParity, StatevectorKernels)
     }
 }
 
+/**
+ * u . a as svApply1qRef compiles under the SIMD TUs' -O2 -mfma: one
+ * rounded cross product and one FMA per part. Both forms round ui ai
+ * in the real part; fmaUv rounds ui ar in the imaginary part, fmaVu
+ * rounds ur ai.
+ */
+Complex
+fmaUv(Complex u, Complex a)
+{
+    return {std::fma(u.real(), a.real(), -(u.imag() * a.imag())),
+            std::fma(u.real(), a.imag(), u.imag() * a.real())};
+}
+
+Complex
+fmaVu(Complex u, Complex a)
+{
+    return {std::fma(a.real(), u.real(), -(a.imag() * u.imag())),
+            std::fma(a.real(), u.imag(), a.imag() * u.real())};
+}
+
+bool
+sameBits(const std::vector<Complex> &a, const std::vector<Complex> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(BackendParity, StatevectorBit0IsTheFmaArithmetic)
+{
+    // The SIMD svApply1q on storage bit 0 gives u[0] a0 + u[1] a1 and
+    // u[2] a0 + u[3] a1 with the products above, bit for bit: the
+    // arithmetic the reference loop compiles to in the SIMD TUs at -O2,
+    // so bit-0 results did not move when the vector loop replaced it.
+    // A block holding a NaN takes the reference loop: the NaN pair gets
+    // std::complex's product (a __muldc3 call), the block's other pairs
+    // that loop's rounding.
+    Rng rng(2033);
+    for (const ComputeBackend *backend : simdBackends()) {
+        for (int numQubits = 1; numQubits <= 7; ++numQubits) {
+            const size_t dim = size_t{1} << numQubits;
+            std::vector<Complex> base(dim);
+            for (auto &a : base)
+                a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+            Complex u[4];
+            for (auto &v : u)
+                v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+            const size_t at = static_cast<size_t>(
+                rng.uniformInt(static_cast<int>(dim)));
+
+            std::vector<Complex> poisoned = base;
+            poisoned[at] = {std::nan(""), 0.5};
+            std::vector<Complex> want = base, wantPoisoned = poisoned;
+            for (size_t i = 0; i < dim; i += 2) {
+                const Complex a0 = base[i], a1 = base[i + 1];
+                want[i] = fmaVu(u[0], a0) + fmaUv(u[1], a1);
+                want[i + 1] = fmaVu(u[2], a0) + fmaVu(u[3], a1);
+                wantPoisoned[i] = want[i];
+                wantPoisoned[i + 1] = want[i + 1];
+            }
+            const size_t pair = at & ~size_t{1};
+            const Complex p0 = poisoned[pair], p1 = poisoned[pair + 1];
+            wantPoisoned[pair] = u[0] * p0 + u[1] * p1;
+            wantPoisoned[pair + 1] = u[2] * p0 + u[3] * p1;
+
+            std::vector<Complex> got = base;
+            backend->svApply1q(got.data(), dim, 0, u);
+            EXPECT_TRUE(sameBits(got, want))
+                << backend->name << " n=" << numQubits;
+
+            backend->svApply1q(poisoned.data(), dim, 0, u);
+            for (size_t i = 0; i < dim; ++i) {
+                if (i == pair || i == pair + 1) {
+                    EXPECT_EQ(std::memcmp(&poisoned[i], &wantPoisoned[i],
+                                          sizeof(Complex)),
+                              0)
+                        << backend->name << " n=" << numQubits << " i=" << i;
+                } else {
+                    EXPECT_LT(std::abs(poisoned[i] - wantPoisoned[i]), kTol)
+                        << backend->name << " n=" << numQubits << " i=" << i;
+                }
+            }
+        }
+    }
+}
+
 /** Randomized ansatz shapes/angles, full evaluator vs the dense oracle
  *  (pinned to the scalar reference) once per usable backend. */
 TEST(BackendParity, EvaluatorMatchesDenseOracleOnEveryBackend)

@@ -6,6 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+
+#include "common/error.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
@@ -116,6 +121,56 @@ TEST(DensityMatrix, PerPulseChannelAlsoMatchesTrajectories)
 TEST(DensityMatrix, RejectsOversizedRegisters)
 {
     EXPECT_THROW(DensityMatrix(12), std::invalid_argument);
+}
+
+TEST(DensityMatrix, AmplitudeDampingRelaxesPopulationAndCoherence)
+{
+    // (|0> + |1>)/sqrt(2) under damping gamma: P(1) = (1 - gamma)/2,
+    // and the coherence shrinks by sqrt(1 - gamma).
+    const double gamma = 0.3;
+    Circuit c(1);
+    c.h(0);
+    DensityMatrix dm(1);
+    dm.apply(c);
+    dm.applyAmplitudeDamping(0, gamma);
+    EXPECT_NEAR(dm.probabilities()[1], 0.5 * (1.0 - gamma), 1e-14);
+    EXPECT_NEAR(dm.probabilities()[0], 0.5 * (1.0 + gamma), 1e-14);
+    EXPECT_NEAR(std::abs(dm.rho()(0, 1)), 0.5 * std::sqrt(1.0 - gamma),
+                1e-14);
+    EXPECT_NEAR(dm.traceReal(), 1.0, 1e-14);
+}
+
+TEST(DensityMatrix, ExactReferenceRejectsUnmodelledChannels)
+{
+    // The reference used to ignore these rates and return a wrong
+    // "exact" answer; each one is a ValidationError naming the field.
+    Circuit c(2);
+    c.u3(0, kPi / 2, 0, kPi);
+    c.cz(0, 1);
+    const std::pair<const char *, double NoiseModel::*> fields[] = {
+        {"atomLoss", &NoiseModel::atomLoss},
+        {"crosstalkPhase", &NoiseModel::crosstalkPhase},
+        {"idleDephasing", &NoiseModel::idleDephasing},
+        {"lossPerGate", &NoiseModel::lossPerGate},
+        {"correlatedPauli", &NoiseModel::correlatedPauli},
+        {"readoutError", &NoiseModel::readoutError},
+    };
+    for (const auto &[name, field] : fields) {
+        NoiseModel nm = NoiseModel::withRate(0.01);
+        nm.ampDamping = 0.01;
+        nm.*field = 0.02;
+        try {
+            exactNoisyDistribution(c, nm);
+            ADD_FAILURE() << name << " was accepted";
+        } catch (const ValidationError &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    }
+    NoiseModel modelled = NoiseModel::withRate(0.01);
+    modelled.perPulse = true;
+    modelled.ampDamping = 0.01;
+    EXPECT_NO_THROW(exactNoisyDistribution(c, modelled));
 }
 
 }  // namespace

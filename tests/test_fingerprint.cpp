@@ -30,7 +30,7 @@ namespace geyser {
 namespace {
 
 /** The kPipelineVersion the table below was recorded at. */
-constexpr int kFingerprintVersion = 8;
+constexpr int kFingerprintVersion = 9;
 
 struct Fingerprint
 {

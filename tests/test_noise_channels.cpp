@@ -125,11 +125,12 @@ allChannelsModel()
 
 /**
  * Exact output of the paper channel (bit/phase flips, crosstalk) plus
- * pre-shot atom loss, by density-matrix evolution: a mixture over every
- * set S of atoms lost before the shot, weighted a^|S| (1-a)^(n-|S|).
- * Within one set, each gate that touches no lost atom runs, followed by
- * the flip channel on its operands and the crosstalk phase-flip channel
- * on its restriction zone; lost atoms then read out uniformly.
+ * amplitude damping and pre-shot atom loss, by density-matrix
+ * evolution: a mixture over every set S of atoms lost before the shot,
+ * weighted a^|S| (1-a)^(n-|S|). Within one set, each gate that touches
+ * no lost atom runs, followed by the flip and damping channels on its
+ * operands (applyNoisy) and the crosstalk phase-flip channel on its
+ * restriction zone; lost atoms then read out uniformly.
  */
 Distribution
 exactPaperChannel(const Circuit &c, const NoiseModel &nm,
@@ -208,6 +209,11 @@ TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
     idleAtoms.atomLoss = 0.15;
     idleAtoms.crosstalkPhase = 0.3;
     const auto wideTopo = Topology::makeTriangular(2, 3);
+    // T1 decay, whose draws read the state, alone and after the flips.
+    NoiseModel damping = NoiseModel::noiseless();
+    damping.ampDamping = 0.02;
+    NoiseModel dampedFlips = flips;
+    dampedFlips.ampDamping = 0.02;
 
     struct Case
     {
@@ -225,6 +231,8 @@ TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
         {"crosstalk", logicalProbe(), crosstalk, &topo, 99},
         {"kitchen-sink", physicalProbe(), kitchenSink, &topo, 5150},
         {"idle-atoms-in-zones", idleAtomProbe(), idleAtoms, &wideTopo, 6061},
+        {"damping-physical", physicalProbe(), damping, nullptr, 8128},
+        {"damping-with-flips", physicalProbe(), dampedFlips, nullptr, 496},
     };
     // Each switches one sub-channel off and reports whether it was on.
     const std::pair<const char *, bool (*)(NoiseModel &)> subChannels[] = {
@@ -239,6 +247,10 @@ TEST(PaperChannel, TrajectoriesMatchExactKrausReference)
         {"crosstalk",
          [](NoiseModel &m) {
              return std::exchange(m.crosstalkPhase, 0.0) > 0.0;
+         }},
+        {"amplitude damping",
+         [](NoiseModel &m) {
+             return std::exchange(m.ampDamping, 0.0) > 0.0;
          }},
     };
 

@@ -2,8 +2,9 @@
  * @file
  * Statevector simulator tests: basis-state evolution, entanglement,
  * agreement between the generic matrix path and the fast paths, a
- * register with pinned qubits against the full register, and the
- * strided loops against a test-every-index reference.
+ * register with pinned qubits against the full register, the strided
+ * loops against a test-every-index reference, and deferred amplitude
+ * damping against the eager step it replaced.
  */
 #include <gtest/gtest.h>
 
@@ -312,6 +313,79 @@ apply1q(std::vector<Complex> &a, size_t mask, const Matrix &m)
                                 u);
 }
 
+/**
+ * StateVector's deferred no-jump factors, one per storage bit: a step
+ * that cannot jump only multiplies its bit's factor, the next one-qubit
+ * gate on the bit absorbs it, and X, Y and a step that can jump apply
+ * it to the amplitudes first.
+ */
+struct Deferred
+{
+    double factor[64] = {};
+    size_t pending = 0;
+
+    /** Applies the pending factors of `bits`, lowest bit first. */
+    void flush(std::vector<Complex> &a, size_t bits)
+    {
+        bits &= pending;
+        pending &= ~bits;
+        for (; bits != 0; bits &= bits - 1) {
+            const size_t bit = bits & -bits;
+            const double f = factor[std::countr_zero(bit)];
+            for (size_t i = 0; i < a.size(); ++i)
+                if (i & bit)
+                    a[i] *= f;
+        }
+    }
+
+    void apply1q(std::vector<Complex> &a, size_t mask, const Matrix &m)
+    {
+        Complex u[4] = {m(0, 0), m(0, 1), m(1, 0), m(1, 1)};
+        if (pending & mask) {
+            const double f = factor[std::countr_zero(mask)];
+            u[1] = u[1] * f;
+            u[3] = u[3] * f;
+            pending &= ~mask;
+        }
+        kernels::active().svApply1q(a.data(), a.size(),
+                                    std::countr_zero(mask), u);
+    }
+
+    bool applyAmplitudeDamping(std::vector<Complex> &a, size_t mask,
+                               double gamma, double u)
+    {
+        if (u >= gamma) {
+            const double f = std::sqrt(1.0 - gamma);
+            double &slot = factor[std::countr_zero(mask)];
+            slot = (pending & mask) ? slot * f : f;
+            pending |= mask;
+            return false;
+        }
+        flush(a, pending);
+        double w = 0.0, w1 = 0.0;
+        for (size_t i = 0; i < a.size(); ++i) {
+            w += std::norm(a[i]);
+            if (i & mask)
+                w1 += std::norm(a[i]);
+        }
+        if (u < gamma * std::min(1.0, w1 / w)) {
+            const double inv = 1.0 / std::sqrt(w1);
+            for (size_t i = 0; i < a.size(); ++i) {
+                if (i & mask) {
+                    a[i & ~mask] = a[i] * inv;
+                    a[i] = 0.0;
+                }
+            }
+            return true;
+        }
+        const double invNorm = 1.0 / std::sqrt(w - gamma * w1);
+        const double scale1 = std::sqrt(1.0 - gamma) * invNorm;
+        for (size_t i = 0; i < a.size(); ++i)
+            a[i] *= (i & mask) ? scale1 : invNorm;
+        return false;
+    }
+};
+
 void
 applyX(std::vector<Complex> &a, size_t mask)
 {
@@ -390,6 +464,40 @@ applyAmplitudeDamping(std::vector<Complex> &a, size_t mask, double gamma,
     return false;
 }
 
+/**
+ * A k-qubit matrix on the storage bits `masks` (masks[0] is the
+ * matrix's low bit), gathered at every index with those bits clear.
+ */
+void
+applyDense(std::vector<Complex> &a, const std::vector<size_t> &masks,
+           const Matrix &m)
+{
+    size_t all = 0;
+    for (const size_t mask : masks)
+        all |= mask;
+    const size_t sub = size_t{1} << masks.size();
+    std::vector<Complex> local(sub);
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (i & all)
+            continue;
+        const auto at = [&](size_t v) {
+            size_t idx = i;
+            for (size_t b = 0; b < masks.size(); ++b)
+                if ((v >> b) & 1)
+                    idx |= masks[b];
+            return idx;
+        };
+        for (size_t v = 0; v < sub; ++v)
+            local[v] = a[at(v)];
+        for (size_t r = 0; r < sub; ++r) {
+            Complex acc{};
+            for (size_t c = 0; c < sub; ++c)
+                acc += m(static_cast<int>(r), static_cast<int>(c)) * local[c];
+            a[at(r)] = acc;
+        }
+    }
+}
+
 void
 depolarize(Distribution &p, Qubit q)
 {
@@ -458,6 +566,7 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
             Rng rng(seed);
             StateVector sv = StateVector::pinned(kQubits, simulated);
             std::vector<Complex> ref = sv.amplitudes();
+            reference::Deferred deferred;
             for (int step = 0; step < 150; ++step) {
                 const int op = rng.uniformInt(9);
                 const auto qs = pickDistinct(rng, busy, op == 6 ? 3 : 2);
@@ -470,12 +579,14 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
                         sv.apply(g);
                     else
                         sv.apply(g.matrix2(), qs[0]);
-                    reference::apply1q(ref, slot(qs[0]), g.matrix());
+                    deferred.apply1q(ref, slot(qs[0]), g.matrix());
                 } else if (op == 2) {
                     sv.applyX(qs[0]);
+                    deferred.flush(ref, slot(qs[0]));
                     reference::applyX(ref, slot(qs[0]));
                 } else if (op == 3) {
                     sv.applyY(qs[0]);
+                    deferred.flush(ref, slot(qs[0]));
                     reference::applyY(ref, slot(qs[0]));
                 } else if (op == 4) {
                     sv.applyZ(qs[0]);
@@ -492,7 +603,7 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
                     const double u = rng.uniform();
                     const bool jumped =
                         sv.applyAmplitudeDamping(qs[0], gamma, u);
-                    ASSERT_EQ(jumped, reference::applyAmplitudeDamping(
+                    ASSERT_EQ(jumped, deferred.applyAmplitudeDamping(
                                           ref, slot(qs[0]), gamma, u));
                     ++(jumped ? jumps : stays);
                 } else {
@@ -521,6 +632,102 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
     // Both damping branches ran.
     EXPECT_GT(jumps, 10);
     EXPECT_GT(stays, 10);
+}
+
+TEST(StateVector, DeferredDampingMatchesEagerStep)
+{
+    // Amplitude damping defers its no-jump factor; the oracle is the
+    // eager step it replaced (reference::applyAmplitudeDamping: sum the
+    // |1> half, then scale both halves). Seeded op sequences on full
+    // and pinned registers, gamma up to 0.9 and draws on both sides of
+    // gamma: after every op the normalized probabilities agree within
+    // 1e-12, and every jump decision is the same.
+    constexpr int kQubits = 7;
+    const std::vector<std::vector<Qubit>> idleSets = {
+        {}, {0}, {2}, {6}, {1, 3, 5, 6}};
+    int jumps = 0, stays = 0, deferredSteps = 0;
+    for (const auto &idle : idleSets) {
+        size_t simulated = (size_t{1} << kQubits) - 1;
+        for (const Qubit q : idle)
+            if (q >= 2)
+                simulated &= ~(size_t{1} << q);
+        std::vector<Qubit> busy;
+        for (Qubit q = 0; q < kQubits; ++q)
+            if (((simulated >> q) & 1) &&
+                std::find(idle.begin(), idle.end(), q) == idle.end())
+                busy.push_back(q);
+        const auto slot = [simulated](Qubit q) {
+            return size_t{1}
+                   << std::popcount(simulated & ((size_t{1} << q) - 1));
+        };
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(::testing::Message() << "simulated mask "
+                                              << simulated << ", seed "
+                                              << seed);
+            Rng rng(seed);
+            StateVector sv = StateVector::pinned(kQubits, simulated);
+            std::vector<Complex> eager = sv.amplitudes();
+            for (int step = 0; step < 200; ++step) {
+                const int op = rng.uniformInt(10);
+                const auto qs = pickDistinct(rng, busy, 3);
+                const size_t m0 = slot(qs[0]), m1 = slot(qs[1]),
+                             m2 = slot(qs[2]);
+                if (op == 0) {
+                    const Gate g(GateKind::U3, qs[0], rng.uniform(0.0, 3.2),
+                                 rng.uniform(-3.2, 3.2),
+                                 rng.uniform(-3.2, 3.2));
+                    sv.apply(g);
+                    reference::apply1q(eager, m0, g.matrix());
+                } else if (op == 1) {
+                    sv.applyX(qs[0]);
+                    reference::applyX(eager, m0);
+                } else if (op == 2) {
+                    sv.applyY(qs[0]);
+                    reference::applyY(eager, m0);
+                } else if (op == 3) {
+                    sv.applyZ(qs[0]);
+                    reference::applyZ(eager, m0);
+                } else if (op == 4) {
+                    sv.apply(Gate(GateKind::CZ, qs[0], qs[1]));
+                    reference::applyCz(eager, m0, m1);
+                } else if (op == 5) {
+                    sv.apply(Gate(GateKind::CCZ, qs[0], qs[1], qs[2]));
+                    reference::applyCcz(eager, m0 | m1 | m2);
+                } else if (op == 6) {
+                    const Gate g(GateKind::CX, qs[0], qs[1]);
+                    sv.apply(g);
+                    reference::applyDense(eager, {m0, m1}, g.matrix());
+                } else if (op == 7) {
+                    const Gate g(GateKind::CCX, qs[0], qs[1], qs[2]);
+                    sv.apply(g);
+                    reference::applyDense(eager, {m0, m1, m2}, g.matrix());
+                } else {
+                    const double gamma = rng.uniform(0.0, 0.9);
+                    const double u = rng.uniformInt(2) == 0
+                                         ? rng.uniform(0.0, gamma)
+                                         : rng.uniform(gamma, 1.0);
+                    const bool jumped =
+                        sv.applyAmplitudeDamping(qs[0], gamma, u);
+                    ASSERT_EQ(jumped, reference::applyAmplitudeDamping(
+                                          eager, m0, gamma, u))
+                        << "step " << step;
+                    ++(u >= gamma ? deferredSteps : jumped ? jumps : stays);
+                }
+                const Distribution got = sv.probabilities();
+                size_t full = 0;
+                for (size_t i = 0; i < eager.size(); ++i) {
+                    ASSERT_NEAR(got[full], std::norm(eager[i]), 1e-12)
+                        << "step " << step << ", op " << op << ", outcome "
+                        << full;
+                    full = (full - simulated) & simulated;
+                }
+            }
+        }
+    }
+    // Every branch ran: deferred, and both branches of the full step.
+    EXPECT_GT(deferredSteps, 100);
+    EXPECT_GT(jumps, 20);
+    EXPECT_GT(stays, 20);
 }
 
 TEST(StateVector, PinnedQubitAllowsOnlyZ)
