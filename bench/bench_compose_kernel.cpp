@@ -1,16 +1,20 @@
 /**
  * @file
- * Microbenchmark of the rotosolve coordinate-probe kernel across the
- * compiled-in SIMD compute backends (src/linalg/kernels).
+ * Microbenchmark of the rotosolve sweep kernel across the compiled-in
+ * SIMD compute backends (src/linalg/kernels).
  *
- * Three layers of comparison:
+ * Two layers of comparison, in charged evaluations per second (one
+ * evaluation is one qubit's environment update, as composition
+ * charges it):
  *
- *   dense        full Ansatz::overlapTrace per probe — the oracle path
- *                the optimizer ran before the incremental kernel. Pinned
- *                to the scalar reference backend, so it never moves.
- *   incremental  the environment-contraction AnsatzEvaluator (O(1) per
- *                probe after per-column folds), measured once per
- *                usable backend (scalar / avx2 / avx512) via
+ *   dense        one full Ansatz::overlapTrace per evaluation — the
+ *                oracle path, pinned to the scalar reference backend,
+ *                so it never moves.
+ *   incremental  the sweep exactly as rotosolve runs it: per-column
+ *                environments, one fold per qubit, updateQubit()'s
+ *                closed-form solve and confirming contraction, through
+ *                the environment-contraction AnsatzEvaluator, measured
+ *                once per usable backend (scalar / avx2 / avx512) via
  *                kernels::ScopedBackend.
  *
  * Every backend is first cross-checked against the dense oracle
@@ -54,11 +58,13 @@
 #include "compose/evaluator.hpp"
 #include "linalg/kernels/backend.hpp"
 #include "obs/obs.hpp"
+#include "verify/equivalence.hpp"
 #include "verify/kernel_check.hpp"
 
 namespace {
 
 using namespace geyser;
+using verify::hsdFromTrace;
 using Clock = std::chrono::steady_clock;
 
 double
@@ -69,9 +75,9 @@ secondsSince(Clock::time_point t0)
 
 struct KernelRate
 {
-    long probes = 0;
+    long evaluations = 0;
     double seconds = 0.0;
-    double perSec() const { return probes / std::max(seconds, 1e-12); }
+    double perSec() const { return evaluations / std::max(seconds, 1e-12); }
 };
 
 /** One benchmark shape: the composer's dominant 3-qubit (8x8) case and
@@ -99,7 +105,7 @@ makeShape(Rng &rng, int qubits, int layers)
             std::move(angles)};
 }
 
-/** Dense baseline: one full overlapTrace per coordinate probe. */
+/** Dense baseline: one full overlapTrace per charged evaluation. */
 KernelRate
 denseRate(const Shape &shape, double budget_s)
 {
@@ -108,14 +114,11 @@ denseRate(const Shape &shape, double budget_s)
     const auto t0 = Clock::now();
     double sink = 0.0;
     while ((rate.seconds = secondsSince(t0)) < budget_s) {
-        for (int i = 0; i < shape.ansatz.numAngles(); ++i) {
-            const double saved = angles[static_cast<size_t>(i)];
-            angles[static_cast<size_t>(i)] = 0.0;
+        // Move one qubit's theta per evaluation, as an update would.
+        for (size_t i = 0; i < angles.size(); i += 3) {
+            angles[i] += 0.25;
             sink += std::abs(shape.ansatz.overlapTrace(shape.target, angles));
-            angles[static_cast<size_t>(i)] = kPi;
-            sink += std::abs(shape.ansatz.overlapTrace(shape.target, angles));
-            angles[static_cast<size_t>(i)] = saved;
-            rate.probes += 2;
+            ++rate.evaluations;
         }
     }
     rate.seconds = secondsSince(t0);
@@ -125,50 +128,42 @@ denseRate(const Shape &shape, double budget_s)
 }
 
 /**
- * Incremental kernel: rotosolve's exact probe pattern — the batched
- * (0, pi) probe pair per coordinate plus the sweep's environment
- * maintenance — through a pre-built evaluator.
+ * Incremental kernel: rotosolve's sweep — environments per column, one
+ * updateQubit() per qubit — through a pre-built evaluator, restarted
+ * from the shape's angles so every repetition does the same work.
  */
 KernelRate
-incrementalRate(AnsatzEvaluator &evaluator, double budget_s)
+incrementalRate(AnsatzEvaluator &evaluator, const Shape &shape,
+                double budget_s)
 {
+    evaluator.setAngles(shape.angles);
+    double best = hsdFromTrace(evaluator.trace(), evaluator.dim());
     KernelRate rate;
     const auto t0 = Clock::now();
-    double sink = 0.0;
     while ((rate.seconds = secondsSince(t0)) < budget_s) {
         evaluator.beginSweep();
         for (int col = 0; col < evaluator.columns(); ++col) {
             evaluator.beginColumn(col);
             for (int q = 0; q < evaluator.numQubits(); ++q) {
                 evaluator.beginQubit(q);
-                for (int role = 0; role < 3; ++role) {
-                    Complex p0, p1;
-                    evaluator.probePair(role, 0.0, kPi, p0, p1);
-                    sink += std::abs(p0) + std::abs(p1);
-                    // Commit at the current value: the accept-path cost
-                    // (U3 cache rebuild) without drifting the state.
-                    evaluator.commitAngle(
-                        role, evaluator.angle(col, q, role));
-                    rate.probes += 2;
-                }
+                best = updateQubit(evaluator, best);
+                ++rate.evaluations;
             }
         }
     }
     rate.seconds = secondsSince(t0);
-    if (sink < 0.0)
-        std::printf("%f", sink);
     return rate;
 }
 
-/** Median probe rate over `reps` timed repetitions (after warm-up). */
+/** Median evaluation rate over `reps` timed repetitions (after warm-up). */
 double
-medianRate(AnsatzEvaluator &evaluator, double budget_s, int reps,
-           std::vector<double> *samples)
+medianRate(AnsatzEvaluator &evaluator, const Shape &shape, double budget_s,
+           int reps, std::vector<double> *samples)
 {
-    incrementalRate(evaluator, budget_s * 0.5);  // Warm-up, untimed.
+    incrementalRate(evaluator, shape, budget_s * 0.5);  // Warm-up, untimed.
     std::vector<double> rates;
     for (int r = 0; r < reps; ++r)
-        rates.push_back(incrementalRate(evaluator, budget_s).perSec());
+        rates.push_back(incrementalRate(evaluator, shape, budget_s).perSec());
     if (samples != nullptr)
         *samples = rates;
     std::sort(rates.begin(), rates.end());
@@ -277,10 +272,9 @@ main(int argc, char **argv)
             // Evaluators bind their backend at construction; build it
             // inside the override so it measures this ISA.
             AnsatzEvaluator evaluator(shape.ansatz, shape.target);
-            evaluator.setAngles(shape.angles);
             Measured m;
             m.name = info.name;
-            m.rate = medianRate(evaluator, budget, reps, &m.samples);
+            m.rate = medianRate(evaluator, shape, budget, reps, &m.samples);
             if (m.name == "scalar")
                 scalarRate = m.rate;
             if (m.name == dispatched)

@@ -103,13 +103,6 @@ class Ansatz
     /** Materialize the ansatz as a physical circuit over local qubits. */
     Circuit toCircuit(const std::vector<double> &angles) const;
 
-    /**
-     * Kind of angle at a given index: 0 = theta, 1 = phi, 2 = lambda.
-     * Used by the rotosolve coordinate optimizer to pick the closed-form
-     * update rule.
-     */
-    int angleRole(int index) const { return index % 3; }
-
   private:
     Matrix entanglerMatrix(int layer) const;
 

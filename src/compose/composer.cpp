@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
@@ -43,10 +44,13 @@ constexpr int kMaxSweeps = 400;
 /**
  * Objective-evaluation budget per ansatz depth tried for one block
  * (each depth gets a fresh slice, so deeper — often easier — ansatze
- * are never starved by failed shallow searches). Blocks that cannot
- * compose keep their original circuit, as always.
+ * are never starved by failed shallow searches). One evaluation is one
+ * qubit's environment update; this is 60000 / 9, rounded up, from when
+ * an update cost up to 9 one-angle probes, so no depth gets fewer
+ * sweeps. Blocks that cannot compose keep their original circuit, as
+ * always.
  */
-constexpr long kMaxEvaluationsPerBlock = 60000;
+constexpr long kMaxEvaluationsPerBlock = 6667;
 /** Dual-annealing evaluation budget per layer depth (DualAnnealing). */
 constexpr int kAnnealingEvaluations = 60000;
 /**
@@ -181,14 +185,52 @@ depthOneHsdBound(const Matrix &target, Entangler e)
     return depthOneBound(cutSpectra(target), e, d == 4 ? 2 : 3);
 }
 
+std::optional<Matrix2>
+environmentUpdate(const Matrix2 &w)
+{
+    const Complex w00 = w(0, 0), w01 = w(0, 1), w10 = w(1, 0), w11 = w(1, 1);
+    const Complex det = w00 * w11 - w01 * w10;
+    const double absDet = std::abs(det);
+    const double s = std::sqrt(std::norm(w00) + std::norm(w01) +
+                               std::norm(w10) + std::norm(w11) +
+                               2.0 * absDet);
+    if (!(s > 0.0))
+        return std::nullopt;
+    // e^{-i arg det W}; a rank-1 W has sigma_2 = 0, so any unit phase
+    // reaches the optimum there, and it takes 1.
+    const Complex phase = absDet > 0.0 ? std::conj(det) / absDet : 1.0;
+    return Matrix2((std::conj(w00) + phase * w11) / s,
+                   (std::conj(w01) - phase * w10) / s,
+                   (std::conj(w10) - phase * w01) / s,
+                   (std::conj(w11) + phase * w00) / s);
+}
+
+double
+updateQubit(AnsatzEvaluator &evaluator, double best)
+{
+    const std::optional<Matrix2> u = environmentUpdate(evaluator.environment());
+    if (!u)
+        return best;
+    const U3Params u3 = u3FromMatrix(*u);
+    // Keep the angles only if an actual contraction confirms them: `best`
+    // must track the true trace, not the closed form's optimum, or the
+    // rounding of the angle conversion accumulates into an HSD lower than
+    // the real one (it is returned as result.hsd and trusted by
+    // acceptance).
+    const double actual =
+        hsdFromTrace(evaluator.traceWith(u3), evaluator.dim());
+    if (actual > best + 1e-15)
+        return best;
+    evaluator.commitU3(u3);
+    return actual;
+}
+
 double
 rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
           long &evaluations, const CancelToken *cancel)
 {
-    const int dim = evaluator.dim();
-
     ++evaluations;
-    double best = hsdFromTrace(evaluator.trace(), dim);
+    double best = hsdFromTrace(evaluator.trace(), evaluator.dim());
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
         if (cancel != nullptr)
             cancel->checkpoint("compose");
@@ -198,51 +240,10 @@ rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
             evaluator.beginColumn(col);
             for (int q = 0; q < evaluator.numQubits(); ++q) {
                 evaluator.beginQubit(q);
-                for (int role = 0; role < 3; ++role) {
-                    evaluations += 2;
-                    Complex t0, t1;
-                    evaluator.probePair(role, 0.0, kPi, t0, t1);
-
-                    double vstar;
-                    double amp;
-                    if (role == 0) {
-                        // theta: t(v) = t0 cos(v/2) + t1 sin(v/2).
-                        const double a2 = std::norm(t0);
-                        const double b2 = std::norm(t1);
-                        const double c = (std::conj(t0) * t1).real();
-                        vstar = std::atan2(2.0 * c, a2 - b2);
-                        const double half = vstar / 2.0;
-                        amp = std::abs(t0 * std::cos(half) +
-                                       t1 * std::sin(half));
-                    } else {
-                        // phi / lambda: t(v) = a + b e^{iv} with
-                        // a = (t0+t1)/2, b = (t0-t1)/2; the optimum
-                        // aligns b e^{iv} with a.
-                        const Complex a = 0.5 * (t0 + t1);
-                        const Complex b = 0.5 * (t0 - t1);
-                        vstar = std::arg(a) - std::arg(b);
-                        amp = std::abs(a) + std::abs(b);
-                    }
-                    const double candidate =
-                        1.0 - amp / static_cast<double>(dim);
-                    if (candidate <= best + 1e-15) {
-                        // Re-evaluate with an actual probe: `best` must
-                        // track the true trace, not the closed-form
-                        // model, or per-coordinate rounding accumulates
-                        // into an HSD lower than the real one (it is
-                        // returned as result.hsd and trusted by
-                        // acceptance).
-                        ++evaluations;
-                        const double actual =
-                            hsdFromTrace(evaluator.probe(role, vstar), dim);
-                        if (actual <= best + 1e-15) {
-                            evaluator.commitAngle(role, vstar);
-                            best = actual;
-                        }
-                    }
-                    if (best <= stop_at)
-                        return best;
-                }
+                ++evaluations;
+                best = updateQubit(evaluator, best);
+                if (best <= stop_at)
+                    return best;
             }
         }
         // Early-abandon by convergence projection: coordinate descent

@@ -8,9 +8,10 @@
  * or the composed pulse count would exceed the original's.
  *
  * Two optimizers are available:
- *  - Rotosolve (the default): exact coordinate descent — every U3 angle
- *    enters the trace Tr(O^dagger C) sinusoidally, so its optimum given
- *    the other angles has a closed form; sweeps converge monotonically.
+ *  - Rotosolve (the default): exact block coordinate descent — the trace
+ *    Tr(O^dagger C) is linear in each U3's 2x2 matrix, so the qubit's
+ *    optimal U3 given every other gate has a closed form (the polar
+ *    factor of its environment); sweeps converge monotonically.
  *  - DualAnnealing: the paper's choice (global annealing + local
  *    polish), kept as the paper-faithful ablation.
  */
@@ -19,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "compose/ansatz.hpp"
 #include "compose/evaluator.hpp"
@@ -155,10 +157,34 @@ void feedBehaviourOptions(io::Fnv128 &h, const ComposeOptions &compose,
                           const BlockerOptions *blocker = nullptr);
 
 /**
+ * The environment update: the U in U(2) maximizing |sum_{a,b} u[a,b]
+ * W[a,b]|, the polar factor of conj(W) (Evenbly and Vidal, PRB 79,
+ * 144108, 2009):
+ *
+ *   U = (conj(W) + e^{-i arg det W} [[w11, -w10], [-w01, w00]]) / s,
+ *   s = sigma_1 + sigma_2 = sqrt(|W|_F^2 + 2 |det W|),
+ *
+ * which reaches the maximum s. A rank-1 W (det W = 0) uses phase 1: any
+ * unit phase is optimal there. Returns nullopt when s is not positive
+ * (W = 0, where every U gives the same value).
+ */
+std::optional<Matrix2> environmentUpdate(const Matrix2 &w);
+
+/**
+ * One environment update of the evaluator's selected qubit (after
+ * beginQubit): solve its U3 from W with environmentUpdate(), convert it
+ * with u3FromMatrix(), and keep the three angles only if one confirming
+ * contraction (traceWith) gives an HSD no worse than `best` (1e-15
+ * slack). Returns the HSD of the kept angles: the confirmed one, or
+ * `best` when the qubit keeps its angles (also when W = 0).
+ */
+double updateQubit(AnsatzEvaluator &evaluator, double best);
+
+/**
  * Rotosolve: minimize 1 - |Tr(target^dagger U(angles))| / dim over the
- * ansatz angles by exact coordinate descent from the given start point.
- * Returns the best angles found through `angles` and the achieved HSD.
- * Convenience wrapper over the evaluator form below.
+ * ansatz angles by exact block coordinate descent from the given start
+ * point. Returns the best angles found through `angles` and the
+ * achieved HSD. Convenience wrapper over the evaluator form below.
  */
 double rotosolve(const Ansatz &ansatz, const Matrix &target,
                  std::vector<double> &angles, int max_sweeps,
@@ -166,15 +192,15 @@ double rotosolve(const Ansatz &ansatz, const Matrix &target,
 
 /**
  * Rotosolve against an incremental AnsatzEvaluator (the hot path: each
- * coordinate probe is an O(1) environment contraction instead of a
- * full O(layers d^3) ansatz product). Starts from the evaluator's
- * current angles; the best angles found remain loaded in the evaluator
- * on return. The returned HSD always comes from an actual trace probe
- * at the accepted angle, never from the closed-form model alone, so
- * accumulated per-coordinate rounding cannot under-report the
- * distance. `evaluations` counts trace probes, directly comparable to
- * the dense path's objective-evaluation counts. A non-null `cancel`
- * token is checkpointed once per sweep.
+ * qubit update is an O(d^2 n) fold plus a 2x2 solve instead of a full
+ * O(layers d^3) ansatz product). Each sweep runs updateQubit() on every
+ * (column, qubit) in order. Starts from the evaluator's current angles;
+ * the best angles found remain loaded in the evaluator on return. The
+ * returned HSD always comes from an actual contraction at the accepted
+ * angles, never from the closed form alone, so rounding cannot
+ * under-report the distance. `evaluations` counts one per qubit update
+ * plus one for the starting trace. A non-null `cancel` token is
+ * checkpointed once per sweep.
  */
 double rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
                  long &evaluations, const CancelToken *cancel = nullptr);

@@ -1,9 +1,8 @@
 #include "compose/evaluator.hpp"
 
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -32,26 +31,15 @@ AnsatzEvaluator::AnsatzEvaluator(const Ansatz &ansatz, const Matrix &target)
         }
     }
     angles_.assign(static_cast<size_t>(ansatz.numAngles()), 0.0);
-    for (auto &role : probeArgTrig_)
-        for (auto &way : role)
-            way[0] = std::numeric_limits<double>::quiet_NaN();
     setAngles(angles_);
 }
 
 void
 AnsatzEvaluator::loadU3(int col, int qubit)
 {
-    // Trig lands in the persistent cache first; the U3 entries are
-    // derived from it so the two never drift apart.
-    double *t = trigCache_[col][qubit];
-    t[0] = std::cos(angle(col, qubit, 0) / 2.0);
-    t[1] = std::sin(angle(col, qubit, 0) / 2.0);
-    t[2] = std::cos(angle(col, qubit, 1));
-    t[3] = std::sin(angle(col, qubit, 1));
-    t[4] = std::cos(angle(col, qubit, 2));
-    t[5] = std::sin(angle(col, qubit, 2));
-    kernels::u3EntriesFromTrig(t[0], t[1], t[2], t[3], t[4], t[5],
-                               u3Re_[col][qubit], u3Im_[col][qubit]);
+    kernels::u3Entries(angle(col, qubit, 0), angle(col, qubit, 1),
+                       angle(col, qubit, 2), u3Re_[col][qubit],
+                       u3Im_[col][qubit]);
 }
 
 void
@@ -188,90 +176,45 @@ AnsatzEvaluator::beginQubit(int qubit)
     backend_->foldW(envRe_, envIm_, u3Re_[curCol_], u3Im_[curCol_],
                     numQubits_, qubit, wRe_, wIm_);
     curQubit_ = qubit;
-    std::memcpy(probeTrig_, trigCache_[curCol_][qubit],
-                sizeof(probeTrig_));
 }
 
 void
-AnsatzEvaluator::buildU3(int role, double value, int way, double *ure,
-                         double *uim) const
+AnsatzEvaluator::requireQubit(const char *where) const
 {
-    // Fixed roles come from the trig cache; the varied role costs at
-    // most a cos/sin pair — usually none, because rotosolve probes
-    // every coordinate at the same two values and the memo hits.
-    double t[6];
-    std::memcpy(t, probeTrig_, sizeof(t));
-    const double arg = role == 0 ? value / 2.0 : value;
-    double *memo = probeArgTrig_[role][way];
-    if (memo[0] != arg) {
-        memo[0] = arg;
-        memo[1] = std::cos(arg);
-        memo[2] = std::sin(arg);
-    }
-    t[role * 2] = memo[1];
-    t[role * 2 + 1] = memo[2];
-    kernels::u3EntriesFromTrig(t[0], t[1], t[2], t[3], t[4], t[5], ure,
-                               uim);
+    if (curQubit_ < 0)
+        throw std::logic_error(std::string("AnsatzEvaluator::") + where +
+                               ": no qubit selected");
+}
+
+Matrix2
+AnsatzEvaluator::environment() const
+{
+    requireQubit("environment");
+    return Matrix2({wRe_[0], wIm_[0]}, {wRe_[1], wIm_[1]},
+                   {wRe_[2], wIm_[2]}, {wRe_[3], wIm_[3]});
 }
 
 Complex
-AnsatzEvaluator::probe(int role, double value) const
+AnsatzEvaluator::traceWith(const U3Params &u3) const
 {
-    static obs::Counter &probes = obs::counter("compose.kernel_probes");
-    probes.add();
-
-    if (curQubit_ < 0)
-        throw std::logic_error("AnsatzEvaluator::probe: no qubit selected");
-    alignas(64) double ure[4], uim[4];
-    buildU3(role, value, 0, ure, uim);
+    requireQubit("traceWith");
+    double ure[4], uim[4];
+    kernels::u3Entries(u3.theta, u3.phi, u3.lambda, ure, uim);
     double tre = 0.0, tim = 0.0;
-    backend_->probeBatch(wRe_, wIm_, ure, uim, 1, &tre, &tim);
+    kernels::contractW(wRe_, wIm_, ure, uim, &tre, &tim);
     return {tre, tim};
 }
 
 void
-AnsatzEvaluator::probePair(int role, double v0, double v1, Complex &t0,
-                           Complex &t1) const
+AnsatzEvaluator::commitU3(const U3Params &u3)
 {
-    static obs::Counter &probes = obs::counter("compose.kernel_probes");
-    probes.add(2);
-
-    if (curQubit_ < 0)
-        throw std::logic_error(
-            "AnsatzEvaluator::probePair: no qubit selected");
-    alignas(64) double ure[8], uim[8];
-    buildU3(role, v0, 0, ure, uim);
-    buildU3(role, v1, 1, ure + 4, uim + 4);
-    double tre[2], tim[2];
-    backend_->probeBatch(wRe_, wIm_, ure, uim, 2, tre, tim);
-    t0 = {tre[0], tim[0]};
-    t1 = {tre[1], tim[1]};
-}
-
-void
-AnsatzEvaluator::commitAngle(int role, double value)
-{
-    if (curQubit_ < 0)
-        throw std::logic_error(
-            "AnsatzEvaluator::commitAngle: no qubit selected");
-    angles_[static_cast<size_t>(angleIndex(curCol_, curQubit_, role))] =
-        value;
-    // Refresh the trig caches (subsequent probes of the other roles see
-    // the committed angle), then rebuild the committed U3 straight from
-    // them — the caches already hold the other two roles' trig, so
-    // commit costs one cos/sin pair instead of loadU3's three. Not
-    // routed through the probe-arg memo: commits land on optimizer-
-    // chosen angles and would evict the stable (0, pi) probe entries.
-    const double arg = role == 0 ? value / 2.0 : value;
-    const double c = std::cos(arg), s = std::sin(arg);
-    probeTrig_[role * 2] = c;
-    probeTrig_[role * 2 + 1] = s;
-    trigCache_[curCol_][curQubit_][role * 2] = c;
-    trigCache_[curCol_][curQubit_][role * 2 + 1] = s;
-    kernels::u3EntriesFromTrig(probeTrig_[0], probeTrig_[1], probeTrig_[2],
-                               probeTrig_[3], probeTrig_[4], probeTrig_[5],
-                               u3Re_[curCol_][curQubit_],
-                               u3Im_[curCol_][curQubit_]);
+    requireQubit("commitU3");
+    const size_t at =
+        static_cast<size_t>(angleIndex(curCol_, curQubit_, 0));
+    angles_[at] = u3.theta;
+    angles_[at + 1] = u3.phi;
+    angles_[at + 2] = u3.lambda;
+    loadU3(curCol_, curQubit_);
 }
 
 }  // namespace geyser

@@ -19,11 +19,13 @@
  *     W_q[a,b] = sum_{k_q=a, r_q=b} E(r,k) . prod_{p!=q} u3_p[k_p,r_p].
  *
  * So after one O(d^2) environment build per column and one O(d^2 n)
- * fold per qubit, every rotosolve probe (angle -> trace) costs a
- * constant-size 4-entry contraction plus one U3 rebuild — versus the
- * dense path's O(layers d^3) product with fresh std::exp calls per
- * probe. Environments are updated with rank-local multiplies as the
- * sweep advances, never rebuilt from scratch mid-sweep.
+ * fold per qubit, the trace is known as a function of the qubit's whole
+ * U3. Rotosolve solves that qubit's best U3 from W_q in closed form
+ * (environmentUpdate, compose/composer.hpp) and confirms it with one
+ * 4-entry contraction plus one U3 build — versus the dense path's
+ * O(layers d^3) product with fresh std::exp calls per evaluation.
+ * Environments are updated with rank-local multiplies as the sweep
+ * advances, never rebuilt from scratch mid-sweep.
  *
  * All buffers are fixed-size split-complex (SoA) arrays owned by the
  * evaluator; no heap allocation happens after construction. The dense
@@ -38,6 +40,7 @@
 #include "compose/ansatz.hpp"
 #include "linalg/kernels/backend.hpp"
 #include "linalg/matrix.hpp"
+#include "transpile/zyz.hpp"
 
 namespace geyser {
 
@@ -49,13 +52,13 @@ namespace geyser {
  *   beginSweep();
  *   for col in 0..layers: beginColumn(col);
  *     for q in 0..n-1: beginQubit(q);
- *       probe(role, value) ... commitAngle(role, value);
+ *       environment(); traceWith(u3) ... commitU3(u3);
  *
  * Columns must be visited in order (environments advance forward);
- * probes never mutate state, commits update the evaluator's current
- * angle vector and the cached U3 of the selected qubit. A sweep may be
- * abandoned at any point (e.g. on early convergence) and restarted
- * with beginSweep().
+ * environment() and traceWith() never mutate state, commitU3() updates
+ * the evaluator's current angle vector and the cached U3 of the
+ * selected qubit. A sweep may be abandoned at any point (e.g. on early
+ * convergence) and restarted with beginSweep().
  */
 class AnsatzEvaluator
 {
@@ -109,25 +112,21 @@ class AnsatzEvaluator
     void beginQubit(int qubit);
 
     /**
-     * Trace with the selected qubit's `role` angle (0 = theta, 1 = phi,
-     * 2 = lambda) replaced by `value`, other angles current. O(1):
-     * one U3 rebuild (two trig calls — the fixed roles' trig is cached
-     * by beginQubit/commitAngle) plus the 4-entry contraction. Does
-     * not mutate.
+     * The selected qubit's fold W_q as a 2x2: with that qubit's U3 set
+     * to u and every other angle current, the trace is
+     * sum_{a,b} u[a,b] W_q[a,b].
      */
-    Complex probe(int role, double value) const;
+    Matrix2 environment() const;
 
     /**
-     * Two probes of the same role batched through one contiguous SoA
-     * contraction — the rotosolve (0, pi) probe pair. Equivalent to
-     * two probe() calls, cheaper: the candidate U3s are packed 2x4
-     * split and contracted in one backend sweep.
+     * Trace with the selected qubit's U3 set to `u3` (its global phase
+     * ignored), other angles current: one U3 build plus the 4-entry
+     * contraction against W_q (kernels::contractW). Does not mutate.
      */
-    void probePair(int role, double v0, double v1, Complex &t0,
-                   Complex &t1) const;
+    Complex traceWith(const U3Params &u3) const;
 
-    /** Accept an update for the selected qubit's `role` angle. */
-    void commitAngle(int role, double value);
+    /** Accept `u3`'s angles for the selected qubit. */
+    void commitU3(const U3Params &u3);
 
     /** Name of the compute backend this evaluator dispatched to. */
     const char *backendName() const { return backend_->name; }
@@ -140,8 +139,7 @@ class AnsatzEvaluator
     void loadU3(int col, int qubit);
     void applyColumnLeft(double *re, double *im, int col) const;
     void applyColumnRight(double *re, double *im, int col) const;
-    void buildU3(int role, double value, int way, double *ure,
-                 double *uim) const;
+    void requireQubit(const char *where) const;
 
     int numQubits_ = 0;
     int layers_ = 0;
@@ -172,24 +170,6 @@ class AnsatzEvaluator
     // W_q fold of the current (column, qubit).
     alignas(64) double wRe_[4] = {};
     alignas(64) double wIm_[4] = {};
-
-    // cos/sin of (theta/2, phi, lambda) per (column, qubit), kept in
-    // lockstep with the U3 cache: loadU3 fills it, commitAngle updates
-    // one pair, beginQubit just points probes at it — so selecting a
-    // qubit costs no trig at all.
-    double trigCache_[kMaxColumns][kMaxQubits][6] = {};
-
-    // cos/sin of (theta/2, phi, lambda) for the selected qubit's
-    // current angles; probes only recompute the varied role's pair.
-    double probeTrig_[6] = {};
-
-    // Memoized probe-argument trig, keyed by the exact argument:
-    // [role][way] -> {arg, cos, sin}. Rotosolve probes every coordinate
-    // at the same two values (0, pi), so after the first coordinate the
-    // varied role's trig is a cache hit too. way 0/1 = first/second
-    // value of a probe pair. Pure memoization — hits return exactly
-    // what std::cos/std::sin returned for the identical argument.
-    mutable double probeArgTrig_[3][2][3] = {};
 
     int curCol_ = -1;
     int curQubit_ = -1;

@@ -51,9 +51,12 @@ class ResultCache;
  * unchanged, but certified searches charge no evaluations, and cache
  * entries store compositionEvaluations; v9: trajectories defer the
  * no-jump damping factor; noisy TVD moves within rounding; no compiled
- * circuit changed).
+ * circuit changed; v10: composition sweeps solve each qubit's whole U3
+ * from its environment, so composed angles, evaluation counts and
+ * multiplier-10's composed-block set change, and svApply2q's
+ * low-operand fallback runs the scalar backend's arithmetic).
  */
-inline constexpr int kPipelineVersion = 9;
+inline constexpr int kPipelineVersion = 10;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };

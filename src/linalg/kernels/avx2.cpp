@@ -12,6 +12,8 @@
  * columns and sub-vector dimensions fall back to the per-TU reference
  * loops from detail.hpp (which the compiler auto-vectorizes under
  * this TU's flags — still AVX2-only code, still dispatch-gated).
+ * svApply2q's fallback calls the scalar backend instead, so its bits
+ * are the reference's.
  */
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -298,23 +300,6 @@ foldWAvx2(const double *envRe, const double *envIm, const double (*u3Re)[4],
     }
 }
 
-void
-probeBatchAvx2(const double *wRe, const double *wIm, const double *u3Re,
-               const double *u3Im, int count, double *outRe, double *outIm)
-{
-    const __m256d wr = _mm256_loadu_pd(wRe);
-    const __m256d wi = _mm256_loadu_pd(wIm);
-    for (int i = 0; i < count; ++i) {
-        const __m256d ur = _mm256_loadu_pd(u3Re + i * 4);
-        const __m256d ui = _mm256_loadu_pd(u3Im + i * 4);
-        const __m256d tre =
-            _mm256_fnmadd_pd(ui, wi, _mm256_mul_pd(ur, wr));
-        const __m256d tim = _mm256_fmadd_pd(ui, wr, _mm256_mul_pd(ur, wi));
-        outRe[i] = hsum(tre);
-        outIm[i] = hsum(tim);
-    }
-}
-
 /** (ur + i ui) . v for interleaved v, vs = re/im-swapped v. */
 inline __m256d
 cmulAvx2(double ur, double ui, __m256d v, __m256d vs)
@@ -437,7 +422,9 @@ svApply2qAvx2(Complex *amps, size_t dim, int q0, int q1, const Complex *u)
     const size_t lo = m0 < m1 ? m0 : m1;
     const size_t hi = m0 < m1 ? m1 : m0;
     if (lo < 2) {
-        svApply2qRef(amps, dim, q0, q1, u);
+        // Out of line: inlined into this -mfma TU, the reference loop's
+        // FMA contraction would depend on the inlining context.
+        scalarBackend().svApply2q(amps, dim, q0, q1, u);
         return;
     }
     double *p = reinterpret_cast<double *>(amps);
@@ -480,8 +467,8 @@ avx2Backend()
     static const ComputeBackend backend = {
         "avx2",           matmulAvx2,       traceProductAvx2,
         apply2x2RowsAvx2, apply2x2ColsAvx2, flipRowsRef,
-        flipColsRef,      foldWAvx2,        probeBatchAvx2,
-        svApply1qAvx2,    svApply2qAvx2,
+        flipColsRef,      foldWAvx2,        svApply1qAvx2,
+        svApply2qAvx2,
     };
     return backend;
 }

@@ -7,8 +7,7 @@
  * Tail dimensions never drop to scalar here: every column loop is
  * masked, so d = 2/4/8/16 all run the same code path (d = 8 is one
  * full vector per row — the paper's 3-qubit block size). VL allows the
- * 256-bit idioms for the 4-wide probe contraction and the interleaved
- * statevector kernels on short runs.
+ * 256-bit idioms for the interleaved statevector kernels on short runs.
  */
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -245,33 +244,6 @@ foldWAvx512(const double *envRe, const double *envIm,
     }
 }
 
-inline double
-hsum256(__m256d v)
-{
-    __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    lo = _mm_add_pd(lo, hi);
-    return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-}
-
-void
-probeBatchAvx512(const double *wRe, const double *wIm, const double *u3Re,
-                 const double *u3Im, int count, double *outRe,
-                 double *outIm)
-{
-    const __m256d wr = _mm256_loadu_pd(wRe);
-    const __m256d wi = _mm256_loadu_pd(wIm);
-    for (int i = 0; i < count; ++i) {
-        const __m256d ur = _mm256_loadu_pd(u3Re + i * 4);
-        const __m256d ui = _mm256_loadu_pd(u3Im + i * 4);
-        const __m256d tre =
-            _mm256_fnmadd_pd(ui, wi, _mm256_mul_pd(ur, wr));
-        const __m256d tim = _mm256_fmadd_pd(ui, wr, _mm256_mul_pd(ur, wi));
-        outRe[i] = hsum256(tre);
-        outIm[i] = hsum256(tim);
-    }
-}
-
 /**
  * (ur + i ui) . v for interleaved v, vs = re/im-swapped v. AVX-512 has
  * no addsub; fmaddsub (sub on even lanes, add on odd) does the job.
@@ -423,7 +395,9 @@ svApply2qAvx512(Complex *amps, size_t dim, int q0, int q1, const Complex *u)
     const size_t lo = m0 < m1 ? m0 : m1;
     const size_t hi = m0 < m1 ? m1 : m0;
     if (lo < 4) {
-        svApply2qRef(amps, dim, q0, q1, u);
+        // Out of line: inlined into this -mfma TU, the reference loop's
+        // FMA contraction would depend on the inlining context.
+        scalarBackend().svApply2q(amps, dim, q0, q1, u);
         return;
     }
     double *p = reinterpret_cast<double *>(amps);
@@ -469,8 +443,8 @@ avx512Backend()
     static const ComputeBackend backend = {
         "avx512",           matmulAvx512,       traceProductAvx512,
         apply2x2RowsAvx512, apply2x2ColsAvx512, flipRowsRef,
-        flipColsRef,        foldWAvx512,        probeBatchAvx512,
-        svApply1qAvx512,    svApply2qAvx512,
+        flipColsRef,        foldWAvx512,        svApply1qAvx512,
+        svApply2qAvx512,
     };
     return backend;
 }

@@ -99,15 +99,6 @@ struct ComputeBackend
                   int numQubits, int qubit, double *wRe, double *wIm);
 
     /**
-     * Batched probe contraction: out[i] = sum_j u3[i*4+j] . w[j] for
-     * i in [0, count) — a contiguous SoA sweep over a rotosolve probe
-     * group (the candidate U3s are packed count x 4, split).
-     */
-    void (*probeBatch)(const double *wRe, const double *wIm,
-                       const double *u3Re, const double *u3Im, int count,
-                       double *outRe, double *outIm);
-
-    /**
      * Statevector one-qubit gate: amps (interleaved complex, length
      * dim) updated in place with the row-major 2x2 `u` on `qubit`.
      */
@@ -147,6 +138,16 @@ const ComputeBackend &scalarBackend();
  */
 void traceConjDot(const double *tRe, const double *tIm, const double *uRe,
                   const double *uIm, size_t n, double *outRe, double *outIm);
+
+/**
+ * sum_j u[j] . w[j] over the 4 entries of a row-major 2x2: the trace of
+ * the incremental evaluator with one qubit's U3 set to `u` against that
+ * qubit's fold W (foldW). Scalar only and outside the table, like
+ * traceConjDot: it runs once per environment update, so its arithmetic
+ * is the same on every backend.
+ */
+void contractW(const double *wRe, const double *wIm, const double *uRe,
+               const double *uIm, double *outRe, double *outIm);
 
 /**
  * The reference oracle alias: fixed scalar implementations that dense
@@ -221,25 +222,6 @@ u3Entries(double theta, double phi, double lambda, double *re, double *im)
     const double c = std::cos(theta / 2.0), s = std::sin(theta / 2.0);
     const double cp = std::cos(phi), sp = std::sin(phi);
     const double cl = std::cos(lambda), sl = std::sin(lambda);
-    re[0] = c;
-    im[0] = 0.0;
-    re[1] = -cl * s;
-    im[1] = -sl * s;
-    re[2] = cp * s;
-    im[2] = sp * s;
-    re[3] = (cp * cl - sp * sl) * c;
-    im[3] = (cp * sl + sp * cl) * c;
-}
-
-/**
- * Same U3 entries from precomputed trig values (cos/sin of th/2, ph,
- * la) — the evaluator's probe path caches the two fixed roles' trig
- * and only recomputes the varied role's.
- */
-inline void
-u3EntriesFromTrig(double c, double s, double cp, double sp, double cl,
-                  double sl, double *re, double *im)
-{
     re[0] = c;
     im[0] = 0.0;
     re[1] = -cl * s;

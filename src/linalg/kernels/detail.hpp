@@ -174,23 +174,6 @@ foldWRef(const double *envRe, const double *envIm, const double (*u3Re)[4],
     }
 }
 
-/** out[i] = sum_j u3[i*4+j] . w[j]. */
-inline void
-probeBatchRef(const double *wRe, const double *wIm, const double *u3Re,
-              const double *u3Im, int count, double *outRe, double *outIm)
-{
-    for (int i = 0; i < count; ++i) {
-        double tre = 0.0, tim = 0.0;
-        for (int j = 0; j < 4; ++j) {
-            const double ure = u3Re[i * 4 + j], uim = u3Im[i * 4 + j];
-            tre += ure * wRe[j] - uim * wIm[j];
-            tim += ure * wIm[j] + uim * wRe[j];
-        }
-        outRe[i] = tre;
-        outIm[i] = tim;
-    }
-}
-
 /** Statevector 1-qubit gate, interleaved complex. */
 inline void
 svApply1qRef(Complex *amps, size_t dim, int qubit, const Complex *u)

@@ -9,7 +9,9 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "compose/ansatz.hpp"
+#include "compose/composer.hpp"
 #include "compose/evaluator.hpp"
+#include "verify/equivalence.hpp"
 
 namespace geyser {
 namespace verify {
@@ -68,7 +70,7 @@ checkComposeKernel(const KernelCheckOptions &options)
             const Complex dense = ansatz.overlapTrace(target, angles);
             const double dev = std::abs(incremental - dense);
             report.maxDeviation = std::max(report.maxDeviation, dev);
-            ++report.probesChecked;
+            ++report.tracesChecked;
             if (dev > options.tolerance && report.detail.empty()) {
                 char buf[160];
                 std::snprintf(buf, sizeof(buf),
@@ -80,51 +82,69 @@ checkComposeKernel(const KernelCheckOptions &options)
                 report.detail = buf;
             }
         };
+        auto angleAt = [&](int col, int q, int role) -> double & {
+            return angles[static_cast<size_t>(
+                ansatz.angleIndex(col, q, role))];
+        };
+        auto u3At = [&](int col, int q) {
+            U3Params u3;
+            u3.theta = angleAt(col, q, 0);
+            u3.phi = angleAt(col, q, 1);
+            u3.lambda = angleAt(col, q, 2);
+            return u3;
+        };
+        auto setU3 = [&](int col, int q, const U3Params &u3) {
+            angleAt(col, q, 0) = u3.theta;
+            angleAt(col, q, 1) = u3.phi;
+            angleAt(col, q, 2) = u3.lambda;
+        };
+        // One (column, qubit) step: the fold, checked by contracting W
+        // with a random U3, then an environment update (or, half the
+        // time, a commit of the random U3, so the state keeps moving)
+        // and its confirmed trace. `angles` mirrors every commit, so the
+        // dense oracle always sees the evaluator's exact state.
+        auto step = [&](int col, int q) {
+            evaluator.beginQubit(q);
+            const U3Params kept = u3At(col, q);
+            U3Params probe;
+            probe.theta = rng.uniform(0.0, 2.0 * kPi);
+            probe.phi = rng.uniform(0.0, 2.0 * kPi);
+            probe.lambda = rng.uniform(0.0, 2.0 * kPi);
+            setU3(col, q, probe);
+            check(evaluator.traceWith(probe), "fold");
+            setU3(col, q, kept);
+            if (rng.bernoulli(0.5)) {
+                updateQubit(evaluator,
+                            hsdFromTrace(evaluator.traceWith(kept),
+                                         evaluator.dim()));
+            } else {
+                evaluator.commitU3(probe);
+            }
+            angles = evaluator.angles();
+            check(evaluator.traceWith(u3At(col, q)), "confirmed trace");
+        };
 
         check(evaluator.trace(), "full trace");
 
-        // Several interleaved sweeps with random probes and commits —
-        // the stale-environment hazard the incremental path must
-        // survive. `angles` mirrors every commit so the dense oracle
-        // always sees the evaluator's exact state.
+        // Several interleaved sweeps — the stale-environment hazard the
+        // incremental path must survive.
         const int sweeps = 2 + rng.uniformInt(3);
         for (int sweep = 0; sweep < sweeps; ++sweep) {
             evaluator.beginSweep();
             for (int col = 0; col < evaluator.columns(); ++col) {
                 evaluator.beginColumn(col);
-                for (int q = 0; q < numQubits; ++q) {
-                    evaluator.beginQubit(q);
-                    for (int role = 0; role < 3; ++role) {
-                        const double value = rng.uniform(0.0, 2.0 * kPi);
-                        const size_t idx = static_cast<size_t>(
-                            ansatz.angleIndex(col, q, role));
-                        const double saved = angles[idx];
-                        angles[idx] = value;
-                        check(evaluator.probe(role, value), "probe");
-                        if (rng.bernoulli(0.5)) {
-                            evaluator.commitAngle(role, value);
-                        } else {
-                            angles[idx] = saved;
-                        }
-                    }
-                }
+                for (int q = 0; q < numQubits; ++q)
+                    step(col, q);
             }
             check(evaluator.trace(), "post-sweep trace");
         }
-        // The single-coordinate update path after many interleaved
-        // sweeps: one more sweep that only touches one angle.
+        // The single-qubit update path after many interleaved sweeps:
+        // one more sweep that only touches one qubit.
         evaluator.beginSweep();
         const int lastCol = rng.uniformInt(evaluator.columns());
         for (int col = 0; col <= lastCol; ++col)
             evaluator.beginColumn(col);
-        const int q = rng.uniformInt(numQubits);
-        const int role = rng.uniformInt(3);
-        evaluator.beginQubit(q);
-        const double value = rng.uniform(0.0, 2.0 * kPi);
-        angles[static_cast<size_t>(ansatz.angleIndex(lastCol, q, role))] =
-            value;
-        check(evaluator.probe(role, value), "single-coordinate probe");
-        evaluator.commitAngle(role, value);
+        step(lastCol, rng.uniformInt(numQubits));
         check(evaluator.trace(), "post-update trace");
     }
 
@@ -132,8 +152,8 @@ checkComposeKernel(const KernelCheckOptions &options)
     if (report.pass) {
         char buf[120];
         std::snprintf(buf, sizeof(buf),
-                      "%ld probes matched dense oracle, max deviation %.3e",
-                      report.probesChecked, report.maxDeviation);
+                      "%ld traces matched dense oracle, max deviation %.3e",
+                      report.tracesChecked, report.maxDeviation);
         report.detail = buf;
     }
     return report;

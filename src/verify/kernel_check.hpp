@@ -6,9 +6,10 @@
  * now rests on the incremental trace being *numerically identical* to
  * the dense one, so this check drives randomized ansatze (qubit
  * counts, layer counts, entangler patterns, angle perturbations)
- * through the full sweep protocol — probes, commits, and repeated
- * interleaved sweeps that would expose stale environments — and
- * compares every probe against a freshly built dense trace.
+ * through the full sweep protocol — folds, environment updates, random
+ * commits, and repeated interleaved sweeps that would expose stale
+ * environments — and compares every fold (contracted with a random U3)
+ * and every confirmed trace against a freshly built dense trace.
  */
 #ifndef GEYSER_VERIFY_KERNEL_CHECK_HPP
 #define GEYSER_VERIFY_KERNEL_CHECK_HPP
@@ -33,7 +34,7 @@ struct KernelCheckOptions
 struct KernelCheckReport
 {
     bool pass = false;
-    long probesChecked = 0;
+    long tracesChecked = 0;
     double maxDeviation = 0.0;  ///< Worst |incremental - dense| seen.
     /** One-line summary (filled on pass and fail). */
     std::string detail;

@@ -128,16 +128,6 @@ TEST(Ansatz, FastOverlapMatchesMatrixPath)
     }
 }
 
-TEST(Ansatz, AngleRoleCyclesThetaPhiLambda)
-{
-    const Ansatz ansatz(3, 1);
-    EXPECT_EQ(ansatz.angleRole(0), 0);
-    EXPECT_EQ(ansatz.angleRole(1), 1);
-    EXPECT_EQ(ansatz.angleRole(2), 2);
-    EXPECT_EQ(ansatz.angleRole(3), 0);
-    EXPECT_EQ(ansatz.angleRole(17), 2);
-}
-
 TEST(Ansatz, WrongAngleCountThrows)
 {
     const Ansatz ansatz(3, 1);

@@ -4,13 +4,15 @@
  * kernel (compose/evaluator): the incremental trace must match the
  * dense reference oracle (Ansatz::overlapTrace / Ansatz::unitary) to
  * 1e-12 across random qubit counts, layer counts, entangler patterns,
- * and angle perturbations — including the single-coordinate update
- * path after many interleaved sweeps (stale-environment hazard), the
- * sweep-protocol state machine, and the rotosolve rewrite on top.
+ * and angle perturbations — every fold and every confirmed trace of the
+ * environment update included, also after many interleaved sweeps
+ * (stale-environment hazard) — plus the sweep-protocol state machine,
+ * the optimality of the update, and rotosolve on top.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "compose/composer.hpp"
@@ -66,10 +68,94 @@ TEST(ComposeKernel, FullTraceMatchesDenseAcrossShapes)
     }
 }
 
+U3Params
+randomU3(Rng &rng)
+{
+    U3Params u3;
+    u3.theta = rng.uniform(0.0, 2.0 * kPi);
+    u3.phi = rng.uniform(0.0, 2.0 * kPi);
+    u3.lambda = rng.uniform(0.0, 2.0 * kPi);
+    return u3;
+}
+
+/** `angles` with (col, q)'s U3 set to `u3`. */
+std::vector<double>
+withU3(const Ansatz &ansatz, std::vector<double> angles, int col, int q,
+       const U3Params &u3)
+{
+    angles[static_cast<size_t>(ansatz.angleIndex(col, q, 0))] = u3.theta;
+    angles[static_cast<size_t>(ansatz.angleIndex(col, q, 1))] = u3.phi;
+    angles[static_cast<size_t>(ansatz.angleIndex(col, q, 2))] = u3.lambda;
+    return angles;
+}
+
+U3Params
+u3At(const Ansatz &ansatz, const std::vector<double> &angles, int col, int q)
+{
+    U3Params u3;
+    u3.theta = angles[static_cast<size_t>(ansatz.angleIndex(col, q, 0))];
+    u3.phi = angles[static_cast<size_t>(ansatz.angleIndex(col, q, 1))];
+    u3.lambda = angles[static_cast<size_t>(ansatz.angleIndex(col, q, 2))];
+    return u3;
+}
+
+/** sqrt(|W|_F^2 + 2 |det W|): sigma_1 + sigma_2, the update's optimum. */
+double
+nuclearNorm(const Matrix2 &w)
+{
+    const Complex det = w(0, 0) * w(1, 1) - w(0, 1) * w(1, 0);
+    return std::sqrt(std::norm(w(0, 0)) + std::norm(w(0, 1)) +
+                     std::norm(w(1, 0)) + std::norm(w(1, 1)) +
+                     2.0 * std::abs(det));
+}
+
+/** |sum u[a,b] w[a,b]|. */
+double
+contraction(const Matrix2 &u, const Matrix2 &w)
+{
+    Complex t = 0.0;
+    for (int a = 0; a < 2; ++a)
+        for (int b = 0; b < 2; ++b)
+            t += u(a, b) * w(a, b);
+    return std::abs(t);
+}
+
+/**
+ * The selected qubit's fold against the dense oracle (contracted with a
+ * random U3), then an update (or a commit of that U3) and its confirmed
+ * trace. `angles` mirrors the evaluator.
+ */
+void
+checkedStep(AnsatzEvaluator &evaluator, const Ansatz &ansatz,
+            const Matrix &target, std::vector<double> &angles, Rng &rng,
+            int col, int q, bool update)
+{
+    const U3Params probe = randomU3(rng);
+    EXPECT_LT(std::abs(evaluator.traceWith(probe) -
+                       ansatz.overlapTrace(
+                           target, withU3(ansatz, angles, col, q, probe))),
+              1e-12)
+        << "fold col=" << col << " q=" << q;
+    if (update) {
+        updateQubit(evaluator,
+                    hsdFromTrace(evaluator.traceWith(u3At(ansatz, angles,
+                                                          col, q)),
+                                 evaluator.dim()));
+    } else {
+        evaluator.commitU3(probe);
+    }
+    angles = evaluator.angles();
+    EXPECT_LT(std::abs(evaluator.traceWith(u3At(ansatz, angles, col, q)) -
+                       ansatz.overlapTrace(target, angles)),
+              1e-12)
+        << "confirmed trace col=" << col << " q=" << q;
+}
+
 TEST(ComposeKernel, ProbesMatchDenseThroughSweepProtocol)
 {
-    // Drive the full sweep state machine with random commits; every
-    // probe must equal a fresh dense evaluation of the same angles.
+    // Drive the full sweep state machine with updates and random
+    // commits; every fold and every confirmed trace must equal a fresh
+    // dense evaluation of the same angles.
     Rng rng(23);
     const int numQubits = 3, layers = 4;
     const Ansatz ansatz(numQubits, layers, patternFor(numQubits, layers, 7));
@@ -86,30 +172,11 @@ TEST(ComposeKernel, ProbesMatchDenseThroughSweepProtocol)
             evaluator.beginColumn(col);
             for (int q = 0; q < numQubits; ++q) {
                 evaluator.beginQubit(q);
-                for (int role = 0; role < 3; ++role) {
-                    const double value = rng.uniform(0.0, 2.0 * kPi);
-                    const size_t idx = static_cast<size_t>(
-                        ansatz.angleIndex(col, q, role));
-                    const double saved = angles[idx];
-                    angles[idx] = value;
-                    const Complex dense =
-                        ansatz.overlapTrace(target, angles);
-                    EXPECT_LT(
-                        std::abs(evaluator.probe(role, value) - dense),
-                        1e-12)
-                        << "sweep=" << sweep << " col=" << col
-                        << " q=" << q << " role=" << role;
-                    if (rng.bernoulli(0.6)) {
-                        evaluator.commitAngle(role, value);
-                    } else {
-                        angles[idx] = saved;
-                    }
-                }
+                checkedStep(evaluator, ansatz, target, angles, rng, col, q,
+                            rng.bernoulli(0.6));
             }
         }
     }
-    // Evaluator state and mirror must agree at the end.
-    EXPECT_EQ(evaluator.angles(), angles);
     EXPECT_LT(std::abs(evaluator.trace() -
                        ansatz.overlapTrace(target, angles)),
               1e-12);
@@ -118,7 +185,7 @@ TEST(ComposeKernel, ProbesMatchDenseThroughSweepProtocol)
 TEST(ComposeKernel, SingleCoordinateUpdateAfterInterleavedSweeps)
 {
     // The stale-environment trap: many sweeps with commits, then a
-    // fresh sweep touching one coordinate deep in the circuit.
+    // fresh sweep updating one qubit deep in the circuit.
     Rng rng(31);
     const int numQubits = 3, layers = 5;
     const Ansatz ansatz(numQubits, layers, patternFor(numQubits, layers, 9));
@@ -129,38 +196,118 @@ TEST(ComposeKernel, SingleCoordinateUpdateAfterInterleavedSweeps)
         rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi);
     evaluator.setAngles(angles);
 
-    // Churn: three sweeps committing everything.
+    // Churn: three sweeps committing random U3s everywhere.
     for (int sweep = 0; sweep < 3; ++sweep) {
         evaluator.beginSweep();
         for (int col = 0; col < evaluator.columns(); ++col) {
             evaluator.beginColumn(col);
             for (int q = 0; q < numQubits; ++q) {
                 evaluator.beginQubit(q);
-                for (int role = 0; role < 3; ++role) {
-                    const double value = rng.uniform(0.0, 2.0 * kPi);
-                    angles[static_cast<size_t>(
-                        ansatz.angleIndex(col, q, role))] = value;
-                    evaluator.commitAngle(role, value);
-                }
+                evaluator.commitU3(randomU3(rng));
             }
         }
     }
-    // Single-coordinate sweeps at every column depth.
+    angles = evaluator.angles();
+    // Single-qubit sweeps at every column depth.
     for (int targetCol = 0; targetCol < evaluator.columns(); ++targetCol) {
         evaluator.beginSweep();
         for (int col = 0; col <= targetCol; ++col)
             evaluator.beginColumn(col);
         const int q = rng.uniformInt(numQubits);
-        const int role = rng.uniformInt(3);
         evaluator.beginQubit(q);
-        const double value = rng.uniform(0.0, 2.0 * kPi);
-        angles[static_cast<size_t>(
-            ansatz.angleIndex(targetCol, q, role))] = value;
-        const Complex dense = ansatz.overlapTrace(target, angles);
-        EXPECT_LT(std::abs(evaluator.probe(role, value) - dense), 1e-12)
-            << "targetCol=" << targetCol;
-        evaluator.commitAngle(role, value);
+        checkedStep(evaluator, ansatz, target, angles, rng, targetCol, q,
+                    true);
     }
+}
+
+TEST(ComposeKernel, EnvironmentUpdateIsOptimal)
+{
+    Rng rng(41);
+    for (int numQubits = 2; numQubits <= 4; ++numQubits) {
+        for (int layers = 1; layers <= 3; ++layers) {
+            const Ansatz ansatz(
+                numQubits, layers,
+                patternFor(numQubits, layers,
+                           static_cast<uint64_t>(numQubits * 10 + layers)));
+            const Ansatz deeper(numQubits, 4,
+                                patternFor(numQubits, 4, 99));
+            const Matrix target = deeper.unitary(
+                rng.uniformVector(deeper.numAngles(), 0.0, 2.0 * kPi));
+            AnsatzEvaluator evaluator(ansatz, target);
+            evaluator.setAngles(
+                rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
+            const int dim = evaluator.dim();
+            for (int sweep = 0; sweep < 3; ++sweep) {
+                const double before = hilbertSchmidtDistance(
+                    ansatz.unitary(evaluator.angles()), target);
+                evaluator.beginSweep();
+                for (int col = 0; col < evaluator.columns(); ++col) {
+                    evaluator.beginColumn(col);
+                    for (int q = 0; q < numQubits; ++q) {
+                        evaluator.beginQubit(q);
+                        const Matrix2 w = evaluator.environment();
+                        const double optimum = nuclearNorm(w);
+                        const U3Params current =
+                            u3At(ansatz, evaluator.angles(), col, q);
+                        updateQubit(evaluator,
+                                    hsdFromTrace(evaluator.traceWith(current),
+                                                 dim));
+                        const double confirmed = std::abs(evaluator.traceWith(
+                            u3At(ansatz, evaluator.angles(), col, q)));
+                        EXPECT_NEAR(confirmed, optimum, 1e-12 * optimum)
+                            << "n=" << numQubits << " layers=" << layers
+                            << " col=" << col << " q=" << q;
+                        for (int k = 0; k < 64; ++k)
+                            EXPECT_LE(std::abs(evaluator.traceWith(
+                                          randomU3(rng))),
+                                      confirmed * (1.0 + 1e-12));
+                    }
+                }
+                const double after = hilbertSchmidtDistance(
+                    ansatz.unitary(evaluator.angles()), target);
+                EXPECT_LE(after, before + 1e-12)
+                    << "n=" << numQubits << " layers=" << layers
+                    << " sweep=" << sweep;
+            }
+        }
+    }
+
+    // A rank-1 W: any unit phase is optimal, and the update takes 1.
+    auto isUnitary = [](const Matrix2 &u) {
+        return (u * u.dagger()).maxAbsDiff(Matrix2::identity()) <= 1e-14;
+    };
+    for (int trial = 0; trial < 32; ++trial) {
+        auto c = [&] {
+            return Complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+        };
+        const Complex a0 = c(), a1 = c(), b0 = c(), b1 = c();
+        // An outer product (det W rounds to about 1e-17) and a W with a
+        // zero row (det W exactly 0).
+        for (const Matrix2 &w :
+             {Matrix2(a0 * b0, a0 * b1, a1 * b0, a1 * b1),
+              Matrix2(a0, b0, 0.0, 0.0)}) {
+            const std::optional<Matrix2> u = environmentUpdate(w);
+            ASSERT_TRUE(u.has_value());
+            EXPECT_TRUE(isUnitary(*u)) << "trial=" << trial;
+            EXPECT_NEAR(contraction(*u, w), nuclearNorm(w),
+                        1e-12 * nuclearNorm(w));
+        }
+    }
+
+    // W = 0: nothing to solve; the qubit keeps its angles bit for bit.
+    EXPECT_FALSE(environmentUpdate(Matrix2()).has_value());
+    const Ansatz ansatz(3, 2);
+    AnsatzEvaluator evaluator(ansatz, Matrix(8, 8));
+    evaluator.setAngles(rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
+    const std::vector<double> start = evaluator.angles();
+    evaluator.beginSweep();
+    evaluator.beginColumn(0);
+    evaluator.beginQubit(1);
+    EXPECT_EQ(evaluator.environment().maxAbsDiff(Matrix2()), 0.0);
+    EXPECT_EQ(updateQubit(evaluator, 0.5), 0.5);
+    EXPECT_EQ(std::memcmp(start.data(), evaluator.angles().data(),
+                          start.size() * sizeof(double)),
+              0);
 }
 
 TEST(ComposeKernel, VerifyLayerCrossCheckPasses)
@@ -170,7 +317,7 @@ TEST(ComposeKernel, VerifyLayerCrossCheckPasses)
     options.seed = 5;
     const auto report = verify::checkComposeKernel(options);
     EXPECT_TRUE(report.pass) << report.detail;
-    EXPECT_GT(report.probesChecked, 1000);
+    EXPECT_GT(report.tracesChecked, 1000);
     EXPECT_LT(report.maxDeviation, 1e-12);
 }
 
@@ -199,7 +346,7 @@ TEST(ComposeKernel, RotosolveReportsTrueDistance)
 TEST(ComposeKernel, DenseWrapperMatchesEvaluatorPath)
 {
     // The legacy rotosolve signature is a thin wrapper; both entry
-    // points must agree exactly (same probes, same commits).
+    // points must agree exactly (same updates, same commits).
     const Ansatz ansatz(3, 2);
     Rng rng(53);
     const Matrix target = ansatz.unitary(
@@ -225,15 +372,28 @@ TEST(ComposeKernel, DenseWrapperMatchesEvaluatorPath)
 TEST(ComposeKernel, SweepProtocolEnforcesColumnOrder)
 {
     const Ansatz ansatz(2, 1);
-    const Matrix target = Matrix::identity(4);
+    const Matrix target = ansatz.unitary({0.3, 1.1, -0.4, 2.0, 0.7, 0.1,
+                                          -1.3, 0.5, 0.9, 0.2, 1.7, -2.4});
     AnsatzEvaluator evaluator(ansatz, target);
     EXPECT_THROW(evaluator.beginColumn(0), std::logic_error);  // No sweep.
     evaluator.beginSweep();
     EXPECT_THROW(evaluator.beginColumn(1), std::logic_error);  // Skipped 0.
     evaluator.beginColumn(0);
-    EXPECT_THROW(evaluator.probe(0, 0.0), std::logic_error);  // No qubit.
+    // No qubit.
+    EXPECT_THROW(evaluator.environment(), std::logic_error);
+    EXPECT_THROW(evaluator.traceWith(U3Params{}), std::logic_error);
+    EXPECT_THROW(evaluator.commitU3(U3Params{}), std::logic_error);
+    EXPECT_THROW(updateQubit(evaluator, 1.0), std::logic_error);
     evaluator.beginQubit(0);
-    EXPECT_NO_THROW(evaluator.probe(0, 0.0));
+    std::vector<double> angles = evaluator.angles();
+    Rng rng(59);
+    checkedStep(evaluator, ansatz, target, angles, rng, 0, 0, true);
+    evaluator.beginQubit(1);
+    checkedStep(evaluator, ansatz, target, angles, rng, 0, 1, true);
+    evaluator.beginColumn(1);
+    EXPECT_THROW(evaluator.environment(), std::logic_error);
+    evaluator.beginQubit(0);
+    checkedStep(evaluator, ansatz, target, angles, rng, 1, 0, true);
 }
 
 TEST(ComposeKernel, RejectsMismatchedInputs)
