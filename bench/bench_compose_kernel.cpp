@@ -7,9 +7,10 @@
  * evaluation is one qubit's environment update, as composition
  * charges it):
  *
- *   dense        one full Ansatz::overlapTrace per evaluation — the
- *                oracle path, pinned to the scalar reference backend,
- *                so it never moves.
+ *   dense        one dense oracle trace per evaluation,
+ *                verify::overlapTrace(target, Ansatz::unitary(angles)):
+ *                Matrix arithmetic that enters no compute backend, so
+ *                it never moves with dispatch.
  *   incremental  the sweep exactly as rotosolve runs it: per-column
  *                environments, one fold per qubit, updateQubit()'s
  *                closed-form solve and confirming contraction, through
@@ -26,7 +27,9 @@
  * Exit is non-zero when:
  *   - any backend fails the 1e-12 oracle cross-check, or
  *   - the dispatched backend's incremental rate drops below the dense
- *     path (the CI sanity floor — a regression guard), or
+ *     path (the CI sanity floor — a coarse regression guard: the dense
+ *     oracle builds a Matrix product per trace, so even the scalar
+ *     incremental path clears it several times over), or
  *   - GEYSER_KERNEL_SPEEDUP_FLOOR is set and the dispatched backend's
  *     rate is below floor x the scalar backend's rate (skipped when
  *     the host dispatches to scalar — nothing to compare).
@@ -105,7 +108,7 @@ makeShape(Rng &rng, int qubits, int layers)
             std::move(angles)};
 }
 
-/** Dense baseline: one full overlapTrace per charged evaluation. */
+/** Dense baseline: one oracle trace per charged evaluation. */
 KernelRate
 denseRate(const Shape &shape, double budget_s)
 {
@@ -117,7 +120,8 @@ denseRate(const Shape &shape, double budget_s)
         // Move one qubit's theta per evaluation, as an update would.
         for (size_t i = 0; i < angles.size(); i += 3) {
             angles[i] += 0.25;
-            sink += std::abs(shape.ansatz.overlapTrace(shape.target, angles));
+            sink += std::abs(verify::overlapTrace(
+                shape.target, shape.ansatz.unitary(angles)));
             ++rate.evaluations;
         }
     }
@@ -212,8 +216,8 @@ main(int argc, char **argv)
         env::envDouble("GEYSER_KERNEL_SPEEDUP_FLOOR", 0.0, 0.0, 1e6);
 
     // Correctness gates before any timing: every usable backend must
-    // match the dense oracle (which is pinned to the scalar reference,
-    // so this also covers scalar-vs-dense).
+    // match the dense oracle, which enters no backend, so every backend
+    // is checked against the same bits.
     const auto backends = kernels::availableBackends();
     for (const auto &info : backends) {
         if (info.backend == nullptr)

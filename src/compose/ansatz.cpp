@@ -1,10 +1,6 @@
 #include "compose/ansatz.hpp"
 
-#include <cmath>
-#include <cstring>
 #include <stdexcept>
-
-#include "linalg/kernels/backend.hpp"
 
 namespace geyser {
 
@@ -127,89 +123,6 @@ Ansatz::unitary(const std::vector<double> &angles) const
     for (int l = 0; l < layers_; ++l)
         u = column(l + 1) * (entanglerMatrix(l) * u);
     return u;
-}
-
-Complex
-Ansatz::overlapTrace(const Matrix &target,
-                     const std::vector<double> &angles) const
-{
-    const int dim = 1 << numQubits_;
-    if (target.rows() != dim || target.cols() != dim)
-        throw std::invalid_argument("overlapTrace: target dimension");
-    if (static_cast<int>(angles.size()) != numAngles())
-        throw std::invalid_argument("overlapTrace: wrong angle count");
-
-    // cur = running product, built column by column. All buffers are
-    // 16x16 max, split row-major, on the stack. The matrix algebra is
-    // PINNED to the scalar reference backend: this path is the 1e-12
-    // oracle every SIMD backend is property-tested against, so its
-    // arithmetic must not move when dispatch selects a different ISA.
-    const kernels::ComputeBackend &kernel = kernels::reference();
-    double curRe[256], curIm[256], tmpRe[256], tmpIm[256];
-    double colRe[256], colIm[256];
-    double u3sRe[4][4], u3sIm[4][4];
-
-    auto loadColumn = [&](int col) {
-        const int base = col * numQubits_ * 3;
-        for (int q = 0; q < numQubits_; ++q)
-            kernels::u3Entries(
-                angles[static_cast<size_t>(base + q * 3)],
-                angles[static_cast<size_t>(base + q * 3 + 1)],
-                angles[static_cast<size_t>(base + q * 3 + 2)], u3sRe[q],
-                u3sIm[q]);
-    };
-    // Kronecker entry C(r,c) = prod_q u3_q[r_q, c_q].
-    auto buildColumn = [&](double *re, double *im) {
-        for (int r = 0; r < dim; ++r) {
-            for (int c = 0; c < dim; ++c) {
-                double vre = 1.0, vim = 0.0;
-                for (int q = 0; q < numQubits_; ++q) {
-                    const int e = ((r >> q) & 1) * 2 + ((c >> q) & 1);
-                    const double ure = u3sRe[q][e], uim = u3sIm[q][e];
-                    const double nre = vre * ure - vim * uim;
-                    vim = vre * uim + vim * ure;
-                    vre = nre;
-                }
-                re[r * dim + c] = vre;
-                im[r * dim + c] = vim;
-            }
-        }
-    };
-
-    loadColumn(0);
-    buildColumn(curRe, curIm);
-
-    for (int l = 0; l < layers_; ++l) {
-        // Diagonal entangler: flip the sign of the affected rows.
-        kernel.flipRows(
-            curRe, curIm,
-            entanglerFlipMask(entanglers_[static_cast<size_t>(l)],
-                              numQubits_),
-            dim);
-        // cur = column(l+1) * cur.
-        loadColumn(l + 1);
-        buildColumn(colRe, colIm);
-        kernel.matmul(colRe, colIm, curRe, curIm, tmpRe, tmpIm, dim);
-        std::memcpy(curRe, tmpRe,
-                    sizeof(double) * static_cast<size_t>(dim * dim));
-        std::memcpy(curIm, tmpIm,
-                    sizeof(double) * static_cast<size_t>(dim * dim));
-    }
-
-    // sum conj(target) . cur, elementwise over the full matrices.
-    double tgtRe[256], tgtIm[256];
-    for (int r = 0; r < dim; ++r) {
-        for (int c = 0; c < dim; ++c) {
-            const Complex v = target(r, c);
-            tgtRe[r * dim + c] = v.real();
-            tgtIm[r * dim + c] = v.imag();
-        }
-    }
-    double tre = 0.0, tim = 0.0;
-    kernels::traceConjDot(tgtRe, tgtIm, curRe, curIm,
-                          static_cast<size_t>(dim) * static_cast<size_t>(dim),
-                          &tre, &tim);
-    return {tre, tim};
 }
 
 Circuit

@@ -37,7 +37,7 @@ enum class Entangler : uint8_t { Cz01, Cz02, Cz12, Ccz, Cccz };
  * Every supported entangler is a diagonal sign matrix that flips the
  * amplitude of exactly the basis states whose local bits cover `mask`:
  * row r is negated iff (r & mask) == mask. This is the representation
- * both the dense trace path and the incremental AnsatzEvaluator use.
+ * the incremental AnsatzEvaluator uses.
  */
 int entanglerFlipMask(Entangler e, int num_qubits);
 
@@ -52,9 +52,8 @@ class Ansatz
     /**
      * @param num_qubits 2, 3, or 4. The 4-qubit form (CCCZ entanglers,
      *        the paper's rejected square-lattice alternative, Sec 3.2)
-     *        supports unitary()/overlapTrace() for composability
-     *        studies; toCircuit() requires CCCZ hardware support and
-     *        throws.
+     *        supports unitary() for composability studies;
+     *        toCircuit() requires CCCZ hardware support and throws.
      * @param layers Number of entangler layers (>= 1).
      * @param entanglers Per-layer choice; for 2-qubit ansatze and
      *        PaperCcz mode this is ignored (CZ / CCZ respectively).
@@ -91,14 +90,6 @@ class Ansatz
 
     /** The ansatz unitary for the given angles (2^n x 2^n). */
     Matrix unitary(const std::vector<double> &angles) const;
-
-    /**
-     * Tr(target^dagger U(angles)) computed with fixed stack buffers —
-     * the optimizer hot path (millions of calls per composition), so no
-     * heap allocation. Equivalent to tracing against unitary(angles).
-     */
-    Complex overlapTrace(const Matrix &target,
-                         const std::vector<double> &angles) const;
 
     /** Materialize the ansatz as a physical circuit over local qubits. */
     Circuit toCircuit(const std::vector<double> &angles) const;

@@ -25,10 +25,9 @@
 
 namespace geyser {
 
-// The HSD objective helpers live in the verification layer now, shared
-// with the equivalence checkers.
+// The HSD objective helper lives in the verification layer, shared with
+// the equivalence checkers.
 using verify::hsdFromTrace;
-using verify::overlapTrace;
 
 namespace {
 
@@ -481,7 +480,7 @@ composeSeeded(const Circuit &block, const ComposeOptions &options,
                 da.seed = seed + static_cast<uint64_t>(layers);
                 // The annealing objective closes over the incremental
                 // evaluator's full-trace path (cached U3 phases, split
-                // buffers) instead of the dense overlapTrace.
+                // buffers), not a dense product.
                 long annealProbes = 0;
                 const auto out = dualAnnealing(
                     countedObjective(

@@ -29,8 +29,10 @@
  *
  * All buffers are fixed-size split-complex (SoA) arrays owned by the
  * evaluator; no heap allocation happens after construction. The dense
- * Ansatz::overlapTrace stays as the reference oracle; the verify layer
- * cross-checks the two to 1e-12 (verify/kernel_check).
+ * oracle is verify::overlapTrace(target, Ansatz::unitary(angles)),
+ * which enters no compute backend and shares no arithmetic with this
+ * path; the verify layer cross-checks the two to 1e-12
+ * (verify/kernel_check).
  */
 #ifndef GEYSER_COMPOSE_EVALUATOR_HPP
 #define GEYSER_COMPOSE_EVALUATOR_HPP
@@ -87,7 +89,7 @@ class AnsatzEvaluator
     /**
      * Tr(target^dagger U(current angles)) via the factored product —
      * O(layers d^2 n), no std::exp (U3s come from the cache). Matches
-     * Ansatz::overlapTrace to floating-point rounding.
+     * the dense oracle to floating-point rounding.
      */
     Complex trace() const;
 
@@ -127,9 +129,6 @@ class AnsatzEvaluator
 
     /** Accept `u3`'s angles for the selected qubit. */
     void commitU3(const U3Params &u3);
-
-    /** Name of the compute backend this evaluator dispatched to. */
-    const char *backendName() const { return backend_->name; }
 
   private:
     int angleIndex(int col, int qubit, int role) const

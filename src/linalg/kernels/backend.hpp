@@ -3,17 +3,19 @@
  * Pluggable SIMD compute backends for the composition and simulation
  * hot paths.
  *
- * Every split-complex inner loop that used to be hand-rolled in
- * compose/evaluator.cpp, compose/ansatz.cpp, and sim/statevector.cpp
- * now routes through one `ComputeBackend` — a table of free functions
- * over split-complex (SoA: separate re/im arrays) row-major buffers.
- * Three implementations are compiled in (host permitting):
+ * The inner loops of the two hot paths, the incremental composition
+ * objective (compose/evaluator.cpp) and the statevector simulator
+ * (sim/statevector.cpp), route through one `ComputeBackend` — a table
+ * of free functions over split-complex (SoA: separate re/im arrays)
+ * row-major buffers. Nothing else enters the table. Three
+ * implementations are compiled in (host permitting):
  *
- *   scalar   portable reference loops, always available. This backend
- *            doubles as the correctness oracle: every other backend is
- *            property-tested against it to 1e-12, and the dense
- *            Ansatz::overlapTrace path is pinned to it so the oracle
- *            never moves when dispatch changes.
+ *   scalar   portable reference loops, always available. Every other
+ *            backend is property-tested against it to 1e-12. The dense
+ *            oracle that the composition objective is checked against
+ *            (verify::overlapTrace of Ansatz::unitary) lives outside
+ *            this layer and shares no arithmetic with it, so the
+ *            oracle never moves when dispatch changes.
  *   avx2     256-bit AVX2+FMA kernels (4 doubles / lane group).
  *   avx512   512-bit AVX-512F/DQ/VL kernels (8 doubles / lane group).
  *
@@ -130,32 +132,14 @@ struct BackendInfo
 const ComputeBackend &scalarBackend();
 
 /**
- * sum_i conj(t_i) u_i over n contiguous elements — the dagger-trace
- * contraction Tr(T^dagger U) for same-layout matrices (n = d*d). Scalar
- * only and outside the table: its one caller is the dense
- * Ansatz::overlapTrace oracle, which is pinned to the reference
- * arithmetic, so no dispatched path runs it.
- */
-void traceConjDot(const double *tRe, const double *tIm, const double *uRe,
-                  const double *uIm, size_t n, double *outRe, double *outIm);
-
-/**
  * sum_j u[j] . w[j] over the 4 entries of a row-major 2x2: the trace of
  * the incremental evaluator with one qubit's U3 set to `u` against that
- * qubit's fold W (foldW). Scalar only and outside the table, like
- * traceConjDot: it runs once per environment update, so its arithmetic
- * is the same on every backend.
+ * qubit's fold W (foldW). Scalar only and outside the table: it runs
+ * once per environment update, so its arithmetic is the same on every
+ * backend.
  */
 void contractW(const double *wRe, const double *wIm, const double *uRe,
                const double *uIm, double *outRe, double *outIm);
-
-/**
- * The reference oracle alias: fixed scalar implementations that dense
- * cross-check paths (Ansatz::overlapTrace) are pinned to, so the
- * oracle's arithmetic never changes when dispatch selects a SIMD
- * backend.
- */
-inline const ComputeBackend &reference() { return scalarBackend(); }
 
 /** Every known backend name, best first: avx512, avx2, scalar. */
 std::vector<BackendInfo> availableBackends();
@@ -208,13 +192,14 @@ class ScopedBackend
 };
 
 /**
- * Shared U3 entry builder (row-major 2x2, split):
+ * The evaluator's U3 entries (row-major 2x2, split):
  *
  *   [ cos(th/2)            , -e^{i la} sin(th/2)      ]
  *   [ e^{i ph} sin(th/2)   ,  e^{i (ph+la)} cos(th/2) ]
  *
- * The one definition the evaluator, the dense oracle, and the
- * transpile layer's matrix builder agree on.
+ * The same matrix as u3Matrix (circuit/gate.hpp), which Ansatz::unitary
+ * and the transpile layer build from, up to rounding: this one takes
+ * cos/sin of each angle where u3Matrix takes std::exp.
  */
 inline void
 u3Entries(double theta, double phi, double lambda, double *re, double *im)

@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/kernels/backend.hpp"
-
 namespace geyser {
 
 namespace {
@@ -99,35 +97,6 @@ Matrix::operator*(const Matrix &rhs) const
 {
     if (cols_ != rhs.rows_)
         throw std::invalid_argument("Matrix multiply: shape mismatch");
-
-    // Dense square products route through the dispatched SIMD backend.
-    // The zero-skip loop below stays: circuit-unitary expansion
-    // multiplies mostly-zero gate embeddings, where skipping beats
-    // vectorizing. 25% non-zero is the crossover gate.
-    if (rows_ == cols_ && rhs.rows_ == rhs.cols_ && rows_ >= 8) {
-        size_t nonZero = 0;
-        for (const auto &v : data_)
-            if (v != Complex{})
-                ++nonZero;
-        if (nonZero * 4 > data_.size()) {
-            const size_t n = data_.size();
-            std::vector<double> split(6 * n);
-            double *aRe = split.data(), *aIm = aRe + n;
-            double *bRe = aIm + n, *bIm = bRe + n;
-            double *oRe = bIm + n, *oIm = oRe + n;
-            for (size_t i = 0; i < n; ++i) {
-                aRe[i] = data_[i].real();
-                aIm[i] = data_[i].imag();
-                bRe[i] = rhs.data_[i].real();
-                bIm[i] = rhs.data_[i].imag();
-            }
-            kernels::active().matmul(aRe, aIm, bRe, bIm, oRe, oIm, rows_);
-            Matrix out(rows_, cols_);
-            for (size_t i = 0; i < n; ++i)
-                out.data_[i] = {oRe[i], oIm[i]};
-            return out;
-        }
-    }
 
     Matrix out(rows_, rhs.cols_);
     for (int i = 0; i < rows_; ++i) {

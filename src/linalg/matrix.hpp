@@ -48,8 +48,8 @@ class Matrix2
     const Complex *data() const { return m_.data(); }
 
     /**
-     * Matrix::operator*'s small-matrix loop: start from zero, skip zero
-     * entries of the left factor, accumulate a * b in (i, k, j) order.
+     * Matrix::operator*'s loop: start from zero, skip zero entries of
+     * the left factor, accumulate a * b in (i, k, j) order.
      */
     Matrix2 operator*(const Matrix2 &rhs) const
     {

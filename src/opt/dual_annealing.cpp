@@ -11,6 +11,13 @@ namespace geyser {
 
 namespace {
 
+/** Starting temperature of every annealing cycle (scipy's default). */
+constexpr double kInitialTemperature = 5230.0;
+/** A cycle ends when the temperature falls below this share of it. */
+constexpr double kRestartTemperatureRatio = 2e-5;
+/** Annealing steps per cycle. */
+constexpr int kStepsPerCycle = 1000;
+
 /** Clamp x into the box. */
 void
 clampToBox(std::vector<double> &x, const std::vector<double> &lo,
@@ -46,9 +53,8 @@ dualAnnealing(const Objective &f, const std::vector<double> &lower,
     result.x = x;
     result.value = e;
 
-    auto maybePolish = [&]() {
-        if (!options.localPolish)
-            return;
+    // Nelder-Mead around the best point, after every cycle.
+    auto polish = [&]() {
         NelderMeadOptions nm;
         nm.initialStep = 0.3;
         nm.maxIterations = 300;
@@ -61,8 +67,8 @@ dualAnnealing(const Objective &f, const std::vector<double> &lower,
         }
     };
 
-    const double t0 = options.initialTemperature;
-    const double tRestart = t0 * options.restartTemperatureRatio;
+    const double t0 = kInitialTemperature;
+    const double tRestart = t0 * kRestartTemperatureRatio;
     // Visiting-step scale relative to the box size.
     std::vector<double> span(n);
     for (size_t i = 0; i < n; ++i)
@@ -76,7 +82,7 @@ dualAnnealing(const Objective &f, const std::vector<double> &lower,
         constexpr double kQv = 2.62;
         const double qvm1 = kQv - 1.0;
         const double num = std::pow(2.0, qvm1) - 1.0;
-        for (int k = 1; k <= options.maxIterations; ++k) {
+        for (int k = 1; k <= kStepsPerCycle; ++k) {
             const double temp =
                 t0 * num / (std::pow(1.0 + k, qvm1) - 1.0);
             if (temp < tRestart)
@@ -113,7 +119,7 @@ dualAnnealing(const Objective &f, const std::vector<double> &lower,
                 }
             }
         }
-        maybePolish();
+        polish();
         if (result.value <= options.targetValue ||
             result.evaluations >= options.maxEvaluations)
             break;
@@ -132,7 +138,7 @@ dualAnnealing(const Objective &f, const std::vector<double> &lower,
         e = evaluate(x);
     }
 
-    maybePolish();
+    polish();
     return result;
 }
 

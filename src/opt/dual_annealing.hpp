@@ -2,9 +2,10 @@
  * @file
  * Dual annealing: a generalized simulated annealing global search with a
  * heavy-tailed (Cauchy) visiting distribution, geometric-restart
- * reannealing, and Nelder-Mead local polish on improvement — the C++
- * counterpart of scipy's dual_annealing, which the paper uses to minimize
- * the Hilbert-Schmidt distance during block composition (Sec 3.4).
+ * reannealing, and a Nelder-Mead local polish after each annealing cycle
+ * — the C++ counterpart of scipy's dual_annealing, which the paper uses
+ * to minimize the Hilbert-Schmidt distance during block composition
+ * (Sec 3.4).
  */
 #ifndef GEYSER_OPT_DUAL_ANNEALING_HPP
 #define GEYSER_OPT_DUAL_ANNEALING_HPP
@@ -14,22 +15,21 @@
 
 namespace geyser {
 
-/** Options for a dual annealing run. */
+/**
+ * Options for a dual annealing run. The annealing schedule and the
+ * Nelder-Mead polish after each cycle are constants in
+ * dual_annealing.cpp: no caller tunes them.
+ */
 struct DualAnnealingOptions
 {
-    double initialTemperature = 5230.0;  ///< scipy default.
-    double restartTemperatureRatio = 2e-5;
-    int maxIterations = 1000;            ///< Annealing steps per restart cycle.
-    int maxEvaluations = 200000;         ///< Global evaluation budget.
-    double targetValue = -1e300;         ///< Early stop when reached.
-    bool localPolish = true;             ///< Nelder-Mead around improvements.
+    int maxEvaluations = 200000;  ///< Global evaluation budget.
+    double targetValue = -1e300;  ///< Early stop when reached.
     uint64_t seed = 42;
 };
 
 /**
  * Minimize f within the box [lower, upper]^n. Stops at the evaluation
- * budget, the iteration budget, or as soon as the best value drops to
- * targetValue.
+ * budget or as soon as the best value drops to targetValue.
  */
 OptResult dualAnnealing(const Objective &f, const std::vector<double> &lower,
                         const std::vector<double> &upper,

@@ -5,6 +5,13 @@
 
 namespace geyser {
 
+namespace {
+
+/** Stop once the simplex's values spread by less than this. */
+constexpr double kTolerance = 1e-12;
+
+}  // namespace
+
 OptResult
 nelderMead(const Objective &f, const std::vector<double> &x0,
            const NelderMeadOptions &options)
@@ -38,7 +45,7 @@ nelderMead(const Objective &f, const std::vector<double> &x0,
         const size_t worst = order[n];
         const size_t second = order[n - 1];
 
-        if (values[worst] - values[best] < options.tolerance)
+        if (values[worst] - values[best] < kTolerance)
             break;
 
         // Centroid of all but the worst vertex.

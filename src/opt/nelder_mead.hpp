@@ -16,10 +16,13 @@ struct NelderMeadOptions
 {
     double initialStep = 0.5;  ///< Simplex edge length around x0.
     int maxIterations = 2000;
-    double tolerance = 1e-12;  ///< Simplex value-spread stopping threshold.
 };
 
-/** Minimize f starting from x0. */
+/**
+ * Minimize f starting from x0. Stops after options.maxIterations or
+ * once the simplex's values agree to a fixed tolerance
+ * (nelder_mead.cpp).
+ */
 OptResult nelderMead(const Objective &f, const std::vector<double> &x0,
                      const NelderMeadOptions &options = {});
 

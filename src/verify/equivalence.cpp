@@ -40,6 +40,9 @@ distributionReport(const Distribution &reference,
 Complex
 overlapTrace(const Matrix &target, const Matrix &candidate)
 {
+    if (target.rows() != candidate.rows() ||
+        target.cols() != candidate.cols())
+        throw std::invalid_argument("overlapTrace: shape mismatch");
     Complex t{};
     for (int i = 0; i < target.rows(); ++i)
         for (int j = 0; j < target.cols(); ++j)

@@ -71,8 +71,12 @@ struct EquivalenceReport
 };
 
 /**
- * Tr(target^dagger candidate) — the overlap driving the HSD. Shared with
- * the composer's objective.
+ * Tr(target^dagger candidate) — the overlap driving the HSD, summed
+ * entry by entry with no kernel dispatch. With candidate =
+ * Ansatz::unitary(angles) it is the one dense oracle of the composition
+ * objective, which the incremental evaluator is checked against
+ * (verify/kernel_check). Throws std::invalid_argument when the shapes
+ * differ.
  */
 Complex overlapTrace(const Matrix &target, const Matrix &candidate);
 

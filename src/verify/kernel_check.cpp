@@ -67,7 +67,8 @@ checkComposeKernel(const KernelCheckOptions &options)
         evaluator.setAngles(angles);
 
         auto check = [&](Complex incremental, const char *where) {
-            const Complex dense = ansatz.overlapTrace(target, angles);
+            const Complex dense =
+                overlapTrace(target, ansatz.unitary(angles));
             const double dev = std::abs(incremental - dense);
             report.maxDeviation = std::max(report.maxDeviation, dev);
             ++report.tracesChecked;

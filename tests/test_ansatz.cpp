@@ -101,33 +101,6 @@ TEST(Ansatz, CzEntanglerLayerCheapensPulses)
     EXPECT_EQ(Ansatz(3, 2, {Entangler::Cz01, Entangler::Ccz}).pulses(), 17);
 }
 
-TEST(Ansatz, FastOverlapMatchesMatrixPath)
-{
-    Rng rng(23);
-    for (int nq = 2; nq <= 3; ++nq) {
-        for (int layers = 1; layers <= 3; ++layers) {
-            std::vector<Entangler> ents;
-            for (int l = 0; l < layers; ++l)
-                ents.push_back(l % 2 ? Entangler::Cz02 : Entangler::Ccz);
-            const Ansatz ansatz(nq, layers, ents);
-            const auto angles =
-                rng.uniformVector(ansatz.numAngles(), 0.0, 2 * kPi);
-            const auto target =
-                ansatz.unitary(rng.uniformVector(ansatz.numAngles(), 0.0,
-                                                 2 * kPi));
-            // Reference: Tr(T^dagger U) via the matrix path.
-            const Matrix u = ansatz.unitary(angles);
-            Complex ref{};
-            for (int i = 0; i < u.rows(); ++i)
-                for (int j = 0; j < u.cols(); ++j)
-                    ref += std::conj(target(i, j)) * u(i, j);
-            const Complex fast = ansatz.overlapTrace(target, angles);
-            EXPECT_LT(std::abs(fast - ref), 1e-10)
-                << "nq=" << nq << " layers=" << layers;
-        }
-    }
-}
-
 TEST(Ansatz, WrongAngleCountThrows)
 {
     const Ansatz ansatz(3, 1);

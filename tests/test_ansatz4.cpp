@@ -6,7 +6,6 @@
  */
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "compose/composer.hpp"
 #include "sim/unitary_sim.hpp"
 
@@ -31,21 +30,6 @@ TEST(Ansatz4, UnitaryIsUnitaryAndCcczAtZeroAngles)
     Matrix cccz = Matrix::identity(16);
     cccz(15, 15) = -1;
     EXPECT_LT(u.maxAbsDiff(cccz), 1e-12);
-}
-
-TEST(Ansatz4, FastOverlapMatchesMatrixPath)
-{
-    Rng rng(31);
-    const Ansatz a(4, 2);
-    const auto angles = rng.uniformVector(a.numAngles(), 0.0, 2 * kPi);
-    const auto target =
-        a.unitary(rng.uniformVector(a.numAngles(), 0.0, 2 * kPi));
-    const Matrix u = a.unitary(angles);
-    Complex ref{};
-    for (int i = 0; i < 16; ++i)
-        for (int j = 0; j < 16; ++j)
-            ref += std::conj(target(i, j)) * u(i, j);
-    EXPECT_LT(std::abs(a.overlapTrace(target, angles) - ref), 1e-9);
 }
 
 TEST(Ansatz4, ToCircuitIsUnsupported)

@@ -11,7 +11,8 @@
  *
  * Also covers the dispatch surface: availableBackends() structure,
  * the avx512 -> avx2 -> scalar fallback chain, ScopedBackend
- * save/restore, and the full evaluator-vs-dense-oracle cross-check
+ * save/restore, the dense oracle's independence of the active backend,
+ * and the full evaluator-vs-dense-oracle cross-check
  * (verify/kernel_check) once per backend.
  */
 #include <gtest/gtest.h>
@@ -19,13 +20,17 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "compose/ansatz.hpp"
 #include "linalg/kernels/backend.hpp"
+#include "verify/equivalence.hpp"
 #include "verify/kernel_check.hpp"
 
 namespace {
@@ -155,6 +160,57 @@ TEST(BackendDispatch, ScopedBackendOverridesAndRestores)
     EXPECT_EQ(kernels::activeName(), before);
 }
 
+/** FNV-1a, continued from `h`, over `bytes` bytes at `data`. */
+uint64_t
+hashBytes(uint64_t h, const void *data, size_t bytes)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(BackendDispatch, DenseOracleIsTheSameOnEveryBackend)
+{
+    // The dense oracle of the composition objective,
+    // verify::overlapTrace(target, Ansatz::unitary(angles)), enters no
+    // compute backend, so its bits must not depend on which one is
+    // active. Depth-3 ansatze at fixed angles make every product dense.
+    auto oracleHash = [] {
+        uint64_t h = 14695981039346656037ull;
+        for (int numQubits = 2; numQubits <= 4; ++numQubits) {
+            const Ansatz ansatz(numQubits, 3);
+            std::vector<double> angles(
+                static_cast<size_t>(ansatz.numAngles()));
+            std::vector<double> other(angles.size());
+            for (size_t i = 0; i < angles.size(); ++i) {
+                angles[i] = 0.1 + 0.37 * static_cast<double>(i);
+                other[i] = 2.9 - 0.23 * static_cast<double>(i);
+            }
+            const Matrix u = ansatz.unitary(angles);
+            h = hashBytes(h, u.data().data(),
+                          u.data().size() * sizeof(Complex));
+            const Complex t =
+                verify::overlapTrace(ansatz.unitary(other), u);
+            h = hashBytes(h, &t, sizeof(t));
+        }
+        return h;
+    };
+    std::vector<std::pair<std::string, uint64_t>> hashes;
+    for (const auto &info : kernels::availableBackends()) {
+        if (info.backend == nullptr)
+            continue;
+        kernels::ScopedBackend scoped(info.name);
+        ASSERT_TRUE(scoped.honoured()) << info.name;
+        hashes.emplace_back(info.name, oracleHash());
+    }
+    // availableBackends() lists scalar last.
+    for (const auto &[name, h] : hashes)
+        EXPECT_EQ(h, hashes.back().second) << name << " vs scalar";
+}
+
 TEST(BackendParity, MatmulAndDagger)
 {
     Rng rng(2025);
@@ -167,8 +223,9 @@ TEST(BackendParity, MatmulAndDagger)
                 std::vector<double> refRe(n), refIm(n);
                 OffsetBuf outRe(rng, n, offset), outIm(rng, n, offset);
 
-                kernels::reference().matmul(aRe.p, aIm.p, bRe.p, bIm.p,
-                                            refRe.data(), refIm.data(), d);
+                kernels::scalarBackend().matmul(aRe.p, aIm.p, bRe.p, bIm.p,
+                                                refRe.data(), refIm.data(),
+                                                d);
                 backend->matmul(aRe.p, aIm.p, bRe.p, bIm.p, outRe.p,
                                 outIm.p, d);
                 EXPECT_LT(maxAbsDiff(refRe.data(), outRe.p, n), kTol)
@@ -191,8 +248,8 @@ TEST(BackendParity, TraceContractions)
                 OffsetBuf bRe(rng, n, offset), bIm(rng, n, offset);
 
                 double refR = 0.0, refI = 0.0, gotR = 0.0, gotI = 0.0;
-                kernels::reference().traceProduct(aRe.p, aIm.p, bRe.p,
-                                                  bIm.p, d, &refR, &refI);
+                kernels::scalarBackend().traceProduct(
+                    aRe.p, aIm.p, bRe.p, bIm.p, d, &refR, &refI);
                 backend->traceProduct(aRe.p, aIm.p, bRe.p, bIm.p, d, &gotR,
                                       &gotI);
                 EXPECT_NEAR(refR, gotR, kTol)
@@ -221,18 +278,18 @@ TEST(BackendParity, Apply2x2RowsAndCols)
                     std::vector<double> refRe(re.p, re.p + n);
                     std::vector<double> refIm(im.p, im.p + n);
 
-                    kernels::reference().apply2x2Rows(refRe.data(),
-                                                      refIm.data(), uRe,
-                                                      uIm, bit, d);
+                    kernels::scalarBackend().apply2x2Rows(refRe.data(),
+                                                          refIm.data(), uRe,
+                                                          uIm, bit, d);
                     backend->apply2x2Rows(re.p, im.p, uRe, uIm, bit, d);
                     EXPECT_LT(maxAbsDiff(refRe.data(), re.p, n), kTol)
                         << backend->name << " apply2x2Rows d=" << d
                         << " bit=" << bit << " offset=" << offset;
                     EXPECT_LT(maxAbsDiff(refIm.data(), im.p, n), kTol);
 
-                    kernels::reference().apply2x2Cols(refRe.data(),
-                                                      refIm.data(), uRe,
-                                                      uIm, bit, d);
+                    kernels::scalarBackend().apply2x2Cols(refRe.data(),
+                                                          refIm.data(), uRe,
+                                                          uIm, bit, d);
                     backend->apply2x2Cols(re.p, im.p, uRe, uIm, bit, d);
                     EXPECT_LT(maxAbsDiff(refRe.data(), re.p, n), kTol)
                         << backend->name << " apply2x2Cols d=" << d
@@ -255,14 +312,14 @@ TEST(BackendParity, FlipRowsAndCols)
                 std::vector<double> refRe(re.p, re.p + n);
                 std::vector<double> refIm(im.p, im.p + n);
 
-                kernels::reference().flipRows(refRe.data(), refIm.data(),
-                                              mask, d);
+                kernels::scalarBackend().flipRows(refRe.data(),
+                                                  refIm.data(), mask, d);
                 backend->flipRows(re.p, im.p, mask, d);
                 EXPECT_LT(maxAbsDiff(refRe.data(), re.p, n), kTol)
                     << backend->name << " flipRows d=" << d;
 
-                kernels::reference().flipCols(refRe.data(), refIm.data(),
-                                              mask, d);
+                kernels::scalarBackend().flipCols(refRe.data(),
+                                                  refIm.data(), mask, d);
                 backend->flipCols(re.p, im.p, mask, d);
                 EXPECT_LT(maxAbsDiff(refRe.data(), re.p, n), kTol)
                     << backend->name << " flipCols d=" << d;
@@ -288,9 +345,9 @@ TEST(BackendParity, FoldW)
                                            rng.uniform(0.0, 2.0 * kPi),
                                            u3Re[q], u3Im[q]);
                     double refRe[4], refIm[4], gotRe[4], gotIm[4];
-                    kernels::reference().foldW(envRe.p, envIm.p, u3Re,
-                                               u3Im, numQubits, qubit,
-                                               refRe, refIm);
+                    kernels::scalarBackend().foldW(envRe.p, envIm.p, u3Re,
+                                                   u3Im, numQubits, qubit,
+                                                   refRe, refIm);
                     backend->foldW(envRe.p, envIm.p, u3Re, u3Im, numQubits,
                                    qubit, gotRe, gotIm);
                     EXPECT_LT(maxAbsDiff(refRe, gotRe, 4), kTol)
@@ -318,7 +375,7 @@ TEST(BackendParity, StatevectorKernels)
                 v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
             for (int q = 0; q < numQubits; ++q) {
                 std::vector<Complex> ref = base, got = base;
-                kernels::reference().svApply1q(ref.data(), dim, q, u1);
+                kernels::scalarBackend().svApply1q(ref.data(), dim, q, u1);
                 backend->svApply1q(got.data(), dim, q, u1);
                 for (size_t i = 0; i < dim; ++i)
                     EXPECT_LT(std::abs(ref[i] - got[i]), kTol)
@@ -336,8 +393,8 @@ TEST(BackendParity, StatevectorKernels)
                     if (q0 == q1)
                         continue;
                     std::vector<Complex> ref = base, got = base;
-                    kernels::reference().svApply2q(ref.data(), dim, q0, q1,
-                                                   u2);
+                    kernels::scalarBackend().svApply2q(ref.data(), dim, q0,
+                                                       q1, u2);
                     backend->svApply2q(got.data(), dim, q0, q1, u2);
                     for (size_t i = 0; i < dim; ++i)
                         EXPECT_LT(std::abs(ref[i] - got[i]), kTol)
@@ -457,8 +514,8 @@ TEST(BackendParity, Statevector2qLowOperandsMatchReference)
                     if (q0 == q1 || std::min(q0, q1) >= lowBits)
                         continue;
                     std::vector<Complex> ref = base, got = base;
-                    kernels::reference().svApply2q(ref.data(), dim, q0, q1,
-                                                   u);
+                    kernels::scalarBackend().svApply2q(ref.data(), dim, q0,
+                                                       q1, u);
                     backend->svApply2q(got.data(), dim, q0, q1, u);
                     EXPECT_TRUE(sameBits(got, ref))
                         << backend->name << " n=" << numQubits
@@ -470,7 +527,7 @@ TEST(BackendParity, Statevector2qLowOperandsMatchReference)
 }
 
 /** Randomized ansatz shapes/angles, full evaluator vs the dense oracle
- *  (pinned to the scalar reference) once per usable backend. */
+ *  (which enters no backend) once per usable backend. */
 TEST(BackendParity, EvaluatorMatchesDenseOracleOnEveryBackend)
 {
     for (const auto &info : kernels::availableBackends()) {

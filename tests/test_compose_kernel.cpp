@@ -2,7 +2,7 @@
  * @file
  * Property/fuzz suite for the incremental environment-contraction
  * kernel (compose/evaluator): the incremental trace must match the
- * dense reference oracle (Ansatz::overlapTrace / Ansatz::unitary) to
+ * dense reference oracle (verify::overlapTrace of Ansatz::unitary) to
  * 1e-12 across random qubit counts, layer counts, entangler patterns,
  * and angle perturbations — every fold and every confirmed trace of the
  * environment update included, also after many interleaved sweeps
@@ -44,6 +44,14 @@ patternFor(int num_qubits, int layers, uint64_t seed)
     return out;
 }
 
+/** The dense oracle: Tr(target^dagger U(angles)) from the Matrix product. */
+Complex
+denseTrace(const Ansatz &ansatz, const Matrix &target,
+           const std::vector<double> &angles)
+{
+    return verify::overlapTrace(target, ansatz.unitary(angles));
+}
+
 TEST(ComposeKernel, FullTraceMatchesDenseAcrossShapes)
 {
     Rng rng(11);
@@ -60,7 +68,7 @@ TEST(ComposeKernel, FullTraceMatchesDenseAcrossShapes)
                 const auto angles =
                     rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi);
                 evaluator.setAngles(angles);
-                const Complex dense = ansatz.overlapTrace(target, angles);
+                const Complex dense = denseTrace(ansatz, target, angles);
                 EXPECT_LT(std::abs(evaluator.trace() - dense), 1e-12)
                     << "n=" << numQubits << " layers=" << layers;
             }
@@ -132,8 +140,8 @@ checkedStep(AnsatzEvaluator &evaluator, const Ansatz &ansatz,
 {
     const U3Params probe = randomU3(rng);
     EXPECT_LT(std::abs(evaluator.traceWith(probe) -
-                       ansatz.overlapTrace(
-                           target, withU3(ansatz, angles, col, q, probe))),
+                       denseTrace(ansatz, target,
+                                  withU3(ansatz, angles, col, q, probe))),
               1e-12)
         << "fold col=" << col << " q=" << q;
     if (update) {
@@ -146,7 +154,7 @@ checkedStep(AnsatzEvaluator &evaluator, const Ansatz &ansatz,
     }
     angles = evaluator.angles();
     EXPECT_LT(std::abs(evaluator.traceWith(u3At(ansatz, angles, col, q)) -
-                       ansatz.overlapTrace(target, angles)),
+                       denseTrace(ansatz, target, angles)),
               1e-12)
         << "confirmed trace col=" << col << " q=" << q;
 }
@@ -178,7 +186,7 @@ TEST(ComposeKernel, ProbesMatchDenseThroughSweepProtocol)
         }
     }
     EXPECT_LT(std::abs(evaluator.trace() -
-                       ansatz.overlapTrace(target, angles)),
+                       denseTrace(ansatz, target, angles)),
               1e-12);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the dense complex matrix substrate and its fixed-size
- * 2x2 counterpart.
+ * Unit tests for the dense complex matrix substrate, its fixed-size
+ * 2x2 counterpart, and the Hilbert-Schmidt overlap built on them.
  */
 #include <gtest/gtest.h>
 
@@ -9,8 +9,10 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 
 #include "linalg/matrix.hpp"
+#include "verify/equivalence.hpp"
 
 namespace geyser {
 namespace {
@@ -218,6 +220,24 @@ TEST(Hsd, SymmetricInArguments)
     Matrix h{{r, r}, {r, -r}};
     EXPECT_NEAR(hilbertSchmidtDistance(x, h), hilbertSchmidtDistance(h, x),
                 1e-15);
+}
+
+TEST(Hsd, OverlapTraceRejectsShapeMismatch)
+{
+    // The dense oracle reads candidate(i, j) over the target's shape,
+    // and Matrix::operator() is unchecked: a smaller candidate must be
+    // refused, not read past its end. hilbertSchmidtDistance refuses
+    // the same pair.
+    const Matrix target = Matrix::identity(8);
+    const Matrix candidate = Matrix::identity(4);
+    EXPECT_THROW(verify::overlapTrace(target, candidate),
+                 std::invalid_argument);
+    EXPECT_THROW(verify::overlapTrace(candidate, target),
+                 std::invalid_argument);
+    EXPECT_THROW(verify::overlapTrace(candidate, Matrix(4, 8)),
+                 std::invalid_argument);
+    EXPECT_THROW(hilbertSchmidtDistance(target, candidate),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 # Lint: split-complex multiply-accumulate loops live in
 # src/linalg/kernels and nowhere else.
 #
-# The compose evaluator, the dense ansatz oracle, and the statevector
-# simulator used to each carry a hand-rolled copy of the same complex
-# MAC inner loop; they now all route through the ComputeBackend kernel
-# layer so the scalar/AVX2/AVX-512 implementations stay the single
-# source of truth. This script fails CI if a split-complex product
-# (`...Re[i] * ...Im[j]` and friends) is reintroduced outside the
-# kernel directory.
+# The compose evaluator and the statevector simulator route their
+# complex MAC inner loops through the ComputeBackend kernel layer, so
+# the scalar/AVX2/AVX-512 implementations stay the single source of
+# truth. The dense oracle those loops are checked against
+# (src/verify: overlapTrace of Ansatz::unitary) is Matrix arithmetic
+# over std::complex and shares no loop with them. This script fails CI
+# if a split-complex product (`...Re[i] * ...Im[j]` and friends) is
+# reintroduced outside the kernel directory, the oracle's home
+# included.
 #
 # Usage: tools/check_kernel_dedup.sh   (from anywhere; exits non-zero
 # on a violation and prints the offending lines)
@@ -29,7 +31,7 @@ if ! grep -rEq "$pattern" src/linalg/kernels --include='*.cpp' \
   exit 2
 fi
 
-matches=$(grep -rEn "$pattern" src/compose src/sim src/linalg \
+matches=$(grep -rEn "$pattern" src/compose src/sim src/linalg src/verify \
   --include='*.cpp' --include='*.hpp' \
   | grep -v '^src/linalg/kernels/' || true)
 
@@ -37,8 +39,8 @@ if [ -n "$matches" ]; then
   echo "Hand-rolled split-complex MAC outside src/linalg/kernels:" >&2
   echo "$matches" >&2
   echo >&2
-  echo "Route the loop through kernels::active() (or" >&2
-  echo "kernels::reference() for oracle paths) instead." >&2
+  echo "Route a hot loop through kernels::active(); build an" >&2
+  echo "oracle from Matrix arithmetic instead." >&2
   exit 1
 fi
 echo "OK: no hand-rolled split-complex MAC loops outside" \
