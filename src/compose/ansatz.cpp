@@ -162,6 +162,11 @@ Ansatz::toCircuit(const std::vector<double> &angles) const
               case Entangler::Cz12:
                 out.cz(1, 2);
                 break;
+              case Entangler::Cccz:
+                // Only 4-qubit ansatze use CCCZ; the guard above
+                // rejects them.
+                throw std::logic_error(
+                    "Ansatz::toCircuit: CCCZ layer in a 3-qubit ansatz");
             }
         }
         emitColumn(l + 1);

@@ -69,32 +69,47 @@ class PaperPauliSource final : public NoiseSource
     void onGate(StateVector &sv, const GateEvent &ev,
                 ShotContext &ctx) const override
     {
+        draw(ev, ctx, [&](Qubit q, bool bitFlip) {
+            if (bitFlip)
+                sv.applyX(q);
+            else
+                sv.applyZ(q);
+            ctx.countEvent(id());
+        });
+    }
+
+    bool actsAtGate(const GateEvent &ev,
+                    const ShotContext &ctx) const override
+    {
+        bool acts = false;
+        draw(ev, ctx, [&](Qubit, bool) { acts = true; });
+        return acts;
+    }
+
+  private:
+    /** The gate's draws in stream order; flip(q, isX) per success. */
+    template <typename Flip>
+    void draw(const GateEvent &ev, const ShotContext &ctx,
+              Flip &&flip) const
+    {
         StreamRng rng(ctx.shotSeed, id(), ev.index);
         const Gate &g = *ev.gate;
         const double pb = model_.bitFlipFor(g);
         const double pp = model_.phaseFlipFor(g);
         for (int i = 0; i < g.numQubits(); ++i) {
             const Qubit q = g.qubit(i);
-            if (rng.bernoulli(pb)) {
-                sv.applyX(q);
-                ctx.countEvent(id());
-            }
-            if (rng.bernoulli(pp)) {
-                sv.applyZ(q);
-                ctx.countEvent(id());
-            }
+            if (rng.bernoulli(pb))
+                flip(q, true);
+            if (rng.bernoulli(pp))
+                flip(q, false);
         }
         if (ev.zone == nullptr)
             return;
-        for (const int z : *ev.zone) {
-            if (rng.bernoulli(model_.crosstalkPhase)) {
-                sv.applyZ(z);
-                ctx.countEvent(id());
-            }
-        }
+        for (const int z : *ev.zone)
+            if (rng.bernoulli(model_.crosstalkPhase))
+                flip(z, false);
     }
 
-  private:
     NoiseModel model_;
 };
 
@@ -111,15 +126,40 @@ class AmpDampingSource final : public NoiseSource
     void onGate(StateVector &sv, const GateEvent &ev,
                 ShotContext &ctx) const override
     {
-        StreamRng rng(ctx.shotSeed, id(), ev.index);
-        const Gate &g = *ev.gate;
-        for (int i = 0; i < g.numQubits(); ++i) {
-            if (sv.applyAmplitudeDamping(g.qubit(i), gamma_, rng.uniform()))
+        draw(ev, ctx, [&](Qubit q, double u) {
+            if (sv.applyAmplitudeDamping(q, gamma_, u))
                 ctx.countEvent(id());
-        }
+        });
+    }
+
+    /** A draw u < gamma may jump; one u >= gamma only defers K0. */
+    bool actsAtGate(const GateEvent &ev,
+                    const ShotContext &ctx) const override
+    {
+        bool acts = false;
+        draw(ev, ctx, [&](Qubit, double u) { acts |= u < gamma_; });
+        return acts;
+    }
+
+    void onQuietGate(StateVector &sv, const GateEvent &ev) const override
+    {
+        const Gate &g = *ev.gate;
+        for (int i = 0; i < g.numQubits(); ++i)
+            sv.applyNoJump(g.qubit(i), gamma_);
     }
 
   private:
+    /** One uniform draw per operand, in operand order: step(q, u). */
+    template <typename Step>
+    void draw(const GateEvent &ev, const ShotContext &ctx,
+              Step &&step) const
+    {
+        StreamRng rng(ctx.shotSeed, id(), ev.index);
+        const Gate &g = *ev.gate;
+        for (int i = 0; i < g.numQubits(); ++i)
+            step(g.qubit(i), rng.uniform());
+    }
+
     double gamma_;
 };
 
@@ -137,6 +177,29 @@ class IdleDephasingSource final : public NoiseSource
     void onIdle(StateVector &sv, const GateEvent &ev,
                 ShotContext &ctx) const override
     {
+        draw(ev, ctx, [&](Qubit q) {
+            sv.applyZ(q);
+            ctx.countEvent(id());
+        });
+    }
+
+    bool actsAtGate(const GateEvent &ev,
+                    const ShotContext &ctx) const override
+    {
+        bool acts = false;
+        draw(ev, ctx, [&](Qubit) { acts = true; });
+        return acts;
+    }
+
+  private:
+    /**
+     * One Bernoulli per operand that sat idle, in operand order:
+     * dephase(q) per success.
+     */
+    template <typename Dephase>
+    void draw(const GateEvent &ev, const ShotContext &ctx,
+              Dephase &&dephase) const
+    {
         if (ev.idlePulses == nullptr)
             return;
         StreamRng rng(ctx.shotSeed, id(), ev.index);
@@ -147,14 +210,11 @@ class IdleDephasingSource final : public NoiseSource
                 continue;
             const double p =
                 0.5 * (1.0 - std::exp(-rate_ * static_cast<double>(t)));
-            if (rng.bernoulli(p)) {
-                sv.applyZ(g.qubit(i));
-                ctx.countEvent(id());
-            }
+            if (rng.bernoulli(p))
+                dephase(g.qubit(i));
         }
     }
 
-  private:
     double rate_;
 };
 
@@ -177,18 +237,55 @@ class AtomLossTrackingSource final : public NoiseSource
 
     void onShotStart(ShotContext &ctx) const override
     {
-        if (preShot_ <= 0.0)
-            return;
-        StreamRng rng(ctx.shotSeed, id(), kShotEventIndex);
-        for (Qubit q = 0; q < ctx.numQubits; ++q) {
-            if (rng.bernoulli(preShot_)) {
-                ctx.markLost(q);
-                ctx.countEvent(id());
-            }
-        }
+        drawShot(ctx, [&](Qubit q) {
+            ctx.markLost(q);
+            ctx.countEvent(id());
+        });
     }
 
     void onGateStart(const GateEvent &ev, ShotContext &ctx) const override
+    {
+        drawGate(ev, ctx, [&](Qubit q) {
+            ctx.markLost(q);
+            ctx.countEvent(id());
+        });
+    }
+
+    bool actsAtShotStart(const ShotContext &ctx) const override
+    {
+        bool acts = false;
+        drawShot(ctx, [&](Qubit) { acts = true; });
+        return acts;
+    }
+
+    bool actsAtGate(const GateEvent &ev,
+                    const ShotContext &ctx) const override
+    {
+        bool acts = false;
+        drawGate(ev, ctx, [&](Qubit) { acts = true; });
+        return acts;
+    }
+
+  private:
+    /** One Bernoulli per atom, in atom order: lose(q) per success. */
+    template <typename Lose>
+    void drawShot(const ShotContext &ctx, Lose &&lose) const
+    {
+        if (preShot_ <= 0.0)
+            return;
+        StreamRng rng(ctx.shotSeed, id(), kShotEventIndex);
+        for (Qubit q = 0; q < ctx.numQubits; ++q)
+            if (rng.bernoulli(preShot_))
+                lose(q);
+    }
+
+    /**
+     * One Bernoulli per operand not yet lost, in operand order:
+     * lose(q) per success.
+     */
+    template <typename Lose>
+    void drawGate(const GateEvent &ev, const ShotContext &ctx,
+                  Lose &&lose) const
     {
         if (perGate_ <= 0.0)
             return;
@@ -198,14 +295,11 @@ class AtomLossTrackingSource final : public NoiseSource
             const Qubit q = g.qubit(i);
             if (ctx.isLost(q))
                 continue;
-            if (rng.bernoulli(perGate_)) {
-                ctx.markLost(q);
-                ctx.countEvent(id());
-            }
+            if (rng.bernoulli(perGate_))
+                lose(q);
         }
     }
 
-  private:
     double preShot_;
     double perGate_;
 };
@@ -223,6 +317,30 @@ class CorrelatedPauliSource final : public NoiseSource
 
     void onGate(StateVector &sv, const GateEvent &ev,
                 ShotContext &ctx) const override
+    {
+        draw(ev, ctx, [&](Qubit a, int pa, Qubit b, int pb) {
+            applyPauli(sv, a, pa);
+            applyPauli(sv, b, pb);
+            ctx.countEvent(id());
+        });
+    }
+
+    bool actsAtGate(const GateEvent &ev,
+                    const ShotContext &ctx) const override
+    {
+        bool acts = false;
+        draw(ev, ctx, [&](Qubit, int, Qubit, int) { acts = true; });
+        return acts;
+    }
+
+  private:
+    /**
+     * On an entangling gate: one Bernoulli, and on success the pair
+     * and its Paulis, then pair(a, pa, b, pb).
+     */
+    template <typename Pair>
+    void draw(const GateEvent &ev, const ShotContext &ctx,
+              Pair &&pair) const
     {
         const Gate &g = *ev.gate;
         if (!g.isEntangling())
@@ -242,12 +360,9 @@ class CorrelatedPauliSource final : public NoiseSource
         // Uniform non-identity Pauli pair: index 1..15 as (P_a, P_b)
         // base-4 digits, 0=I 1=X 2=Y 3=Z.
         const int joint = 1 + rng.uniformInt(15);
-        applyPauli(sv, g.qubit(ai), joint >> 2);
-        applyPauli(sv, g.qubit(bi), joint & 3);
-        ctx.countEvent(id());
+        pair(g.qubit(ai), joint >> 2, g.qubit(bi), joint & 3);
     }
 
-  private:
     static void applyPauli(StateVector &sv, Qubit q, int pauli)
     {
         switch (pauli) {

@@ -128,6 +128,20 @@ struct GateEvent
  * One noise channel. Hooks default to no-ops; implementations override
  * the ones their physics needs. All hooks must be pure w.r.t. the
  * source object (const methods): per-shot state lives in ShotContext.
+ *
+ * Query contract (DESIGN §14, "Shared prefixes"). A shot's draws
+ * *act* at a point when they change the state, the lost set or the
+ * event tally there. actsAtShotStart and actsAtGate say whether they
+ * do, from the draws alone: they make the same draws as the hooks,
+ * through the same routine, change nothing, and may assume that no
+ * earlier draw of the shot acted (no atom is lost yet). Before a
+ * shot's first acting point every trajectory evolves the same way, so
+ * the engine runs that prefix once for many shots: it applies each
+ * quiet gate's unitary and then onQuietGate instead of the hooks. A
+ * source that overrides onShotStart must override actsAtShotStart; one
+ * that overrides onGateStart, onIdle or onGate must override
+ * actsAtGate; and a hook that changes the state on a draw that does
+ * not act must do the same in onQuietGate.
  */
 class NoiseSource
 {
@@ -190,6 +204,35 @@ class NoiseSource
     {
         (void)p;
         (void)ctx;
+    }
+
+    /** True when onShotStart's draws for this shot act. */
+    virtual bool actsAtShotStart(const ShotContext &ctx) const
+    {
+        (void)ctx;
+        return false;
+    }
+
+    /**
+     * True when this shot's draws at `ev` act in onGateStart, onIdle or
+     * onGate, given that no earlier draw of the shot acted.
+     */
+    virtual bool actsAtGate(const GateEvent &ev, const ShotContext &ctx) const
+    {
+        (void)ev;
+        (void)ctx;
+        return false;
+    }
+
+    /**
+     * What onGate does to the state after a gate at which no draw of
+     * the shot acts, without the draws: it must not depend on the state
+     * or the shot. Called in the same phase order as onGate.
+     */
+    virtual void onQuietGate(StateVector &sv, const GateEvent &ev) const
+    {
+        (void)sv;
+        (void)ev;
     }
 };
 

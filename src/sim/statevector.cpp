@@ -318,22 +318,30 @@ StateVector::probOne(Qubit q) const
     return p1;
 }
 
+void
+StateVector::applyNoJump(Qubit q, double gamma)
+{
+    // K0 is diagonal, so it waits for the next operation that does not
+    // commute with it (DESIGN §14).
+    const int slot = slotOf(q);
+    const size_t mask = size_t{1} << slot;
+    const double f = std::sqrt(1.0 - gamma);
+    double &factor = factor_[static_cast<size_t>(slot)];
+    factor = (pending_ & mask) ? factor * f : f;
+    pending_ |= mask;
+    unnormalized_ = true;
+}
+
 bool
 StateVector::applyAmplitudeDamping(Qubit q, double gamma, double u)
 {
-    const int slot = slotOf(q);
-    const size_t mask = size_t{1} << slot;
     if (u >= gamma) {
         // P(jump) = gamma * P(q = 1) <= gamma <= u: K0 applies whatever
-        // the state is. It is diagonal, so it waits for the next
-        // operation that does not commute with it (DESIGN §14).
-        const double f = std::sqrt(1.0 - gamma);
-        double &factor = factor_[static_cast<size_t>(slot)];
-        factor = (pending_ & mask) ? factor * f : f;
-        pending_ |= mask;
-        unnormalized_ = true;
+        // the state is.
+        applyNoJump(q, gamma);
         return false;
     }
+    const size_t mask = size_t{1} << slotOf(q);
     flushFactors(pending_);
     // Serial sums in increasing index order; never reassociate them.
     double w = 0.0, w1 = 0.0;

@@ -124,6 +124,14 @@ class StateVector
     bool applyAmplitudeDamping(Qubit q, double gamma, double u);
 
     /**
+     * The step applyAmplitudeDamping takes on a draw u >= gamma: the
+     * no-jump K0 = diag(1, sqrt(1 - gamma)) on qubit q, deferred into
+     * q's factor. It reads no amplitude, so its effect does not depend
+     * on the state.
+     */
+    void applyNoJump(Qubit q, double gamma);
+
+    /**
      * Probability per basis state of the whole register (2^n): the
      * deferred factors applied and the result normalized. A state that
      * no deferred damping step left unnormalized gives |amplitude|^2.

@@ -35,6 +35,12 @@ struct EngineContext
     std::vector<std::optional<Matrix2>> unitaries;
     /** Sources in application order (already reversed if requested). */
     std::vector<const NoiseSource *> sources;
+    /**
+     * The same sources in onGate order: every injection source before
+     * every relaxation source, so registration order cannot change the
+     * composed map (NoiseSource::isRelaxation()).
+     */
+    std::vector<const NoiseSource *> afterGate;
     /** Restriction zones per gate (empty when crosstalk is off). */
     std::vector<std::vector<int>> zones;
     /** Idle pulses per gate operand (empty when idle dephasing off). */
@@ -152,23 +158,68 @@ idleDurations(const Circuit &circuit)
     return idle;
 }
 
+/** Gate gi with the context its sources read. */
+GateEvent
+gateEvent(const Circuit &circuit, const EngineContext &engine, size_t gi)
+{
+    GateEvent ev;
+    ev.gate = &circuit.gates()[gi];
+    ev.index = gi;
+    ev.zone = engine.zones.empty() ? nullptr : &engine.zones[gi];
+    ev.idlePulses = engine.idle.empty() ? nullptr : &engine.idle[gi];
+    return ev;
+}
+
 void
-accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
-                     uint64_t seed, Distribution &acc, ChannelTally &tally)
+applyUnitary(StateVector &sv, const EngineContext &engine,
+             const GateEvent &ev)
+{
+    if (const auto &u = engine.unitaries[ev.index])
+        sv.apply(*u, ev.gate->qubit(0));
+    else
+        sv.apply(*ev.gate);
+}
+
+/**
+ * The first gate at which a draw of shot `ctx` acts (NoiseSource's
+ * query contract), or circuit.size() when none does; 0 when the shot
+ * start acts.
+ */
+size_t
+firstActingGate(const Circuit &circuit, const EngineContext &engine,
+                const ShotContext &ctx)
+{
+    for (const NoiseSource *s : engine.sources)
+        if (s->actsAtShotStart(ctx))
+            return 0;
+    for (size_t gi = 0; gi < circuit.size(); ++gi) {
+        const GateEvent ev = gateEvent(circuit, engine, gi);
+        for (const NoiseSource *s : engine.sources)
+            if (s->actsAtGate(ev, ctx))
+                return gi;
+    }
+    return circuit.size();
+}
+
+/**
+ * Runs one trajectory from gate `first` with every hook and adds its
+ * distribution to `acc`. `sv` must be the chunk's quiet state before
+ * gate `first`, so from gate 0 this is the whole unshared trajectory.
+ */
+void
+runTrajectory(const Circuit &circuit, const EngineContext &engine,
+              uint64_t seed, size_t first, StateVector sv,
+              Distribution &acc, ChannelTally &tally)
 {
     ShotContext ctx(seed, circuit.numQubits());
-    for (const NoiseSource *s : engine.sources)
-        s->onShotStart(ctx);
-
-    StateVector sv = StateVector::pinned(circuit.numQubits(),
-                                         engine.simulated);
-    for (size_t gi = 0; gi < circuit.size(); ++gi) {
-        const Gate &g = circuit.gates()[gi];
-        GateEvent ev;
-        ev.gate = &g;
-        ev.index = gi;
-        ev.zone = engine.zones.empty() ? nullptr : &engine.zones[gi];
-        ev.idlePulses = engine.idle.empty() ? nullptr : &engine.idle[gi];
+    // A trajectory that starts later had a quiet shot start, whose
+    // hooks would change nothing.
+    if (first == 0)
+        for (const NoiseSource *s : engine.sources)
+            s->onShotStart(ctx);
+    for (size_t gi = first; gi < circuit.size(); ++gi) {
+        const GateEvent ev = gateEvent(circuit, engine, gi);
+        const Gate &g = *ev.gate;
         for (const NoiseSource *s : engine.sources)
             s->onGateStart(ev, ctx);
         if (ctx.anyLost) {
@@ -181,20 +232,9 @@ accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
         }
         for (const NoiseSource *s : engine.sources)
             s->onIdle(sv, ev, ctx);
-        if (const auto &u = engine.unitaries[gi])
-            sv.apply(*u, g.qubit(0));
-        else
-            sv.apply(g);
-        // Two canonical phases: Pauli-type injection (commutes up to a
-        // global phase), then relaxation (damping, which does not
-        // commute with injection) — so registration order cannot
-        // change the composed map. See NoiseSource::isRelaxation().
-        for (const NoiseSource *s : engine.sources)
-            if (!s->isRelaxation())
-                s->onGate(sv, ev, ctx);
-        for (const NoiseSource *s : engine.sources)
-            if (s->isRelaxation())
-                s->onGate(sv, ev, ctx);
+        applyUnitary(sv, engine, ev);
+        for (const NoiseSource *s : engine.afterGate)
+            s->onGate(sv, ev, ctx);
     }
 
     auto p = sv.probabilities();
@@ -210,6 +250,82 @@ accumulateTrajectory(const Circuit &circuit, const EngineContext &engine,
         acc[i] += p[i];
     for (size_t c = 0; c < kNumNoiseChannels; ++c)
         tally[c] += ctx.events[c];
+}
+
+/** Trajectories per chunk: the unit of sharing and of the fold. */
+constexpr int kChunk = 16;
+
+/** One chunk's contribution to the run. */
+struct ChunkSum
+{
+    Distribution p;
+    ChannelTally events{};
+    /** Gate applications the chunk's shared prefix saved. */
+    uint64_t gatesShared = 0;
+};
+
+/**
+ * Trajectories seed .. seed + count - 1 (count <= kChunk), summed in
+ * seed order into `out` (DESIGN §14, "Shared prefixes"). One quiet
+ * state advances through the chunk's first acting gates in increasing
+ * order and is checkpointed at each; every trajectory runs from its
+ * checkpoint, and a checkpoint's last user takes it instead of a copy.
+ */
+void
+runChunk(const Circuit &circuit, const EngineContext &engine, uint64_t seed,
+         size_t count, ChunkSum &out)
+{
+    std::array<size_t, kChunk> first{};
+    uint64_t prefixGates = 0;
+    for (size_t t = 0; t < count; ++t) {
+        first[t] = firstActingGate(
+            circuit, engine, ShotContext(seed + t, circuit.numQubits()));
+        prefixGates += first[t];
+    }
+    // The distinct first acting gates, in increasing order.
+    std::array<size_t, kChunk> stops{};
+    std::copy_n(first.begin(), count, stops.begin());
+    std::sort(stops.begin(), stops.begin() + count);
+    const auto numStops = static_cast<size_t>(
+        std::unique(stops.begin(), stops.begin() + count) - stops.begin());
+    // The quiet state runs to the last stop once, not every prefix.
+    out.gatesShared = prefixGates - stops[numStops - 1];
+
+    std::array<size_t, kChunk> stopOf{};
+    std::array<int, kChunk> users{};
+    for (size_t t = 0; t < count; ++t) {
+        stopOf[t] = static_cast<size_t>(
+            std::lower_bound(stops.begin(), stops.begin() + numStops,
+                             first[t]) -
+            stops.begin());
+        ++users[stopOf[t]];
+    }
+    std::vector<StateVector> checkpoints;
+    checkpoints.reserve(numStops);
+    StateVector quiet =
+        StateVector::pinned(circuit.numQubits(), engine.simulated);
+    for (size_t k = 0, gi = 0; k < numStops; ++k) {
+        for (; gi < stops[k]; ++gi) {
+            const GateEvent ev = gateEvent(circuit, engine, gi);
+            applyUnitary(quiet, engine, ev);
+            for (const NoiseSource *s : engine.afterGate)
+                s->onQuietGate(quiet, ev);
+        }
+        if (k + 1 < numStops)
+            checkpoints.push_back(quiet);
+        else
+            checkpoints.push_back(std::move(quiet));
+    }
+
+    out.p.assign(size_t{1} << circuit.numQubits(), 0.0);
+    out.events = {};
+    for (size_t t = 0; t < count; ++t) {
+        StateVector &from = checkpoints[stopOf[t]];
+        runTrajectory(circuit, engine, seed + t, first[t],
+                      --users[stopOf[t]] == 0 ? std::move(from)
+                                              : StateVector(from),
+                      out.p, out.events);
+    }
 }
 
 /** Per-channel obs counters ("sim.noise.<channel>_events"). */
@@ -283,50 +399,56 @@ noisyDistribution(const Circuit &circuit, const NoiseModel &noise,
     if (noise.idleDephasing > 0.0)
         engine.idle = idleDurations(circuit);
 
+    engine.afterGate = engine.sources;
+    std::stable_partition(engine.afterGate.begin(), engine.afterGate.end(),
+                          [](const NoiseSource *s) {
+                              return !s->isRelaxation();
+                          });
+
     // Trajectories accumulate in fixed-size chunks and the chunk sums
     // fold into the total in chunk order, so serial and parallel runs
     // (on any worker count) produce bit-identical distributions for the
     // same seed. Chunks run in windows of kWindow whose sums fold as the
     // window completes, so at most kWindow sums (one on the serial path)
     // exist however many trajectories run.
-    constexpr int kChunk = 16;
     constexpr int kWindow = 64;
     const int chunks = (traj + kChunk - 1) / kChunk;
     const bool parallel = config.parallel && chunks > 1;
     const int window = parallel ? std::min(chunks, kWindow) : 1;
-    std::vector<Distribution> partial(static_cast<size_t>(window));
-    std::vector<ChannelTally> tallies(static_cast<size_t>(window));
+    std::vector<ChunkSum> partial(static_cast<size_t>(window));
     Distribution total(dim, 0.0);
     ChannelTally events{};
+    uint64_t gatesShared = 0;
     for (int first = 0; first < chunks; first += window) {
         const int count = std::min(window, chunks - first);
-        auto runChunk = [&](int w) {
-            Distribution &acc = partial[static_cast<size_t>(w)];
-            acc.assign(dim, 0.0);
-            tallies[static_cast<size_t>(w)] = {};
+        auto chunk = [&](int w) {
             const int begin = (first + w) * kChunk;
-            const int end = std::min(traj, begin + kChunk);
-            for (int t = begin; t < end; ++t)
-                accumulateTrajectory(circuit, engine,
-                                     config.seed + static_cast<uint64_t>(t),
-                                     acc, tallies[static_cast<size_t>(w)]);
+            runChunk(circuit, engine,
+                     config.seed + static_cast<uint64_t>(begin),
+                     static_cast<size_t>(std::min(kChunk, traj - begin)),
+                     partial[static_cast<size_t>(w)]);
         };
         if (parallel && count > 1) {
-            globalPool().parallelFor(count, runChunk);
+            globalPool().parallelFor(count, chunk);
         } else {
             for (int w = 0; w < count; ++w)
-                runChunk(w);
+                chunk(w);
         }
         for (int w = 0; w < count; ++w) {
-            const Distribution &p = partial[static_cast<size_t>(w)];
+            const ChunkSum &sum = partial[static_cast<size_t>(w)];
             for (size_t i = 0; i < dim; ++i)
-                total[i] += p[i];
+                total[i] += sum.p[i];
             for (size_t c = 0; c < kNumNoiseChannels; ++c)
-                events[c] += tallies[static_cast<size_t>(w)][c];
+                events[c] += sum.events[c];
+            gatesShared += sum.gatesShared;
         }
     }
     for (auto &v : total)
         v /= traj;
+
+    static obs::Counter &sharedGates = obs::counter("sim.gates_shared");
+    sharedGates.add(static_cast<long>(gatesShared));
+    span.arg("gates_shared", static_cast<double>(gatesShared));
 
     for (size_t c = 0; c < kNumNoiseChannels; ++c) {
         if (events[c] == 0)

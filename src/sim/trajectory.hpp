@@ -64,6 +64,19 @@ struct TrajectoryConfig
  * (StateVector::pinned); the distribution still covers all 2^n
  * outcomes and is bit-identical to a whole-register run (DESIGN §14).
  *
+ * Trajectories run 16 to a chunk and share their noiseless prefix
+ * (DESIGN §14, "Shared prefixes"). Every draw is keyed on (shot seed,
+ * channel, gate), so each source's query (NoiseSource::actsAtShotStart,
+ * actsAtGate) finds a trajectory's first acting gate from the draws
+ * alone. Before it the trajectory's state is the chunk's quiet state:
+ * each gate's unitary, then each source's onQuietGate. The chunk
+ * advances one quiet state through its trajectories' first acting
+ * gates in increasing order, checkpoints it there, and runs each
+ * trajectory from its checkpoint with every hook, in seed order. The
+ * result is bit-identical to running every gate of every trajectory
+ * with every hook; `sim.gates_shared` counts the gate applications
+ * this saves.
+ *
  * Validated at entry (ValidationError):
  *  - every probability in `noise` must be finite and in [0, 1], and
  *    noise.idleDephasing finite and >= 0; the error names the field;

@@ -85,8 +85,9 @@ TEST(Blocking, RoundBlocksAreRestrictionCompatible)
             for (size_t j = i + 1; j < round.blocks.size(); ++j) {
                 const auto &a = round.blocks[i];
                 const auto &b = round.blocks[j];
-                if (a.hasMultiQubitOps || b.hasMultiQubitOps)
+                if (a.hasMultiQubitOps || b.hasMultiQubitOps) {
                     EXPECT_TRUE(topo.setsCompatible(a.atoms, b.atoms));
+                }
             }
         }
     }

@@ -153,8 +153,9 @@ TEST(Composer, ThresholdIsRespected)
     logical.ccz(0, 1, 2);
     Circuit block = decomposeToBasis(logical);
     const auto result = composeBlock(block);
-    if (result.composed)
+    if (result.composed) {
         EXPECT_LE(result.hsd, ComposeOptions::threshold);
+    }
 }
 
 TEST(Rotosolve, ConvergesFromNearbyStart)

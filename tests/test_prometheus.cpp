@@ -97,11 +97,14 @@ TEST_F(PrometheusTest, NoiseChannelCountersShareOneLabelledFamily)
 TEST_F(PrometheusTest, GenericNamesSanitizeWithTotalSuffix)
 {
     obs::serviceCounter("cache.store_error").add(3);
+    obs::serviceCounter("sim.gates_shared").add(30);
     obs::serviceGauge("pool.in_flight").set(4.0);
     const std::string text = obs::prometheusText();
     EXPECT_NE(text.find("geyser_cache_store_error_total 3\n"),
               std::string::npos)
         << text;
+    EXPECT_NE(text.find("geyser_sim_gates_shared_total 30\n"),
+              std::string::npos);
     EXPECT_NE(text.find("geyser_pool_in_flight 4\n"), std::string::npos);
     EXPECT_NE(text.find("# TYPE geyser_pool_in_flight gauge"),
               std::string::npos);
@@ -193,8 +196,9 @@ TEST_F(PrometheusTest, ExpositionGrammarIsWellFormed)
         const std::string series = line.substr(0, space);
         EXPECT_EQ(series.rfind("geyser_", 0), 0u) << line;
         const size_t open = series.find('{');
-        if (open != std::string::npos)
+        if (open != std::string::npos) {
             EXPECT_EQ(series.back(), '}') << line;
+        }
     }
 }
 

@@ -78,8 +78,9 @@ TEST(Router, InsertsSwapsForDistantPair)
     EXPECT_GT(routed.swapsInserted, 0);
     // Every CZ in the routed circuit acts on adjacent atoms.
     for (const auto &g : routed.circuit.gates())
-        if (g.kind() == GateKind::CZ)
+        if (g.kind() == GateKind::CZ) {
             EXPECT_TRUE(topo.areAdjacent(g.qubit(0), g.qubit(1)));
+        }
 }
 
 TEST(Router, RoutedCircuitEquivalentUnderLayout)
@@ -118,8 +119,9 @@ TEST(Router, TriangularTopologyDenseCircuit)
             c.cx(i, j);
     const auto routed = route(decomposeToBasis(c), topo);
     for (const auto &g : routed.circuit.gates())
-        if (g.numQubits() == 2)
+        if (g.numQubits() == 2) {
             EXPECT_TRUE(topo.areAdjacent(g.qubit(0), g.qubit(1)));
+        }
     expectRoutedEquivalent(c, routed, topo.numAtoms());
 }
 

@@ -55,8 +55,9 @@ TEST(Sabre, EveryCzEndsUpAdjacent)
         logical.cx(i, (i + 4) % 9);
     const auto routed = routeSabre(decomposeToBasis(logical), topo);
     for (const auto &g : routed.circuit.gates()) {
-        if (g.kind() == GateKind::CZ)
+        if (g.kind() == GateKind::CZ) {
             EXPECT_TRUE(topo.areAdjacent(g.qubit(0), g.qubit(1)));
+        }
     }
 }
 
@@ -131,8 +132,9 @@ TEST(Sabre, HandlesDeepRandomishCircuit)
     const Circuit phys = decomposeToBasis(logical);
     const auto routed = routeSabre(phys, topo);
     for (const auto &g : routed.circuit.gates()) {
-        if (g.kind() == GateKind::CZ)
+        if (g.kind() == GateKind::CZ) {
             EXPECT_TRUE(topo.areAdjacent(g.qubit(0), g.qubit(1)));
+        }
     }
     expectRoutedEquivalent(logical, routed, topo.numAtoms());
 }

@@ -39,13 +39,15 @@ TEST_P(SuiteSweep, CompileInvariantsHold)
     EXPECT_GT(s.depthPulses, 0);
 
     // Only Geyser may emit CCZ.
-    if (technique != Technique::Geyser)
+    if (technique != Technique::Geyser) {
         EXPECT_EQ(s.cczCount, 0);
+    }
 
     // Non-composing techniques preserve the output exactly; Geyser is
     // bounded by the paper's 1e-2 ideal-TVD budget (checked elsewhere).
-    if (technique != Technique::Geyser)
+    if (technique != Technique::Geyser) {
         EXPECT_LT(idealTvd(result), 1e-7);  // FP accumulation on deep VQE
+    }
 
     // Layout bookkeeping: one atom per logical qubit, all distinct.
     ASSERT_EQ(result.finalLayout.size(),
