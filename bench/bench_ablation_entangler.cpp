@@ -32,8 +32,8 @@ main()
         PipelineOptions extended;
         extended.compose.entanglerMode = EntanglerMode::Extended;
 
-        const auto a = compileGeyser(logical, paper);
-        const auto b = compileGeyser(logical, extended);
+        const auto a = compile(Technique::Geyser, logical, paper);
+        const auto b = compile(Technique::Geyser, logical, extended);
         printRow({spec.name, fmtLong(a.stats.totalPulses),
                   fmtLong(b.stats.totalPulses), fmtLong(b.stats.cczCount)},
                  widths);

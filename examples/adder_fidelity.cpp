@@ -22,10 +22,10 @@ main()
     std::printf("4-qubit Cuccaro adder (|a>|b> -> |a>|a+b>), "
                 "%zu logical gates\n\n", adder.size());
 
-    const auto base = compileBaseline(adder);
-    const auto opti = compileOptiMap(adder);
-    const auto gey = compileGeyser(adder);
-    const auto sc = compileSuperconducting(adder);
+    const auto base = compile(Technique::Baseline, adder);
+    const auto opti = compile(Technique::OptiMap, adder);
+    const auto gey = compile(Technique::Geyser, adder);
+    const auto sc = compile(Technique::Superconducting, adder);
 
     std::printf("%-16s %8s %8s\n", "technique", "pulses", "depth");
     for (const auto *r : {&base, &opti, &gey, &sc})

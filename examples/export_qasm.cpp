@@ -21,7 +21,7 @@ main(int argc, char **argv)
     const std::string name = argc > 1 ? argv[1] : "multiplier-5";
     const auto &spec = benchmarkByName(name);
     const Circuit logical = spec.make();
-    const CompileResult gey = compileGeyser(logical);
+    const CompileResult gey = compile(Technique::Geyser, logical);
 
     std::printf("// ---- logical input: %s ----\n%s\n", name.c_str(),
                 circuitToQasm(logical).c_str());

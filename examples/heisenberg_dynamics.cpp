@@ -48,8 +48,8 @@ main()
 
     for (const int steps : {1, 2, 4, 6}) {
         const Circuit evolution = heisenbergBenchmark(kQubits, steps, kDt);
-        const auto base = compileBaseline(evolution);
-        const auto gey = compileGeyser(evolution);
+        const auto base = compile(Technique::Baseline, evolution);
+        const auto gey = compile(Technique::Geyser, evolution);
         StateVector state(kQubits);
         state.apply(evolution);
         const double m =

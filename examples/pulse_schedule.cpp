@@ -25,7 +25,7 @@ main()
     std::printf("logical program:\n%s\n",
                 drawCircuit(program).c_str());
 
-    const CompileResult gey = compileGeyser(program);
+    const CompileResult gey = compile(Technique::Geyser, program);
     std::printf("geyser-compiled (%ld pulses, %ld depth):\n%s\n",
                 gey.stats.totalPulses, gey.stats.depthPulses,
                 drawCircuit(gey.physical, 16).c_str());

@@ -54,7 +54,7 @@ main()
             qaoa.rx(q, 2.0 * betas[round]);
     }
 
-    const CompileResult gey = compileGeyser(qaoa);
+    const CompileResult gey = compile(Technique::Geyser, qaoa);
     std::printf("QAOA MaxCut on 5 vertices / %zu edges\n", edges.size());
     std::printf("Geyser circuit: %ld pulses (%d U3, %d CZ, %d CCZ)\n\n",
                 gey.stats.totalPulses, gey.stats.u3Count, gey.stats.czCount,

@@ -38,7 +38,7 @@ main()
     }
 
     // 3. Verify the Geyser circuit still computes the same function.
-    const CompileResult geyser = compileGeyser(program);
+    const CompileResult geyser = compile(Technique::Geyser, program);
     std::printf("\nGeyser vs original, ideal-output TVD: %.2e "
                 "(paper requires < 1e-2)\n",
                 idealTvd(geyser));

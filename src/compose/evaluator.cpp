@@ -90,7 +90,7 @@ AnsatzEvaluator::trace() const
         mre[r * d + r] = 1.0;
     applyColumnLeft(mre, mim, 0);
     for (int l = 0; l < layers_; ++l) {
-        backend_->flipRows(mre, mim, flipMask_[l], d);
+        kernels::flipRows(mre, mim, flipMask_[l], d);
         applyColumnLeft(mre, mim, l + 1);
     }
     // Tr(T^dagger U) = sum_{r,k} Td(r,k) U(k,r).
@@ -116,7 +116,7 @@ AnsatzEvaluator::beginSweep()
         std::memcpy(lenvRe_[col], lenvRe_[col + 1], bytes);
         std::memcpy(lenvIm_[col], lenvIm_[col + 1], bytes);
         applyColumnRight(lenvRe_[col], lenvIm_[col], col + 1);
-        backend_->flipCols(lenvRe_[col], lenvIm_[col], flipMask_[col], d);
+        kernels::flipCols(lenvRe_[col], lenvIm_[col], flipMask_[col], d);
     }
     // Prefix starts empty: R(0) = I.
     std::memset(renvRe_, 0, bytes);
@@ -143,7 +143,7 @@ AnsatzEvaluator::beginColumn(int col)
         // Fold the previous (now committed) column into the prefix:
         // R(col) = E_{col-1} . C_{col-1} . R(col-1).
         applyColumnLeft(renvRe_, renvIm_, col - 1);
-        backend_->flipRows(renvRe_, renvIm_, flipMask_[col - 1], d);
+        kernels::flipRows(renvRe_, renvIm_, flipMask_[col - 1], d);
     }
     // E = R . T^dagger . L(col); the edge columns skip one identity.
     alignas(64) double tre[kMaxDim * kMaxDim], tim[kMaxDim * kMaxDim];

@@ -394,30 +394,6 @@ blockAndCompose(CompileResult &result, const PipelineOptions &options,
 }
 
 CompileResult
-compileBaseline(const Circuit &logical, const PipelineOptions &options)
-{
-    return compileUncached(Technique::Baseline, logical, options);
-}
-
-CompileResult
-compileOptiMap(const Circuit &logical, const PipelineOptions &options)
-{
-    return compileUncached(Technique::OptiMap, logical, options);
-}
-
-CompileResult
-compileGeyser(const Circuit &logical, const PipelineOptions &options)
-{
-    return compileUncached(Technique::Geyser, logical, options);
-}
-
-CompileResult
-compileSuperconducting(const Circuit &logical, const PipelineOptions &options)
-{
-    return compileUncached(Technique::Superconducting, logical, options);
-}
-
-CompileResult
 transpileForTechnique(Technique technique, const Circuit &logical,
                       const PipelineOptions &options)
 {

@@ -54,9 +54,12 @@ class ResultCache;
  * circuit changed; v10: composition sweeps solve each qubit's whole U3
  * from its environment, so composed angles, evaluation counts and
  * multiplier-10's composed-block set change, and svApply2q's
- * low-operand fallback runs the scalar backend's arithmetic).
+ * low-operand fallback runs the scalar backend's arithmetic; v11:
+ * svApply2q leaves the backend table and runs the scalar loop on every
+ * backend, so AVX-512 ideal distributions of dense two-qubit logical
+ * gates move within rounding; no compiled circuit changed).
  */
-inline constexpr int kPipelineVersion = 10;
+inline constexpr int kPipelineVersion = 11;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };
@@ -134,15 +137,6 @@ struct CompileResult
 /** Compile with the given technique. */
 CompileResult compile(Technique technique, const Circuit &logical,
                       const PipelineOptions &options = {});
-
-CompileResult compileBaseline(const Circuit &logical,
-                              const PipelineOptions &options = {});
-CompileResult compileOptiMap(const Circuit &logical,
-                             const PipelineOptions &options = {});
-CompileResult compileGeyser(const Circuit &logical,
-                            const PipelineOptions &options = {});
-CompileResult compileSuperconducting(const Circuit &logical,
-                                     const PipelineOptions &options = {});
 
 /**
  * The shared mapping stage only — basis lowering, optimization passes,

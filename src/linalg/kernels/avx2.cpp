@@ -12,8 +12,6 @@
  * columns and sub-vector dimensions fall back to the per-TU reference
  * loops from detail.hpp (which the compiler auto-vectorizes under
  * this TU's flags — still AVX2-only code, still dispatch-gated).
- * svApply2q's fallback calls the scalar backend instead, so its bits
- * are the reference's.
  */
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -415,60 +413,14 @@ svApply1qAvx2(Complex *amps, size_t dim, int qubit, const Complex *u)
     }
 }
 
-void
-svApply2qAvx2(Complex *amps, size_t dim, int q0, int q1, const Complex *u)
-{
-    const size_t m0 = size_t{1} << q0, m1 = size_t{1} << q1;
-    const size_t lo = m0 < m1 ? m0 : m1;
-    const size_t hi = m0 < m1 ? m1 : m0;
-    if (lo < 2) {
-        // Out of line: inlined into this -mfma TU, the reference loop's
-        // FMA contraction would depend on the inlining context.
-        scalarBackend().svApply2q(amps, dim, q0, q1, u);
-        return;
-    }
-    double *p = reinterpret_cast<double *>(amps);
-    for (size_t h = 0; h < dim; h += 2 * hi) {
-        for (size_t m = h; m < h + hi; m += 2 * lo) {
-            for (size_t base = m; base < m + lo; base += 2) {
-                const __m256d x0 = _mm256_loadu_pd(p + 2 * base);
-                const __m256d x1 = _mm256_loadu_pd(p + 2 * (base + m0));
-                const __m256d x2 = _mm256_loadu_pd(p + 2 * (base + m1));
-                const __m256d x3 =
-                    _mm256_loadu_pd(p + 2 * (base + m0 + m1));
-                const __m256d s0 = _mm256_permute_pd(x0, 0x5);
-                const __m256d s1 = _mm256_permute_pd(x1, 0x5);
-                const __m256d s2 = _mm256_permute_pd(x2, 0x5);
-                const __m256d s3 = _mm256_permute_pd(x3, 0x5);
-                const size_t offs[4] = {base, base + m0, base + m1,
-                                        base + m0 + m1};
-                for (int row = 0; row < 4; ++row) {
-                    const Complex *ur = u + row * 4;
-                    __m256d acc = cmulAvx2(ur[0].real(), ur[0].imag(), x0,
-                                           s0);
-                    acc = _mm256_add_pd(
-                        acc, cmulAvx2(ur[1].real(), ur[1].imag(), x1, s1));
-                    acc = _mm256_add_pd(
-                        acc, cmulAvx2(ur[2].real(), ur[2].imag(), x2, s2));
-                    acc = _mm256_add_pd(
-                        acc, cmulAvx2(ur[3].real(), ur[3].imag(), x3, s3));
-                    _mm256_storeu_pd(p + 2 * offs[row], acc);
-                }
-            }
-        }
-    }
-}
-
 }  // namespace
 
 const ComputeBackend &
 avx2Backend()
 {
     static const ComputeBackend backend = {
-        "avx2",           matmulAvx2,       traceProductAvx2,
-        apply2x2RowsAvx2, apply2x2ColsAvx2, flipRowsRef,
-        flipColsRef,      foldWAvx2,        svApply1qAvx2,
-        svApply2qAvx2,
+        "avx2",           matmulAvx2, traceProductAvx2, apply2x2RowsAvx2,
+        apply2x2ColsAvx2, foldWAvx2,  svApply1qAvx2,
     };
     return backend;
 }

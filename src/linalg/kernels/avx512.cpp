@@ -388,63 +388,15 @@ svApply1qAvx512(Complex *amps, size_t dim, int qubit, const Complex *u)
     svApply1qRef(amps, dim, qubit, u);
 }
 
-void
-svApply2qAvx512(Complex *amps, size_t dim, int q0, int q1, const Complex *u)
-{
-    const size_t m0 = size_t{1} << q0, m1 = size_t{1} << q1;
-    const size_t lo = m0 < m1 ? m0 : m1;
-    const size_t hi = m0 < m1 ? m1 : m0;
-    if (lo < 4) {
-        // Out of line: inlined into this -mfma TU, the reference loop's
-        // FMA contraction would depend on the inlining context.
-        scalarBackend().svApply2q(amps, dim, q0, q1, u);
-        return;
-    }
-    double *p = reinterpret_cast<double *>(amps);
-    for (size_t h = 0; h < dim; h += 2 * hi) {
-        for (size_t m = h; m < h + hi; m += 2 * lo) {
-            for (size_t base = m; base < m + lo; base += 4) {
-                const __m512d x0 = _mm512_loadu_pd(p + 2 * base);
-                const __m512d x1 = _mm512_loadu_pd(p + 2 * (base + m0));
-                const __m512d x2 = _mm512_loadu_pd(p + 2 * (base + m1));
-                const __m512d x3 =
-                    _mm512_loadu_pd(p + 2 * (base + m0 + m1));
-                const __m512d s0 = _mm512_permute_pd(x0, 0x55);
-                const __m512d s1 = _mm512_permute_pd(x1, 0x55);
-                const __m512d s2 = _mm512_permute_pd(x2, 0x55);
-                const __m512d s3 = _mm512_permute_pd(x3, 0x55);
-                const size_t offs[4] = {base, base + m0, base + m1,
-                                        base + m0 + m1};
-                for (int row = 0; row < 4; ++row) {
-                    const Complex *ur = u + row * 4;
-                    __m512d acc = cmulAvx512(ur[0].real(), ur[0].imag(),
-                                             x0, s0);
-                    acc = _mm512_add_pd(acc,
-                                        cmulAvx512(ur[1].real(),
-                                                   ur[1].imag(), x1, s1));
-                    acc = _mm512_add_pd(acc,
-                                        cmulAvx512(ur[2].real(),
-                                                   ur[2].imag(), x2, s2));
-                    acc = _mm512_add_pd(acc,
-                                        cmulAvx512(ur[3].real(),
-                                                   ur[3].imag(), x3, s3));
-                    _mm512_storeu_pd(p + 2 * offs[row], acc);
-                }
-            }
-        }
-    }
-}
-
 }  // namespace
 
 const ComputeBackend &
 avx512Backend()
 {
     static const ComputeBackend backend = {
-        "avx512",           matmulAvx512,       traceProductAvx512,
-        apply2x2RowsAvx512, apply2x2ColsAvx512, flipRowsRef,
-        flipColsRef,        foldWAvx512,        svApply1qAvx512,
-        svApply2qAvx512,
+        "avx512",           matmulAvx512, traceProductAvx512,
+        apply2x2RowsAvx512, apply2x2ColsAvx512, foldWAvx512,
+        svApply1qAvx512,
     };
     return backend;
 }

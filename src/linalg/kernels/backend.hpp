@@ -7,7 +7,10 @@
  * objective (compose/evaluator.cpp) and the statevector simulator
  * (sim/statevector.cpp), route through one `ComputeBackend` — a table
  * of free functions over split-complex (SoA: separate re/im arrays)
- * row-major buffers. Nothing else enters the table. Three
+ * row-major buffers. A kernel enters the table only when a hot loop
+ * dispatches it and its SIMD copy beats the scalar loop on a
+ * workload; the rest (contractW, flipRows, flipCols, svApply2q) are
+ * plain scalar functions with one arithmetic on every backend. Three
  * implementations are compiled in (host permitting):
  *
  *   scalar   portable reference loops, always available. Every other
@@ -52,7 +55,7 @@ namespace kernels {
 
 /**
  * One compute backend: free functions over split-complex row-major
- * d x d buffers (plus two interleaved-complex statevector kernels).
+ * d x d buffers (plus one interleaved-complex statevector kernel).
  * Out buffers never alias inputs unless a function documents
  * otherwise. All functions tolerate unaligned pointers.
  */
@@ -81,12 +84,6 @@ struct ComputeBackend
     void (*apply2x2Cols)(double *re, double *im, const double *uRe,
                          const double *uIm, int bit, int d);
 
-    /** Negate rows r with (r & mask) == mask (diagonal entangler fold). */
-    void (*flipRows)(double *re, double *im, int mask, int d);
-
-    /** Negate columns c with (c & mask) == mask. */
-    void (*flipCols)(double *re, double *im, int mask, int d);
-
     /**
      * Environment fold of the incremental evaluator:
      *
@@ -105,14 +102,6 @@ struct ComputeBackend
      * dim) updated in place with the row-major 2x2 `u` on `qubit`.
      */
     void (*svApply1q)(Complex *amps, size_t dim, int qubit,
-                      const Complex *u);
-
-    /**
-     * Statevector two-qubit gate: row-major 4x4 `u` applied on qubits
-     * (q0, q1), q0 = matrix bit 0, q1 = matrix bit 1, q0 != q1 (any
-     * order, unsorted).
-     */
-    void (*svApply2q)(Complex *amps, size_t dim, int q0, int q1,
                       const Complex *u);
 };
 
@@ -140,6 +129,25 @@ const ComputeBackend &scalarBackend();
  */
 void contractW(const double *wRe, const double *wIm, const double *uRe,
                const double *uIm, double *outRe, double *outIm);
+
+/**
+ * Negate rows r with (r & mask) == mask of a d x d split matrix (the
+ * evaluator's diagonal entangler fold). Scalar only and outside the
+ * table: negation is exact, so a SIMD copy could only match these bits.
+ */
+void flipRows(double *re, double *im, int mask, int d);
+
+/** Negate columns c with (c & mask) == mask. */
+void flipCols(double *re, double *im, int mask, int d);
+
+/**
+ * Statevector two-qubit gate: row-major 4x4 `u` applied in place on
+ * storage bits (q0, q1), q0 = matrix bit 0, q1 = matrix bit 1, q0 != q1
+ * (any order, unsorted). Scalar only and outside the table: only dense
+ * two-qubit logical gates (CX, CP, RZZ, RXX, RYY, SWAP) reach it, so it
+ * runs for ideal reference distributions and never in a trajectory.
+ */
+void svApply2q(Complex *amps, size_t dim, int q0, int q1, const Complex *u);
 
 /** Every known backend name, best first: avx512, avx2, scalar. */
 std::vector<BackendInfo> availableBackends();

@@ -112,32 +112,6 @@ apply2x2ColsRef(double *re, double *im, const double *uRe,
     }
 }
 
-inline void
-flipRowsRef(double *re, double *im, int mask, int d)
-{
-    for (int r = 0; r < d; ++r) {
-        if ((r & mask) != mask)
-            continue;
-        for (int c = 0; c < d; ++c) {
-            re[r * d + c] = -re[r * d + c];
-            im[r * d + c] = -im[r * d + c];
-        }
-    }
-}
-
-inline void
-flipColsRef(double *re, double *im, int mask, int d)
-{
-    for (int c = 0; c < d; ++c) {
-        if ((c & mask) != mask)
-            continue;
-        for (int r = 0; r < d; ++r) {
-            re[r * d + c] = -re[r * d + c];
-            im[r * d + c] = -im[r * d + c];
-        }
-    }
-}
-
 /**
  * Direct O(dim^2 n) environment fold — the readable reference. SIMD
  * backends use the algebraically different reduced-Kronecker route
@@ -185,32 +159,6 @@ svApply1qRef(Complex *amps, size_t dim, int qubit, const Complex *u)
             const Complex a0 = amps[i0], a1 = amps[i1];
             amps[i0] = u[0] * a0 + u[1] * a1;
             amps[i1] = u[2] * a0 + u[3] * a1;
-        }
-    }
-}
-
-/** Statevector 2-qubit gate; matrix bit 0 = q0, bit 1 = q1. */
-inline void
-svApply2qRef(Complex *amps, size_t dim, int q0, int q1, const Complex *u)
-{
-    const size_t m0 = size_t{1} << q0, m1 = size_t{1} << q1;
-    const size_t lo = m0 < m1 ? m0 : m1;
-    const size_t hi = m0 < m1 ? m1 : m0;
-    for (size_t h = 0; h < dim; h += 2 * hi) {
-        for (size_t m = h; m < h + hi; m += 2 * lo) {
-            for (size_t base = m; base < m + lo; ++base) {
-                const Complex x0 = amps[base];
-                const Complex x1 = amps[base + m0];
-                const Complex x2 = amps[base + m1];
-                const Complex x3 = amps[base + m0 + m1];
-                amps[base] = u[0] * x0 + u[1] * x1 + u[2] * x2 + u[3] * x3;
-                amps[base + m0] =
-                    u[4] * x0 + u[5] * x1 + u[6] * x2 + u[7] * x3;
-                amps[base + m1] =
-                    u[8] * x0 + u[9] * x1 + u[10] * x2 + u[11] * x3;
-                amps[base + m0 + m1] =
-                    u[12] * x0 + u[13] * x1 + u[14] * x2 + u[15] * x3;
-            }
         }
     }
 }

@@ -56,23 +56,6 @@ targetFor(const std::string &internal)
         {"service.queue_wait_ms", {"geyser_queue_wait_seconds", "", 1e-3}},
         {"service.compile_ms", {"geyser_compile_seconds", "", 1e-3}},
         {"service.e2e_ms", {"geyser_e2e_seconds", "", 1e-3}},
-        // Per-channel noise events from the trajectory simulator: one
-        // family, the channel as a label (kebab-case NoiseChannelId
-        // names from sim/noise.hpp).
-        {"sim.noise.legacy_pauli_events",
-         {"geyser_sim_noise_events_total", "channel=\"legacy-pauli\"", 1.0}},
-        {"sim.noise.amp_damp_events",
-         {"geyser_sim_noise_events_total", "channel=\"amp-damp\"", 1.0}},
-        {"sim.noise.idle_dephasing_events",
-         {"geyser_sim_noise_events_total", "channel=\"idle-dephasing\"",
-          1.0}},
-        {"sim.noise.atom_loss_events",
-         {"geyser_sim_noise_events_total", "channel=\"atom-loss\"", 1.0}},
-        {"sim.noise.correlated_pauli_events",
-         {"geyser_sim_noise_events_total", "channel=\"correlated-pauli\"",
-          1.0}},
-        {"sim.noise.readout_events",
-         {"geyser_sim_noise_events_total", "channel=\"readout\"", 1.0}},
         // Fleet compilation: batch jobs, skeleton groups, and the
         // re-bind/fallback split (src/fleet).
         {"fleet.jobs", {"geyser_fleet_jobs_total", "", 1.0}},
@@ -91,6 +74,20 @@ targetFor(const std::string &internal)
     const auto it = kTable.find(internal);
     if (it != kTable.end())
         return it->second;
+    // Per-channel noise events from the trajectory simulator
+    // ("sim.noise.<channel>_events", '-' written as '_'): one family,
+    // the channel as a label. Channel names (sim/noise.hpp) are
+    // kebab-case, so '_' -> '-' recovers them.
+    const std::string prefix = "sim.noise.", suffix = "_events";
+    if (internal.size() > prefix.size() + suffix.size() &&
+        internal.starts_with(prefix) && internal.ends_with(suffix)) {
+        std::string channel =
+            internal.substr(prefix.size(), internal.size() - prefix.size() -
+                                               suffix.size());
+        std::replace(channel.begin(), channel.end(), '_', '-');
+        return {"geyser_sim_noise_events_total",
+                "channel=\"" + channel + "\"", 1.0};
+    }
     return {sanitize(internal), "", 1.0};
 }
 

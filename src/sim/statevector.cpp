@@ -169,22 +169,24 @@ StateVector::applyMatrixAt(const Matrix &m, const int *slots, int k)
     size_t qmask = 0;
     for (int b = 0; b < k; ++b)
         qmask |= size_t{1} << slots[b];
+    if (std::popcount(qmask) != k)
+        throw std::invalid_argument("applyMatrix: repeated qubit");
 
     // One- and two-qubit gates — the overwhelmingly common cases — go
-    // through the dispatched compute backend instead of the generic
-    // gather/scatter loop below.
+    // through the strided kernels instead of the generic gather/scatter
+    // loop below.
     if (k == 1) {
         apply1qAt(Matrix2(m(0, 0), m(0, 1), m(1, 0), m(1, 1)), slots[0]);
         return;
     }
     flushFactors(qmask);
-    if (k == 2 && slots[0] != slots[1]) {
+    if (k == 2) {
         Complex u[16];
         for (int r = 0; r < 4; ++r)
             for (int c = 0; c < 4; ++c)
                 u[r * 4 + c] = m(r, c);
-        kernels::active().svApply2q(amps_.data(), amps_.size(), slots[0],
-                                    slots[1], u);
+        kernels::svApply2q(amps_.data(), amps_.size(), slots[0], slots[1],
+                           u);
         return;
     }
 

@@ -89,7 +89,8 @@ class StateVector
 
     /**
      * Apply a k-qubit matrix to the given qubits; qubits[0] is the local
-     * least-significant bit. The matrix must be 2^k x 2^k.
+     * least-significant bit. The matrix must be 2^k x 2^k, and a
+     * repeated qubit throws std::invalid_argument.
      */
     void applyMatrix(const Matrix &m, const std::vector<Qubit> &qubits);
 

@@ -536,8 +536,8 @@ TEST_F(CacheTest, CompileEntryOfAnotherTechniqueIsQuarantined)
     options.cache = &cache;
     const std::string key =
         cache::compileCacheKey(logical, options, Technique::Geyser);
-    ASSERT_TRUE(
-        cache.store(key, compileResultToText(compileBaseline(logical))));
+    ASSERT_TRUE(cache.store(
+        key, compileResultToText(compile(Technique::Baseline, logical))));
 
     const CompileResult result =
         compile(Technique::Geyser, logical, options);

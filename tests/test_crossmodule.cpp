@@ -29,7 +29,7 @@ TEST(CrossModule, QasmRoundTripThroughGeyserCompilation)
         "ccx q[0],q[1],q[2];\n"
         "rz(pi/3) q[2];\n";
     const Circuit logical = circuitFromQasm(qasm);
-    const CompileResult gey = compileGeyser(logical);
+    const CompileResult gey = compile(Technique::Geyser, logical);
     EXPECT_LT(idealTvd(gey), 1e-2);
 
     // The compiled circuit exports to QASM and re-imports equivalently.
@@ -39,9 +39,10 @@ TEST(CrossModule, QasmRoundTripThroughGeyserCompilation)
 
 TEST(CrossModule, CompiledCircuitLowersToPulses)
 {
-    const CompileResult gey = compileGeyser(circuitFromQasm(
-        "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\n"
-        "ccx q[0],q[1],q[2];\n"));
+    const CompileResult gey = compile(
+        Technique::Geyser,
+        circuitFromQasm("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\n"
+                        "ccx q[0],q[1],q[2];\n"));
     const Schedule sched =
         scheduleRestrictionAware(gey.physical, gey.topology);
     const PulseProgram program = lowerToPulses(gey.physical, sched);
@@ -76,7 +77,7 @@ TEST(CrossModule, GeyserOutputExactNoiseMatchesTrajectories)
     logical.h(0);
     logical.cx(0, 1);
     logical.ccx(0, 1, 2);
-    const CompileResult gey = compileGeyser(logical);
+    const CompileResult gey = compile(Technique::Geyser, logical);
     ASSERT_LE(gey.physical.numQubits(), 6);
 
     const NoiseModel nm = NoiseModel::withRate(0.01);
@@ -90,8 +91,9 @@ TEST(CrossModule, GeyserOutputExactNoiseMatchesTrajectories)
 
 TEST(CrossModule, DrawHandlesCompiledCircuits)
 {
-    const CompileResult gey = compileGeyser(circuitFromQasm(
-        "OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[2];\n"));
+    const CompileResult gey = compile(
+        Technique::Geyser,
+        circuitFromQasm("OPENQASM 2.0;\nqreg q[3];\nccx q[0],q[1],q[2];\n"));
     const std::string art = drawCircuit(gey.physical, 12);
     EXPECT_NE(art.find("q0:"), std::string::npos);
     EXPECT_FALSE(art.empty());
@@ -101,7 +103,7 @@ TEST(CrossModule, CacheSurvivesCompileReload)
 {
     const Circuit logical = circuitFromQasm(
         "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n");
-    const auto gey = compileGeyser(logical);
+    const auto gey = compile(Technique::Geyser, logical);
     const auto loaded =
         compileResultFromText(compileResultToText(gey), logical);
     ASSERT_TRUE(loaded.has_value());

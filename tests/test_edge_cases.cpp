@@ -24,10 +24,10 @@ TEST(EdgeCases, EmptyCircuitSchedulesToZero)
 TEST(EdgeCases, EmptyCircuitThroughPipeline)
 {
     Circuit c(2);
-    const auto base = compileBaseline(c);
+    const auto base = compile(Technique::Baseline, c);
     EXPECT_EQ(base.stats.totalPulses, 0);
     EXPECT_NEAR(idealTvd(base), 0.0, 1e-12);
-    const auto opti = compileOptiMap(c);
+    const auto opti = compile(Technique::OptiMap, c);
     EXPECT_EQ(opti.stats.totalPulses, 0);
 }
 
@@ -35,7 +35,7 @@ TEST(EdgeCases, SingleGateCircuitThroughGeyser)
 {
     Circuit c(2);
     c.h(0);
-    const auto gey = compileGeyser(c);
+    const auto gey = compile(Technique::Geyser, c);
     EXPECT_TRUE(gey.physical.isPhysical());
     EXPECT_LE(gey.stats.totalPulses, 1);
     EXPECT_NEAR(idealTvd(gey), 0.0, 1e-9);

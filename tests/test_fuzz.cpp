@@ -46,18 +46,18 @@ TEST_P(PipelineFuzz, FullGeyserPipelinePreservesOutput)
 {
     const Circuit c =
         randomCircuit(4, 20, static_cast<uint64_t>(GetParam()) + 100);
-    const auto gey = compileGeyser(c);
+    const auto gey = compile(Technique::Geyser, c);
     EXPECT_LT(idealTvd(gey), 1e-2);
     EXPECT_LE(gey.stats.totalPulses,
-              compileOptiMap(c).stats.totalPulses);
+              compile(Technique::OptiMap, c).stats.totalPulses);
 }
 
 TEST_P(PipelineFuzz, BaselineAndSuperconductingPreserveOutputExactly)
 {
     const Circuit c =
         randomCircuit(5, 18, static_cast<uint64_t>(GetParam()) + 500);
-    EXPECT_LT(idealTvd(compileBaseline(c)), 1e-8);
-    EXPECT_LT(idealTvd(compileSuperconducting(c)), 1e-8);
+    EXPECT_LT(idealTvd(compile(Technique::Baseline, c)), 1e-8);
+    EXPECT_LT(idealTvd(compile(Technique::Superconducting, c)), 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz, ::testing::Range(1, 9));

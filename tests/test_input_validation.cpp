@@ -354,7 +354,7 @@ TEST(InputValidation, CompileRejectsInvalidCircuits)
 {
     Circuit c(2);
     c.rx(0, std::numeric_limits<double>::quiet_NaN());
-    EXPECT_THROW(compileBaseline(c), ValidationError);
+    EXPECT_THROW(compile(Technique::Baseline, c), ValidationError);
     EXPECT_THROW(compile(Technique::Geyser, c), ValidationError);
 }
 

@@ -22,9 +22,9 @@ TEST(Integration, PulseOrderingAcrossTechniquesOnSmallSuite)
         if (spec.numQubits > 5)
             continue;
         const Circuit logical = spec.make();
-        const auto base = compileBaseline(logical);
-        const auto opti = compileOptiMap(logical);
-        const auto gey = compileGeyser(logical);
+        const auto base = compile(Technique::Baseline, logical);
+        const auto opti = compile(Technique::OptiMap, logical);
+        const auto gey = compile(Technique::Geyser, logical);
         EXPECT_GE(base.stats.totalPulses, opti.stats.totalPulses)
             << spec.name;
         EXPECT_GE(opti.stats.totalPulses, gey.stats.totalPulses)
@@ -39,7 +39,7 @@ TEST(Integration, GeyserIdealFidelityUnderOnePercent)
     for (const auto &spec : benchmarkSuite()) {
         if (spec.numQubits > 5)
             continue;
-        const auto gey = compileGeyser(spec.make());
+        const auto gey = compile(Technique::Geyser, spec.make());
         EXPECT_LT(idealTvd(gey), 1e-2) << spec.name;
     }
 }
@@ -47,17 +47,17 @@ TEST(Integration, GeyserIdealFidelityUnderOnePercent)
 TEST(Integration, CczOnlyAppearsInGeyserCircuits)
 {
     const Circuit logical = benchmarkByName("adder-4").make();
-    EXPECT_EQ(compileBaseline(logical).stats.cczCount, 0);
-    EXPECT_EQ(compileOptiMap(logical).stats.cczCount, 0);
-    EXPECT_EQ(compileSuperconducting(logical).stats.cczCount, 0);
-    EXPECT_GT(compileGeyser(logical).stats.cczCount, 0);
+    EXPECT_EQ(compile(Technique::Baseline, logical).stats.cczCount, 0);
+    EXPECT_EQ(compile(Technique::OptiMap, logical).stats.cczCount, 0);
+    EXPECT_EQ(compile(Technique::Superconducting, logical).stats.cczCount, 0);
+    EXPECT_GT(compile(Technique::Geyser, logical).stats.cczCount, 0);
 }
 
 TEST(Integration, DepthPulsesOrderingHolds)
 {
     const Circuit logical = benchmarkByName("multiplier-5").make();
-    const auto base = compileBaseline(logical);
-    const auto gey = compileGeyser(logical);
+    const auto base = compile(Technique::Baseline, logical);
+    const auto gey = compile(Technique::Geyser, logical);
     EXPECT_LT(gey.stats.depthPulses, base.stats.depthPulses);
 }
 
@@ -65,8 +65,8 @@ TEST(Integration, NoiseSweepKeepsTechniqueOrdering)
 {
     // Paper Fig 17: the TVD ordering is stable across error rates.
     const Circuit logical = benchmarkByName("multiplier-5").make();
-    const auto base = compileBaseline(logical);
-    const auto gey = compileGeyser(logical);
+    const auto base = compile(Technique::Baseline, logical);
+    const auto gey = compile(Technique::Geyser, logical);
     TrajectoryConfig cfg;
     cfg.trajectories = 250;
     cfg.seed = 7;
@@ -83,10 +83,10 @@ TEST(Integration, ParallelAndSerialCompositionAgreeOnPulses)
     // pool; from inside a pool task (a fleet member) parallelFor runs
     // the nested batch inline, one block after another.
     const Circuit logical = benchmarkByName("adder-4").make();
-    const auto parallel = compileGeyser(logical);
+    const auto parallel = compile(Technique::Geyser, logical);
     CompileResult serial;
-    globalPool().parallelFor(1,
-                             [&](int) { serial = compileGeyser(logical); });
+    globalPool().parallelFor(
+        1, [&](int) { serial = compile(Technique::Geyser, logical); });
     EXPECT_EQ(circuitToText(serial.physical),
               circuitToText(parallel.physical));
     EXPECT_EQ(serial.stats.totalPulses, parallel.stats.totalPulses);

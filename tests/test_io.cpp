@@ -64,7 +64,7 @@ TEST(Serialize, QasmExportContainsHeaderAndGates)
 TEST(Serialize, CompileResultCacheRoundTrips)
 {
     const Circuit logical = multiplier5Benchmark();
-    const auto result = compileGeyser(logical);
+    const auto result = compile(Technique::Geyser, logical);
 
     const auto loaded =
         compileResultFromText(compileResultToText(result), logical);

@@ -377,7 +377,7 @@ TEST_F(ObsTest, PipelineTraceOptionRecordsNestedStages)
     obs::beginTrace(kTrace);
     const CompileResult result = [&] {
         obs::TraceScope trace(kTrace);
-        return compileGeyser(adderBenchmark(1, true));
+        return compile(Technique::Geyser, adderBenchmark(1, true));
     }();
     EXPECT_FALSE(obs::enabled());
     const auto events = obs::traceEvents(kTrace);
@@ -402,7 +402,8 @@ TEST_F(ObsTest, PipelineTraceOptionRecordsNestedStages)
 TEST_F(ObsTest, CompileResultWallTimesPopulatedUnconditionally)
 {
     // No tracing enabled: wall times must still be measured.
-    const CompileResult gey = compileGeyser(adderBenchmark(1, true));
+    const CompileResult gey =
+        compile(Technique::Geyser, adderBenchmark(1, true));
     EXPECT_GT(gey.totalMs, 0.0);
     EXPECT_GT(gey.transpileMs, 0.0);
     EXPECT_GT(gey.blockingMs, 0.0);
@@ -410,7 +411,8 @@ TEST_F(ObsTest, CompileResultWallTimesPopulatedUnconditionally)
     EXPECT_LE(gey.transpileMs + gey.blockingMs + gey.composeMs,
               gey.totalMs * 1.5);
 
-    const CompileResult base = compileBaseline(adderBenchmark(1, true));
+    const CompileResult base =
+        compile(Technique::Baseline, adderBenchmark(1, true));
     EXPECT_GT(base.totalMs, 0.0);
     EXPECT_EQ(base.blockingMs, 0.0) << "baseline never runs blocking";
     EXPECT_EQ(base.composeMs, 0.0);
@@ -419,7 +421,7 @@ TEST_F(ObsTest, CompileResultWallTimesPopulatedUnconditionally)
 TEST_F(ObsTest, SerializeRoundTripsWallTimes)
 {
     const Circuit logical = adderBenchmark(1, true);
-    const CompileResult result = compileGeyser(logical);
+    const CompileResult result = compile(Technique::Geyser, logical);
     const auto loaded =
         compileResultFromText(compileResultToText(result), logical);
     ASSERT_TRUE(loaded.has_value());
@@ -589,7 +591,8 @@ TEST_F(ObsTest, TraceContextPropagatesAcrossThePipelinePool)
     obs::beginTrace(42);
     {
         obs::TraceScope scope(42);
-        const CompileResult result = compileGeyser(adderBenchmark(1, true));
+        const CompileResult result =
+            compile(Technique::Geyser, adderBenchmark(1, true));
         EXPECT_GT(result.blockCount, 0);
     }
     const auto events = obs::traceEvents(42);
@@ -610,7 +613,7 @@ TEST_F(ObsTest, ComposeBlockSpansCarryCopiesAndCertified)
     obs::beginTrace(kTrace);
     const CompileResult result = [&] {
         obs::TraceScope trace(kTrace);
-        return compileGeyser(benchmarkByName("vqe-4").make());
+        return compile(Technique::Geyser, benchmarkByName("vqe-4").make());
     }();
     auto numArg = [](const obs::TraceEvent &e, const std::string &key) {
         for (const auto &[name, value] : e.numArgs)

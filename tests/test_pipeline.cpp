@@ -56,7 +56,7 @@ TEST(Pipeline, CompileLeavesTheObsFlagAlone)
     // may turn collection on while it runs.
     ASSERT_FALSE(obs::enabled());
     const Circuit logical = benchmarkByName("heisenberg-16").make();
-    std::thread compiler([&] { (void)compileGeyser(logical); });
+    std::thread compiler([&] { (void)compile(Technique::Geyser, logical); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     obs::setEnabled(true);
     compiler.join();
@@ -67,7 +67,7 @@ TEST(Pipeline, CompileLeavesTheObsFlagAlone)
 TEST(Pipeline, BaselineEmitsPhysicalCircuitWithoutCcz)
 {
     const Circuit logical = adderBenchmark(1, true);
-    const auto result = compileBaseline(logical);
+    const auto result = compile(Technique::Baseline, logical);
     EXPECT_TRUE(result.physical.isPhysical());
     EXPECT_EQ(result.stats.cczCount, 0);
     EXPECT_GT(result.stats.totalPulses, 0);
@@ -81,8 +81,8 @@ TEST(Pipeline, OptiMapNeverWorseThanBaseline)
           +[] { return qftBenchmark(5); },
           +[] { return qaoaBenchmark(5, 8, 3, 23); }}) {
         const Circuit logical = make();
-        const auto base = compileBaseline(logical);
-        const auto opti = compileOptiMap(logical);
+        const auto base = compile(Technique::Baseline, logical);
+        const auto opti = compile(Technique::OptiMap, logical);
         EXPECT_LE(opti.stats.totalPulses, base.stats.totalPulses);
         EXPECT_EQ(opti.stats.cczCount, 0);
         EXPECT_NEAR(idealTvd(opti), 0.0, 1e-9);
@@ -92,8 +92,8 @@ TEST(Pipeline, OptiMapNeverWorseThanBaseline)
 TEST(Pipeline, GeyserComposesCczOnToffoliWorkload)
 {
     const Circuit logical = multiplier5Benchmark();
-    const auto opti = compileOptiMap(logical);
-    const auto gey = compileGeyser(logical);
+    const auto opti = compile(Technique::OptiMap, logical);
+    const auto gey = compile(Technique::Geyser, logical);
     EXPECT_GT(gey.stats.cczCount, 0)
         << "multiplier is Toffoli-rich; composition must find CCZs";
     EXPECT_LT(gey.stats.totalPulses, opti.stats.totalPulses);
@@ -109,8 +109,8 @@ TEST(Pipeline, GeyserNeverWorseThanOptiMapOnPulses)
          {+[] { return adderBenchmark(1, true); },
           +[] { return qftBenchmark(5); }}) {
         const Circuit logical = make();
-        const auto opti = compileOptiMap(logical);
-        const auto gey = compileGeyser(logical);
+        const auto opti = compile(Technique::OptiMap, logical);
+        const auto gey = compile(Technique::Geyser, logical);
         EXPECT_LE(gey.stats.totalPulses, opti.stats.totalPulses);
         EXPECT_LT(idealTvd(gey), 1e-2);
     }
@@ -119,7 +119,7 @@ TEST(Pipeline, GeyserNeverWorseThanOptiMapOnPulses)
 TEST(Pipeline, SuperconductingUsesSquareGridWithoutCcz)
 {
     const Circuit logical = adderBenchmark(1, true);
-    const auto sc = compileSuperconducting(logical);
+    const auto sc = compile(Technique::Superconducting, logical);
     EXPECT_EQ(sc.stats.cczCount, 0);
     EXPECT_EQ(sc.topology.name().rfind("square", 0), 0u);
     EXPECT_NEAR(idealTvd(sc), 0.0, 1e-9);
@@ -160,8 +160,8 @@ TEST(Pipeline, EvaluateTvdOrdersTechniquesUnderNoise)
     // Baseline has the most pulses, so under the same noise its TVD
     // should be at least OptiMap's up to sampling error.
     const Circuit logical = multiplier5Benchmark();
-    const auto base = compileBaseline(logical);
-    const auto gey = compileGeyser(logical);
+    const auto base = compile(Technique::Baseline, logical);
+    const auto gey = compile(Technique::Geyser, logical);
     TrajectoryConfig cfg;
     cfg.trajectories = 300;
     cfg.seed = 41;
@@ -301,7 +301,7 @@ TEST(Pipeline, Vqe4BlocksAreAllCertified)
 TEST(Pipeline, GeyserStatsAreConsistent)
 {
     const Circuit logical = adderBenchmark(1, true);
-    const auto gey = compileGeyser(logical);
+    const auto gey = compile(Technique::Geyser, logical);
     EXPECT_GE(gey.blockCount, gey.composedBlockCount);
     EXPECT_GE(gey.maxBlockHsd, 0.0);
     EXPECT_LE(gey.maxBlockHsd, 2e-5);

@@ -1,19 +1,22 @@
 /**
  * @file
  * Tests for the Prometheus text exposition (src/obs/prometheus): the
- * service-family mapping table, generic name sanitization, counter
- * family grouping under one header, the derived cache-hit ratio, and
- * histogram rendering — cumulative le buckets on the base-2 edges,
- * the +Inf bucket, _sum/_count, and the ms-to-seconds scaling.
+ * service-family mapping table, the per-channel noise-event rule,
+ * generic name sanitization, counter family grouping under one header,
+ * the derived cache-hit ratio, and histogram rendering — cumulative le
+ * buckets on the base-2 edges, the +Inf bucket, _sum/_count, and the
+ * ms-to-seconds scaling.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "obs/prometheus.hpp"
+#include "sim/noise.hpp"
 
 namespace geyser {
 namespace {
@@ -79,19 +82,37 @@ TEST_F(PrometheusTest, NoiseChannelCountersShareOneLabelledFamily)
     obs::serviceCounter("sim.noise.amp_damp_events").add(12);
     obs::serviceCounter("sim.noise.legacy_pauli_events").add(7);
     obs::serviceCounter("sim.noise.readout_events").add(3);
+    // Every channel the library names, under the trajectory simulator's
+    // counter name for it ('-' written as '_').
+    const auto &names = noiseChannelNames();
+    for (const std::string &name : names) {
+        std::string internal = name;
+        std::replace(internal.begin(), internal.end(), '-', '_');
+        obs::serviceCounter("sim.noise." + internal + "_events").add(1);
+    }
     const std::string text = obs::prometheusText();
     EXPECT_NE(text.find("geyser_sim_noise_events_total"
-                        "{channel=\"amp-damp\"} 12\n"),
+                        "{channel=\"amp-damp\"} 13\n"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("geyser_sim_noise_events_total"
-                        "{channel=\"legacy-pauli\"} 7\n"),
+                        "{channel=\"legacy-pauli\"} 8\n"),
               std::string::npos);
     EXPECT_NE(text.find("geyser_sim_noise_events_total"
-                        "{channel=\"readout\"} 3\n"),
+                        "{channel=\"readout\"} 4\n"),
               std::string::npos);
+    for (const std::string &name : names)
+        EXPECT_NE(text.find("geyser_sim_noise_events_total{channel=\"" +
+                            name + "\"} "),
+                  std::string::npos)
+            << name;
     EXPECT_EQ(countOf(text, "# TYPE geyser_sim_noise_events_total counter"),
               1);
+    // One series per channel plus the HELP and TYPE lines: no channel
+    // leaks out as a family of its own.
+    EXPECT_EQ(countOf(text, "geyser_sim_noise_"),
+              static_cast<int>(names.size()) + 2)
+        << text;
 }
 
 TEST_F(PrometheusTest, GenericNamesSanitizeWithTotalSuffix)

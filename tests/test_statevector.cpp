@@ -158,6 +158,24 @@ TEST(StateVector, ReversedOperandOrderMatchesSwappedMatrix)
                     1e-12);
 }
 
+TEST(StateVector, ApplyMatrixRejectsRepeatedQubits)
+{
+    // A repeated qubit names no 2^k-dimensional subspace: the call
+    // throws before it touches the amplitudes or flushes a deferred
+    // damping factor.
+    StateVector sv(3);
+    sv.apply(Gate(GateKind::H, 0));
+    sv.apply(Gate(GateKind::RX, 1, 0.7));
+    ASSERT_FALSE(sv.applyAmplitudeDamping(1, 0.2, 0.5));
+    const std::vector<Complex> before = sv.amplitudes();
+    EXPECT_THROW(sv.applyMatrix(Gate(GateKind::CX, 0, 1).matrix(), {1, 1}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        sv.applyMatrix(Gate(GateKind::CCX, 0, 1, 2).matrix(), {0, 2, 0}),
+        std::invalid_argument);
+    EXPECT_EQ(sv.amplitudes(), before);
+}
+
 TEST(StateVector, NormPreservedThroughLongRandomCircuit)
 {
     Circuit c(4);
@@ -467,6 +485,8 @@ applyAmplitudeDamping(std::vector<Complex> &a, size_t mask, double gamma,
 /**
  * A k-qubit matrix on the storage bits `masks` (masks[0] is the
  * matrix's low bit), gathered at every index with those bits clear.
+ * Each row sums its products left to right from the first, as
+ * kernels::svApply2q does.
  */
 void
 applyDense(std::vector<Complex> &a, const std::vector<size_t> &masks,
@@ -490,8 +510,8 @@ applyDense(std::vector<Complex> &a, const std::vector<size_t> &masks,
         for (size_t v = 0; v < sub; ++v)
             local[v] = a[at(v)];
         for (size_t r = 0; r < sub; ++r) {
-            Complex acc{};
-            for (size_t c = 0; c < sub; ++c)
+            Complex acc = m(static_cast<int>(r), 0) * local[0];
+            for (size_t c = 1; c < sub; ++c)
                 acc += m(static_cast<int>(r), static_cast<int>(c)) * local[c];
             a[at(r)] = acc;
         }
@@ -543,7 +563,10 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
     constexpr int kQubits = 7;
     const std::vector<std::vector<Qubit>> idleSets = {
         {}, {0}, {1}, {2}, {6}, {0, 1, 6}, {2, 4}, {1, 3, 5, 6}};
-    int jumps = 0, stays = 0;
+    const GateKind denseKinds[] = {GateKind::CX,  GateKind::CP,
+                                   GateKind::RZZ, GateKind::RXX,
+                                   GateKind::RYY, GateKind::SWAP};
+    int jumps = 0, stays = 0, lowFirst = 0, highFirst = 0;
     for (const auto &idle : idleSets) {
         size_t simulated = (size_t{1} << kQubits) - 1;
         for (const Qubit q : idle)
@@ -568,7 +591,7 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
             std::vector<Complex> ref = sv.amplitudes();
             reference::Deferred deferred;
             for (int step = 0; step < 150; ++step) {
-                const int op = rng.uniformInt(9);
+                const int op = rng.uniformInt(10);
                 const auto qs = pickDistinct(rng, busy, op == 6 ? 3 : 2);
                 if (op <= 1) {
                     const double theta = rng.uniform(0.0, 3.2);
@@ -606,6 +629,14 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
                     ASSERT_EQ(jumped, deferred.applyAmplitudeDamping(
                                           ref, slot(qs[0]), gamma, u));
                     ++(jumped ? jumps : stays);
+                } else if (op == 8) {
+                    const Gate g(denseKinds[rng.uniformInt(6)], qs[0], qs[1],
+                                 rng.uniform(-3.2, 3.2));
+                    sv.apply(g);
+                    deferred.flush(ref, slot(qs[0]) | slot(qs[1]));
+                    reference::applyDense(ref, {slot(qs[0]), slot(qs[1])},
+                                          g.matrix());
+                    ++(qs[0] < qs[1] ? lowFirst : highFirst);
                 } else {
                     ASSERT_EQ(bitsOf(sv.probOne(qs[0])),
                               bitsOf(reference::probOne(ref, slot(qs[0]))));
@@ -629,9 +660,11 @@ TEST(StateVector, StridedLoopsMatchTestEveryIndexReference)
             }
         }
     }
-    // Both damping branches ran.
+    // Both damping branches ran, and dense gates in both operand orders.
     EXPECT_GT(jumps, 10);
     EXPECT_GT(stays, 10);
+    EXPECT_GT(lowFirst, 10);
+    EXPECT_GT(highFirst, 10);
 }
 
 TEST(StateVector, DeferredDampingMatchesEagerStep)

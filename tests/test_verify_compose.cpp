@@ -62,8 +62,8 @@ TEST_P(GeyserVsOptiMap, NoiselessOutputsAreDistributionEquivalent)
 {
     const Circuit c = verify::randomLogicalCircuit(
         4, 16, static_cast<uint64_t>(GetParam()) + 300);
-    const CompileResult gey = compileGeyser(c);
-    const CompileResult opt = compileOptiMap(c);
+    const CompileResult gey = compile(Technique::Geyser, c);
+    const CompileResult opt = compile(Technique::OptiMap, c);
 
     const Distribution pGey = projectToLogical(
         idealDistribution(gey.physical), gey.finalLayout, c.numQubits(),

@@ -93,8 +93,8 @@ TEST_P(PassProperty, PipelineSelfVerificationAccepts)
     const Circuit c = drawCircuit(GetParam());
     PipelineOptions options;
     options.verifyEquivalence = true;
-    EXPECT_NO_THROW(compileBaseline(c, options));
-    EXPECT_NO_THROW(compileOptiMap(c, options));
+    EXPECT_NO_THROW(compile(Technique::Baseline, c, options));
+    EXPECT_NO_THROW(compile(Technique::OptiMap, c, options));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PassProperty, ::testing::Range(1, 51));
