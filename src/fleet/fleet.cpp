@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -41,6 +42,8 @@ struct FleetCounters
     obs::Counter &planStores = obs::serviceCounter("fleet.plan_store");
     obs::Counter &verifyFailures =
         obs::serviceCounter("fleet.verify_failure");
+    obs::Counter &replayFallbacks =
+        obs::serviceCounter("fleet.replay_fallbacks");
 
     static FleetCounters &get()
     {
@@ -253,26 +256,37 @@ compileFleet(const std::vector<FleetJob> &jobs, const FleetOptions &options)
                 std::optional<SkeletonPlan> plan =
                     acquirePlan(group, representative, options, report);
                 VerifySample sample(options.verifySample);
+                std::atomic<long> replayFallbacks{0};
 
-                forEach(static_cast<int>(group.members.size()),
-                        options.parallel, [&](int gi) {
-                            const int m =
-                                group.members[static_cast<size_t>(gi)];
-                            const Circuit &member =
-                                jobs[static_cast<size_t>(m)].logical;
-                            if (plan) {
-                                if (auto r = rebindMember(*plan, member,
-                                                          options.pipeline)) {
-                                    sample.offer(gi, r->physical);
-                                    recordRow(m, std::move(*r), true, false);
-                                    return;
-                                }
-                            }
-                            recordRow(m,
-                                      compile(technique, member,
-                                              options.pipeline),
-                                      false, plan.has_value());
-                        });
+                auto compileMember = [&](int gi) {
+                    const int m = group.members[static_cast<size_t>(gi)];
+                    const Circuit &member =
+                        jobs[static_cast<size_t>(m)].logical;
+                    if (plan) {
+                        bool diverged = false;
+                        auto r = rebindMember(*plan, member,
+                                              options.pipeline, diverged);
+                        if (diverged)
+                            replayFallbacks.fetch_add(
+                                1, std::memory_order_relaxed);
+                        if (r) {
+                            sample.offer(gi, r->physical);
+                            recordRow(m, std::move(*r), true, false);
+                            return;
+                        }
+                    }
+                    recordRow(m, compile(technique, member, options.pipeline),
+                              false, plan.has_value());
+                };
+                // The representative first: a plan loaded without a
+                // record records from it, so which member records never
+                // depends on thread timing.
+                compileMember(0);
+                forEach(static_cast<int>(group.members.size()) - 1,
+                        options.parallel,
+                        [&](int k) { compileMember(k + 1); });
+                report.replayFallbacks += replayFallbacks.load();
+                counters.replayFallbacks.add(replayFallbacks.load());
 
                 // Verify the group's first `verifySample` re-bound
                 // members against a from-scratch compile of the same
@@ -378,6 +392,7 @@ FleetReport::toJson(int indent) const
     doc.set("groups", groups);
     doc.set("rebound", rebound);
     doc.set("fallback", fallback);
+    doc.set("replayFallbacks", replayFallbacks);
     doc.set("reuseRatio", reuseRatio());
     doc.set("verified", verified);
     doc.set("verifyFailures", verifyFailures);
@@ -448,11 +463,12 @@ FleetReport::renderTable() const
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "fleet: %ld members, %ld jobs, %ld groups | rebound "
-                  "%ld fallback %ld (reuse %.3f) | plans hit/store %ld/%ld "
-                  "| verify %ld ok / %ld failed | %.0f ms\n",
+                  "%ld fallback %ld (reuse %.3f) | replay fallbacks %ld "
+                  "| plans hit/store %ld/%ld | verify %ld ok / %ld failed "
+                  "| %.0f ms\n",
                   members, jobs, groups, rebound, fallback, reuseRatio(),
-                  planHits, planStores, verified - verifyFailures,
-                  verifyFailures, wallMs);
+                  replayFallbacks, planHits, planStores,
+                  verified - verifyFailures, verifyFailures, wallMs);
     out += buf;
     std::snprintf(buf, sizeof(buf), "%-16s %-10s %10s %10s %9s %9s %9s %8s %8s %10s\n",
                   "technique", "topology", "meanPulses", "meanDepth",

@@ -16,9 +16,9 @@
  * stage to share and compile member-by-member through the exact cache.
  *
  * Observability: always-on fleet.* counters (fleet.jobs,
- * fleet.rebound, fleet.fallback, fleet.groups, fleet.plan_hit,
- * fleet.plan_store, fleet.verify_failure), exported to Prometheus as
- * geyser_fleet_* families.
+ * fleet.rebound, fleet.fallback, fleet.replay_fallbacks, fleet.groups,
+ * fleet.plan_hit, fleet.plan_store, fleet.verify_failure), exported to
+ * Prometheus as geyser_fleet_* families.
  */
 #ifndef GEYSER_FLEET_FLEET_HPP
 #define GEYSER_FLEET_FLEET_HPP
@@ -112,6 +112,9 @@ struct FleetReport
     long groups = 0;    ///< Skeleton groups.
     long rebound = 0;   ///< Jobs served by skeleton re-bind.
     long fallback = 0;  ///< Jobs that diverged from their plan.
+    /** Re-binds whose transpile replay diverged, so that they ran the
+     *  real transpile (their result is the same either way). */
+    long replayFallbacks = 0;
     long planHits = 0;    ///< Skeleton plans loaded from the cache.
     long planStores = 0;  ///< Skeleton plans built and stored.
     long verified = 0;         ///< Re-binds checked against the oracle.

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <unordered_map>
 
 #include "io/framing.hpp"
@@ -66,17 +67,59 @@ structureKey(const Circuit &circuit)
     return h;
 }
 
-/** Same routed structure: circuit structure, layouts, swap count. */
+/** A transpile that routed to the plan's structure, layouts and swaps. */
 bool
-routedEquals(const CompileResult &a, const CompileResult &b)
+routesLike(const CompileResult &t, const SkeletonPlan &plan)
 {
-    return structureEquals(a.physical, b.physical) &&
-           a.initialLayout == b.initialLayout &&
-           a.finalLayout == b.finalLayout &&
-           a.swapsInserted == b.swapsInserted;
+    return structureEquals(t.physical, plan.transpiled) &&
+           t.initialLayout == plan.initialLayout &&
+           t.finalLayout == plan.finalLayout &&
+           t.swapsInserted == plan.swapsInserted;
 }
 
 }  // namespace
+
+/**
+ * A plan's recorded transpile, and the stats of its stitched circuit:
+ * they depend on the structure alone, so every re-bound member of an
+ * adopted plan takes them.
+ */
+struct PlanReplay
+{
+    RecordedTranspile transpile;
+    CircuitStats stitchedStats;
+};
+
+ReplaySlot::ReplaySlot(std::shared_ptr<const PlanReplay> value)
+    : value_(std::move(value))
+{
+}
+
+ReplaySlot::ReplaySlot(const ReplaySlot &other)
+{
+    std::lock_guard<std::mutex> lock(other.mu_);
+    value_ = other.value_;
+}
+
+ReplaySlot &
+ReplaySlot::operator=(const ReplaySlot &other)
+{
+    if (this != &other) {
+        std::scoped_lock lock(mu_, other.mu_);
+        value_ = other.value_;
+    }
+    return *this;
+}
+
+const PlanReplay *
+ReplaySlot::getOrMake(
+    const std::function<std::shared_ptr<const PlanReplay>()> &make) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (value_ == nullptr)
+        value_ = make();
+    return value_.get();
+}
 
 std::string
 structureDigest(const Circuit &circuit)
@@ -171,6 +214,31 @@ slotPairs(const std::vector<ParamSlot> &slots)
     return pairs;
 }
 
+std::optional<std::vector<uint8_t>>
+varyingMask(const RecordedTranspile &recorded,
+            const std::vector<ParamSlot> &varyingSlots)
+{
+    const Circuit &logical = recorded.result.logical;
+    std::vector<uint8_t> slots(logical.size() * 3, 0);
+    for (const ParamSlot &slot : varyingSlots) {
+        if (slot.gate < 0 || slot.gate >= static_cast<int>(logical.size()))
+            return std::nullopt;
+        const Gate &gate = logical.gates()[static_cast<size_t>(slot.gate)];
+        if (slot.param < 0 || slot.param >= gateKindParamCount(gate.kind()))
+            return std::nullopt;
+        slots[static_cast<size_t>(slot.gate) * 3 +
+              static_cast<size_t>(slot.param)] = 1;
+    }
+    // A U3's three angles come out of one resynthesis, so the whole
+    // gate varies; re-binding copies all three.
+    const std::vector<uint8_t> gates = recorded.record.dependents(slots);
+    std::vector<uint8_t> mask(gates.size() * 3, 0);
+    for (size_t i = 0; i < gates.size(); ++i)
+        if (gates[i] != 0)
+            mask[i * 3] = mask[i * 3 + 1] = mask[i * 3 + 2] = 1;
+    return mask;
+}
+
 std::optional<SkeletonPlan>
 buildSkeletonPlan(Technique technique, const Circuit &representative,
                   const std::vector<ParamSlot> &varyingSlots,
@@ -180,114 +248,112 @@ buildSkeletonPlan(Technique technique, const Circuit &representative,
         return std::nullopt;
     obs::Span span("fleet.plan", "fleet");
 
-    CompileResult t0 =
-        transpileForTechnique(technique, representative, options);
+    // One recorded transpile: the record traces every varying logical
+    // slot onto the physical U3s whose angles depend on it, and members
+    // replay it instead of transpiling.
+    auto replay = std::make_shared<PlanReplay>();
+    replay->transpile = recordTranspile(technique, representative, options);
+    std::optional<std::vector<uint8_t>> varying =
+        varyingMask(replay->transpile, varyingSlots);
+    if (!varying)
+        return std::nullopt;
 
-    // Trace the varying logical slots onto physical U3 parameters by
-    // perturbation differencing: nudge every varying angle by two
-    // different deltas, re-transpile, and mark each physical parameter
-    // that moved either time. The optimizer is angle-sensitive only at
-    // identity/diagonal boundaries (fusion's identity test, 1e-9 on
-    // |u01|, and CZ cancellation's diagonal test, 1e-12 on
-    // |cos(theta/2)|); if a perturbation changes the routed *structure*,
-    // this circuit sits on such a boundary and cannot be skeleton-shared
-    // — report that.
-    std::vector<uint8_t> varying(t0.physical.size() * 3, 0);
-    const double kDeltas[2] = {1.2345e-3, -2.3456e-3};
-    for (const double delta : kDeltas) {
-        if (varyingSlots.empty())
-            break;
-        Circuit perturbed = representative;
-        for (const ParamSlot &slot : varyingSlots) {
-            if (slot.gate < 0 ||
-                slot.gate >= static_cast<int>(perturbed.size()))
-                return std::nullopt;
-            Gate &gate = perturbed.gates()[static_cast<size_t>(slot.gate)];
-            if (slot.param < 0 ||
-                slot.param >= gateKindParamCount(gate.kind()))
-                return std::nullopt;
-            gate.setParam(slot.param, gate.param(slot.param) + delta);
-        }
-        const CompileResult ti =
-            transpileForTechnique(technique, perturbed, options);
-        if (!routedEquals(t0, ti))
-            return std::nullopt;
-        for (size_t i = 0; i < t0.physical.size(); ++i) {
-            const Gate &a = t0.physical.gates()[i];
-            const Gate &b = ti.physical.gates()[i];
-            const int params = gateKindParamCount(a.kind());
-            for (int p = 0; p < params; ++p)
-                if (a.param(p) != b.param(p))
-                    varying[i * 3 + static_cast<size_t>(p)] = 1;
-        }
-    }
-    // Widen the mask to gate granularity: a U3 whose angles depend on a
-    // varying slot can branch-flip a nominally constant companion angle
-    // (ZYZ lambda jumps between 0 and ±pi with the branch of the varying
-    // angle — a discrete function local perturbation cannot see). The
-    // gate's whole triple is copied at re-bind anyway, so treating it as
-    // fully varying costs nothing and keeps the fixed-param validation
-    // honest.
-    for (size_t i = 0; i < t0.physical.size(); ++i)
-        if (varying[i * 3] != 0 || varying[i * 3 + 1] != 0 ||
-            varying[i * 3 + 2] != 0)
-            varying[i * 3] = varying[i * 3 + 1] = varying[i * 3 + 2] = 1;
-    // Varying angles must live on plain one-qubit U3s — the only
-    // parameterized physical kind — so re-binding is a parameter copy.
-    for (size_t i = 0; i < t0.physical.size(); ++i) {
-        const bool gateVaries = varying[i * 3] != 0;
-        if (!gateVaries)
-            continue;
-        const Gate &gate = t0.physical.gates()[i];
-        if (gate.kind() != GateKind::U3 || gate.numQubits() != 1)
-            return std::nullopt;
-    }
-
+    CompileResult t0 = replay->transpile.result;
     SkeletonPlan plan;
     plan.technique = technique;
     plan.transpiled = t0.physical;
     plan.initialLayout = t0.initialLayout;
     plan.finalLayout = t0.finalLayout;
     plan.swapsInserted = t0.swapsInserted;
-    plan.rebindMap = blockAndCompose(t0, options, varying, cachedCompose);
-    plan.paramVarying = std::move(varying);
+    plan.rebindMap = blockAndCompose(t0, options, *varying, cachedCompose);
+    plan.paramVarying = std::move(*varying);
+    fillStats(t0);
+    replay->stitchedStats = t0.stats;
     plan.stitched = std::move(t0.physical);
     plan.blockCount = t0.blockCount;
     plan.composedBlockCount = t0.composedBlockCount;
     plan.compositionEvaluations = t0.compositionEvaluations;
     plan.maxBlockHsd = t0.maxBlockHsd;
     plan.adopted = t0.composedBlockCount > 0;
+    plan.replay = ReplaySlot(std::move(replay));
     return plan;
 }
+
+namespace {
+
+/**
+ * The plan's replay, recorded from `member` if the plan has none yet
+ * (once per plan object). A member whose transpile does not route like
+ * the plan installs nothing: the result is nullptr and `transpiled`
+ * receives that transpile, so the member is not transpiled twice.
+ */
+const PlanReplay *
+planReplay(const SkeletonPlan &plan, const Circuit &member,
+           const PipelineOptions &options,
+           std::optional<CompileResult> &transpiled)
+{
+    return plan.replay.getOrMake([&]() -> std::shared_ptr<PlanReplay> {
+        auto made = std::make_shared<PlanReplay>();
+        made->transpile = recordTranspile(plan.technique, member, options);
+        if (!routesLike(made->transpile.result, plan)) {
+            transpiled = std::move(made->transpile.result);
+            return nullptr;
+        }
+        CompileResult stitched = made->transpile.result;
+        stitched.physical = plan.stitched;
+        fillStats(stitched);
+        made->stitchedStats = stitched.stats;
+        return made;
+    });
+}
+
+}  // namespace
 
 std::optional<CompileResult>
 rebindMember(const SkeletonPlan &plan, const Circuit &memberLogical,
              const PipelineOptions &options)
 {
+    bool replayDiverged = false;
+    return rebindMember(plan, memberLogical, options, replayDiverged);
+}
+
+std::optional<CompileResult>
+rebindMember(const SkeletonPlan &plan, const Circuit &memberLogical,
+             const PipelineOptions &options, bool &replayDiverged)
+{
+    replayDiverged = false;
     if (plan.technique != Technique::Geyser)
         return std::nullopt;
     const auto t0 = StageClock::now();
     obs::Span span("fleet.rebind", "fleet");
 
-    CompileResult tm =
-        transpileForTechnique(plan.technique, memberLogical, options);
+    // The member's transpile, by replaying the plan's record; the real
+    // one when the replay diverges or the stage checks are on.
+    std::optional<CompileResult> tm;
+    const PlanReplay *replay = nullptr;
+    if (!options.verifyEquivalence) {
+        replay = planReplay(plan, memberLogical, options, tm);
+        if (replay != nullptr) {
+            tm = replayTranspile(replay->transpile, memberLogical, options);
+            replayDiverged = !tm.has_value();
+        }
+    }
+    if (!tm)
+        tm = transpileForTechnique(plan.technique, memberLogical, options);
     const auto tRebind = StageClock::now();
 
     // The plan applies only if this member routed to the exact same
     // structure with the exact same fixed angles; the transpiler's
     // angle-dependent passes (identity dropping, diagonal commutation)
     // make this a per-member check, not an assumption.
-    if (!structureEquals(tm.physical, plan.transpiled) ||
-        tm.initialLayout != plan.initialLayout ||
-        tm.finalLayout != plan.finalLayout ||
-        tm.swapsInserted != plan.swapsInserted)
+    if (!routesLike(*tm, plan))
         return std::nullopt;
-    if (plan.paramVarying.size() != tm.physical.size() * 3)
+    if (plan.paramVarying.size() != tm->physical.size() * 3)
         return std::nullopt;
     if (plan.stitched.numQubits() != plan.transpiled.numQubits())
         return std::nullopt;
-    for (size_t i = 0; i < tm.physical.size(); ++i) {
-        const Gate &got = tm.physical.gates()[i];
+    for (size_t i = 0; i < tm->physical.size(); ++i) {
+        const Gate &got = tm->physical.gates()[i];
         const Gate &want = plan.transpiled.gates()[i];
         const int params = gateKindParamCount(got.kind());
         for (int p = 0; p < params; ++p) {
@@ -298,7 +364,7 @@ rebindMember(const SkeletonPlan &plan, const Circuit &memberLogical,
         }
     }
 
-    CompileResult result = std::move(tm);
+    CompileResult result = std::move(*tm);
     result.blockCount = plan.blockCount;
     result.composedBlockCount = plan.composedBlockCount;
     result.compositionEvaluations = plan.compositionEvaluations;
@@ -317,7 +383,10 @@ rebindMember(const SkeletonPlan &plan, const Circuit &memberLogical,
                 dst.setParam(p, src.param(p));
         }
         result.physical = std::move(stitched);
-        fillStats(result);
+        if (replay != nullptr)
+            result.stats = replay->stitchedStats;
+        else
+            fillStats(result);
     }
     result.composeMs = msSince(tRebind);
     result.totalMs = msSince(t0);

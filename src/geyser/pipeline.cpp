@@ -15,6 +15,7 @@
 #include "sim/statevector.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
+#include "transpile/record.hpp"
 #include "transpile/router.hpp"
 #include "transpile/sabre.hpp"
 #include "verify/equivalence.hpp"
@@ -88,11 +89,14 @@ verifyRoutedStage(const PipelineOptions &options, const char *stage,
  * Shared mapping step: lower, optimize, route, re-optimize. The
  * technique fixes the topology (a square grid for Superconducting, the
  * triangular atom lattice otherwise) and whether the optimization
- * passes run (every technique but Baseline).
+ * passes run (every technique but Baseline). With `record`, the run is
+ * recorded for replay (transpile/record.hpp): each circuit the passes
+ * build has a CircuitRecorder beside it, and each routing candidate's
+ * recorder is gathered through the routed gates' sources.
  */
 CompileResult
 mapCircuit(Technique technique, const Circuit &logical,
-           const PipelineOptions &options)
+           const PipelineOptions &options, TranspileRecord *record = nullptr)
 {
     // Every compile entry point funnels through here: reject invalid
     // circuits (out-of-range operands, duplicates, non-finite angles)
@@ -115,16 +119,27 @@ mapCircuit(Technique technique, const Circuit &logical,
     span.arg("technique", techniqueName(technique));
     span.arg("qubits", logical.numQubits());
 
+    // A recording run's recorders: of `physical`, and of the routed
+    // circuit kept so far; the passes and routers get null pointers
+    // when the run does not record.
+    if (record != nullptr)
+        *record = TranspileRecord(logical);
+    CircuitRecorder physicalIds{record, {}}, routedIds{record, {}};
+    auto recording = [&](auto &tracked) {
+        return record != nullptr ? &tracked : nullptr;
+    };
+    std::vector<int> sources;
+
     Circuit physical;
     {
         obs::Span s("transpile.basis", "pipeline");
-        physical = decomposeToBasis(logical);
+        physical = decomposeToBasis(logical, recording(physicalIds));
         s.arg("gates", static_cast<double>(physical.size()));
     }
     verifyStage(options, "basis translation", logical, physical);
     if (optimized) {
         obs::Span s("transpile.optimize.pre", "pipeline");
-        optimize(physical);
+        optimize(physical, recording(physicalIds));
         s.arg("gates", static_cast<double>(physical.size()));
         verifyStage(options, "pre-routing optimization", logical, physical);
     }
@@ -136,16 +151,18 @@ mapCircuit(Technique technique, const Circuit &logical,
     {
         obs::Span s("transpile.route", "pipeline");
         s.arg("strategy", "trivial");
-        routed = route(physical, topo);
+        routed = route(physical, topo, recording(sources));
         s.arg("swaps", routed.swapsInserted);
         s.arg("pulses", static_cast<double>(routed.circuit.totalPulses()));
     }
+    if (record != nullptr)
+        routedIds = gathered(physicalIds, sources);
     verifyRoutedStage(options, "routing (trivial walk)", physical, routed);
     checkpoint(options, "route");
     if (optimized) {
         {
             obs::Span s("transpile.optimize.post", "pipeline");
-            optimize(routed.circuit);
+            optimize(routed.circuit, recording(routedIds));
         }
         verifyRoutedStage(options, "post-routing optimization", physical,
                           routed);
@@ -158,18 +175,29 @@ mapCircuit(Technique technique, const Circuit &logical,
             obs::Span s("transpile.route", "pipeline");
             s.arg("strategy", strategies[ci]);
             auto &candidate = candidates[ci];
-            candidate = ci == 0 ? route(physical, topo, greedyLayout)
-                                : routeSabre(physical, topo, greedyLayout);
+            sources.clear();
+            candidate =
+                ci == 0 ? route(physical, topo, greedyLayout,
+                                recording(sources))
+                        : routeSabre(physical, topo, greedyLayout,
+                                     recording(sources));
             s.arg("swaps", candidate.swapsInserted);
-            optimize(candidate.circuit);
+            CircuitRecorder candidateIds;
+            if (record != nullptr)
+                candidateIds = gathered(physicalIds, sources);
+            optimize(candidate.circuit, recording(candidateIds));
             s.arg("pulses",
                   static_cast<double>(candidate.circuit.totalPulses()));
             verifyRoutedStage(options, names[ci], physical, candidate);
             if (candidate.circuit.totalPulses() <
-                routed.circuit.totalPulses())
+                routed.circuit.totalPulses()) {
                 routed = std::move(candidate);
+                routedIds = std::move(candidateIds);
+            }
         }
     }
+    if (record != nullptr)
+        record->finish(routedIds.ids);
     result.physical = std::move(routed.circuit);
     result.initialLayout = std::move(routed.initialLayout);
     result.finalLayout = std::move(routed.finalLayout);
@@ -399,6 +427,46 @@ transpileForTechnique(Technique technique, const Circuit &logical,
 {
     CompileResult result = mapCircuit(technique, logical, options);
     fillStats(result);
+    result.totalMs = result.transpileMs;
+    return result;
+}
+
+RecordedTranspile
+recordTranspile(Technique technique, const Circuit &logical,
+                const PipelineOptions &options)
+{
+    RecordedTranspile recorded;
+    recorded.result =
+        mapCircuit(technique, logical, options, &recorded.record);
+    fillStats(recorded.result);
+    recorded.result.totalMs = recorded.result.transpileMs;
+    return recorded;
+}
+
+std::optional<CompileResult>
+replayTranspile(const RecordedTranspile &recorded, const Circuit &logical,
+                const PipelineOptions &options)
+{
+    // The stage checks run inside the passes; an invalid circuit is
+    // rejected there with the transpile's own error.
+    if (options.verifyEquivalence || logical.validationError())
+        return std::nullopt;
+    checkpoint(options, "transpile");
+    const auto t0 = StageClock::now();
+    const CompileResult &model = recorded.result;
+    CompileResult result;
+    result.physical = model.physical;
+    if (!recorded.record.replay(logical, result.physical))
+        return std::nullopt;
+    // Routing, layouts and stats follow from the structure alone.
+    result.technique = model.technique;
+    result.logical = logical;
+    result.topology = model.topology;
+    result.initialLayout = model.initialLayout;
+    result.finalLayout = model.finalLayout;
+    result.stats = model.stats;
+    result.swapsInserted = model.swapsInserted;
+    result.transpileMs = msSince(t0);
     result.totalMs = result.transpileMs;
     return result;
 }

@@ -17,6 +17,7 @@
 #define GEYSER_GEYSER_PIPELINE_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "sim/noise.hpp"
 #include "sim/trajectory.hpp"
 #include "topology/topology.hpp"
+#include "transpile/record.hpp"
 
 namespace geyser {
 
@@ -144,13 +146,45 @@ CompileResult compile(Technique technique, const Circuit &logical,
  * with no blocking or composition. The result's `physical` circuit is
  * the routed pre-blocking circuit; for the non-Geyser techniques this
  * matches the corresponding full compile (stats filled, no final
- * whole-result verification). The fleet re-binder uses this to obtain a
- * sweep member's routed structure and angles cheaply before re-binding
- * them against a cached composed skeleton.
+ * whole-result verification). buildSkeletonPlan records one run of it
+ * (recordTranspile), and a fleet re-bind replays that record on the
+ * member's angles (replayTranspile), running this only when the replay
+ * diverges or verifyEquivalence is on.
  */
 CompileResult transpileForTechnique(Technique technique,
                                     const Circuit &logical,
                                     const PipelineOptions &options = {});
+
+/** A transpile and the record of its angle arithmetic. */
+struct RecordedTranspile
+{
+    /** transpileForTechnique's result for the recorded circuit. */
+    CompileResult result;
+    TranspileRecord record;
+};
+
+/**
+ * transpileForTechnique, recording the run (transpile/record.hpp) for
+ * replayTranspile. Throws where transpileForTechnique throws.
+ */
+RecordedTranspile recordTranspile(Technique technique,
+                                  const Circuit &logical,
+                                  const PipelineOptions &options = {});
+
+/**
+ * transpileForTechnique(recorded technique, logical, options), bit for
+ * bit, by replaying the record on `logical`'s angles: the recorded
+ * output with the replayed angles, and the recorded layouts, swaps and
+ * stats (they follow from the structure). It checkpoints
+ * options.cancel once. nullopt when the replay cannot vouch for the
+ * result — `logical` fails validation or has another structure, a
+ * recorded test comes out the other way or a check would throw, or
+ * verifyEquivalence asks for the stage checks — and the caller runs
+ * transpileForTechnique, which throws wherever the transpile would.
+ */
+std::optional<CompileResult> replayTranspile(
+    const RecordedTranspile &recorded, const Circuit &logical,
+    const PipelineOptions &options = {});
 
 /**
  * Set `result.stats` from `result.physical`: gate and pulse counts, and

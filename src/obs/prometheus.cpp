@@ -64,6 +64,8 @@ targetFor(const std::string &internal)
          {"geyser_fleet_members_total", "path=\"rebound\"", 1.0}},
         {"fleet.fallback",
          {"geyser_fleet_members_total", "path=\"fallback\"", 1.0}},
+        {"fleet.replay_fallbacks",
+         {"geyser_fleet_replay_fallbacks_total", "", 1.0}},
         {"fleet.plan_hit",
          {"geyser_fleet_plans_total", "outcome=\"hit\"", 1.0}},
         {"fleet.plan_store",

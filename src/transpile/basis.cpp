@@ -9,16 +9,52 @@ namespace geyser {
 
 namespace {
 
+using Lambda = TranspileRecord::Lambda;
+constexpr int kConst = TranspileRecord::kConst;
+
+/**
+ * Appends lowered gates to `out` and, on a recording run, each one's
+ * value id to `rec`. `source` is the logical gate being lowered.
+ */
+struct Emitter
+{
+    Circuit &out;
+    CircuitRecorder *rec;
+    int source;
+
+    void append(const Gate &gate, int id)
+    {
+        out.append(gate);
+        if (rec != nullptr)
+            rec->ids.push_back(id);
+    }
+
+    void u3(Qubit q, double theta, double phi, double lambda,
+            int id = kConst)
+    {
+        append(Gate(GateKind::U3, q, theta, phi, lambda), id);
+    }
+
+    void cz(Qubit a, Qubit b) { append(Gate(GateKind::CZ, a, b), kConst); }
+
+    /** The id of a U3(0, 0, lambda) of the source gate's angle. */
+    int lambdaId(Lambda formula) const
+    {
+        return rec != nullptr ? rec->record->lambda(source, formula)
+                              : kConst;
+    }
+};
+
 /** Emit H as U3(pi/2, 0, pi). */
 void
-emitH(Circuit &out, Qubit q)
+emitH(Emitter &out, Qubit q)
 {
     out.u3(q, kPi / 2.0, 0.0, kPi);
 }
 
 /** Emit CX(control, target) as (H t)(CZ)(H t). */
 void
-emitCx(Circuit &out, Qubit control, Qubit target)
+emitCx(Emitter &out, Qubit control, Qubit target)
 {
     emitH(out, target);
     out.cz(control, target);
@@ -27,9 +63,9 @@ emitCx(Circuit &out, Qubit control, Qubit target)
 
 /** Emit P(lambda) as U3(0, 0, lambda). */
 void
-emitP(Circuit &out, Qubit q, double lambda)
+emitP(Emitter &out, Qubit q, double lambda, int id = kConst)
 {
-    out.u3(q, 0.0, 0.0, lambda);
+    out.u3(q, 0.0, 0.0, lambda, id);
 }
 
 /**
@@ -37,7 +73,7 @@ emitP(Circuit &out, Qubit q, double lambda)
  * 6 CX and 7 T/Tdg phase gates (paper Fig 11 modulo 1q fusion).
  */
 void
-emitCcz(Circuit &out, Qubit a, Qubit b, Qubit c)
+emitCcz(Emitter &out, Qubit a, Qubit b, Qubit c)
 {
     const double t = kPi / 4.0;
     emitCx(out, b, c);
@@ -55,24 +91,17 @@ emitCcz(Circuit &out, Qubit a, Qubit b, Qubit c)
     emitCx(out, a, b);
 }
 
-}  // namespace
-
-Gate
-u3FromGate(const Gate &gate)
-{
-    if (gate.numQubits() != 1)
-        throw ValidationError("u3FromGate: not a one-qubit gate");
-    const U3Params p = u3FromMatrix(gate.matrix2());
-    return Gate(GateKind::U3, gate.qubit(0), p.theta, p.phi, p.lambda);
-}
-
 void
-lowerGate(const Gate &gate, Circuit &out)
+lower(const Gate &gate, Emitter &out)
 {
     switch (gate.kind()) {
       case GateKind::U3:
+        out.append(gate, out.rec != nullptr
+                             ? out.rec->record->input(out.source)
+                             : kConst);
+        return;
       case GateKind::CZ:
-        out.append(gate);
+        out.append(gate, kConst);
         return;
       case GateKind::CCZ:
         emitCcz(out, gate.qubit(0), gate.qubit(1), gate.qubit(2));
@@ -84,17 +113,18 @@ lowerGate(const Gate &gate, Circuit &out)
         // CP(l) = P(l/2) a; P(l/2) b; CX a,b; P(-l/2) b; CX a,b.
         const double half = gate.param(0) / 2.0;
         const Qubit a = gate.qubit(0), b = gate.qubit(1);
-        emitP(out, a, half);
-        emitP(out, b, half);
+        emitP(out, a, half, out.lambdaId(Lambda::Half));
+        emitP(out, b, half, out.lambdaId(Lambda::Half));
         emitCx(out, a, b);
-        emitP(out, b, -half);
+        emitP(out, b, -half, out.lambdaId(Lambda::NegHalf));
         emitCx(out, a, b);
         return;
       }
       case GateKind::RZZ: {
         const Qubit a = gate.qubit(0), b = gate.qubit(1);
         emitCx(out, a, b);
-        out.u3(b, 0.0, 0.0, gate.param(0));  // RZ up to phase
+        // RZ up to phase.
+        out.u3(b, 0.0, 0.0, gate.param(0), out.lambdaId(Lambda::Angle));
         emitCx(out, a, b);
         // Restore the RZZ phase convention: the U3(0,0,theta) form of RZ
         // differs from RZ(theta) only by a global phase, which TVD/HSD
@@ -105,7 +135,7 @@ lowerGate(const Gate &gate, Circuit &out)
         const Qubit a = gate.qubit(0), b = gate.qubit(1);
         emitH(out, a);
         emitH(out, b);
-        lowerGate(Gate(GateKind::RZZ, a, b, gate.param(0)), out);
+        lower(Gate(GateKind::RZZ, a, b, gate.param(0)), out);
         emitH(out, a);
         emitH(out, b);
         return;
@@ -115,7 +145,7 @@ lowerGate(const Gate &gate, Circuit &out)
         // Conjugate RZZ by RX(pi/2).
         out.u3(a, kPi / 2.0, -kPi / 2.0, kPi / 2.0);
         out.u3(b, kPi / 2.0, -kPi / 2.0, kPi / 2.0);
-        lowerGate(Gate(GateKind::RZZ, a, b, gate.param(0)), out);
+        lower(Gate(GateKind::RZZ, a, b, gate.param(0)), out);
         out.u3(a, kPi / 2.0, kPi / 2.0, -kPi / 2.0);
         out.u3(b, kPi / 2.0, kPi / 2.0, -kPi / 2.0);
         return;
@@ -135,18 +165,40 @@ lowerGate(const Gate &gate, Circuit &out)
         return;
       }
       default:
-        // Remaining kinds are one-qubit logical gates.
-        out.append(u3FromGate(gate));
+        // Remaining kinds are one-qubit logical gates; those without an
+        // angle lower to a constant U3.
+        out.append(u3FromGate(gate),
+                   out.rec != nullptr && gate.numParams() > 0
+                       ? out.rec->record->lowered(out.source)
+                       : kConst);
         return;
     }
 }
 
+}  // namespace
+
+Gate
+u3FromGate(const Gate &gate)
+{
+    if (gate.numQubits() != 1)
+        throw ValidationError("u3FromGate: not a one-qubit gate");
+    const U3Params p = u3FromMatrix(gate.matrix2());
+    return Gate(GateKind::U3, gate.qubit(0), p.theta, p.phi, p.lambda);
+}
+
+void
+lowerGate(const Gate &gate, Circuit &out, CircuitRecorder *rec, int source)
+{
+    Emitter emitter{out, rec, source};
+    lower(gate, emitter);
+}
+
 Circuit
-decomposeToBasis(const Circuit &circuit)
+decomposeToBasis(const Circuit &circuit, CircuitRecorder *rec)
 {
     Circuit out(circuit.numQubits());
-    for (const auto &g : circuit.gates())
-        lowerGate(g, out);
+    for (size_t i = 0; i < circuit.size(); ++i)
+        lowerGate(circuit.gates()[i], out, rec, static_cast<int>(i));
     return out;
 }
 

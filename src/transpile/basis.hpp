@@ -9,6 +9,7 @@
 #define GEYSER_TRANSPILE_BASIS_HPP
 
 #include "circuit/circuit.hpp"
+#include "transpile/record.hpp"
 
 namespace geyser {
 
@@ -17,12 +18,19 @@ namespace geyser {
  * expand through their textbook CX/CZ decompositions (e.g. a Toffoli
  * becomes 6 CX-derived CZ plus one-qubit gates — the 26-pulse pattern of
  * paper Fig 11 once fused); one-qubit gates become a single U3. No
- * optimization is performed (that is OptiMap's job).
+ * optimization is performed (that is OptiMap's job). With `rec` (a
+ * recording run, transpile/record.hpp, whose ids start empty) it
+ * records each lowered U3's value.
  */
-Circuit decomposeToBasis(const Circuit &circuit);
+Circuit decomposeToBasis(const Circuit &circuit,
+                         CircuitRecorder *rec = nullptr);
 
-/** Append the lowering of a single gate to `out`. */
-void lowerGate(const Gate &gate, Circuit &out);
+/**
+ * Append the lowering of a single gate to `out`; with `rec`, also each
+ * appended gate's value id, for logical gate `source`.
+ */
+void lowerGate(const Gate &gate, Circuit &out,
+               CircuitRecorder *rec = nullptr, int source = -1);
 
 /** The U3 angles of a one-qubit logical gate. */
 Gate u3FromGate(const Gate &gate);

@@ -19,18 +19,26 @@ gateIsDiagonal(const Gate &g)
 {
     if (g.kind() == GateKind::CZ || g.kind() == GateKind::CCZ)
         return true;
-    if (g.kind() == GateKind::U3) {
-        // U3 is diagonal iff theta = 0 mod 2*pi.
-        const double c = std::cos(g.param(0) / 2.0);
-        return std::abs(std::abs(c) - 1.0) < 1e-12;
-    }
-    return false;
+    return g.kind() == GateKind::U3 && u3IsDiagonal(g.param(0));
 }
 
 }  // namespace
 
 bool
-fuseU3Pass(Circuit &circuit, bool drop_identity)
+mayBeIdentity(double theta)
+{
+    return !(std::abs(std::sin(theta / 2.0)) > 1e-8);
+}
+
+bool
+u3IsDiagonal(double theta)
+{
+    const double c = std::cos(theta / 2.0);
+    return std::abs(std::abs(c) - 1.0) < 1e-12;
+}
+
+bool
+fuseU3Pass(Circuit &circuit, bool drop_identity, CircuitRecorder *rec)
 {
     if (!circuit.isPhysical())
         throw ValidationError("fuseU3Pass: physical circuit required");
@@ -38,14 +46,22 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
     const size_t before = circuit.size();
     Circuit out(circuit.numQubits());
     out.gates().reserve(before);
+    // A recording run's value ids: of the input gates, and of `out`'s.
+    TranspileRecord *const record = rec != nullptr ? rec->record : nullptr;
+    auto idOf = [&](const Gate &g) {
+        return rec->ids[static_cast<size_t>(&g - circuit.gates().data())];
+    };
+    std::vector<int> outIds;
 
     // The pending run per qubit: its first gate, its length (0 = no
-    // run) and, once it has two gates or more, the 2x2 product.
+    // run) and, once it has two gates or more, the 2x2 product (and its
+    // value id on a recording run).
     struct Run
     {
         Matrix2 product;
         const Gate *first = nullptr;
         int length = 0;
+        int productId = TranspileRecord::kConst;
     };
     std::vector<Run> runs(static_cast<size_t>(circuit.numQubits()));
     // Runs of one gate are copied verbatim. If the round changes the
@@ -63,23 +79,32 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
         if (run.length == 0)
             return;
         if (run.length > 1) {
-            if (!(drop_identity && isIdentityUpToPhase(run.product))) {
+            const bool identity =
+                drop_identity && isIdentityUpToPhase(run.product);
+            if (record != nullptr && drop_identity)
+                record->identityTest(run.productId, identity);
+            if (!identity) {
                 const U3Params p = u3FromMatrix(run.product);
                 out.u3(q, p.theta, p.phi, p.lambda);
+                if (record != nullptr)
+                    outIds.push_back(record->resynthesis(run.productId));
             }
         } else {
             const Gate &g = *run.first;
+            const int id =
+                record != nullptr ? idOf(g) : TranspileRecord::kConst;
             // |u01| = |e^{i lambda} sin(theta/2)| (u3Matrix's expression)
             // exceeds the identity tolerance 1e-9 whenever
             // |sin(theta/2)| > 1e-8, so only gates that fail that test
             // need the matrix. NaN and inf fail it and reach the
             // identity test and the finite-angle check below.
             bool identity = false;
-            if (drop_identity &&
-                !(std::abs(std::sin(g.param(0) / 2.0)) > 1e-8)) {
+            if (drop_identity && mayBeIdentity(g.param(0))) {
                 ++matrices;
                 identity = isIdentityUpToPhase(g.matrix2());
             }
+            if (record != nullptr && drop_identity)
+                record->loneIdentityTest(id, identity);
             if (!identity) {
                 // ZYZ would reject a NaN unitary; reject its cause here.
                 for (int i = 0; i < g.numParams(); ++i)
@@ -88,6 +113,10 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
                             "fuseU3Pass: non-finite U3 angle");
                 verbatim.push_back(out.size());
                 out.append(g);
+                if (record != nullptr) {
+                    record->finiteTest(id);
+                    outIds.push_back(id);
+                }
             }
         }
         run.length = 0;
@@ -100,9 +129,17 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
                 run.first = &g;
             } else {
                 // Later gate acts after: left-multiply.
-                run.product = g.matrix2() * (run.length == 1
-                                                 ? run.first->matrix2()
-                                                 : run.product);
+                const Matrix2 left = g.matrix2();
+                const Matrix2 right =
+                    run.length == 1 ? run.first->matrix2() : run.product;
+                run.product = left * right;
+                if (record != nullptr) {
+                    const int rightId =
+                        run.length == 1 ? record->matrix(idOf(*run.first))
+                                        : run.productId;
+                    run.productId = record->product(
+                        record->matrix(idOf(g)), left, rightId, right);
+                }
                 matrices += run.length == 1 ? 2 : 1;
                 ++fusedRuns;
             }
@@ -111,6 +148,8 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
             for (int i = 0; i < g.numQubits(); ++i)
                 flush(g.qubit(i));
             out.append(g);
+            if (record != nullptr)
+                outIds.push_back(TranspileRecord::kConst);
         }
     }
     for (Qubit q = 0; q < circuit.numQubits(); ++q)
@@ -122,6 +161,9 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
             Gate &g = out.gates()[index];
             const U3Params p = u3FromMatrix(g.matrix2());
             g = Gate(GateKind::U3, g.qubit(0), p.theta, p.phi, p.lambda);
+            if (record != nullptr)
+                outIds[index] =
+                    record->resynthesis(record->matrix(outIds[index]));
         }
         matrices += static_cast<long>(verbatim.size());
         static obs::Counter &fused = obs::counter("transpile.u3_fused");
@@ -131,6 +173,8 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
         if (out.size() < before)
             dropped.add(static_cast<long>(before - out.size()));
         circuit = std::move(out);
+        if (rec != nullptr)
+            rec->ids = std::move(outIds);
     }
     static obs::Counter &built = obs::counter("transpile.u3_matrices");
     built.add(matrices);
@@ -138,7 +182,7 @@ fuseU3Pass(Circuit &circuit, bool drop_identity)
 }
 
 bool
-cancelCzPass(Circuit &circuit)
+cancelCzPass(Circuit &circuit, CircuitRecorder *rec)
 {
     auto &gates = circuit.gates();
     std::vector<bool> removed(gates.size(), false);
@@ -168,38 +212,47 @@ cancelCzPass(Circuit &circuit)
             }
             if (!touches)
                 continue;
-            if (!gateIsDiagonal(h))
+            const bool diagonal = gateIsDiagonal(h);
+            if (rec != nullptr)
+                rec->record->diagonalTest(rec->ids[j], diagonal);
+            if (!diagonal)
                 break;  // Non-commuting gate between the pair.
         }
     }
 
     if (changed) {
         Circuit out(circuit.numQubits());
+        std::vector<int> outIds;
         size_t cancelled = 0;
         for (size_t i = 0; i < gates.size(); ++i) {
-            if (removed[i])
+            if (removed[i]) {
                 ++cancelled;
-            else
-                out.append(gates[i]);
+                continue;
+            }
+            out.append(gates[i]);
+            if (rec != nullptr)
+                outIds.push_back(rec->ids[i]);
         }
         static obs::Counter &counter =
             obs::counter("transpile.cz_cancelled");
         counter.add(static_cast<long>(cancelled / 2));
         circuit = std::move(out);
+        if (rec != nullptr)
+            rec->ids = std::move(outIds);
     }
     return changed;
 }
 
 void
-optimize(Circuit &circuit)
+optimize(Circuit &circuit, CircuitRecorder *rec)
 {
     obs::Span span("transpile.optimize", "transpile");
     const size_t before = circuit.size();
     constexpr int kMaxRounds = 20;
     int rounds = 0;
     for (; rounds < kMaxRounds; ++rounds) {
-        bool changed = fuseU3Pass(circuit, true);
-        changed = cancelCzPass(circuit) || changed;
+        bool changed = fuseU3Pass(circuit, true, rec);
+        changed = cancelCzPass(circuit, rec) || changed;
         if (!changed)
             break;
     }

@@ -10,6 +10,7 @@
 #define GEYSER_TRANSPILE_PASSES_HPP
 
 #include "circuit/circuit.hpp"
+#include "transpile/record.hpp"
 
 namespace geyser {
 
@@ -22,22 +23,36 @@ namespace geyser {
  * run, runs of one gate included. A lone gate's 2x2 matrix is built
  * only for that resynthesis or when |sin(theta/2)| <= 1e-8 leaves the
  * identity test open. Requires a physical-basis circuit; throws
- * ValidationError on a non-finite U3 angle.
+ * ValidationError on a non-finite U3 angle. With `rec` (a recording
+ * run, transpile/record.hpp) it records the products, resyntheses and
+ * angle-dependent tests it makes, and keeps rec->ids in step.
  */
-bool fuseU3Pass(Circuit &circuit, bool drop_identity = true);
+bool fuseU3Pass(Circuit &circuit, bool drop_identity = true,
+                CircuitRecorder *rec = nullptr);
 
 /**
  * Cancel pairs of equal CZ gates that are adjacent modulo the diagonal
  * subcircuit between them (diagonal U3s and CZs on any pair all commute).
- * Returns true if the circuit changed.
+ * Returns true if the circuit changed. With `rec` it records each
+ * diagonal test of a U3 and keeps rec->ids in step.
  */
-bool cancelCzPass(Circuit &circuit);
+bool cancelCzPass(Circuit &circuit, CircuitRecorder *rec = nullptr);
 
 /**
  * Run fuse + cancel to a fixed point (bounded iterations). This is the
- * full OptiMap optimization pipeline.
+ * full OptiMap optimization pipeline. `rec` reaches both passes.
  */
-void optimize(Circuit &circuit);
+void optimize(Circuit &circuit, CircuitRecorder *rec = nullptr);
+
+/**
+ * fuseU3Pass's pre-test for a lone U3: false when |sin(theta/2)| >
+ * 1e-8, which puts |u01| above the identity tolerance; true (the
+ * identity test must run) otherwise, NaN included.
+ */
+bool mayBeIdentity(double theta);
+
+/** True if a U3 with this theta is diagonal (theta = 0 mod 2*pi). */
+bool u3IsDiagonal(double theta);
 
 }  // namespace geyser
 

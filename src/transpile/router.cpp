@@ -22,16 +22,17 @@ emitSwap(Circuit &out, Qubit a, Qubit b)
 }  // namespace
 
 RoutedCircuit
-route(const Circuit &circuit, const Topology &topo)
+route(const Circuit &circuit, const Topology &topo,
+      std::vector<int> *sources)
 {
     std::vector<Qubit> trivial(static_cast<size_t>(circuit.numQubits()));
     std::iota(trivial.begin(), trivial.end(), 0);
-    return route(circuit, topo, trivial);
+    return route(circuit, topo, trivial, sources);
 }
 
 RoutedCircuit
 route(const Circuit &circuit, const Topology &topo,
-      const std::vector<Qubit> &initial_layout)
+      const std::vector<Qubit> &initial_layout, std::vector<int> *sources)
 {
     if (!circuit.isPhysical())
         throw ValidationError("route: circuit must be in {U3, CZ} basis");
@@ -52,6 +53,8 @@ route(const Circuit &circuit, const Topology &topo,
 
     auto swap_atoms = [&](Qubit x, Qubit y) {
         emitSwap(result.circuit, x, y);
+        if (sources != nullptr)
+            sources->resize(result.circuit.size(), -1);
         const Qubit lx = a2l[static_cast<size_t>(x)];
         const Qubit ly = a2l[static_cast<size_t>(y)];
         if (lx >= 0)
@@ -64,11 +67,14 @@ route(const Circuit &circuit, const Topology &topo,
         swaps.add();
     };
 
-    for (const auto &g : circuit.gates()) {
+    for (size_t i = 0; i < circuit.size(); ++i) {
+        const Gate &g = circuit.gates()[i];
         if (g.numQubits() == 1) {
             Gate mapped = g;
             mapped.setQubit(0, l2a[static_cast<size_t>(g.qubit(0))]);
             result.circuit.append(mapped);
+            if (sources != nullptr)
+                sources->push_back(static_cast<int>(i));
             continue;
         }
         if (g.numQubits() != 2)
@@ -87,6 +93,8 @@ route(const Circuit &circuit, const Topology &topo,
         mapped.setQubit(0, a);
         mapped.setQubit(1, b);
         result.circuit.append(mapped);
+        if (sources != nullptr)
+            sources->push_back(static_cast<int>(i));
     }
     result.finalLayout = l2a;
     return result;

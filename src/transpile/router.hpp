@@ -31,13 +31,17 @@ struct RoutedCircuit
 /**
  * Route `circuit` (physical basis {U3, CZ}, logical qubit indices) onto
  * `topo` starting from the given initial layout (logical -> atom).
- * Deterministic.
+ * Deterministic. With `sources`, it receives one entry per routed gate:
+ * the index of the input gate it copies, or -1 for a gate of an
+ * inserted SWAP (a recording run gathers value ids through it).
  */
 RoutedCircuit route(const Circuit &circuit, const Topology &topo,
-                    const std::vector<Qubit> &initial_layout);
+                    const std::vector<Qubit> &initial_layout,
+                    std::vector<int> *sources = nullptr);
 
 /** route() with the trivial layout (logical qubit i on atom i). */
-RoutedCircuit route(const Circuit &circuit, const Topology &topo);
+RoutedCircuit route(const Circuit &circuit, const Topology &topo,
+                    std::vector<int> *sources = nullptr);
 
 /**
  * Interaction-aware greedy initial layout: logical qubits are placed in

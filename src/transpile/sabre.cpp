@@ -101,7 +101,7 @@ class Frontier
 
 RoutedCircuit
 routeSabre(const Circuit &circuit, const Topology &topo,
-           const std::vector<Qubit> &initial_layout)
+           const std::vector<Qubit> &initial_layout, std::vector<int> *sources)
 {
     if (!circuit.isPhysical())
         throw ValidationError("routeSabre: physical basis required");
@@ -133,11 +133,15 @@ routeSabre(const Circuit &circuit, const Topology &topo,
         for (int i = 0; i < mapped.numQubits(); ++i)
             mapped.setQubit(i, l2a[static_cast<size_t>(mapped.qubit(i))]);
         result.circuit.append(mapped);
+        if (sources != nullptr)
+            sources->push_back(gate);
         frontier.execute(gate);
     };
 
     auto applySwap = [&](int atom_a, int atom_b) {
         lowerGate(Gate(GateKind::SWAP, atom_a, atom_b), result.circuit);
+        if (sources != nullptr)
+            sources->resize(result.circuit.size(), -1);
         const Qubit la = a2l[static_cast<size_t>(atom_a)];
         const Qubit lb = a2l[static_cast<size_t>(atom_b)];
         if (la >= 0)

@@ -19,10 +19,11 @@ namespace geyser {
  * scoring, starting from the given initial layout. Output contract is
  * identical to route(): every multi-qubit gate in the result acts on
  * adjacent atoms and the RoutedCircuit layouts relate logical qubits to
- * atoms before/after.
+ * atoms before/after, and `sources` is filled as route() fills it.
  */
 RoutedCircuit routeSabre(const Circuit &circuit, const Topology &topo,
-                         const std::vector<Qubit> &initial_layout);
+                         const std::vector<Qubit> &initial_layout,
+                         std::vector<int> *sources = nullptr);
 
 /** routeSabre() with the interaction-aware greedy initial layout. */
 RoutedCircuit routeSabre(const Circuit &circuit, const Topology &topo);

@@ -162,8 +162,18 @@ TEST(ServiceSoak, ConcurrentClientsDedupeThroughSingleFlight)
 TEST(ServiceSoak, CancelStormLeavesQueueHealthy)
 {
     ServiceConfig config;
-    config.workers = 1;  // Backlog guarantees cancels land while queued.
+    config.workers = 1;
     CompileService service(config);
+
+    // A long job at the head of the queue (heisenberg-16, ~190 ms on a
+    // 4-vCPU host) keeps the single worker busy, so the storm's cancels
+    // land while the short jobs behind it are still queued, however
+    // late this thread reaches the storm: the short jobs alone drain in
+    // ~10 ms.
+    JobSpec head;
+    head.qasm = qasmFor("heisenberg-16");
+    head.useCache = false;
+    const uint64_t headId = service.submit(head);
 
     const std::string program = qasmFor("multiplier-5");
     constexpr int kJobs = 30;
@@ -188,6 +198,8 @@ TEST(ServiceSoak, CancelStormLeavesQueueHealthy)
     });
     even.join();
     odd.join();
+    // The storm is over: the head job need not run to the end.
+    service.cancel(headId);
 
     long done = 0, cancelled = 0;
     for (const uint64_t id : ids) {
@@ -200,9 +212,13 @@ TEST(ServiceSoak, CancelStormLeavesQueueHealthy)
     EXPECT_EQ(done + cancelled, kJobs);
     EXPECT_GT(cancelled, 0);  // The storm actually landed.
 
+    const JobInfo headInfo = waitTerminal(service, headId);
+    EXPECT_TRUE(headInfo.state == JobState::Done ||
+                headInfo.state == JobState::Cancelled);
     const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.done, done);
-    EXPECT_EQ(stats.cancelled, cancelled);
+    EXPECT_EQ(stats.done, done + (headInfo.state == JobState::Done));
+    EXPECT_EQ(stats.cancelled,
+              cancelled + (headInfo.state == JobState::Cancelled));
     EXPECT_EQ(stats.failed, 0);
     EXPECT_EQ(service.poolStats().exceptions, 0);
 

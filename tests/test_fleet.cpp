@@ -10,9 +10,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +26,8 @@
 #include "common/rng.hpp"
 #include "fleet/fleet.hpp"
 #include "io/serialize.hpp"
+#include "obs/obs.hpp"
+#include "test_circuits.hpp"
 
 using namespace geyser;
 using fleet::ParamSlot;
@@ -140,6 +145,89 @@ referenceGroups(const std::vector<Circuit> &members)
                                               : a.param < b.param;
                   });
     return groups;
+}
+
+/** Gate kinds, qubits and parameter bits equal. */
+void
+expectBitIdentical(const Circuit &a, const Circuit &b, const std::string &what)
+{
+    ASSERT_EQ(a.numQubits(), b.numQubits()) << what;
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const Gate &ga = a.gates()[i];
+        const Gate &gb = b.gates()[i];
+        ASSERT_EQ(ga.kind(), gb.kind()) << what << " gate " << i;
+        for (int q = 0; q < ga.numQubits(); ++q)
+            ASSERT_EQ(ga.qubit(q), gb.qubit(q)) << what << " gate " << i;
+        for (int p = 0; p < ga.numParams(); ++p)
+            ASSERT_EQ(std::bit_cast<uint64_t>(ga.param(p)),
+                      std::bit_cast<uint64_t>(gb.param(p)))
+                << what << " gate " << i << " param " << p;
+    }
+}
+
+/**
+ * The varying mask plans were built with before transpiles were
+ * recorded, kept as the reference: nudge every varying slot by two
+ * deltas, re-transpile, flag each physical parameter that moved, then
+ * widen the flags to whole gates. nullopt when a nudge moved the routed
+ * structure (that plan was refused).
+ */
+std::optional<std::vector<uint8_t>>
+perturbationMask(const Circuit &representative,
+                 const std::vector<ParamSlot> &varyingSlots)
+{
+    const CompileResult t0 =
+        transpileForTechnique(Technique::Geyser, representative);
+    std::vector<uint8_t> varying(t0.physical.size() * 3, 0);
+    for (const double delta : {1.2345e-3, -2.3456e-3}) {
+        if (varyingSlots.empty())
+            break;
+        Circuit perturbed = representative;
+        for (const ParamSlot &slot : varyingSlots) {
+            Gate &gate = perturbed.gates()[static_cast<size_t>(slot.gate)];
+            gate.setParam(slot.param, gate.param(slot.param) + delta);
+        }
+        const CompileResult ti =
+            transpileForTechnique(Technique::Geyser, perturbed);
+        if (!sameStructure(t0.physical, ti.physical) ||
+            t0.initialLayout != ti.initialLayout ||
+            t0.finalLayout != ti.finalLayout ||
+            t0.swapsInserted != ti.swapsInserted)
+            return std::nullopt;
+        for (size_t i = 0; i < t0.physical.size(); ++i) {
+            const Gate &a = t0.physical.gates()[i];
+            const Gate &b = ti.physical.gates()[i];
+            for (int p = 0; p < a.numParams(); ++p)
+                if (a.param(p) != b.param(p))
+                    varying[i * 3 + static_cast<size_t>(p)] = 1;
+        }
+    }
+    for (size_t i = 0; i < t0.physical.size(); ++i)
+        if (varying[i * 3] != 0 || varying[i * 3 + 1] != 0 ||
+            varying[i * 3 + 2] != 0)
+            varying[i * 3] = varying[i * 3 + 1] = varying[i * 3 + 2] = 1;
+    return varying;
+}
+
+/** Every parameter slot of a circuit, as varying slots. */
+std::vector<ParamSlot>
+everySlot(const Circuit &circuit)
+{
+    std::vector<ParamSlot> slots;
+    for (const auto &[gate, param] : allSlots(circuit))
+        slots.push_back({gate, param});
+    return slots;
+}
+
+/** Complete "transpile" spans (one per transpiler run) recorded so far. */
+long
+transpileRuns()
+{
+    long runs = 0;
+    for (const obs::TraceEvent &e : obs::events())
+        runs += e.phase == 'X' && e.name == "transpile" ? 1 : 0;
+    return runs;
 }
 
 }  // namespace
@@ -420,6 +508,137 @@ TEST(SkeletonPlan, RebindMatchesFromScratchOracleTo1e12)
         EXPECT_EQ(report.rebound, 2);
         EXPECT_EQ(report.verified, 1);
         EXPECT_EQ(report.verifyFailures, 0);
+    }
+}
+
+TEST(SkeletonPlan, RecordedMaskEqualsThePerturbationReference)
+{
+    // With every parameter slot varying, the mask the record gives must
+    // be the one perturbation differencing and widening gave: any other
+    // mask composes other segments and changes outputs.
+    std::vector<std::pair<std::string, Circuit>> circuits;
+    const char *names[] = {"vqe 4x1", "vqe 4x2", "toffoli pair",
+                           "toffoli ladder"};
+    const std::vector<Circuit> skeletons = fleetSweepSkeletons();
+    for (size_t i = 0; i < skeletons.size(); ++i)
+        circuits.emplace_back(names[i], skeletons[i]);
+    for (const BenchmarkSpec &spec : benchmarkSuite())
+        if (spec.numQubits <= 10)
+            circuits.emplace_back(spec.name, spec.make());
+
+    std::vector<std::string> refused;
+    for (const auto &[name, circuit] : circuits) {
+        const std::vector<ParamSlot> slots = everySlot(circuit);
+        const auto reference = perturbationMask(circuit, slots);
+        const auto recorded = fleet::varyingMask(
+            recordTranspile(Technique::Geyser, circuit), slots);
+        ASSERT_TRUE(recorded.has_value()) << name;
+        if (!reference) {
+            refused.push_back(name);
+            continue;
+        }
+        EXPECT_EQ(*recorded, *reference) << name;
+    }
+    // Rows where the reference refused a plan (a nudge moved the
+    // structure); a recorded plan serves them and lets the members whose
+    // replay diverges fall back one by one.
+    EXPECT_EQ(refused, std::vector<std::string>{}) << refused.size();
+}
+
+TEST(SkeletonPlan, BuildTranspilesTheRepresentativeOnce)
+{
+    std::vector<Circuit> members;
+    for (uint64_t seed = 0; seed < 3; ++seed)
+        members.push_back(vqeBenchmark(4, 1, seed));
+    const auto groups = fleet::groupBySkeleton(members);
+    ASSERT_FALSE(groups[0].varyingSlots.empty());
+
+    obs::reset();
+    std::optional<fleet::SkeletonPlan> plan;
+    {
+        obs::EnabledScope on(true);
+        plan = fleet::buildSkeletonPlan(Technique::Geyser, members[0],
+                                        groups[0].varyingSlots,
+                                        PipelineOptions{});
+        ASSERT_TRUE(plan.has_value());
+        EXPECT_EQ(transpileRuns(), 1);
+        // Its members replay the record: no transpile at all.
+        for (const Circuit &member : members)
+            ASSERT_TRUE(
+                fleet::rebindMember(*plan, member, PipelineOptions{}));
+        EXPECT_EQ(transpileRuns(), 1);
+    }
+    obs::reset();
+}
+
+TEST(SkeletonPlan, LoadedPlanRecordsOnceAndReplaysFromParallelThreads)
+{
+    Rng rng(5);
+    const Circuit skeleton = fleetSweepSkeletons()[2];  // Composes.
+    std::vector<Circuit> members = {skeleton};
+    for (int m = 0; m < 63; ++m) {
+        Circuit c = skeleton;
+        for (Gate &g : c.gates())
+            for (int p = 0; p < g.numParams(); ++p)
+                g.setParam(p, g.param(p) + rng.uniform(-0.2, 0.2));
+        members.push_back(std::move(c));
+    }
+    const auto groups = fleet::groupBySkeleton(members);
+    ASSERT_EQ(groups.size(), 1u);
+    PipelineOptions options;
+    const auto plan = fleet::buildSkeletonPlan(
+        Technique::Geyser, members[0], groups[0].varyingSlots, options);
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_TRUE(plan->adopted);
+    const auto loaded =
+        fleet::skeletonPlanFromText(fleet::skeletonPlanToText(*plan));
+    ASSERT_TRUE(loaded.has_value());
+
+    // Four threads race to re-bind the loaded plan, which has no record
+    // yet: exactly one of them records, and no replay diverges.
+    std::vector<std::optional<CompileResult>> fromLoaded(members.size());
+    std::vector<char> diverged(members.size(), 0);
+    obs::reset();
+    {
+        obs::EnabledScope on(true);
+        std::vector<std::thread> threads;
+        constexpr size_t kThreads = 4;
+        for (size_t t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                for (size_t m = t; m < members.size(); m += kThreads) {
+                    bool d = false;
+                    fromLoaded[m] =
+                        fleet::rebindMember(*loaded, members[m], options, d);
+                    diverged[m] = d ? 1 : 0;
+                }
+            });
+        for (std::thread &thread : threads)
+            thread.join();
+        EXPECT_EQ(transpileRuns(), 1);
+    }
+    obs::reset();
+
+    for (size_t m = 0; m < members.size(); ++m) {
+        EXPECT_EQ(diverged[m], 0) << "member " << m;
+        ASSERT_TRUE(fromLoaded[m].has_value()) << "member " << m;
+        const auto inMemory = fleet::rebindMember(*plan, members[m], options);
+        ASSERT_TRUE(inMemory.has_value()) << "member " << m;
+        expectBitIdentical(fromLoaded[m]->physical, inMemory->physical,
+                           "member " + std::to_string(m));
+        EXPECT_EQ(fromLoaded[m]->stats.totalPulses,
+                  inMemory->stats.totalPulses);
+        EXPECT_EQ(fromLoaded[m]->stats.depthPulses,
+                  inMemory->stats.depthPulses);
+        EXPECT_EQ(fromLoaded[m]->finalLayout, inMemory->finalLayout);
+    }
+    // Both are what the checked transpile gives the members.
+    PipelineOptions checked;
+    checked.verifyEquivalence = true;
+    for (size_t m = 0; m < members.size(); m += 8) {
+        const auto transpiled = fleet::rebindMember(*plan, members[m], checked);
+        ASSERT_TRUE(transpiled.has_value()) << "member " << m;
+        expectBitIdentical(transpiled->physical, fromLoaded[m]->physical,
+                           "checked member " + std::to_string(m));
     }
 }
 
@@ -772,6 +991,57 @@ TEST(FleetCompile, MultiTechniqueReportCoversEveryMember)
     const std::string table = report.renderTable();
     EXPECT_NE(table.find("Baseline"), std::string::npos) << table;
     EXPECT_NE(table.find("Geyser"), std::string::npos);
+}
+
+TEST(FleetCompile, CountsReplayFallbacks)
+{
+    // A seeded sweep replays every member.
+    std::vector<fleet::FleetJob> jobs;
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+        fleet::FleetJob job;
+        job.name = "m" + std::to_string(seed);
+        job.logical = vqeBenchmark(4, 1, seed);
+        jobs.push_back(std::move(job));
+    }
+    const long before =
+        obs::serviceCounter("fleet.replay_fallbacks").value();
+    const fleet::FleetReport sweep =
+        fleet::compileFleet(jobs, fleet::FleetOptions{});
+    EXPECT_EQ(sweep.rebound, 6);
+    EXPECT_EQ(sweep.replayFallbacks, 0);
+    EXPECT_NE(sweep.toJson().find("\"replayFallbacks\": 0"),
+              std::string::npos)
+        << sweep.toJson();
+    EXPECT_NE(sweep.renderTable().find("replay fallbacks 0"),
+              std::string::npos)
+        << sweep.renderTable();
+
+    // A member whose leading rotation is the identity drops it: its
+    // replay diverges at fusion's identity test, it transpiles, and the
+    // transpile routes apart from the plan, so it compiles in full.
+    auto member = [](double angle) {
+        Circuit c(2);
+        c.rz(0, angle);
+        c.cx(0, 1);
+        c.ry(1, 0.4 + angle);
+        return c;
+    };
+    jobs.clear();
+    for (const double angle : {0.3, 0.0, 0.7}) {
+        fleet::FleetJob job;
+        job.name = "a" + std::to_string(jobs.size());
+        job.logical = member(angle);
+        jobs.push_back(std::move(job));
+    }
+    const fleet::FleetReport divergent =
+        fleet::compileFleet(jobs, fleet::FleetOptions{});
+    EXPECT_EQ(divergent.replayFallbacks, 1);
+    EXPECT_EQ(divergent.fallback, 1);
+    EXPECT_EQ(divergent.rebound, 2);
+    EXPECT_NE(divergent.toJson().find("\"replayFallbacks\": 1"),
+              std::string::npos);
+    EXPECT_EQ(obs::serviceCounter("fleet.replay_fallbacks").value() - before,
+              1);
 }
 
 TEST(FleetCompile, VerifiesTheFirstSampledReboundMembersInOrder)

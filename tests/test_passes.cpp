@@ -17,6 +17,7 @@
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
 #include "transpile/zyz.hpp"
+#include "test_circuits.hpp"
 
 namespace geyser {
 namespace {
@@ -109,58 +110,6 @@ expectBitIdentical(const Circuit &a, const Circuit &b, int trial)
                 << "trial " << trial << " gate " << i << " param " << k
                 << ": " << ga.param(k) << " vs " << gb.param(k);
     }
-}
-
-/**
- * A physical circuit whose U3 angles come from a grid of 0, +-pi and
- * 2*pi, near-identity values and random values, so runs hit identity
- * products, the theta = pi branch and the diagonal branch of the ZYZ
- * decomposition, and lone gates fall on both sides of fuseU3Pass's
- * |sin(theta/2)| > 1e-8 pre-test; CZ and CCZ gates sit between the U3s.
- */
-Circuit
-gridCircuit(int width, int numGates, Rng &rng)
-{
-    const double nearIdentity[] = {
-        1e-9, -1e-9, 5e-9, -5e-9, 1e-8, -1e-8, 2e-8, -2e-8,
-        2.0 * kPi + 1e-8, 2.0 * kPi - 1e-8, 4.0 * kPi};
-    auto angle = [&] {
-        switch (rng.uniformInt(8)) {
-          case 0:
-            return 0.0;
-          case 1:
-            return kPi;
-          case 2:
-            return -kPi;
-          case 3:
-            return 2.0 * kPi;
-          case 4:
-            return nearIdentity[rng.uniformInt(11)];
-          default:
-            return rng.uniform(-2.0 * kPi, 2.0 * kPi);
-        }
-    };
-    Circuit c(width);
-    for (int i = 0; i < numGates; ++i) {
-        const int kind = rng.uniformInt(10);
-        if (kind == 0 && width >= 2) {
-            const int a = rng.uniformInt(width);
-            const int b = (a + 1 + rng.uniformInt(width - 1)) % width;
-            c.cz(a, b);
-        } else if (kind == 1 && width >= 3) {
-            const int a = rng.uniformInt(width);
-            const int b = (a + 1 + rng.uniformInt(width - 1)) % width;
-            int d = rng.uniformInt(width);
-            while (d == a || d == b)
-                d = rng.uniformInt(width);
-            c.ccz(a, b, d);
-        } else {
-            const double theta = angle();
-            const double phi = angle();
-            c.u3(rng.uniformInt(width), theta, phi, angle());
-        }
-    }
-    return c;
 }
 
 TEST(FusePass, MergesAdjacentU3Runs)

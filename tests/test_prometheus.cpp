@@ -77,6 +77,24 @@ TEST_F(PrometheusTest, ServiceCountersMapToLabelledFamilies)
     EXPECT_EQ(text.find("_total_total"), std::string::npos) << text;
 }
 
+TEST_F(PrometheusTest, FleetReplayFallbacksGetTheirOwnFamily)
+{
+    // Members whose transpile replay diverged still re-bind, so they are
+    // not a path of geyser_fleet_members_total.
+    obs::serviceCounter("fleet.replay_fallbacks").add(3);
+    obs::serviceCounter("fleet.fallback").add(2);
+    const std::string text = obs::prometheusText();
+    EXPECT_NE(text.find("geyser_fleet_replay_fallbacks_total 3\n"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(
+        countOf(text, "# TYPE geyser_fleet_replay_fallbacks_total counter"),
+        1);
+    EXPECT_NE(text.find("geyser_fleet_members_total{path=\"fallback\"} 2\n"),
+              std::string::npos);
+    EXPECT_EQ(text.find("_total_total"), std::string::npos) << text;
+}
+
 TEST_F(PrometheusTest, NoiseChannelCountersShareOneLabelledFamily)
 {
     obs::serviceCounter("sim.noise.amp_damp_events").add(12);
