@@ -11,12 +11,18 @@
  *                verify::overlapTrace(target, Ansatz::unitary(angles)):
  *                Matrix arithmetic that enters no compute backend, so
  *                it never moves with dispatch.
- *   incremental  the sweep exactly as rotosolve runs it: per-column
- *                environments, one fold per qubit, updateQubit()'s
- *                closed-form solve and confirming contraction, through
- *                the environment-contraction AnsatzEvaluator, measured
- *                once per usable backend (scalar / avx2 / avx512) via
- *                kernels::ScopedBackend.
+ *   incremental  the sweep exactly as rotosolve runs it, through the
+ *                environment-contraction AnsatzEvaluator: per column,
+ *                the environment and the contraction of the qubits
+ *                above each qubit; per qubit, the contraction of the
+ *                qubits below it into its fold, updateQubit()'s
+ *                closed-form solve, its confirming contraction, and the
+ *                commit of the solved 2x2 (rotosolve's one conversion
+ *                to angles and exit trace per call stay out of the
+ *                loop). Measured once per usable backend (scalar /
+ *                avx2 / avx512) via kernels::ScopedBackend; the folds
+ *                are scalar on every backend, so backends differ in the
+ *                per-column environment products only.
  *
  * Every backend is first cross-checked against the dense oracle
  * (verify/kernel_check, 1e-12) and the binary exits non-zero on any
@@ -133,8 +139,9 @@ denseRate(const Shape &shape, double budget_s)
 
 /**
  * Incremental kernel: rotosolve's sweep — environments per column, one
- * updateQubit() per qubit — through a pre-built evaluator, restarted
- * from the shape's angles so every repetition does the same work.
+ * updateQubit() per qubit, U3s kept as 2x2s — through a pre-built
+ * evaluator, restarted from the shape's angles so every repetition
+ * does the same work.
  */
 KernelRate
 incrementalRate(AnsatzEvaluator &evaluator, const Shape &shape,

@@ -103,19 +103,26 @@ Ansatz::unitary(const std::vector<double> &angles) const
 {
     if (static_cast<int>(angles.size()) != numAngles())
         throw std::invalid_argument("Ansatz::unitary: wrong angle count");
+    std::vector<Matrix2> u3s;
+    u3s.reserve(angles.size() / 3);
+    for (size_t o = 0; o < angles.size(); o += 3)
+        u3s.push_back(u3Matrix(angles[o], angles[o + 1], angles[o + 2]));
+    return unitary(u3s);
+}
+
+Matrix
+Ansatz::unitary(const std::vector<Matrix2> &u3s) const
+{
+    if (static_cast<int>(u3s.size()) != numQubits_ * (layers_ + 1))
+        throw std::invalid_argument("Ansatz::unitary: wrong U3 count");
 
     auto column = [&](int col) {
         // Build kron over qubits with qubit 0 as least-significant:
         // U = u3(q_{n-1}) (x) ... (x) u3(q_0).
-        const int base = col * numQubits_ * 3;
-        auto u3At = [&](int o) {
-            return Matrix(u3Matrix(angles[static_cast<size_t>(o)],
-                                   angles[static_cast<size_t>(o + 1)],
-                                   angles[static_cast<size_t>(o + 2)]));
-        };
-        Matrix u = u3At(base + (numQubits_ - 1) * 3);
+        const size_t base = static_cast<size_t>(col * numQubits_);
+        Matrix u(u3s[base + static_cast<size_t>(numQubits_ - 1)]);
         for (int q = numQubits_ - 2; q >= 0; --q)
-            u = u.kron(u3At(base + q * 3));
+            u = u.kron(Matrix(u3s[base + static_cast<size_t>(q)]));
         return u;
     };
 

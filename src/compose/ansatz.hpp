@@ -91,6 +91,13 @@ class Ansatz
     /** The ansatz unitary for the given angles (2^n x 2^n). */
     Matrix unitary(const std::vector<double> &angles) const;
 
+    /**
+     * The ansatz unitary with every U3 given as a 2x2 unitary, global
+     * phase included: u3s[col * numQubits + qubit]. unitary(angles) is
+     * this product over u3Matrix of each angle triple.
+     */
+    Matrix unitary(const std::vector<Matrix2> &u3s) const;
+
     /** Materialize the ansatz as a physical circuit over local qubits. */
     Circuit toCircuit(const std::vector<double> &angles) const;
 

@@ -210,26 +210,23 @@ updateQubit(AnsatzEvaluator &evaluator, double best)
     const std::optional<Matrix2> u = environmentUpdate(evaluator.environment());
     if (!u)
         return best;
-    const U3Params u3 = u3FromMatrix(*u);
-    // Keep the angles only if an actual contraction confirms them: `best`
-    // must track the true trace, not the closed form's optimum, or the
-    // rounding of the angle conversion accumulates into an HSD lower than
-    // the real one (it is returned as result.hsd and trusted by
-    // acceptance).
+    // Keep U only if an actual contraction confirms it: `best` must
+    // track the true trace, not the closed form's optimum.
     const double actual =
-        hsdFromTrace(evaluator.traceWith(u3), evaluator.dim());
+        hsdFromTrace(evaluator.traceWith(*u), evaluator.dim());
     if (actual > best + 1e-15)
         return best;
-    evaluator.commitU3(u3);
+    evaluator.commit(*u);
     return actual;
 }
 
-double
-rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
-          long &evaluations, const CancelToken *cancel)
+namespace {
+
+/** rotosolve()'s sweeps, from `best` at the evaluator's angles. */
+void
+sweepUntil(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
+           double best, long &evaluations, const CancelToken *cancel)
 {
-    ++evaluations;
-    double best = hsdFromTrace(evaluator.trace(), evaluator.dim());
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
         if (cancel != nullptr)
             cancel->checkpoint("compose");
@@ -242,7 +239,7 @@ rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
                 ++evaluations;
                 best = updateQubit(evaluator, best);
                 if (best <= stop_at)
-                    return best;
+                    return;
             }
         }
         // Early-abandon by convergence projection: coordinate descent
@@ -267,7 +264,23 @@ rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
         if (needed > 2.0 * static_cast<double>(max_sweeps - sweep - 1))
             break;
     }
-    return best;
+}
+
+}  // namespace
+
+double
+rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,
+          long &evaluations, const CancelToken *cancel)
+{
+    ++evaluations;
+    sweepUntil(evaluator, max_sweeps, stop_at,
+               hsdFromTrace(evaluator.trace(), evaluator.dim()), evaluations,
+               cancel);
+    // The sweeps left their updates as 2x2s. trace() converts them to
+    // the angles the caller emits and measures the distance there, so
+    // the value acceptance trusts is taken at those angles (uncharged:
+    // it confirms the sweeps' work rather than searching).
+    return hsdFromTrace(evaluator.trace(), evaluator.dim());
 }
 
 double

@@ -172,11 +172,11 @@ std::optional<Matrix2> environmentUpdate(const Matrix2 &w);
 
 /**
  * One environment update of the evaluator's selected qubit (after
- * beginQubit): solve its U3 from W with environmentUpdate(), convert it
- * with u3FromMatrix(), and keep the three angles only if one confirming
- * contraction (traceWith) gives an HSD no worse than `best` (1e-15
- * slack). Returns the HSD of the kept angles: the confirmed one, or
- * `best` when the qubit keeps its angles (also when W = 0).
+ * beginQubit): solve its U3 from W with environmentUpdate(), and commit
+ * that 2x2 only if one confirming contraction (traceWith) gives an HSD
+ * no worse than `best` (1e-15 slack). Returns the HSD of the kept U3:
+ * the confirmed one, or `best` when the qubit keeps its U3 (also when
+ * W = 0).
  */
 double updateQubit(AnsatzEvaluator &evaluator, double best);
 
@@ -192,14 +192,16 @@ double rotosolve(const Ansatz &ansatz, const Matrix &target,
 
 /**
  * Rotosolve against an incremental AnsatzEvaluator (the hot path: each
- * qubit update is an O(d^2 n) fold plus a 2x2 solve instead of a full
+ * qubit update is an O(d^2) fold plus a 2x2 solve instead of a full
  * O(layers d^3) ansatz product). Each sweep runs updateQubit() on every
- * (column, qubit) in order. Starts from the evaluator's current angles;
- * the best angles found remain loaded in the evaluator on return. The
- * returned HSD always comes from an actual contraction at the accepted
- * angles, never from the closed form alone, so rounding cannot
- * under-report the distance. `evaluations` counts one per qubit update
- * plus one for the starting trace. A non-null `cancel` token is
+ * (column, qubit) in order, in 2x2 matrix state; it stops early once an
+ * update confirms `stop_at`. Starts from the evaluator's current
+ * angles; the best angles found remain loaded in the evaluator on
+ * return. The returned HSD is one full trace at those angles, taken
+ * after converting the sweeps' 2x2s, never the closed form's optimum,
+ * so rounding cannot under-report the distance of the emitted angles.
+ * `evaluations` counts one per qubit update plus one for the starting
+ * trace; the exit trace is not charged. A non-null `cancel` token is
  * checkpointed once per sweep.
  */
 double rotosolve(AnsatzEvaluator &evaluator, int max_sweeps, double stop_at,

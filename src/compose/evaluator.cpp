@@ -5,6 +5,7 @@
 #include <string>
 
 #include "obs/obs.hpp"
+#include "transpile/zyz.hpp"
 
 namespace geyser {
 
@@ -37,8 +38,9 @@ AnsatzEvaluator::AnsatzEvaluator(const Ansatz &ansatz, const Matrix &target)
 void
 AnsatzEvaluator::loadU3(int col, int qubit)
 {
-    kernels::u3Entries(angle(col, qubit, 0), angle(col, qubit, 1),
-                       angle(col, qubit, 2), u3Re_[col][qubit],
+    const double *a =
+        &angles_[static_cast<size_t>(angleIndex(col, qubit, 0))];
+    kernels::u3Entries(a[0], a[1], a[2], u3Re_[col][qubit],
                        u3Im_[col][qubit]);
 }
 
@@ -51,9 +53,52 @@ AnsatzEvaluator::setAngles(const std::vector<double> &angles)
     for (int col = 0; col <= layers_; ++col)
         for (int q = 0; q < numQubits_; ++q)
             loadU3(col, q);
+    staleMask_ = 0;
     sweeping_ = false;
     curCol_ = -1;
     curQubit_ = -1;
+}
+
+void
+AnsatzEvaluator::materialize()
+{
+    if (staleMask_ == 0)
+        return;
+    bool held = false;
+    for (int col = 0; col <= layers_; ++col) {
+        for (int q = 0; q < numQubits_; ++q) {
+            const uint64_t bit = uint64_t{1} << (col * kMaxQubits + q);
+            if ((staleMask_ & bit) == 0)
+                continue;
+            const double *re = u3Re_[col][q], *im = u3Im_[col][q];
+            const U3Params p = u3FromMatrix(
+                Matrix2({re[0], im[0]}, {re[1], im[1]}, {re[2], im[2]},
+                        {re[3], im[3]}));
+            const size_t at = static_cast<size_t>(angleIndex(col, q, 0));
+            angles_[at] = p.theta;
+            angles_[at + 1] = p.phi;
+            angles_[at + 2] = p.lambda;
+            loadU3(col, q);
+            staleMask_ &= ~bit;
+            // Only the selected qubit, committed since beginColumn, is
+            // in no environment; any other just changed its phase under
+            // one.
+            held = held || col != curCol_ || q != curQubit_ ||
+                   (committedMask_ & (1 << q)) == 0;
+        }
+    }
+    if (held) {
+        sweeping_ = false;
+        curCol_ = -1;
+        curQubit_ = -1;
+    }
+}
+
+const std::vector<double> &
+AnsatzEvaluator::angles()
+{
+    materialize();
+    return angles_;
 }
 
 void
@@ -76,11 +121,12 @@ AnsatzEvaluator::applyColumnRight(double *re, double *im, int col) const
 }
 
 Complex
-AnsatzEvaluator::trace() const
+AnsatzEvaluator::trace()
 {
     static obs::Counter &fullTraces =
         obs::counter("compose.kernel_full_traces");
     fullTraces.add();
+    materialize();
 
     const int d = dim_;
     alignas(64) double mre[kMaxDim * kMaxDim], mim[kMaxDim * kMaxDim];
@@ -161,8 +207,18 @@ AnsatzEvaluator::beginColumn(int col)
         std::memcpy(envRe_, leftRe, bytes);
         std::memcpy(envIm_, leftIm, bytes);
     }
+    // Contract the qubits above each q out of E, top down, with their
+    // current U3s: upper[q] keeps qubits 0..q.
+    for (int q = numQubits_ - 2; q >= 0; --q) {
+        const bool top = q == numQubits_ - 2;
+        kernels::contractQubit(top ? envRe_ : upperRe_[q + 1],
+                               top ? envIm_ : upperIm_[q + 1], 4 << q, q + 1,
+                               u3Re_[col][q + 1], u3Im_[col][q + 1],
+                               upperRe_[q], upperIm_[q]);
+    }
     curCol_ = col;
     curQubit_ = -1;
+    committedMask_ = 0;
 }
 
 void
@@ -173,8 +229,40 @@ AnsatzEvaluator::beginQubit(int qubit)
 
     if (curCol_ < 0)
         throw std::logic_error("AnsatzEvaluator::beginQubit: no column");
-    backend_->foldW(envRe_, envIm_, u3Re_[curCol_], u3Im_[curCol_],
-                    numQubits_, qubit, wRe_, wIm_);
+    if (qubit < 0 || qubit >= numQubits_)
+        throw std::logic_error("AnsatzEvaluator::beginQubit: no qubit " +
+                               std::to_string(qubit));
+    if ((committedMask_ >> (qubit + 1)) != 0)
+        throw std::logic_error(
+            "AnsatzEvaluator::beginQubit: a qubit above " +
+            std::to_string(qubit) +
+            " was committed since beginColumn, after its contraction");
+    // Contract the qubits below, which this sweep just updated, out of
+    // upper[qubit]; each leaves at bit 0, so qubit ends as the only bit.
+    const bool top = qubit == numQubits_ - 1;
+    const double *re = top ? envRe_ : upperRe_[qubit];
+    const double *im = top ? envIm_ : upperIm_[qubit];
+    alignas(64) double bufRe[2][kMaxDim * kMaxDim / 4];
+    alignas(64) double bufIm[2][kMaxDim * kMaxDim / 4];
+    int d = 2 << qubit;
+    for (int p = 0; p < qubit; ++p) {
+        kernels::contractQubit(re, im, d, 0, u3Re_[curCol_][p],
+                               u3Im_[curCol_][p], bufRe[p & 1],
+                               bufIm[p & 1]);
+        re = bufRe[p & 1];
+        im = bufIm[p & 1];
+        d /= 2;
+    }
+    // What is left is indexed (r_q, k_q); W_q[a * 2 + b] pairs k_q = a
+    // with r_q = b.
+    wRe_[0] = re[0];
+    wIm_[0] = im[0];
+    wRe_[1] = re[2];
+    wIm_[1] = im[2];
+    wRe_[2] = re[1];
+    wIm_[2] = im[1];
+    wRe_[3] = re[3];
+    wIm_[3] = im[3];
     curQubit_ = qubit;
 }
 
@@ -195,26 +283,29 @@ AnsatzEvaluator::environment() const
 }
 
 Complex
-AnsatzEvaluator::traceWith(const U3Params &u3) const
+AnsatzEvaluator::traceWith(const Matrix2 &u) const
 {
     requireQubit("traceWith");
     double ure[4], uim[4];
-    kernels::u3Entries(u3.theta, u3.phi, u3.lambda, ure, uim);
+    for (int j = 0; j < 4; ++j) {
+        ure[j] = u.data()[j].real();
+        uim[j] = u.data()[j].imag();
+    }
     double tre = 0.0, tim = 0.0;
     kernels::contractW(wRe_, wIm_, ure, uim, &tre, &tim);
     return {tre, tim};
 }
 
 void
-AnsatzEvaluator::commitU3(const U3Params &u3)
+AnsatzEvaluator::commit(const Matrix2 &u)
 {
-    requireQubit("commitU3");
-    const size_t at =
-        static_cast<size_t>(angleIndex(curCol_, curQubit_, 0));
-    angles_[at] = u3.theta;
-    angles_[at + 1] = u3.phi;
-    angles_[at + 2] = u3.lambda;
-    loadU3(curCol_, curQubit_);
+    requireQubit("commit");
+    for (int j = 0; j < 4; ++j) {
+        u3Re_[curCol_][curQubit_][j] = u.data()[j].real();
+        u3Im_[curCol_][curQubit_][j] = u.data()[j].imag();
+    }
+    staleMask_ |= uint64_t{1} << (curCol_ * kMaxQubits + curQubit_);
+    committedMask_ |= 1 << curQubit_;
 }
 
 }  // namespace geyser

@@ -13,19 +13,28 @@
  *                    = Tr(E . C)            with E = R . T^dagger . L,
  *
  * and because C is a Kronecker product of per-qubit U3s, the trace is
- * *bilinear in the 4 entries of qubit q's U3*:
+ * *linear in the 4 entries of qubit q's U3*:
  *
  *     Tr(E C) = sum_{a,b in {0,1}} u3_q[a,b] . W_q[a,b],
  *     W_q[a,b] = sum_{k_q=a, r_q=b} E(r,k) . prod_{p!=q} u3_p[k_p,r_p].
  *
- * So after one O(d^2) environment build per column and one O(d^2 n)
- * fold per qubit, the trace is known as a function of the qubit's whole
- * U3. Rotosolve solves that qubit's best U3 from W_q in closed form
+ * Rotosolve solves that qubit's best U3 from W_q in closed form
  * (environmentUpdate, compose/composer.hpp) and confirms it with one
- * 4-entry contraction plus one U3 build — versus the dense path's
- * O(layers d^3) product with fresh std::exp calls per evaluation.
- * Environments are updated with rank-local multiplies as the sweep
- * advances, never rebuilt from scratch mid-sweep.
+ * 4-entry contraction of W_q with the solved 2x2 itself. The evaluator
+ * keeps each qubit's U3 as that 2x2 while it sweeps (the HSD is
+ * phase-blind, so the solved matrix's global phase does no harm) and
+ * converts committed matrices to angles only when they are read out
+ * (angles(), trace()), which is once per rotosolve call.
+ *
+ * W_q contracts every qubit but q out of E, and the contraction order
+ * follows the sweep: beginColumn contracts the qubits above each q once
+ * with their current U3s, top down, and beginQubit(q) contracts the
+ * qubits below q, which this sweep has just updated (~180 complex
+ * multiply-adds a 3-qubit column, kernels::contractQubit). A commit
+ * above q since beginColumn would leave the upper contraction stale, so
+ * beginQubit(q) refuses it. Environments are updated with rank-local
+ * multiplies as the sweep advances, never rebuilt from scratch
+ * mid-sweep.
  *
  * All buffers are fixed-size split-complex (SoA) arrays owned by the
  * evaluator; no heap allocation happens after construction. The dense
@@ -37,12 +46,12 @@
 #ifndef GEYSER_COMPOSE_EVALUATOR_HPP
 #define GEYSER_COMPOSE_EVALUATOR_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "compose/ansatz.hpp"
 #include "linalg/kernels/backend.hpp"
 #include "linalg/matrix.hpp"
-#include "transpile/zyz.hpp"
 
 namespace geyser {
 
@@ -54,13 +63,20 @@ namespace geyser {
  *   beginSweep();
  *   for col in 0..layers: beginColumn(col);
  *     for q in 0..n-1: beginQubit(q);
- *       environment(); traceWith(u3) ... commitU3(u3);
+ *       environment(); traceWith(u) ... commit(u);
  *
- * Columns must be visited in order (environments advance forward);
- * environment() and traceWith() never mutate state, commitU3() updates
- * the evaluator's current angle vector and the cached U3 of the
- * selected qubit. A sweep may be abandoned at any point (e.g. on early
- * convergence) and restarted with beginSweep().
+ * Columns must be visited in order (environments advance forward), and
+ * within a column no qubit may be selected after a qubit above it was
+ * committed. environment() and traceWith() never mutate state; commit()
+ * replaces the selected qubit's cached 2x2. A sweep may be abandoned at
+ * any point (e.g. on early convergence) and restarted with beginSweep().
+ *
+ * Reading angles() or trace() converts every committed 2x2 to U3
+ * angles (u3FromMatrix, then the U3 built from those angles replaces
+ * the 2x2: the same gate up to a global phase). When that converts a
+ * qubit that the open sweep's environments hold (any but the selected
+ * qubit, committed since beginColumn), the sweep ends, and beginSweep()
+ * must start a new one.
  */
 class AnsatzEvaluator
 {
@@ -80,18 +96,16 @@ class AnsatzEvaluator
 
     /** Load a fresh angle vector (rebuilds the U3 cache). */
     void setAngles(const std::vector<double> &angles);
-    const std::vector<double> &angles() const { return angles_; }
-    double angle(int col, int qubit, int role) const
-    {
-        return angles_[static_cast<size_t>(angleIndex(col, qubit, role))];
-    }
+
+    /** The current angles, committed 2x2s converted first. */
+    const std::vector<double> &angles();
 
     /**
-     * Tr(target^dagger U(current angles)) via the factored product —
+     * Tr(target^dagger U(angles())) via the factored product —
      * O(layers d^2 n), no std::exp (U3s come from the cache). Matches
      * the dense oracle to floating-point rounding.
      */
-    Complex trace() const;
+    Complex trace();
 
     /** setAngles(angles) + trace(): the global-optimizer objective. */
     Complex traceAt(const std::vector<double> &angles)
@@ -100,35 +114,44 @@ class AnsatzEvaluator
         return trace();
     }
 
-    /** Start a sweep: build suffix environments from current angles. */
+    /** Start a sweep: build suffix environments from current U3s. */
     void beginSweep();
 
     /**
      * Enter a column (must be beginSweep order: 0, 1, ..., layers).
-     * Folds the previous column into the prefix environment and
-     * contracts E = R . T^dagger . L for this column.
+     * Folds the previous column into the prefix environment, contracts
+     * E = R . T^dagger . L for this column, and contracts the qubits
+     * above each qubit out of E.
      */
     void beginColumn(int col);
 
-    /** Select a qubit of the current column: folds W_q. */
+    /**
+     * Select a qubit of the current column: contracts the qubits below
+     * it out of the column's upper contraction, leaving W_q. Throws
+     * std::logic_error if a qubit above it was committed since
+     * beginColumn.
+     */
     void beginQubit(int qubit);
 
     /**
      * The selected qubit's fold W_q as a 2x2: with that qubit's U3 set
-     * to u and every other angle current, the trace is
+     * to u and every other U3 current, the trace is
      * sum_{a,b} u[a,b] W_q[a,b].
      */
     Matrix2 environment() const;
 
     /**
-     * Trace with the selected qubit's U3 set to `u3` (its global phase
-     * ignored), other angles current: one U3 build plus the 4-entry
-     * contraction against W_q (kernels::contractW). Does not mutate.
+     * Trace with the selected qubit's U3 set to the 2x2 `u`, other U3s
+     * current: the 4-entry contraction against W_q (kernels::contractW).
+     * Does not mutate.
      */
-    Complex traceWith(const U3Params &u3) const;
+    Complex traceWith(const Matrix2 &u) const;
 
-    /** Accept `u3`'s angles for the selected qubit. */
-    void commitU3(const U3Params &u3);
+    /**
+     * Make the unitary `u` the selected qubit's U3. It stays a 2x2
+     * until angles() or trace() converts it.
+     */
+    void commit(const Matrix2 &u);
 
   private:
     int angleIndex(int col, int qubit, int role) const
@@ -136,6 +159,7 @@ class AnsatzEvaluator
         return (col * numQubits_ + qubit) * 3 + role;
     }
     void loadU3(int col, int qubit);
+    void materialize();
     void applyColumnLeft(double *re, double *im, int col) const;
     void applyColumnRight(double *re, double *im, int col) const;
     void requireQubit(const char *where) const;
@@ -156,6 +180,10 @@ class AnsatzEvaluator
     // Cached per-column, per-qubit U3 entries (row-major 2x2).
     alignas(64) double u3Re_[kMaxColumns][kMaxQubits][4] = {};
     alignas(64) double u3Im_[kMaxColumns][kMaxQubits][4] = {};
+    // Bit col * kMaxQubits + q: that cached U3 is a committed 2x2 not
+    // yet converted to angles.
+    uint64_t staleMask_ = 0;
+    static_assert(kMaxColumns * kMaxQubits <= 64, "one stale bit per U3");
 
     // Suffix environments L(col) = C_L ... E_col, built per sweep.
     alignas(64) double lenvRe_[kMaxColumns][kMaxDim * kMaxDim] = {};
@@ -166,12 +194,17 @@ class AnsatzEvaluator
     // E = R . T^dagger . L for the current column.
     alignas(64) double envRe_[kMaxDim * kMaxDim] = {};
     alignas(64) double envIm_[kMaxDim * kMaxDim] = {};
+    // upper[q]: E with qubits q+1..n-1 contracted out, 2^(q+1) square
+    // (the top qubit's is E itself).
+    alignas(64) double upperRe_[kMaxQubits - 1][kMaxDim * kMaxDim / 4] = {};
+    alignas(64) double upperIm_[kMaxQubits - 1][kMaxDim * kMaxDim / 4] = {};
     // W_q fold of the current (column, qubit).
     alignas(64) double wRe_[4] = {};
     alignas(64) double wIm_[4] = {};
 
     int curCol_ = -1;
     int curQubit_ = -1;
+    int committedMask_ = 0;  ///< Current column's commits since beginColumn.
     bool sweeping_ = false;
 };
 

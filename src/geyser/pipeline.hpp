@@ -59,9 +59,13 @@ class ResultCache;
  * low-operand fallback runs the scalar backend's arithmetic; v11:
  * svApply2q leaves the backend table and runs the scalar loop on every
  * backend, so AVX-512 ideal distributions of dense two-qubit logical
- * gates move within rounding; no compiled circuit changed).
+ * gates move within rounding; no compiled circuit changed; v12:
+ * composition sweeps keep each qubit's U3 as the solved 2x2 and convert
+ * to angles once per rotosolve call, and folds contract in sweep order,
+ * so composed angles and noisy TVD move within rounding; no compiled
+ * circuit's structure changed).
  */
-inline constexpr int kPipelineVersion = 11;
+inline constexpr int kPipelineVersion = 12;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };

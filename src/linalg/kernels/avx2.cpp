@@ -269,35 +269,6 @@ apply2x2ColsAvx2(double *re, double *im, const double *uRe,
     }
 }
 
-void
-foldWAvx2(const double *envRe, const double *envIm, const double (*u3Re)[4],
-          const double (*u3Im)[4], int numQubits, int qubit, double *wRe,
-          double *wIm)
-{
-    if (numQubits <= 1) {
-        foldWRef(envRe, envIm, u3Re, u3Im, numQubits, qubit, wRe, wIm);
-        return;
-    }
-    // Reduced Kronecker column over the spectator qubits, then four
-    // contiguous bins of the environment, then four vector dots —
-    // algebraically different from the reference triple loop, matched
-    // to 1e-12 by the parity suite.
-    constexpr int kQuad = (kDetailMaxDim / 2) * (kDetailMaxDim / 2);
-    double gRe[kQuad], gIm[kQuad];
-    int dq = 0;
-    buildKronColumn(u3Re, u3Im, numQubits, qubit, gRe, gIm, &dq);
-    const size_t n = static_cast<size_t>(dq) * static_cast<size_t>(dq);
-    const int dim = 1 << numQubits;
-    double binRe[kQuad], binIm[kQuad];
-    for (int a = 0; a < 2; ++a) {
-        for (int b = 0; b < 2; ++b) {
-            gatherEnvBin(envRe, envIm, dim, qubit, a, b, binRe, binIm);
-            dotSplitAvx2(gRe, gIm, binRe, binIm, n, &wRe[a * 2 + b],
-                         &wIm[a * 2 + b]);
-        }
-    }
-}
-
 /** (ur + i ui) . v for interleaved v, vs = re/im-swapped v. */
 inline __m256d
 cmulAvx2(double ur, double ui, __m256d v, __m256d vs)
@@ -419,8 +390,8 @@ const ComputeBackend &
 avx2Backend()
 {
     static const ComputeBackend backend = {
-        "avx2",           matmulAvx2, traceProductAvx2, apply2x2RowsAvx2,
-        apply2x2ColsAvx2, foldWAvx2,  svApply1qAvx2,
+        "avx2",           matmulAvx2,   traceProductAvx2, apply2x2RowsAvx2,
+        apply2x2ColsAvx2, svApply1qAvx2,
     };
     return backend;
 }

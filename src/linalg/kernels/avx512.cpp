@@ -219,31 +219,6 @@ apply2x2ColsAvx512(double *re, double *im, const double *uRe,
     }
 }
 
-void
-foldWAvx512(const double *envRe, const double *envIm,
-            const double (*u3Re)[4], const double (*u3Im)[4], int numQubits,
-            int qubit, double *wRe, double *wIm)
-{
-    if (numQubits <= 1) {
-        foldWRef(envRe, envIm, u3Re, u3Im, numQubits, qubit, wRe, wIm);
-        return;
-    }
-    constexpr int kQuad = (kDetailMaxDim / 2) * (kDetailMaxDim / 2);
-    double gRe[kQuad], gIm[kQuad];
-    int dq = 0;
-    buildKronColumn(u3Re, u3Im, numQubits, qubit, gRe, gIm, &dq);
-    const size_t n = static_cast<size_t>(dq) * static_cast<size_t>(dq);
-    const int dim = 1 << numQubits;
-    double binRe[kQuad], binIm[kQuad];
-    for (int a = 0; a < 2; ++a) {
-        for (int b = 0; b < 2; ++b) {
-            gatherEnvBin(envRe, envIm, dim, qubit, a, b, binRe, binIm);
-            dotSplitAvx512(gRe, gIm, binRe, binIm, n, &wRe[a * 2 + b],
-                           &wIm[a * 2 + b]);
-        }
-    }
-}
-
 /**
  * (ur + i ui) . v for interleaved v, vs = re/im-swapped v. AVX-512 has
  * no addsub; fmaddsub (sub on even lanes, add on odd) does the job.
@@ -395,8 +370,7 @@ avx512Backend()
 {
     static const ComputeBackend backend = {
         "avx512",           matmulAvx512, traceProductAvx512,
-        apply2x2RowsAvx512, apply2x2ColsAvx512, foldWAvx512,
-        svApply1qAvx512,
+        apply2x2RowsAvx512, apply2x2ColsAvx512, svApply1qAvx512,
     };
     return backend;
 }

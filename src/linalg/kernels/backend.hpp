@@ -9,8 +9,9 @@
  * of free functions over split-complex (SoA: separate re/im arrays)
  * row-major buffers. A kernel enters the table only when a hot loop
  * dispatches it and its SIMD copy beats the scalar loop on a
- * workload; the rest (contractW, flipRows, flipCols, svApply2q) are
- * plain scalar functions with one arithmetic on every backend. Three
+ * workload; the rest (contractW, contractQubit, flipRows, flipCols,
+ * svApply2q) are plain scalar functions with one arithmetic on every
+ * backend. Three
  * implementations are compiled in (host permitting):
  *
  *   scalar   portable reference loops, always available. Every other
@@ -85,19 +86,6 @@ struct ComputeBackend
                          const double *uIm, int bit, int d);
 
     /**
-     * Environment fold of the incremental evaluator:
-     *
-     *   W[a*2+b] = sum_{k_q=a, r_q=b} env(r,k) . prod_{p!=q} u3_p[k_p,r_p]
-     *
-     * over a dim x dim row-major env with dim = 1 << numQubits.
-     * `u3Re`/`u3Im` index as [qubit][entry] (row-major 2x2 per qubit).
-     * Writes the 4 split accumulators to wRe/wIm.
-     */
-    void (*foldW)(const double *envRe, const double *envIm,
-                  const double (*u3Re)[4], const double (*u3Im)[4],
-                  int numQubits, int qubit, double *wRe, double *wIm);
-
-    /**
      * Statevector one-qubit gate: amps (interleaved complex, length
      * dim) updated in place with the row-major 2x2 `u` on `qubit`.
      */
@@ -123,12 +111,27 @@ const ComputeBackend &scalarBackend();
 /**
  * sum_j u[j] . w[j] over the 4 entries of a row-major 2x2: the trace of
  * the incremental evaluator with one qubit's U3 set to `u` against that
- * qubit's fold W (foldW). Scalar only and outside the table: it runs
- * once per environment update, so its arithmetic is the same on every
- * backend.
+ * qubit's fold W. Scalar only and outside the table: it runs once per
+ * environment update, so its arithmetic is the same on every backend.
  */
 void contractW(const double *wRe, const double *wIm, const double *uRe,
                const double *uIm, double *outRe, double *outIm);
+
+/**
+ * Contract one qubit out of a split dim x dim row-major matrix `in`:
+ *
+ *   out(r, k) = sum_{x,y in {0,1}} in(r|bit=y, k|bit=x) . u[x*2+y]
+ *
+ * where r|bit=y re-inserts bit `bit` with value y into the
+ * (dim/2)-range index r; `out` is (dim/2) x (dim/2) and must not alias
+ * `in`. Contracting every qubit but q out of the evaluator's column
+ * environment, each with its current U3, leaves W_q transposed. Scalar
+ * only and outside the table: a 3-qubit column takes ~180 complex
+ * multiply-adds in all, too few for gathers and horizontal sums to pay.
+ */
+void contractQubit(const double *inRe, const double *inIm, int dim, int bit,
+                   const double *uRe, const double *uIm, double *outRe,
+                   double *outIm);
 
 /**
  * Negate rows r with (r & mask) == mask of a d x d split matrix (the

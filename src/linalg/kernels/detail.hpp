@@ -23,9 +23,6 @@ namespace geyser {
 namespace kernels {
 namespace {
 
-/** Largest sub-dimension buildKronColumn/foldW stack buffers support. */
-inline constexpr int kDetailMaxDim = 16;
-
 /** out = a . b, d x d split-complex row-major. */
 inline void
 matmulRef(const double *aRe, const double *aIm, const double *bRe,
@@ -112,42 +109,6 @@ apply2x2ColsRef(double *re, double *im, const double *uRe,
     }
 }
 
-/**
- * Direct O(dim^2 n) environment fold — the readable reference. SIMD
- * backends use the algebraically different reduced-Kronecker route
- * below; the cross-backend parity suite pins the two to 1e-12.
- */
-inline void
-foldWRef(const double *envRe, const double *envIm, const double (*u3Re)[4],
-         const double (*u3Im)[4], int numQubits, int qubit, double *wRe,
-         double *wIm)
-{
-    const int d = 1 << numQubits;
-    for (int i = 0; i < 4; ++i) {
-        wRe[i] = 0.0;
-        wIm[i] = 0.0;
-    }
-    for (int k = 0; k < d; ++k) {
-        for (int r = 0; r < d; ++r) {
-            double fre = 1.0, fim = 0.0;
-            for (int p = 0; p < numQubits; ++p) {
-                if (p == qubit)
-                    continue;
-                const int e = ((k >> p) & 1) * 2 + ((r >> p) & 1);
-                const double ure = u3Re[p][e];
-                const double uim = u3Im[p][e];
-                const double nre = fre * ure - fim * uim;
-                fim = fre * uim + fim * ure;
-                fre = nre;
-            }
-            const double ere = envRe[r * d + k], eim = envIm[r * d + k];
-            const int idx = ((k >> qubit) & 1) * 2 + ((r >> qubit) & 1);
-            wRe[idx] += fre * ere - fim * eim;
-            wIm[idx] += fre * eim + fim * ere;
-        }
-    }
-}
-
 /** Statevector 1-qubit gate, interleaved complex. */
 inline void
 svApply1qRef(Complex *amps, size_t dim, int qubit, const Complex *u)
@@ -159,69 +120,6 @@ svApply1qRef(Complex *amps, size_t dim, int qubit, const Complex *u)
             const Complex a0 = amps[i0], a1 = amps[i1];
             amps[i0] = u[0] * a0 + u[1] * a1;
             amps[i1] = u[2] * a0 + u[3] * a1;
-        }
-    }
-}
-
-/**
- * Kronecker column build (see backend.hpp docs for the convention):
- * out(r, k) = prod_{p != skipQubit} u3_p[r_p * 2 + k_p], built by
- * in-place progressive doubling. Descending destination order is
- * alias-safe: every source cell (rr*d + kk) is <= the smallest
- * destination that reads it (rr*2d + kk).
- */
-inline void
-buildKronColumn(const double (*u3Re)[4], const double (*u3Im)[4],
-                int numQubits, int skipQubit, double *outRe, double *outIm,
-                int *outDim)
-{
-    outRe[0] = 1.0;
-    outIm[0] = 0.0;
-    int d = 1;
-    for (int p = 0; p < numQubits; ++p) {
-        if (p == skipQubit)
-            continue;
-        const double *ure = u3Re[p], *uim = u3Im[p];
-        const int d2 = 2 * d;
-        for (int row = d2 - 1; row >= 0; --row) {
-            const int rb = row >= d ? 1 : 0;
-            const int rr = row - rb * d;
-            for (int col = d2 - 1; col >= 0; --col) {
-                const int kb = col >= d ? 1 : 0;
-                const int kk = col - kb * d;
-                const double fre = ure[rb * 2 + kb];
-                const double fim = uim[rb * 2 + kb];
-                const double gre = outRe[rr * d + kk];
-                const double gim = outIm[rr * d + kk];
-                outRe[row * d2 + col] = fre * gre - fim * gim;
-                outIm[row * d2 + col] = fre * gim + fim * gre;
-            }
-        }
-        d = d2;
-    }
-    *outDim = d;
-}
-
-/**
- * Gather one (a = k_q, b = r_q) bin of the environment into a
- * contiguous dq x dq buffer transposed to align with buildKronColumn:
- * out(kk, rr) = env(expand(rr, b), expand(kk, a)), so that
- * W[a*2+b] = sum out .* G elementwise (complex, no conjugation).
- */
-inline void
-gatherEnvBin(const double *envRe, const double *envIm, int dim, int qubit,
-             int a, int b, double *outRe, double *outIm)
-{
-    const int qbit = 1 << qubit;
-    const int low = qbit - 1;
-    const int dq = dim / 2;
-    for (int kk = 0; kk < dq; ++kk) {
-        const int k = ((kk & ~low) << 1) | (kk & low) | (a != 0 ? qbit : 0);
-        for (int rr = 0; rr < dq; ++rr) {
-            const int r =
-                ((rr & ~low) << 1) | (rr & low) | (b != 0 ? qbit : 0);
-            outRe[kk * dq + rr] = envRe[r * dim + k];
-            outIm[kk * dq + rr] = envIm[r * dim + k];
         }
     }
 }

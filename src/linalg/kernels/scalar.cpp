@@ -19,8 +19,8 @@ const ComputeBackend &
 scalarBackend()
 {
     static const ComputeBackend backend = {
-        "scalar",        matmulRef, traceProductRef, apply2x2RowsRef,
-        apply2x2ColsRef, foldWRef,  svApply1qRef,
+        "scalar",        matmulRef,    traceProductRef, apply2x2RowsRef,
+        apply2x2ColsRef, svApply1qRef,
     };
     return backend;
 }
@@ -36,6 +36,38 @@ contractW(const double *wRe, const double *wIm, const double *uRe,
     }
     *outRe = tre;
     *outIm = tim;
+}
+
+void
+contractQubit(const double *inRe, const double *inIm, int dim, int bit,
+              const double *uRe, const double *uIm, double *outRe,
+              double *outIm)
+{
+    const int half = dim / 2;
+    const int mask = 1 << bit, low = mask - 1;
+    // u[x * 2 + y] meets the entries whose column bit is x and whose row
+    // bit is y. Locals, so stores to `out` cannot force reloads.
+    const double u0r = uRe[0], u0i = uIm[0], u1r = uRe[1], u1i = uIm[1];
+    const double u2r = uRe[2], u2i = uIm[2], u3r = uRe[3], u3i = uIm[3];
+    for (int r = 0; r < half; ++r) {
+        // The rows of `in` whose bit is 0 (x) and 1 (y).
+        const int r0 = ((r & ~low) << 1) | (r & low);
+        const double *xRe = inRe + r0 * dim, *xIm = inIm + r0 * dim;
+        const double *yRe = xRe + mask * dim, *yIm = xIm + mask * dim;
+        for (int k = 0; k < half; ++k) {
+            const int k0 = ((k & ~low) << 1) | (k & low), k1 = k0 | mask;
+            double sre = u0r * xRe[k0] - u0i * xIm[k0];
+            double sim = u0r * xIm[k0] + u0i * xRe[k0];
+            sre += u1r * yRe[k0] - u1i * yIm[k0];
+            sim += u1r * yIm[k0] + u1i * yRe[k0];
+            sre += u2r * xRe[k1] - u2i * xIm[k1];
+            sim += u2r * xIm[k1] + u2i * xRe[k1];
+            sre += u3r * yRe[k1] - u3i * yIm[k1];
+            sim += u3r * yIm[k1] + u3i * yRe[k1];
+            outRe[r * half + k] = sre;
+            outIm[r * half + k] = sim;
+        }
+    }
 }
 
 void

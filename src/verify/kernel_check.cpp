@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "circuit/gate.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "compose/ansatz.hpp"
@@ -62,13 +63,24 @@ checkComposeKernel(const KernelCheckOptions &options)
             rng.uniformVector(targetGen.numAngles(), 0.0, 2.0 * kPi));
 
         AnsatzEvaluator evaluator(ansatz, target);
-        std::vector<double> angles =
-            rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi);
-        evaluator.setAngles(angles);
+        evaluator.setAngles(
+            rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
 
+        // The evaluator's U3s as 2x2s, [col * numQubits + q]. The dense
+        // oracle multiplies these, so it follows committed 2x2s as well
+        // as converted angles.
+        std::vector<Matrix2> u3s;
+        auto loadAngles = [&] {
+            const std::vector<double> &a = evaluator.angles();
+            u3s.clear();
+            for (size_t o = 0; o < a.size(); o += 3)
+                u3s.push_back(u3Matrix(a[o], a[o + 1], a[o + 2]));
+        };
+        auto u3At = [&](int col, int q) -> Matrix2 & {
+            return u3s[static_cast<size_t>(col * numQubits + q)];
+        };
         auto check = [&](Complex incremental, const char *where) {
-            const Complex dense =
-                overlapTrace(target, ansatz.unitary(angles));
+            const Complex dense = overlapTrace(target, ansatz.unitary(u3s));
             const double dev = std::abs(incremental - dense);
             report.maxDeviation = std::max(report.maxDeviation, dev);
             ++report.tracesChecked;
@@ -83,52 +95,41 @@ checkComposeKernel(const KernelCheckOptions &options)
                 report.detail = buf;
             }
         };
-        auto angleAt = [&](int col, int q, int role) -> double & {
-            return angles[static_cast<size_t>(
-                ansatz.angleIndex(col, q, role))];
-        };
-        auto u3At = [&](int col, int q) {
-            U3Params u3;
-            u3.theta = angleAt(col, q, 0);
-            u3.phi = angleAt(col, q, 1);
-            u3.lambda = angleAt(col, q, 2);
-            return u3;
-        };
-        auto setU3 = [&](int col, int q, const U3Params &u3) {
-            angleAt(col, q, 0) = u3.theta;
-            angleAt(col, q, 1) = u3.phi;
-            angleAt(col, q, 2) = u3.lambda;
+        auto randomU3 = [&] {
+            return u3Matrix(rng.uniform(0.0, 2.0 * kPi),
+                            rng.uniform(0.0, 2.0 * kPi),
+                            rng.uniform(0.0, 2.0 * kPi));
         };
         // One (column, qubit) step: the fold, checked by contracting W
-        // with a random U3, then an environment update (or, half the
-        // time, a commit of the random U3, so the state keeps moving)
-        // and its confirmed trace. `angles` mirrors every commit, so the
-        // dense oracle always sees the evaluator's exact state.
+        // with a random U3, then a 2x2 commit — the environment update,
+        // or half the time a random U3 times a random global phase, so
+        // the state keeps moving — and its confirmed trace.
         auto step = [&](int col, int q) {
             evaluator.beginQubit(q);
-            const U3Params kept = u3At(col, q);
-            U3Params probe;
-            probe.theta = rng.uniform(0.0, 2.0 * kPi);
-            probe.phi = rng.uniform(0.0, 2.0 * kPi);
-            probe.lambda = rng.uniform(0.0, 2.0 * kPi);
-            setU3(col, q, probe);
+            const Matrix2 kept = u3At(col, q);
+            const Matrix2 probe = randomU3();
+            u3At(col, q) = probe;
             check(evaluator.traceWith(probe), "fold");
-            setU3(col, q, kept);
-            if (rng.bernoulli(0.5)) {
-                updateQubit(evaluator,
-                            hsdFromTrace(evaluator.traceWith(kept),
-                                         evaluator.dim()));
-            } else {
-                evaluator.commitU3(probe);
-            }
-            angles = evaluator.angles();
-            check(evaluator.traceWith(u3At(col, q)), "confirmed trace");
+            u3At(col, q) = kept;
+            const Complex phase =
+                std::polar(1.0, rng.uniform(0.0, 2.0 * kPi));
+            Matrix2 next = Matrix2(phase, 0.0, 0.0, phase) * probe;
+            if (rng.bernoulli(0.5))
+                next = environmentUpdate(evaluator.environment())
+                           .value_or(kept);
+            evaluator.commit(next);
+            u3At(col, q) = next;
+            check(evaluator.traceWith(next), "confirmed trace");
         };
 
+        loadAngles();
         check(evaluator.trace(), "full trace");
 
-        // Several interleaved sweeps — the stale-environment hazard the
-        // incremental path must survive.
+        // Several sweeps in 2x2 state. Every other one ends with a full
+        // trace, which converts the 2x2s to angles (the oracle then
+        // reloads them); the others carry 2x2s into the next sweep, as
+        // rotosolve does — the stale-environment hazard the incremental
+        // path must survive.
         const int sweeps = 2 + rng.uniformInt(3);
         for (int sweep = 0; sweep < sweeps; ++sweep) {
             evaluator.beginSweep();
@@ -137,7 +138,10 @@ checkComposeKernel(const KernelCheckOptions &options)
                 for (int q = 0; q < numQubits; ++q)
                     step(col, q);
             }
-            check(evaluator.trace(), "post-sweep trace");
+            if (sweep % 2 == 1) {
+                loadAngles();
+                check(evaluator.trace(), "post-sweep trace");
+            }
         }
         // The single-qubit update path after many interleaved sweeps:
         // one more sweep that only touches one qubit.
@@ -146,6 +150,7 @@ checkComposeKernel(const KernelCheckOptions &options)
         for (int col = 0; col <= lastCol; ++col)
             evaluator.beginColumn(col);
         step(lastCol, rng.uniformInt(numQubits));
+        loadAngles();
         check(evaluator.trace(), "post-update trace");
     }
 

@@ -2,17 +2,20 @@
  * @file
  * Differential cross-check of the incremental environment-contraction
  * kernel (compose/evaluator) against the dense reference oracle
- * overlapTrace(target, Ansatz::unitary(angles)) (verify/equivalence),
+ * overlapTrace(target, Ansatz::unitary(...)) (verify/equivalence),
  * which builds the product with Matrix arithmetic and enters no compute
  * backend, so it reads the same under every GEYSER_BACKEND. The
  * composer's correctness rests on the incremental trace being
  * *numerically identical* to the dense one, so this check drives
  * randomized ansatze (qubit counts, layer counts, entangler patterns,
  * angle perturbations) through the full sweep protocol — folds,
- * environment updates, random commits, and repeated interleaved sweeps
- * that would expose stale environments — and compares every fold
- * (contracted with a random U3) and every confirmed trace against a
- * freshly built dense trace.
+ * environment updates and random unitaries committed as 2x2s,
+ * repeated interleaved sweeps that carry those 2x2s across sweeps and
+ * would expose stale environments, and their conversion to angles —
+ * and compares every fold (contracted with a random U3) and every
+ * confirmed trace against a freshly built dense trace of the same 2x2s,
+ * and every full trace against the dense trace of the converted
+ * angles.
  */
 #ifndef GEYSER_VERIFY_KERNEL_CHECK_HPP
 #define GEYSER_VERIFY_KERNEL_CHECK_HPP

@@ -342,38 +342,6 @@ TEST(BackendParity, Apply2x2RowsAndCols)
     }
 }
 
-TEST(BackendParity, FoldW)
-{
-    Rng rng(2029);
-    for (const ComputeBackend *backend : simdBackends()) {
-        for (int numQubits = 1; numQubits <= 4; ++numQubits) {
-            const int dim = 1 << numQubits;
-            const size_t n = static_cast<size_t>(dim) * dim;
-            for (int qubit = 0; qubit < numQubits; ++qubit) {
-                for (const size_t offset : {size_t{0}, size_t{1}}) {
-                    OffsetBuf envRe(rng, n, offset), envIm(rng, n, offset);
-                    double u3Re[4][4], u3Im[4][4];
-                    for (int q = 0; q < 4; ++q)
-                        kernels::u3Entries(rng.uniform(0.0, 2.0 * kPi),
-                                           rng.uniform(0.0, 2.0 * kPi),
-                                           rng.uniform(0.0, 2.0 * kPi),
-                                           u3Re[q], u3Im[q]);
-                    double refRe[4], refIm[4], gotRe[4], gotIm[4];
-                    kernels::scalarBackend().foldW(envRe.p, envIm.p, u3Re,
-                                                   u3Im, numQubits, qubit,
-                                                   refRe, refIm);
-                    backend->foldW(envRe.p, envIm.p, u3Re, u3Im, numQubits,
-                                   qubit, gotRe, gotIm);
-                    EXPECT_LT(maxAbsDiff(refRe, gotRe, 4), kTol)
-                        << backend->name << " foldW n=" << numQubits
-                        << " q=" << qubit;
-                    EXPECT_LT(maxAbsDiff(refIm, gotIm, 4), kTol);
-                }
-            }
-        }
-    }
-}
-
 TEST(BackendParity, StatevectorKernels)
 {
     Rng rng(2031);

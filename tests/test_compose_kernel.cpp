@@ -6,17 +6,22 @@
  * 1e-12 across random qubit counts, layer counts, entangler patterns,
  * and angle perturbations — every fold and every confirmed trace of the
  * environment update included, also after many interleaved sweeps
- * (stale-environment hazard) — plus the sweep-protocol state machine,
- * the optimality of the update, and rotosolve on top.
+ * (stale-environment hazard) — plus each fold against the reference
+ * triple loop, the sweep-protocol state machine, the optimality of the
+ * update, and rotosolve on top. A committed 2x2 differs from the U3 of
+ * its converted angles by a global phase, so complex traces are
+ * compared with the dense oracle after evaluator.angles() converts it.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 
+#include "circuit/gate.hpp"
 #include "common/rng.hpp"
 #include "compose/composer.hpp"
 #include "compose/evaluator.hpp"
+#include "transpile/zyz.hpp"
 #include "verify/equivalence.hpp"
 #include "verify/kernel_check.hpp"
 
@@ -107,6 +112,12 @@ u3At(const Ansatz &ansatz, const std::vector<double> &angles, int col, int q)
     return u3;
 }
 
+Matrix2
+matrixOf(const U3Params &u3)
+{
+    return u3Matrix(u3.theta, u3.phi, u3.lambda);
+}
+
 /** sqrt(|W|_F^2 + 2 |det W|): sigma_1 + sigma_2, the update's optimum. */
 double
 nuclearNorm(const Matrix2 &w)
@@ -131,7 +142,8 @@ contraction(const Matrix2 &u, const Matrix2 &w)
 /**
  * The selected qubit's fold against the dense oracle (contracted with a
  * random U3), then an update (or a commit of that U3) and its confirmed
- * trace. `angles` mirrors the evaluator.
+ * trace. `angles` mirrors the evaluator: reading them converts the
+ * selected qubit's commit, which leaves the sweep open.
  */
 void
 checkedStep(AnsatzEvaluator &evaluator, const Ansatz &ansatz,
@@ -139,21 +151,22 @@ checkedStep(AnsatzEvaluator &evaluator, const Ansatz &ansatz,
             int col, int q, bool update)
 {
     const U3Params probe = randomU3(rng);
-    EXPECT_LT(std::abs(evaluator.traceWith(probe) -
+    EXPECT_LT(std::abs(evaluator.traceWith(matrixOf(probe)) -
                        denseTrace(ansatz, target,
                                   withU3(ansatz, angles, col, q, probe))),
               1e-12)
         << "fold col=" << col << " q=" << q;
     if (update) {
         updateQubit(evaluator,
-                    hsdFromTrace(evaluator.traceWith(u3At(ansatz, angles,
-                                                          col, q)),
+                    hsdFromTrace(evaluator.traceWith(matrixOf(
+                                     u3At(ansatz, angles, col, q))),
                                  evaluator.dim()));
     } else {
-        evaluator.commitU3(probe);
+        evaluator.commit(matrixOf(probe));
     }
     angles = evaluator.angles();
-    EXPECT_LT(std::abs(evaluator.traceWith(u3At(ansatz, angles, col, q)) -
+    EXPECT_LT(std::abs(evaluator.traceWith(
+                           matrixOf(u3At(ansatz, angles, col, q))) -
                        denseTrace(ansatz, target, angles)),
               1e-12)
         << "confirmed trace col=" << col << " q=" << q;
@@ -211,7 +224,7 @@ TEST(ComposeKernel, SingleCoordinateUpdateAfterInterleavedSweeps)
             evaluator.beginColumn(col);
             for (int q = 0; q < numQubits; ++q) {
                 evaluator.beginQubit(q);
-                evaluator.commitU3(randomU3(rng));
+                evaluator.commit(matrixOf(randomU3(rng)));
             }
         }
     }
@@ -258,16 +271,18 @@ TEST(ComposeKernel, EnvironmentUpdateIsOptimal)
                         const U3Params current =
                             u3At(ansatz, evaluator.angles(), col, q);
                         updateQubit(evaluator,
-                                    hsdFromTrace(evaluator.traceWith(current),
+                                    hsdFromTrace(evaluator.traceWith(
+                                                     matrixOf(current)),
                                                  dim));
-                        const double confirmed = std::abs(evaluator.traceWith(
-                            u3At(ansatz, evaluator.angles(), col, q)));
+                        const double confirmed =
+                            std::abs(evaluator.traceWith(matrixOf(
+                                u3At(ansatz, evaluator.angles(), col, q))));
                         EXPECT_NEAR(confirmed, optimum, 1e-12 * optimum)
                             << "n=" << numQubits << " layers=" << layers
                             << " col=" << col << " q=" << q;
                         for (int k = 0; k < 64; ++k)
                             EXPECT_LE(std::abs(evaluator.traceWith(
-                                          randomU3(rng))),
+                                          matrixOf(randomU3(rng)))),
                                       confirmed * (1.0 + 1e-12));
                     }
                 }
@@ -331,23 +346,55 @@ TEST(ComposeKernel, VerifyLayerCrossCheckPasses)
 
 TEST(ComposeKernel, RotosolveReportsTrueDistance)
 {
-    // The honesty fix: result.hsd must equal the dense HSD of the
-    // returned angles (no accumulated closed-form model error).
+    // The honesty guarantee: however a call ends (its sweep budget,
+    // convergence, or a stop_at reached mid-sweep), the reported HSD is
+    // one trace at the returned angles, after the sweeps' 2x2s are
+    // converted: bit for bit what trace() reads there, and the dense HSD
+    // of those angles to 1e-12.
     Rng rng(47);
-    for (int layers = 1; layers <= 4; ++layers) {
-        const Ansatz ansatz(3, layers);
-        const Matrix target = ansatz.unitary(
-            rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
-        AnsatzEvaluator evaluator(ansatz, target);
-        evaluator.setAngles(
-            rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
-        long evaluations = 0;
-        const double reported =
-            rotosolve(evaluator, 40, 0.0, evaluations);
-        const double truth = hilbertSchmidtDistance(
-            ansatz.unitary(evaluator.angles()), target);
-        EXPECT_NEAR(reported, truth, 1e-10) << "layers=" << layers;
-        EXPECT_GT(evaluations, 0);
+    for (int numQubits = 2; numQubits <= 4; ++numQubits) {
+        for (int layers = 1; layers <= 3; ++layers) {
+            const Ansatz ansatz(
+                numQubits, layers,
+                patternFor(numQubits, layers,
+                           static_cast<uint64_t>(numQubits * 10 + layers)));
+            const Matrix target = ansatz.unitary(
+                rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
+            const auto start =
+                rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi);
+            AnsatzEvaluator evaluator(ansatz, target);
+            const int dim = evaluator.dim();
+
+            // The HSD after the first sweep's first two updates: a
+            // stop_at that ends the call there, mid-sweep.
+            evaluator.setAngles(start);
+            double midSweep = hsdFromTrace(evaluator.trace(), dim);
+            evaluator.beginSweep();
+            evaluator.beginColumn(0);
+            for (int q = 0; q < 2; ++q) {
+                evaluator.beginQubit(q);
+                midSweep = updateQubit(evaluator, midSweep);
+            }
+
+            for (const double stopAt : {0.0, midSweep}) {
+                evaluator.setAngles(start);
+                long evaluations = 0;
+                const double reported =
+                    rotosolve(evaluator, 40, stopAt, evaluations);
+                const double truth = hilbertSchmidtDistance(
+                    ansatz.unitary(evaluator.angles()), target);
+                EXPECT_NEAR(reported, truth, 1e-12)
+                    << "n=" << numQubits << " layers=" << layers
+                    << " stop_at=" << stopAt;
+                EXPECT_EQ(reported, hsdFromTrace(evaluator.trace(), dim))
+                    << "n=" << numQubits << " layers=" << layers
+                    << " stop_at=" << stopAt;
+                if (stopAt > 0.0)
+                    EXPECT_LE(evaluations, 3) << "n=" << numQubits;
+                else
+                    EXPECT_GT(evaluations, (layers + 1) * numQubits);
+            }
+        }
     }
 }
 
@@ -389,8 +436,8 @@ TEST(ComposeKernel, SweepProtocolEnforcesColumnOrder)
     evaluator.beginColumn(0);
     // No qubit.
     EXPECT_THROW(evaluator.environment(), std::logic_error);
-    EXPECT_THROW(evaluator.traceWith(U3Params{}), std::logic_error);
-    EXPECT_THROW(evaluator.commitU3(U3Params{}), std::logic_error);
+    EXPECT_THROW(evaluator.traceWith(Matrix2::identity()), std::logic_error);
+    EXPECT_THROW(evaluator.commit(Matrix2::identity()), std::logic_error);
     EXPECT_THROW(updateQubit(evaluator, 1.0), std::logic_error);
     evaluator.beginQubit(0);
     std::vector<double> angles = evaluator.angles();
@@ -402,6 +449,160 @@ TEST(ComposeKernel, SweepProtocolEnforcesColumnOrder)
     EXPECT_THROW(evaluator.environment(), std::logic_error);
     evaluator.beginQubit(0);
     checkedStep(evaluator, ansatz, target, angles, rng, 1, 0, true);
+}
+
+TEST(ComposeKernel, SweepProtocolEnforcesQubitOrder)
+{
+    // beginColumn contracts the qubits above each q with their U3s of
+    // that moment, so once one of them is committed no qubit below it
+    // may be selected in that column.
+    const Ansatz ansatz(3, 2);
+    Rng rng(67);
+    const Matrix target = ansatz.unitary(
+        rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
+    AnsatzEvaluator evaluator(ansatz, target);
+    evaluator.setAngles(rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
+    evaluator.beginSweep();
+    evaluator.beginColumn(0);
+    evaluator.beginQubit(1);
+    evaluator.commit(matrixOf(randomU3(rng)));
+    EXPECT_THROW(evaluator.beginQubit(0), std::logic_error);
+    evaluator.beginQubit(1);  // The committed qubit itself, and any
+    evaluator.beginQubit(2);  // above it, may still be selected.
+    evaluator.commit(matrixOf(randomU3(rng)));
+    EXPECT_THROW(evaluator.beginQubit(1), std::logic_error);
+    EXPECT_THROW(evaluator.beginQubit(3), std::logic_error);  // No qubit 3.
+    evaluator.beginColumn(1);  // A new column contracts afresh.
+    evaluator.beginQubit(0);
+
+    // Reading the angles converts every committed 2x2. Converting only
+    // the selected qubit's commit leaves the sweep open; column 0's are
+    // in the prefix environment, so converting them ends it.
+    std::vector<double> angles = evaluator.angles();
+    EXPECT_THROW(evaluator.beginQubit(1), std::logic_error);
+    EXPECT_THROW(evaluator.beginColumn(2), std::logic_error);
+    evaluator.beginSweep();
+    evaluator.beginColumn(0);
+    evaluator.beginQubit(0);
+    checkedStep(evaluator, ansatz, target, angles, rng, 0, 0, true);
+    evaluator.beginQubit(1);
+    checkedStep(evaluator, ansatz, target, angles, rng, 0, 1, false);
+    evaluator.beginQubit(2);
+    checkedStep(evaluator, ansatz, target, angles, rng, 0, 2, false);
+}
+
+/**
+ * The reference fold, a triple loop over a split dim x dim environment:
+ * W[a*2+b] = sum_{k_q=a, r_q=b} env(r,k) . prod_{p!=q} u3_p[k_p,r_p],
+ * with u3Re/u3Im indexed [qubit][entry].
+ */
+void
+foldReference(const double *envRe, const double *envIm,
+              const double (*u3Re)[4], const double (*u3Im)[4], int numQubits,
+              int qubit, double *wRe, double *wIm)
+{
+    const int d = 1 << numQubits;
+    for (int i = 0; i < 4; ++i) {
+        wRe[i] = 0.0;
+        wIm[i] = 0.0;
+    }
+    for (int k = 0; k < d; ++k) {
+        for (int r = 0; r < d; ++r) {
+            double fre = 1.0, fim = 0.0;
+            for (int p = 0; p < numQubits; ++p) {
+                if (p == qubit)
+                    continue;
+                const int e = ((k >> p) & 1) * 2 + ((r >> p) & 1);
+                const double ure = u3Re[p][e];
+                const double uim = u3Im[p][e];
+                const double nre = fre * ure - fim * uim;
+                fim = fre * uim + fim * ure;
+                fre = nre;
+            }
+            const double ere = envRe[r * d + k], eim = envIm[r * d + k];
+            const int idx = ((k >> qubit) & 1) * 2 + ((r >> qubit) & 1);
+            wRe[idx] += fre * ere - fim * eim;
+            wIm[idx] += fre * eim + fim * ere;
+        }
+    }
+}
+
+TEST(ComposeKernel, FoldMatchesReferenceLoop)
+{
+    // With identity U3s in every other column, column col's environment
+    // is E = S_R . T^dagger . S_L, S_R and S_L the entangler signs
+    // before and after it, for a random complex T. Each qubit's fold,
+    // taken in sweep order with a random commit after it, must match the
+    // reference loop over E and the column's current U3s.
+    Rng rng(61);
+    for (int numQubits = 2; numQubits <= 4; ++numQubits) {
+        const int d = 1 << numQubits, layers = 2;
+        const Ansatz ansatz(numQubits, layers,
+                            patternFor(numQubits, layers, 5));
+        Matrix target(d, d);
+        for (int r = 0; r < d; ++r)
+            for (int c = 0; c < d; ++c)
+                target(r, c) = {rng.uniform(-1.0, 1.0),
+                                rng.uniform(-1.0, 1.0)};
+        AnsatzEvaluator evaluator(ansatz, target);
+        // The sign of basis state `index` under layers [from, to).
+        auto sign = [&](int index, int from, int to) {
+            double s = 1.0;
+            for (int l = from; l < to; ++l) {
+                const int mask = entanglerFlipMask(
+                    ansatz.entanglers()[static_cast<size_t>(l)], numQubits);
+                if ((index & mask) == mask)
+                    s = -s;
+            }
+            return s;
+        };
+        for (int col = 0; col <= layers; ++col) {
+            std::vector<double> envRe(static_cast<size_t>(d * d));
+            std::vector<double> envIm(envRe.size());
+            for (int r = 0; r < d; ++r) {
+                for (int k = 0; k < d; ++k) {
+                    const Complex e = sign(r, 0, col) *
+                                      std::conj(target(k, r)) *
+                                      sign(k, col, layers);
+                    envRe[static_cast<size_t>(r * d + k)] = e.real();
+                    envIm[static_cast<size_t>(r * d + k)] = e.imag();
+                }
+            }
+
+            std::vector<double> angles(
+                static_cast<size_t>(ansatz.numAngles()), 0.0);
+            double u3Re[4][4] = {}, u3Im[4][4] = {};
+            for (int q = 0; q < numQubits; ++q) {
+                const U3Params u3 = randomU3(rng);
+                angles = withU3(ansatz, angles, col, q, u3);
+                kernels::u3Entries(u3.theta, u3.phi, u3.lambda, u3Re[q],
+                                   u3Im[q]);
+            }
+            evaluator.setAngles(angles);
+            evaluator.beginSweep();
+            for (int c = 0; c <= col; ++c)
+                evaluator.beginColumn(c);
+            for (int q = 0; q < numQubits; ++q) {
+                evaluator.beginQubit(q);
+                double wRe[4], wIm[4];
+                foldReference(envRe.data(), envIm.data(), u3Re, u3Im,
+                              numQubits, q, wRe, wIm);
+                const Matrix2 w = evaluator.environment();
+                for (int j = 0; j < 4; ++j)
+                    EXPECT_LT(std::abs(w(j / 2, j % 2) -
+                                       Complex(wRe[j], wIm[j])),
+                              1e-13)
+                        << "n=" << numQubits << " col=" << col
+                        << " q=" << q << " entry=" << j;
+                const Matrix2 u = matrixOf(randomU3(rng));
+                evaluator.commit(u);
+                for (int j = 0; j < 4; ++j) {
+                    u3Re[q][j] = u.data()[j].real();
+                    u3Im[q][j] = u.data()[j].imag();
+                }
+            }
+        }
+    }
 }
 
 TEST(ComposeKernel, RejectsMismatchedInputs)

@@ -30,7 +30,7 @@ namespace geyser {
 namespace {
 
 /** The kPipelineVersion the table below was recorded at. */
-constexpr int kFingerprintVersion = 11;
+constexpr int kFingerprintVersion = 12;
 
 struct Fingerprint
 {
