@@ -12,23 +12,29 @@
  *                Matrix arithmetic that enters no compute backend, so
  *                it never moves with dispatch.
  *   incremental  the sweep exactly as rotosolve runs it, through the
- *                environment-contraction AnsatzEvaluator: per column,
- *                the environment and the contraction of the qubits
- *                above each qubit; per qubit, the contraction of the
- *                qubits below it into its fold, updateQubit()'s
- *                closed-form solve, its confirming contraction, and the
- *                commit of the solved 2x2 (rotosolve's one conversion
- *                to angles and exit trace per call stay out of the
- *                loop). Measured once per usable backend (scalar /
- *                avx2 / avx512) via kernels::ScopedBackend; the folds
- *                are scalar on every backend, so backends differ in the
- *                per-column environment products only.
+ *                environment-contraction AnsatzEvaluator: per sweep,
+ *                the build of Env(0); per column, the running
+ *                environment's rank-local advance and the contraction
+ *                of the qubits above each qubit; per qubit, the
+ *                contraction of the qubits below it into its fold,
+ *                updateQubit()'s closed-form solve, its confirming
+ *                contraction, and the commit of the solved 2x2
+ *                (rotosolve's one conversion to angles and exit trace
+ *                per call stay out of the loop). Measured once per
+ *                usable backend (scalar / avx2 / avx512) via
+ *                kernels::ScopedBackend; the folds are scalar on every
+ *                backend, so backends differ in the environment's
+ *                row- and column-pair updates (apply2x2Rows,
+ *                apply2x2Cols) only.
  *
  * Every backend is first cross-checked against the dense oracle
- * (verify/kernel_check, 1e-12) and the binary exits non-zero on any
+ * (verify/kernel_check, 1e-12, its last trial at the deepest shape
+ * the evaluator holds) and the binary exits non-zero on any
  * deviation. Rates are the median of GEYSER_KERNEL_BENCH_REPS timed
- * repetitions after one warm-up repetition (not a single-run mean), so
- * the JSON baseline is stable enough to trend across CI runs.
+ * repetitions after one warm-up repetition (not a single-run mean),
+ * taken round robin over the backends, so the JSON baseline is stable
+ * enough to trend across CI runs and a slow phase of the host moves
+ * every backend's rate alike.
  *
  * Exit is non-zero when:
  *   - any backend fails the 1e-12 oracle cross-check, or
@@ -166,21 +172,13 @@ incrementalRate(AnsatzEvaluator &evaluator, const Shape &shape,
     return rate;
 }
 
-/** Median evaluation rate over `reps` timed repetitions (after warm-up). */
 double
-medianRate(AnsatzEvaluator &evaluator, const Shape &shape, double budget_s,
-           int reps, std::vector<double> *samples)
+median(std::vector<double> values)
 {
-    incrementalRate(evaluator, shape, budget_s * 0.5);  // Warm-up, untimed.
-    std::vector<double> rates;
-    for (int r = 0; r < reps; ++r)
-        rates.push_back(incrementalRate(evaluator, shape, budget_s).perSec());
-    if (samples != nullptr)
-        *samples = rates;
-    std::sort(rates.begin(), rates.end());
-    const size_t mid = rates.size() / 2;
-    return rates.size() % 2 == 1 ? rates[mid]
-                                 : 0.5 * (rates[mid - 1] + rates[mid]);
+    std::sort(values.begin(), values.end());
+    const size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid]
+                                  : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 std::string
@@ -271,26 +269,38 @@ main(int argc, char **argv)
         struct Measured
         {
             std::string name;
+            AnsatzEvaluator evaluator;
             double rate = 0.0;
             std::vector<double> samples;
         };
         std::vector<Measured> measured;
-        double scalarRate = 0.0, dispatchedRate = 0.0;
         for (const auto &info : backends) {
             if (info.backend == nullptr)
                 continue;
             kernels::ScopedBackend scoped(info.name);
             // Evaluators bind their backend at construction; build it
             // inside the override so it measures this ISA.
-            AnsatzEvaluator evaluator(shape.ansatz, shape.target);
-            Measured m;
-            m.name = info.name;
-            m.rate = medianRate(evaluator, shape, budget, reps, &m.samples);
+            measured.push_back({info.name,
+                                AnsatzEvaluator(shape.ansatz, shape.target),
+                                0.0,
+                                {}});
+            // Warm-up, untimed.
+            incrementalRate(measured.back().evaluator, shape, budget * 0.5);
+        }
+        // Timed repetitions round robin over the backends, so a slow
+        // phase of the host lowers every backend's samples alike rather
+        // than one backend's median (and the ratios the floors gate).
+        for (int r = 0; r < reps; ++r)
+            for (Measured &m : measured)
+                m.samples.push_back(
+                    incrementalRate(m.evaluator, shape, budget).perSec());
+        double scalarRate = 0.0, dispatchedRate = 0.0;
+        for (Measured &m : measured) {
+            m.rate = median(m.samples);
             if (m.name == "scalar")
                 scalarRate = m.rate;
             if (m.name == dispatched)
                 dispatchedRate = m.rate;
-            measured.push_back(std::move(m));
         }
 
         obs::Json jsonBackends = obs::Json::array();

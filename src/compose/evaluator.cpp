@@ -54,6 +54,12 @@ AnsatzEvaluator::setAngles(const std::vector<double> &angles)
         for (int q = 0; q < numQubits_; ++q)
             loadU3(col, q);
     staleMask_ = 0;
+    endSweep();
+}
+
+void
+AnsatzEvaluator::endSweep()
+{
     sweeping_ = false;
     curCol_ = -1;
     curQubit_ = -1;
@@ -87,11 +93,8 @@ AnsatzEvaluator::materialize()
                    (committedMask_ & (1 << q)) == 0;
         }
     }
-    if (held) {
-        sweeping_ = false;
-        curCol_ = -1;
-        curQubit_ = -1;
-    }
+    if (held)
+        endSweep();
 }
 
 const std::vector<double> &
@@ -102,22 +105,64 @@ AnsatzEvaluator::angles()
 }
 
 void
-AnsatzEvaluator::applyColumnLeft(double *re, double *im, int col) const
+AnsatzEvaluator::buildEnvironment()
 {
-    // M := C_col . M, one 2x2 per qubit applied to row pairs.
-    for (int q = 0; q < numQubits_; ++q)
-        backend_->apply2x2Rows(re, im, u3Re_[col][q], u3Im_[col][q], 1 << q,
-                               dim_);
+    // Env(0) = T^dagger . C_L . E_{L-1} ... C_1 . E_0. A U3 column on
+    // the right pairs matrix columns by qubit bit; a sign layer negates
+    // the columns whose index covers its flip mask.
+    const size_t bytes = sizeof(double) * static_cast<size_t>(dim_ * dim_);
+    std::memcpy(envRe_, tdRe_, bytes);
+    std::memcpy(envIm_, tdIm_, bytes);
+    for (int col = layers_; col > 0; --col) {
+        for (int q = 0; q < numQubits_; ++q)
+            backend_->apply2x2Cols(envRe_, envIm_, u3Re_[col][q],
+                                   u3Im_[col][q], 1 << q, dim_);
+        kernels::flipCols(envRe_, envIm_, flipMask_[col - 1], dim_);
+    }
 }
 
 void
-AnsatzEvaluator::applyColumnRight(double *re, double *im, int col) const
+AnsatzEvaluator::contractUpper(int col)
 {
-    // M := M . C_col: (M C)(r,c) = sum_k M(r,k) C(k,c); the qubit-q
-    // factor of C(k,c) is u3[k_q, c_q], so pair columns instead of rows.
-    for (int q = 0; q < numQubits_; ++q)
-        backend_->apply2x2Cols(re, im, u3Re_[col][q], u3Im_[col][q], 1 << q,
-                               dim_);
+    // Contract the qubits above each q out of Env, top down, with their
+    // current U3s: upper[q] keeps qubits 0..q.
+    for (int q = numQubits_ - 2; q >= 0; --q) {
+        const bool top = q == numQubits_ - 2;
+        kernels::contractQubit(top ? envRe_ : upperRe_[q + 1],
+                               top ? envIm_ : upperIm_[q + 1], 4 << q, q + 1,
+                               u3Re_[col][q + 1], u3Im_[col][q + 1],
+                               upperRe_[q], upperIm_[q]);
+    }
+}
+
+void
+AnsatzEvaluator::foldQubit(int col, int qubit)
+{
+    // Contract the qubits below, which this sweep just updated, out of
+    // upper[qubit]; each leaves at bit 0, so qubit ends as the only bit.
+    const bool top = qubit == numQubits_ - 1;
+    const double *re = top ? envRe_ : upperRe_[qubit];
+    const double *im = top ? envIm_ : upperIm_[qubit];
+    alignas(64) double bufRe[2][kMaxDim * kMaxDim / 4];
+    alignas(64) double bufIm[2][kMaxDim * kMaxDim / 4];
+    int d = 2 << qubit;
+    for (int p = 0; p < qubit; ++p) {
+        kernels::contractQubit(re, im, d, 0, u3Re_[col][p], u3Im_[col][p],
+                               bufRe[p & 1], bufIm[p & 1]);
+        re = bufRe[p & 1];
+        im = bufIm[p & 1];
+        d /= 2;
+    }
+    // What is left is indexed (r_q, k_q); W_q[a * 2 + b] pairs k_q = a
+    // with r_q = b.
+    wRe_[0] = re[0];
+    wIm_[0] = im[0];
+    wRe_[1] = re[2];
+    wIm_[1] = im[2];
+    wRe_[2] = re[1];
+    wIm_[2] = im[1];
+    wRe_[3] = re[3];
+    wIm_[3] = im[3];
 }
 
 Complex
@@ -128,20 +173,14 @@ AnsatzEvaluator::trace()
     fullTraces.add();
     materialize();
 
-    const int d = dim_;
-    alignas(64) double mre[kMaxDim * kMaxDim], mim[kMaxDim * kMaxDim];
-    std::memset(mre, 0, sizeof(double) * static_cast<size_t>(d * d));
-    std::memset(mim, 0, sizeof(double) * static_cast<size_t>(d * d));
-    for (int r = 0; r < d; ++r)
-        mre[r * d + r] = 1.0;
-    applyColumnLeft(mre, mim, 0);
-    for (int l = 0; l < layers_; ++l) {
-        kernels::flipRows(mre, mim, flipMask_[l], d);
-        applyColumnLeft(mre, mim, l + 1);
-    }
-    // Tr(T^dagger U) = sum_{r,k} Td(r,k) U(k,r).
+    // Tr(T^dagger U) = Tr(Env(0) . C_0): qubit 0's fold of column 0,
+    // contracted with its U3. Env(0) is rebuilt, so the sweep ends.
+    buildEnvironment();
+    contractUpper(0);
+    foldQubit(0, 0);
+    endSweep();
     double tre = 0.0, tim = 0.0;
-    backend_->traceProduct(tdRe_, tdIm_, mre, mim, d, &tre, &tim);
+    kernels::contractW(wRe_, wIm_, u3Re_[0][0], u3Im_[0][0], &tre, &tim);
     return {tre, tim};
 }
 
@@ -151,24 +190,7 @@ AnsatzEvaluator::beginSweep()
     static obs::Counter &sweeps = obs::counter("compose.kernel_sweeps");
     sweeps.add();
 
-    const int d = dim_;
-    const size_t bytes = sizeof(double) * static_cast<size_t>(d * d);
-    // Suffix pass: L(layers) = I; L(col) = L(col+1) . C_{col+1} . E_col.
-    std::memset(lenvRe_[layers_], 0, bytes);
-    std::memset(lenvIm_[layers_], 0, bytes);
-    for (int r = 0; r < d; ++r)
-        lenvRe_[layers_][r * d + r] = 1.0;
-    for (int col = layers_ - 1; col >= 0; --col) {
-        std::memcpy(lenvRe_[col], lenvRe_[col + 1], bytes);
-        std::memcpy(lenvIm_[col], lenvIm_[col + 1], bytes);
-        applyColumnRight(lenvRe_[col], lenvIm_[col], col + 1);
-        kernels::flipCols(lenvRe_[col], lenvIm_[col], flipMask_[col], d);
-    }
-    // Prefix starts empty: R(0) = I.
-    std::memset(renvRe_, 0, bytes);
-    std::memset(renvIm_, 0, bytes);
-    for (int r = 0; r < d; ++r)
-        renvRe_[r * d + r] = 1.0;
+    buildEnvironment();
     sweeping_ = true;
     curCol_ = -1;
     curQubit_ = -1;
@@ -184,38 +206,26 @@ AnsatzEvaluator::beginColumn(int col)
     if (!sweeping_ || col != curCol_ + 1)
         throw std::logic_error(
             "AnsatzEvaluator::beginColumn: columns must be swept in order");
-    const int d = dim_;
     if (col > 0) {
-        // Fold the previous (now committed) column into the prefix:
-        // R(col) = E_{col-1} . C_{col-1} . R(col-1).
-        applyColumnLeft(renvRe_, renvIm_, col - 1);
-        kernels::flipRows(renvRe_, renvIm_, flipMask_[col - 1], d);
+        // Env(col) = E_{col-1} . C_{col-1} . Env(col-1) . E_{col-1} .
+        // C_col^dagger: the finished (committed) column joins the prefix
+        // on the left, and the entered one leaves the suffix on the
+        // right. The U3s are unitary, so C_col^dagger undoes C_col.
+        const int prev = col - 1, d = dim_;
+        for (int q = 0; q < numQubits_; ++q)
+            backend_->apply2x2Rows(envRe_, envIm_, u3Re_[prev][q],
+                                   u3Im_[prev][q], 1 << q, d);
+        kernels::flipRows(envRe_, envIm_, flipMask_[prev], d);
+        kernels::flipCols(envRe_, envIm_, flipMask_[prev], d);
+        for (int q = 0; q < numQubits_; ++q) {
+            const double *re = u3Re_[col][q], *im = u3Im_[col][q];
+            const double daggerRe[4] = {re[0], re[2], re[1], re[3]};
+            const double daggerIm[4] = {-im[0], -im[2], -im[1], -im[3]};
+            backend_->apply2x2Cols(envRe_, envIm_, daggerRe, daggerIm,
+                                   1 << q, d);
+        }
     }
-    // E = R . T^dagger . L(col); the edge columns skip one identity.
-    alignas(64) double tre[kMaxDim * kMaxDim], tim[kMaxDim * kMaxDim];
-    const double *leftRe = tdRe_, *leftIm = tdIm_;
-    if (col > 0) {
-        backend_->matmul(renvRe_, renvIm_, tdRe_, tdIm_, tre, tim, d);
-        leftRe = tre;
-        leftIm = tim;
-    }
-    if (col < layers_) {
-        backend_->matmul(leftRe, leftIm, lenvRe_[col], lenvIm_[col], envRe_,
-                         envIm_, d);
-    } else {
-        const size_t bytes = sizeof(double) * static_cast<size_t>(d * d);
-        std::memcpy(envRe_, leftRe, bytes);
-        std::memcpy(envIm_, leftIm, bytes);
-    }
-    // Contract the qubits above each q out of E, top down, with their
-    // current U3s: upper[q] keeps qubits 0..q.
-    for (int q = numQubits_ - 2; q >= 0; --q) {
-        const bool top = q == numQubits_ - 2;
-        kernels::contractQubit(top ? envRe_ : upperRe_[q + 1],
-                               top ? envIm_ : upperIm_[q + 1], 4 << q, q + 1,
-                               u3Re_[col][q + 1], u3Im_[col][q + 1],
-                               upperRe_[q], upperIm_[q]);
-    }
+    contractUpper(col);
     curCol_ = col;
     curQubit_ = -1;
     committedMask_ = 0;
@@ -237,32 +247,7 @@ AnsatzEvaluator::beginQubit(int qubit)
             "AnsatzEvaluator::beginQubit: a qubit above " +
             std::to_string(qubit) +
             " was committed since beginColumn, after its contraction");
-    // Contract the qubits below, which this sweep just updated, out of
-    // upper[qubit]; each leaves at bit 0, so qubit ends as the only bit.
-    const bool top = qubit == numQubits_ - 1;
-    const double *re = top ? envRe_ : upperRe_[qubit];
-    const double *im = top ? envIm_ : upperIm_[qubit];
-    alignas(64) double bufRe[2][kMaxDim * kMaxDim / 4];
-    alignas(64) double bufIm[2][kMaxDim * kMaxDim / 4];
-    int d = 2 << qubit;
-    for (int p = 0; p < qubit; ++p) {
-        kernels::contractQubit(re, im, d, 0, u3Re_[curCol_][p],
-                               u3Im_[curCol_][p], bufRe[p & 1],
-                               bufIm[p & 1]);
-        re = bufRe[p & 1];
-        im = bufIm[p & 1];
-        d /= 2;
-    }
-    // What is left is indexed (r_q, k_q); W_q[a * 2 + b] pairs k_q = a
-    // with r_q = b.
-    wRe_[0] = re[0];
-    wIm_[0] = im[0];
-    wRe_[1] = re[2];
-    wIm_[1] = im[2];
-    wRe_[2] = re[1];
-    wIm_[2] = im[1];
-    wRe_[3] = re[3];
-    wIm_[3] = im[3];
+    foldQubit(curCol_, qubit);
     curQubit_ = qubit;
 }
 

@@ -10,13 +10,13 @@
  * R = E_{col-1} ... C_0 the product *before* it. By trace cyclicity
  *
  *     Tr(T^dagger U) = Tr(T^dagger L C R) = Tr((R T^dagger L) C)
- *                    = Tr(E . C)            with E = R . T^dagger . L,
+ *                    = Tr(Env . C)          with Env = R . T^dagger . L,
  *
  * and because C is a Kronecker product of per-qubit U3s, the trace is
  * *linear in the 4 entries of qubit q's U3*:
  *
- *     Tr(E C) = sum_{a,b in {0,1}} u3_q[a,b] . W_q[a,b],
- *     W_q[a,b] = sum_{k_q=a, r_q=b} E(r,k) . prod_{p!=q} u3_p[k_p,r_p].
+ *     Tr(Env C) = sum_{a,b in {0,1}} u3_q[a,b] . W_q[a,b],
+ *     W_q[a,b] = sum_{k_q=a, r_q=b} Env(r,k) . prod_{p!=q} u3_p[k_p,r_p].
  *
  * Rotosolve solves that qubit's best U3 from W_q in closed form
  * (environmentUpdate, compose/composer.hpp) and confirms it with one
@@ -26,22 +26,31 @@
  * converts committed matrices to angles only when they are read out
  * (angles(), trace()), which is once per rotosolve call.
  *
- * W_q contracts every qubit but q out of E, and the contraction order
+ * One column environment runs through a sweep. beginSweep builds
+ * Env(0) = T^dagger . C_L . E_{L-1} ... C_1 . E_0 with right
+ * multiplies, and each beginColumn(col) advances it rank-locally,
+ *
+ *     Env(col) = E_{col-1} . C_{col-1} . Env(col-1)
+ *                . E_{col-1} . C_col^dagger,
+ *
+ * so a sweep's maintenance is O(L n d^2) and no d x d product is formed.
+ * trace() reads Tr(T^dagger U) = Tr(Env(0) . C_0) from a fresh Env(0).
+ *
+ * W_q contracts every qubit but q out of Env, and the contraction order
  * follows the sweep: beginColumn contracts the qubits above each q once
  * with their current U3s, top down, and beginQubit(q) contracts the
  * qubits below q, which this sweep has just updated (~180 complex
  * multiply-adds a 3-qubit column, kernels::contractQubit). A commit
  * above q since beginColumn would leave the upper contraction stale, so
- * beginQubit(q) refuses it. Environments are updated with rank-local
- * multiplies as the sweep advances, never rebuilt from scratch
- * mid-sweep.
+ * beginQubit(q) refuses it.
  *
  * All buffers are fixed-size split-complex (SoA) arrays owned by the
- * evaluator; no heap allocation happens after construction. The dense
- * oracle is verify::overlapTrace(target, Ansatz::unitary(angles)),
- * which enters no compute backend and shares no arithmetic with this
- * path; the verify layer cross-checks the two to 1e-12
- * (verify/kernel_check).
+ * evaluator: T^dagger, the U3 cache, one environment and its upper
+ * contractions, about 15 KB in all. No heap allocation happens after
+ * construction. The dense oracle is verify::overlapTrace(target,
+ * Ansatz::unitary(angles)), which enters no compute backend and shares
+ * no arithmetic with this path; the verify layer cross-checks the two
+ * to 1e-12 (verify/kernel_check).
  */
 #ifndef GEYSER_COMPOSE_EVALUATOR_HPP
 #define GEYSER_COMPOSE_EVALUATOR_HPP
@@ -65,18 +74,20 @@ namespace geyser {
  *     for q in 0..n-1: beginQubit(q);
  *       environment(); traceWith(u) ... commit(u);
  *
- * Columns must be visited in order (environments advance forward), and
- * within a column no qubit may be selected after a qubit above it was
- * committed. environment() and traceWith() never mutate state; commit()
- * replaces the selected qubit's cached 2x2. A sweep may be abandoned at
- * any point (e.g. on early convergence) and restarted with beginSweep().
+ * Columns must be visited in order (the environment advances forward),
+ * and within a column no qubit may be selected after a qubit above it
+ * was committed. environment() and traceWith() never mutate state;
+ * commit() replaces the selected qubit's cached 2x2. A sweep may be
+ * abandoned at any point (e.g. on early convergence) and restarted with
+ * beginSweep().
  *
  * Reading angles() or trace() converts every committed 2x2 to U3
  * angles (u3FromMatrix, then the U3 built from those angles replaces
  * the 2x2: the same gate up to a global phase). When that converts a
- * qubit that the open sweep's environments hold (any but the selected
+ * qubit that the open sweep's environment holds (any but the selected
  * qubit, committed since beginColumn), the sweep ends, and beginSweep()
- * must start a new one.
+ * must start a new one. trace() rebuilds the environment, so it always
+ * ends the open sweep.
  */
 class AnsatzEvaluator
 {
@@ -101,9 +112,10 @@ class AnsatzEvaluator
     const std::vector<double> &angles();
 
     /**
-     * Tr(target^dagger U(angles())) via the factored product —
+     * Tr(target^dagger U(angles())) from a fresh Env(0): the
+     * environment beginSweep builds, contracted with column 0 —
      * O(layers d^2 n), no std::exp (U3s come from the cache). Matches
-     * the dense oracle to floating-point rounding.
+     * the dense oracle to floating-point rounding. Ends any open sweep.
      */
     Complex trace();
 
@@ -114,14 +126,14 @@ class AnsatzEvaluator
         return trace();
     }
 
-    /** Start a sweep: build suffix environments from current U3s. */
+    /** Start a sweep: build Env(0) from the current U3s. */
     void beginSweep();
 
     /**
      * Enter a column (must be beginSweep order: 0, 1, ..., layers).
-     * Folds the previous column into the prefix environment, contracts
-     * E = R . T^dagger . L for this column, and contracts the qubits
-     * above each qubit out of E.
+     * Advances the environment past the previous column, Env(col) =
+     * E_{col-1} C_{col-1} Env(col-1) E_{col-1} C_col^dagger, and
+     * contracts the qubits above each qubit out of it.
      */
     void beginColumn(int col);
 
@@ -160,8 +172,10 @@ class AnsatzEvaluator
     }
     void loadU3(int col, int qubit);
     void materialize();
-    void applyColumnLeft(double *re, double *im, int col) const;
-    void applyColumnRight(double *re, double *im, int col) const;
+    void endSweep();
+    void buildEnvironment();
+    void contractUpper(int col);
+    void foldQubit(int col, int qubit);
     void requireQubit(const char *where) const;
 
     int numQubits_ = 0;
@@ -185,17 +199,11 @@ class AnsatzEvaluator
     uint64_t staleMask_ = 0;
     static_assert(kMaxColumns * kMaxQubits <= 64, "one stale bit per U3");
 
-    // Suffix environments L(col) = C_L ... E_col, built per sweep.
-    alignas(64) double lenvRe_[kMaxColumns][kMaxDim * kMaxDim] = {};
-    alignas(64) double lenvIm_[kMaxColumns][kMaxDim * kMaxDim] = {};
-    // Prefix environment R(col), advanced as the sweep moves forward.
-    alignas(64) double renvRe_[kMaxDim * kMaxDim] = {};
-    alignas(64) double renvIm_[kMaxDim * kMaxDim] = {};
-    // E = R . T^dagger . L for the current column.
+    // Env(col) = R . T^dagger . L for the current column.
     alignas(64) double envRe_[kMaxDim * kMaxDim] = {};
     alignas(64) double envIm_[kMaxDim * kMaxDim] = {};
-    // upper[q]: E with qubits q+1..n-1 contracted out, 2^(q+1) square
-    // (the top qubit's is E itself).
+    // upper[q]: Env with qubits q+1..n-1 contracted out, 2^(q+1) square
+    // (the top qubit's is Env itself).
     alignas(64) double upperRe_[kMaxQubits - 1][kMaxDim * kMaxDim / 4] = {};
     alignas(64) double upperIm_[kMaxQubits - 1][kMaxDim * kMaxDim / 4] = {};
     // W_q fold of the current (column, qubit).

@@ -63,9 +63,13 @@ class ResultCache;
  * composition sweeps keep each qubit's U3 as the solved 2x2 and convert
  * to angles once per rotosolve call, and folds contract in sweep order,
  * so composed angles and noisy TVD move within rounding; no compiled
- * circuit's structure changed).
+ * circuit's structure changed; v13: composition sweeps carry one
+ * running column environment and trace() reads Env(0), and
+ * u3FromMatrix takes theta from atan2, so composed angles, evaluation
+ * counts and noisy TVD move within rounding; no compiled circuit's
+ * structure changed).
  */
-inline constexpr int kPipelineVersion = 12;
+inline constexpr int kPipelineVersion = 13;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };

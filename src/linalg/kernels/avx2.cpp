@@ -26,94 +26,6 @@ namespace geyser {
 namespace kernels {
 namespace {
 
-inline double
-hsum(__m256d v)
-{
-    __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    lo = _mm_add_pd(lo, hi);
-    return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-}
-
-/** sum_i a_i . b_i (plain complex product) over split arrays. */
-inline void
-dotSplitAvx2(const double *aRe, const double *aIm, const double *bRe,
-             const double *bIm, size_t n, double *outRe, double *outIm)
-{
-    __m256d tre = _mm256_setzero_pd(), tim = _mm256_setzero_pd();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d ar = _mm256_loadu_pd(aRe + i);
-        const __m256d ai = _mm256_loadu_pd(aIm + i);
-        const __m256d br = _mm256_loadu_pd(bRe + i);
-        const __m256d bi = _mm256_loadu_pd(bIm + i);
-        tre = _mm256_fmadd_pd(ar, br, tre);
-        tre = _mm256_fnmadd_pd(ai, bi, tre);
-        tim = _mm256_fmadd_pd(ar, bi, tim);
-        tim = _mm256_fmadd_pd(ai, br, tim);
-    }
-    double sre = hsum(tre), sim = hsum(tim);
-    for (; i < n; ++i) {
-        sre += aRe[i] * bRe[i] - aIm[i] * bIm[i];
-        sim += aRe[i] * bIm[i] + aIm[i] * bRe[i];
-    }
-    *outRe = sre;
-    *outIm = sim;
-}
-
-void
-matmulAvx2(const double *aRe, const double *aIm, const double *bRe,
-           const double *bIm, double *outRe, double *outIm, int d)
-{
-    for (int r = 0; r < d; ++r) {
-        int c = 0;
-        for (; c + 4 <= d; c += 4) {
-            __m256d sre = _mm256_setzero_pd(), sim = _mm256_setzero_pd();
-            for (int k = 0; k < d; ++k) {
-                const __m256d ar = _mm256_set1_pd(aRe[r * d + k]);
-                const __m256d ai = _mm256_set1_pd(aIm[r * d + k]);
-                const __m256d br = _mm256_loadu_pd(bRe + k * d + c);
-                const __m256d bi = _mm256_loadu_pd(bIm + k * d + c);
-                sre = _mm256_fmadd_pd(ar, br, sre);
-                sre = _mm256_fnmadd_pd(ai, bi, sre);
-                sim = _mm256_fmadd_pd(ar, bi, sim);
-                sim = _mm256_fmadd_pd(ai, br, sim);
-            }
-            _mm256_storeu_pd(outRe + r * d + c, sre);
-            _mm256_storeu_pd(outIm + r * d + c, sim);
-        }
-        for (; c < d; ++c) {
-            double sre = 0.0, sim = 0.0;
-            for (int k = 0; k < d; ++k) {
-                const double xre = aRe[r * d + k], xim = aIm[r * d + k];
-                const double yre = bRe[k * d + c], yim = bIm[k * d + c];
-                sre += xre * yre - xim * yim;
-                sim += xre * yim + xim * yre;
-            }
-            outRe[r * d + c] = sre;
-            outIm[r * d + c] = sim;
-        }
-    }
-}
-
-void
-traceProductAvx2(const double *aRe, const double *aIm, const double *bRe,
-                 const double *bIm, int d, double *outRe, double *outIm)
-{
-    // Transpose b so the contraction becomes one contiguous dot.
-    double btRe[kMaxTraceDim * kMaxTraceDim];
-    double btIm[kMaxTraceDim * kMaxTraceDim];
-    for (int r = 0; r < d; ++r) {
-        for (int k = 0; k < d; ++k) {
-            btRe[r * d + k] = bRe[k * d + r];
-            btIm[r * d + k] = bIm[k * d + r];
-        }
-    }
-    dotSplitAvx2(aRe, aIm, btRe, btIm,
-                 static_cast<size_t>(d) * static_cast<size_t>(d), outRe,
-                 outIm);
-}
-
 void
 apply2x2RowsAvx2(double *re, double *im, const double *uRe,
                  const double *uIm, int bit, int d)
@@ -390,8 +302,10 @@ const ComputeBackend &
 avx2Backend()
 {
     static const ComputeBackend backend = {
-        "avx2",           matmulAvx2,   traceProductAvx2, apply2x2RowsAvx2,
-        apply2x2ColsAvx2, svApply1qAvx2,
+        "avx2",
+        apply2x2RowsAvx2,
+        apply2x2ColsAvx2,
+        svApply1qAvx2,
     };
     return backend;
 }

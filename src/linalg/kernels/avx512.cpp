@@ -30,70 +30,6 @@ colMask(int remaining)
                : static_cast<__mmask8>((1u << remaining) - 1u);
 }
 
-/** sum_i a_i . b_i (plain complex product) over split arrays. */
-inline void
-dotSplitAvx512(const double *aRe, const double *aIm, const double *bRe,
-               const double *bIm, size_t n, double *outRe, double *outIm)
-{
-    __m512d tre = _mm512_setzero_pd(), tim = _mm512_setzero_pd();
-    for (size_t i = 0; i < n; i += 8) {
-        const __mmask8 mk = colMask(static_cast<int>(n - i));
-        const __m512d ar = _mm512_maskz_loadu_pd(mk, aRe + i);
-        const __m512d ai = _mm512_maskz_loadu_pd(mk, aIm + i);
-        const __m512d br = _mm512_maskz_loadu_pd(mk, bRe + i);
-        const __m512d bi = _mm512_maskz_loadu_pd(mk, bIm + i);
-        tre = _mm512_fmadd_pd(ar, br, tre);
-        tre = _mm512_fnmadd_pd(ai, bi, tre);
-        tim = _mm512_fmadd_pd(ar, bi, tim);
-        tim = _mm512_fmadd_pd(ai, br, tim);
-    }
-    *outRe = _mm512_reduce_add_pd(tre);
-    *outIm = _mm512_reduce_add_pd(tim);
-}
-
-void
-matmulAvx512(const double *aRe, const double *aIm, const double *bRe,
-             const double *bIm, double *outRe, double *outIm, int d)
-{
-    for (int r = 0; r < d; ++r) {
-        for (int c = 0; c < d; c += 8) {
-            const __mmask8 mk = colMask(d - c);
-            __m512d sre = _mm512_setzero_pd(), sim = _mm512_setzero_pd();
-            for (int k = 0; k < d; ++k) {
-                const __m512d ar = _mm512_set1_pd(aRe[r * d + k]);
-                const __m512d ai = _mm512_set1_pd(aIm[r * d + k]);
-                const __m512d br =
-                    _mm512_maskz_loadu_pd(mk, bRe + k * d + c);
-                const __m512d bi =
-                    _mm512_maskz_loadu_pd(mk, bIm + k * d + c);
-                sre = _mm512_fmadd_pd(ar, br, sre);
-                sre = _mm512_fnmadd_pd(ai, bi, sre);
-                sim = _mm512_fmadd_pd(ar, bi, sim);
-                sim = _mm512_fmadd_pd(ai, br, sim);
-            }
-            _mm512_mask_storeu_pd(outRe + r * d + c, mk, sre);
-            _mm512_mask_storeu_pd(outIm + r * d + c, mk, sim);
-        }
-    }
-}
-
-void
-traceProductAvx512(const double *aRe, const double *aIm, const double *bRe,
-                   const double *bIm, int d, double *outRe, double *outIm)
-{
-    double btRe[kMaxTraceDim * kMaxTraceDim];
-    double btIm[kMaxTraceDim * kMaxTraceDim];
-    for (int r = 0; r < d; ++r) {
-        for (int k = 0; k < d; ++k) {
-            btRe[r * d + k] = bRe[k * d + r];
-            btIm[r * d + k] = bIm[k * d + r];
-        }
-    }
-    dotSplitAvx512(aRe, aIm, btRe, btIm,
-                   static_cast<size_t>(d) * static_cast<size_t>(d), outRe,
-                   outIm);
-}
-
 void
 apply2x2RowsAvx512(double *re, double *im, const double *uRe,
                    const double *uIm, int bit, int d)
@@ -369,8 +305,10 @@ const ComputeBackend &
 avx512Backend()
 {
     static const ComputeBackend backend = {
-        "avx512",           matmulAvx512, traceProductAvx512,
-        apply2x2RowsAvx512, apply2x2ColsAvx512, svApply1qAvx512,
+        "avx512",
+        apply2x2RowsAvx512,
+        apply2x2ColsAvx512,
+        svApply1qAvx512,
     };
     return backend;
 }

@@ -6,13 +6,14 @@
  * The inner loops of the two hot paths, the incremental composition
  * objective (compose/evaluator.cpp) and the statevector simulator
  * (sim/statevector.cpp), route through one `ComputeBackend` — a table
- * of free functions over split-complex (SoA: separate re/im arrays)
- * row-major buffers. A kernel enters the table only when a hot loop
+ * of three free functions: the row- and column-pair 2x2 updates that
+ * advance the evaluator's column environment over split-complex (SoA:
+ * separate re/im arrays) row-major buffers, and the one-qubit
+ * statevector gate. A kernel enters the table only when a hot loop
  * dispatches it and its SIMD copy beats the scalar loop on a
  * workload; the rest (contractW, contractQubit, flipRows, flipCols,
  * svApply2q) are plain scalar functions with one arithmetic on every
- * backend. Three
- * implementations are compiled in (host permitting):
+ * backend. Three implementations are compiled in (host permitting):
  *
  *   scalar   portable reference loops, always available. Every other
  *            backend is property-tested against it to 1e-12. The dense
@@ -64,15 +65,6 @@ struct ComputeBackend
 {
     const char *name;
 
-    /** out = a . b (d x d complex multiply; 8x8/16x16 are the hot dims). */
-    void (*matmul)(const double *aRe, const double *aIm, const double *bRe,
-                   const double *bIm, double *outRe, double *outIm, int d);
-
-    /** Tr(a . b) = sum_{r,k} a(r,k) b(k,r). Requires d <= kMaxTraceDim. */
-    void (*traceProduct)(const double *aRe, const double *aIm,
-                         const double *bRe, const double *bIm, int d,
-                         double *outRe, double *outIm);
-
     /**
      * M := (u on qubit `bit`) . M — the row-pair 2x2 update used to
      * apply one qubit of a U3 column from the left. `u` is a row-major
@@ -92,9 +84,6 @@ struct ComputeBackend
     void (*svApply1q)(Complex *amps, size_t dim, int qubit,
                       const Complex *u);
 };
-
-/** traceProduct transposes its right operand on the stack; cap it. */
-inline constexpr int kMaxTraceDim = 64;
 
 /** One row of the availableBackends() listing. */
 struct BackendInfo

@@ -23,44 +23,6 @@ namespace geyser {
 namespace kernels {
 namespace {
 
-/** out = a . b, d x d split-complex row-major. */
-inline void
-matmulRef(const double *aRe, const double *aIm, const double *bRe,
-          const double *bIm, double *outRe, double *outIm, int d)
-{
-    for (int r = 0; r < d; ++r) {
-        for (int c = 0; c < d; ++c) {
-            double sre = 0.0, sim = 0.0;
-            for (int k = 0; k < d; ++k) {
-                const double xre = aRe[r * d + k], xim = aIm[r * d + k];
-                const double yre = bRe[k * d + c], yim = bIm[k * d + c];
-                sre += xre * yre - xim * yim;
-                sim += xre * yim + xim * yre;
-            }
-            outRe[r * d + c] = sre;
-            outIm[r * d + c] = sim;
-        }
-    }
-}
-
-/** Tr(a . b) = sum_{r,k} a(r,k) b(k,r). */
-inline void
-traceProductRef(const double *aRe, const double *aIm, const double *bRe,
-                const double *bIm, int d, double *outRe, double *outIm)
-{
-    double tre = 0.0, tim = 0.0;
-    for (int r = 0; r < d; ++r) {
-        for (int k = 0; k < d; ++k) {
-            const double xre = aRe[r * d + k], xim = aIm[r * d + k];
-            const double yre = bRe[k * d + r], yim = bIm[k * d + r];
-            tre += xre * yre - xim * yim;
-            tim += xre * yim + xim * yre;
-        }
-    }
-    *outRe = tre;
-    *outIm = tim;
-}
-
 /** M := (u on qubit bit) . M — row-pair 2x2 update. */
 inline void
 apply2x2RowsRef(double *re, double *im, const double *uRe,

@@ -19,8 +19,10 @@ const ComputeBackend &
 scalarBackend()
 {
     static const ComputeBackend backend = {
-        "scalar",        matmulRef,    traceProductRef, apply2x2RowsRef,
-        apply2x2ColsRef, svApply1qRef,
+        "scalar",
+        apply2x2RowsRef,
+        apply2x2ColsRef,
+        svApply1qRef,
     };
     return backend;
 }

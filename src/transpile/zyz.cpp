@@ -1,6 +1,5 @@
 #include "transpile/zyz.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -28,9 +27,11 @@ u3FromMatrix(const Matrix2 &u)
     }
 
     p.phase = std::arg(v00);
-    const double c = std::clamp(a00, 0.0, 1.0);
-    p.theta = 2.0 * std::acos(c);
-    if (std::abs(v10) < 1e-12) {
+    // atan2 keeps full precision near theta = 0, where acos(|u00|)
+    // would resolve theta only in steps of 2 acos(1 - 2^-53) ~ 3e-8.
+    const double a10 = std::abs(v10);
+    p.theta = 2.0 * std::atan2(a10, a00);
+    if (a10 < 1e-12) {
         // theta ~ 0: diagonal matrix; only phi + lambda matters.
         p.phi = 0.0;
         p.lambda = std::arg(v11) - p.phase;

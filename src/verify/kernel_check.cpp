@@ -47,8 +47,13 @@ checkComposeKernel(const KernelCheckOptions &options)
     KernelCheckReport report;
 
     for (int trial = 0; trial < options.trials; ++trial) {
-        const int numQubits = 2 + rng.uniformInt(3);
-        const int layers = 1 + rng.uniformInt(5);
+        // The last trial takes the deepest shape the evaluator holds: the
+        // environment's longest chain of rank-local updates.
+        const bool deepest = trial == options.trials - 1;
+        const int numQubits =
+            deepest ? AnsatzEvaluator::kMaxQubits : 2 + rng.uniformInt(3);
+        const int layers = deepest ? AnsatzEvaluator::kMaxColumns - 1
+                                   : 1 + rng.uniformInt(5);
         const Ansatz ansatz(numQubits, layers,
                             randomEntanglers(rng, numQubits, layers));
 

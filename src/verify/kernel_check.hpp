@@ -48,8 +48,10 @@ struct KernelCheckReport
 
 /**
  * Drive randomized scenarios over 2-4 qubit ansatze, 1-5 layers, mixed
- * entangler patterns, random targets and angle perturbations.
- * Deterministic for a given seed.
+ * entangler patterns, random targets and angle perturbations; the last
+ * trial takes the deepest shape the evaluator holds (4 qubits,
+ * AnsatzEvaluator::kMaxColumns - 1 layers). Deterministic for a given
+ * seed.
  */
 KernelCheckReport checkComposeKernel(const KernelCheckOptions &options = {});
 

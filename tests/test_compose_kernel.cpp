@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "compose/composer.hpp"
 #include "compose/evaluator.hpp"
+#include "obs/obs.hpp"
 #include "transpile/zyz.hpp"
 #include "verify/equivalence.hpp"
 #include "verify/kernel_check.hpp"
@@ -489,6 +490,74 @@ TEST(ComposeKernel, SweepProtocolEnforcesQubitOrder)
     checkedStep(evaluator, ansatz, target, angles, rng, 0, 1, false);
     evaluator.beginQubit(2);
     checkedStep(evaluator, ansatz, target, angles, rng, 0, 2, false);
+}
+
+TEST(ComposeKernel, TraceEndsTheOpenSweep)
+{
+    // trace() rebuilds the environment the sweep runs on, so it ends an
+    // open sweep even where reading angles() would leave it open, and it
+    // counts as one full trace and nothing else.
+    obs::EnabledScope collect(true);
+    obs::Counter &fullTraces = obs::counter("compose.kernel_full_traces");
+    obs::Counter &sweeps = obs::counter("compose.kernel_sweeps");
+    obs::Counter &envBuilds = obs::counter("compose.kernel_env_builds");
+    obs::Counter &folds = obs::counter("compose.kernel_folds");
+
+    Rng rng(71);
+    const int numQubits = 3, layers = 3;
+    const Ansatz ansatz(numQubits, layers, patternFor(numQubits, layers, 13));
+    const Matrix target = ansatz.unitary(
+        rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
+    AnsatzEvaluator evaluator(ansatz, target);
+    evaluator.setAngles(rng.uniformVector(ansatz.numAngles(), 0.0, 2.0 * kPi));
+    // One sweep of updates, converted to angles.
+    evaluator.beginSweep();
+    for (int col = 0; col < evaluator.columns(); ++col) {
+        evaluator.beginColumn(col);
+        for (int q = 0; q < numQubits; ++q) {
+            evaluator.beginQubit(q);
+            updateQubit(evaluator, 1.0);
+        }
+    }
+    evaluator.angles();
+
+    // Mid-sweep, with the selected qubit of column 2 committed: the one
+    // commit that reading angles() converts without ending the sweep.
+    evaluator.beginSweep();
+    for (int col = 0; col <= 2; ++col)
+        evaluator.beginColumn(col);
+    for (int q = 0; q < numQubits; ++q)
+        evaluator.beginQubit(q);
+    evaluator.commit(matrixOf(randomU3(rng)));
+    AnsatzEvaluator readOnly = evaluator;
+    readOnly.angles();
+    readOnly.beginColumn(3);
+
+    const long before[] = {fullTraces.value(), sweeps.value(),
+                           envBuilds.value(), folds.value()};
+    const Complex trace = evaluator.trace();
+    EXPECT_EQ(fullTraces.value(), before[0] + 1);
+    EXPECT_EQ(sweeps.value(), before[1]);
+    EXPECT_EQ(envBuilds.value(), before[2]);
+    EXPECT_EQ(folds.value(), before[3]);
+    std::vector<double> angles = evaluator.angles();
+    EXPECT_LT(std::abs(trace - denseTrace(ansatz, target, angles)), 1e-12);
+
+    EXPECT_THROW(evaluator.beginColumn(3), std::logic_error);
+    EXPECT_THROW(evaluator.beginColumn(0), std::logic_error);
+    EXPECT_THROW(evaluator.beginQubit(0), std::logic_error);
+    EXPECT_THROW(evaluator.environment(), std::logic_error);
+
+    // The next sweep starts from the converted angles.
+    evaluator.beginSweep();
+    for (int col = 0; col < evaluator.columns(); ++col) {
+        evaluator.beginColumn(col);
+        for (int q = 0; q < numQubits; ++q) {
+            evaluator.beginQubit(q);
+            checkedStep(evaluator, ansatz, target, angles, rng, col, q,
+                        rng.bernoulli(0.5));
+        }
+    }
 }
 
 /**

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <tuple>
 
 #include "circuit/gate.hpp"
+#include "common/rng.hpp"
 #include "transpile/zyz.hpp"
 
 namespace geyser {
@@ -59,6 +61,31 @@ TEST(Zyz, IdentityDetection)
     EXPECT_TRUE(isIdentityUpToPhase(Matrix2(phase, 0.0, 0.0, phase)));
     EXPECT_FALSE(isIdentityUpToPhase(Gate(GateKind::X, 0).matrix2()));
     EXPECT_FALSE(isIdentityUpToPhase(Gate(GateKind::Z, 0).matrix2()));
+}
+
+TEST(Zyz, KeepsFullPrecisionNearThetaZero)
+{
+    // Near theta = 0, acos(|u00|) would resolve theta only in steps of
+    // ~3e-8 (3e-9 would come back as 0); the round trip must hold to
+    // rounding at any theta, up to a global phase.
+    Rng rng(17);
+    for (const double theta : {1e-10, 3e-9, 2.98e-8, 1e-6, kPi - 1e-9}) {
+        for (int trial = 0; trial < 8; ++trial) {
+            const Complex phase = std::polar(1.0, rng.uniform(0.0, 2 * kPi));
+            const Matrix2 u = Matrix2(phase, 0.0, 0.0, phase) *
+                              u3Matrix(theta, rng.uniform(0.0, 2 * kPi),
+                                       rng.uniform(0.0, 2 * kPi));
+            const U3Params p = u3FromMatrix(u);
+            const Matrix2 rebuilt = u3Matrix(p.theta, p.phi, p.lambda);
+            Complex overlap = 0.0;
+            for (int j = 0; j < 4; ++j)
+                overlap += std::conj(rebuilt.data()[j]) * u.data()[j];
+            const Complex align = overlap / std::abs(overlap);
+            EXPECT_LE(u.maxAbsDiff(Matrix2(align, 0.0, 0.0, align) * rebuilt),
+                      1e-14)
+                << "theta=" << theta << " got " << p.theta;
+        }
+    }
 }
 
 /** Property sweep: every U3(theta, phi, lambda) round-trips. */
