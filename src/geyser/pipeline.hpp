@@ -67,9 +67,12 @@ class ResultCache;
  * running column environment and trace() reads Env(0), and
  * u3FromMatrix takes theta from atan2, so composed angles, evaluation
  * counts and noisy TVD move within rounding; no compiled circuit's
- * structure changed).
+ * structure changed; v14: the AVX2 and AVX-512 backends instantiate
+ * one vector source and compute the same bits, so on SIMD hosts
+ * composed angles and noisy TVD move within rounding; scalar outputs
+ * and every compiled circuit's structure are unchanged).
  */
-inline constexpr int kPipelineVersion = 13;
+inline constexpr int kPipelineVersion = 14;
 
 /** The compilation strategy to apply. */
 enum class Technique { Baseline, OptiMap, Geyser, Superconducting };

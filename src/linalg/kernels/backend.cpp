@@ -7,8 +7,8 @@
  * checks below.
  *
  * GEYSER_HAVE_AVX2 / GEYSER_HAVE_AVX512 are defined by the build when
- * the corresponding TU is compiled in (x86-64 and the compiler accepts
- * the flags); on other architectures only the scalar backend exists.
+ * the corresponding TU is compiled in (x86-64, GCC, and the compiler
+ * accepts the flags); elsewhere only the scalar backend exists.
  */
 #include "linalg/kernels/backend.hpp"
 
@@ -28,56 +28,55 @@ const ComputeBackend &avx512Backend();
 
 namespace {
 
-bool
-hostSupportsAvx2()
+/** One ISA: its backend's accessor and the CPUID probe for it. */
+struct Isa
 {
-#if defined(GEYSER_HAVE_AVX2)
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-    return false;
-#endif
-}
+    const char *name;
+    const ComputeBackend &(*backend)();  ///< Null when its TU is not built.
+    bool (*hostSupports)();
+};
 
-bool
-hostSupportsAvx512()
-{
+/**
+ * Every ISA, best first: "auto" takes the first usable entry, and a
+ * named request falls down the list (never up) to the first usable one.
+ */
+const Isa kIsas[] = {
 #if defined(GEYSER_HAVE_AVX512)
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512dq") &&
-           __builtin_cpu_supports("avx512vl");
+    {"avx512", avx512Backend,
+     [] {
+         return __builtin_cpu_supports("avx512f") &&
+                __builtin_cpu_supports("avx512dq") &&
+                __builtin_cpu_supports("avx512vl");
+     }},
 #else
-    return false;
+    {"avx512", nullptr, nullptr},
 #endif
-}
-
-const ComputeBackend *
-avx2OrNull()
-{
 #if defined(GEYSER_HAVE_AVX2)
-    if (hostSupportsAvx2())
-        return &avx2Backend();
+    {"avx2", avx2Backend,
+     [] {
+         return __builtin_cpu_supports("avx2") &&
+                __builtin_cpu_supports("fma");
+     }},
+#else
+    {"avx2", nullptr, nullptr},
 #endif
-    return nullptr;
-}
+    {"scalar", scalarBackend, [] { return true; }},
+};
 
+/** The ISA's backend if it is built and the host can run it. */
 const ComputeBackend *
-avx512OrNull()
+usable(const Isa &isa)
 {
-#if defined(GEYSER_HAVE_AVX512)
-    if (hostSupportsAvx512())
-        return &avx512Backend();
-#endif
-    return nullptr;
+    return isa.backend && isa.hostSupports() ? &isa.backend() : nullptr;
 }
 
 /** Best usable backend on this host (the "auto" resolution). */
 const ComputeBackend *
 bestBackend()
 {
-    if (const ComputeBackend *b = avx512OrNull())
-        return b;
-    if (const ComputeBackend *b = avx2OrNull())
-        return b;
+    for (const Isa &isa : kIsas)
+        if (const ComputeBackend *backend = usable(isa))
+            return backend;
     return &scalarBackend();
 }
 
@@ -89,27 +88,21 @@ bestBackend()
 const ComputeBackend *
 resolveOrFallback(const std::string &name, bool *honoured)
 {
-    bool exact = true;
-    const ComputeBackend *backend = nullptr;
-    if (name == "avx512") {
-        backend = avx512OrNull();
-        if (!backend) {
-            exact = false;
-            backend = avx2OrNull();
+    bool named = false, exact = true;
+    for (const Isa &isa : kIsas) {
+        named = named || name == isa.name;
+        if (!named)
+            continue;
+        if (const ComputeBackend *backend = usable(isa)) {
+            if (honoured)
+                *honoured = exact;
+            return backend;
         }
-    } else if (name == "avx2") {
-        backend = avx2OrNull();
-        if (!backend)
-            exact = false;
-    } else if (name == "scalar") {
-        backend = &scalarBackend();
+        exact = false;
     }
-    if (!backend)
-        backend = name == "avx512" || name == "avx2" ? &scalarBackend()
-                                                     : bestBackend();
     if (honoured)
-        *honoured = exact;
-    return backend;
+        *honoured = true;
+    return bestBackend();
 }
 
 std::atomic<const ComputeBackend *> &
@@ -191,32 +184,12 @@ std::vector<BackendInfo>
 availableBackends()
 {
     std::vector<BackendInfo> out;
-    {
+    for (const Isa &isa : kIsas) {
         BackendInfo info;
-        info.name = "avx512";
-#if defined(GEYSER_HAVE_AVX512)
-        info.compiled = true;
-#endif
-        info.supported = hostSupportsAvx512();
-        info.backend = avx512OrNull();
-        out.push_back(info);
-    }
-    {
-        BackendInfo info;
-        info.name = "avx2";
-#if defined(GEYSER_HAVE_AVX2)
-        info.compiled = true;
-#endif
-        info.supported = hostSupportsAvx2();
-        info.backend = avx2OrNull();
-        out.push_back(info);
-    }
-    {
-        BackendInfo info;
-        info.name = "scalar";
-        info.compiled = true;
-        info.supported = true;
-        info.backend = &scalarBackend();
+        info.name = isa.name;
+        info.compiled = isa.backend != nullptr;
+        info.supported = info.compiled && isa.hostSupports();
+        info.backend = usable(isa);
         out.push_back(info);
     }
     return out;

@@ -21,8 +21,14 @@
  *            (verify::overlapTrace of Ansatz::unitary) lives outside
  *            this layer and shares no arithmetic with it, so the
  *            oracle never moves when dispatch changes.
- *   avx2     256-bit AVX2+FMA kernels (4 doubles / lane group).
- *   avx512   512-bit AVX-512F/DQ/VL kernels (8 doubles / lane group).
+ *   avx2     256-bit AVX2+FMA: the kernels of simd.hpp at 4 doubles
+ *            per vector.
+ *   avx512   512-bit AVX-512F/DQ/VL: the same kernels at 8 doubles
+ *            per vector.
+ *
+ * The two SIMD backends instantiate one source, and every output
+ * element has one expression on every path and width, so they compute
+ * the same bits; scalar differs from them by FMA contraction only.
  *
  * The active backend is chosen once, at first use, by CPUID runtime
  * dispatch (best compiled-in ISA the host supports), overridable with

@@ -1,19 +1,83 @@
 /**
  * @file
- * The portable scalar backend: wires the reference implementations
- * from detail.hpp into a ComputeBackend table, and defines the
- * scalar-only kernels that stay outside the table (contractW, flipRows,
- * flipCols, svApply2q). Always compiled, on every architecture, with
- * no ISA-specific flags — this TU's copies of the detail kernels are
- * the 1e-12 reference every SIMD backend is property-tested against,
- * and the scalar-only kernels have this one arithmetic on every
- * backend.
+ * The portable scalar backend: the reference loops of the three table
+ * kernels, and the scalar-only kernels that stay outside the table
+ * (contractW, contractQubit, flipRows, flipCols, svApply2q). Always
+ * compiled, on every architecture, with no ISA-specific flags: the
+ * table loops are the 1e-12 reference every SIMD backend is
+ * property-tested against, and the scalar-only kernels have this one
+ * arithmetic on every backend.
  */
 #include "linalg/kernels/backend.hpp"
-#include "linalg/kernels/detail.hpp"
 
 namespace geyser {
 namespace kernels {
+namespace {
+
+/** M := (u on qubit bit) . M — row-pair 2x2 update. */
+void
+apply2x2RowsRef(double *re, double *im, const double *uRe,
+                const double *uIm, int bit, int d)
+{
+    for (int r0 = 0; r0 < d; ++r0) {
+        if (r0 & bit)
+            continue;
+        const int r1 = r0 | bit;
+        for (int c = 0; c < d; ++c) {
+            const double are = re[r0 * d + c], aim = im[r0 * d + c];
+            const double bre = re[r1 * d + c], bim = im[r1 * d + c];
+            re[r0 * d + c] =
+                uRe[0] * are - uIm[0] * aim + uRe[1] * bre - uIm[1] * bim;
+            im[r0 * d + c] =
+                uRe[0] * aim + uIm[0] * are + uRe[1] * bim + uIm[1] * bre;
+            re[r1 * d + c] =
+                uRe[2] * are - uIm[2] * aim + uRe[3] * bre - uIm[3] * bim;
+            im[r1 * d + c] =
+                uRe[2] * aim + uIm[2] * are + uRe[3] * bim + uIm[3] * bre;
+        }
+    }
+}
+
+/** M := M . (u on qubit bit) — column-pair 2x2 update. */
+void
+apply2x2ColsRef(double *re, double *im, const double *uRe,
+                const double *uIm, int bit, int d)
+{
+    for (int c0 = 0; c0 < d; ++c0) {
+        if (c0 & bit)
+            continue;
+        const int c1 = c0 | bit;
+        for (int r = 0; r < d; ++r) {
+            const double are = re[r * d + c0], aim = im[r * d + c0];
+            const double bre = re[r * d + c1], bim = im[r * d + c1];
+            re[r * d + c0] =
+                are * uRe[0] - aim * uIm[0] + bre * uRe[2] - bim * uIm[2];
+            im[r * d + c0] =
+                are * uIm[0] + aim * uRe[0] + bre * uIm[2] + bim * uRe[2];
+            re[r * d + c1] =
+                are * uRe[1] - aim * uIm[1] + bre * uRe[3] - bim * uIm[3];
+            im[r * d + c1] =
+                are * uIm[1] + aim * uRe[1] + bre * uIm[3] + bim * uRe[3];
+        }
+    }
+}
+
+/** Statevector 1-qubit gate, interleaved complex. */
+void
+svApply1qRef(Complex *amps, size_t dim, int qubit, const Complex *u)
+{
+    const size_t mask = size_t{1} << qubit;
+    for (size_t base = 0; base < dim; base += 2 * mask) {
+        for (size_t off = 0; off < mask; ++off) {
+            const size_t i0 = base + off, i1 = i0 | mask;
+            const Complex a0 = amps[i0], a1 = amps[i1];
+            amps[i0] = u[0] * a0 + u[1] * a1;
+            amps[i1] = u[2] * a0 + u[3] * a1;
+        }
+    }
+}
+
+}  // namespace
 
 const ComputeBackend &
 scalarBackend()

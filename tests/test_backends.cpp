@@ -5,9 +5,9 @@
  * must match the scalar reference to 1e-12 on randomized inputs —
  * including unaligned buffers (offset pointers; every kernel documents
  * unaligned tolerance), every pair bit of d = 2/4/8/16 and every
- * statevector width up to 6 qubits. Runs under Sanitize like the rest
- * of the suite, so masked-load overreads in a backend show up as ASan
- * faults here.
+ * statevector width up to 6 qubits — and the SIMD backends must match
+ * each other bit for bit. Runs under Sanitize like the rest of the
+ * suite, so overreads in a backend show up as ASan faults here.
  *
  * Also covers the dispatch surface: availableBackends() structure,
  * the avx512 -> avx2 -> scalar fallback chain, ScopedBackend
@@ -249,41 +249,78 @@ TEST(BackendDispatch, TwoQubitGatesAreTheSameOnEveryBackend)
         EXPECT_EQ(h, hashes.back().second) << name << " vs scalar";
 }
 
+/** True when n doubles at a and b are the same bits. */
+bool
+sameBits(const void *a, const void *b, size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
 TEST(BackendParity, Apply2x2RowsAndCols)
 {
+    // Each usable SIMD backend matches scalar to 1e-12 and the first
+    // SIMD backend bit for bit: both instantiate one source
+    // (simd.hpp), in which every path computes an output element with
+    // one expression.
     Rng rng(2027);
-    for (const ComputeBackend *backend : simdBackends()) {
-        for (const int d : {2, 4, 8, 16}) {
-            for (int bit = 1; bit < d; bit <<= 1) {
-                for (const size_t offset :
-                     {size_t{0}, size_t{1}, size_t{3}}) {
-                    const size_t n = static_cast<size_t>(d) * d;
-                    OffsetBuf re(rng, n, offset), im(rng, n, offset);
-                    double uRe[4], uIm[4];
-                    for (int i = 0; i < 4; ++i) {
-                        uRe[i] = rng.uniform(-1.0, 1.0);
-                        uIm[i] = rng.uniform(-1.0, 1.0);
-                    }
-                    std::vector<double> refRe(re.p, re.p + n);
-                    std::vector<double> refIm(im.p, im.p + n);
+    const auto backends = simdBackends();
+    for (const int d : {2, 4, 8, 16}) {
+        for (int bit = 1; bit < d; bit <<= 1) {
+            for (const size_t offset : {size_t{0}, size_t{1}, size_t{3}}) {
+                const size_t n = static_cast<size_t>(d) * d;
+                const OffsetBuf re(rng, n, offset), im(rng, n, offset);
+                double uRe[4], uIm[4];
+                for (int i = 0; i < 4; ++i) {
+                    uRe[i] = rng.uniform(-1.0, 1.0);
+                    uIm[i] = rng.uniform(-1.0, 1.0);
+                }
+                std::vector<double> rowsRe(re.p, re.p + n);
+                std::vector<double> rowsIm(im.p, im.p + n);
+                kernels::scalarBackend().apply2x2Rows(
+                    rowsRe.data(), rowsIm.data(), uRe, uIm, bit, d);
+                std::vector<double> colsRe = rowsRe, colsIm = rowsIm;
+                kernels::scalarBackend().apply2x2Cols(
+                    colsRe.data(), colsIm.data(), uRe, uIm, bit, d);
 
-                    kernels::scalarBackend().apply2x2Rows(refRe.data(),
-                                                          refIm.data(), uRe,
-                                                          uIm, bit, d);
-                    backend->apply2x2Rows(re.p, im.p, uRe, uIm, bit, d);
-                    EXPECT_LT(maxAbsDiff(refRe.data(), re.p, n), kTol)
+                // The first SIMD backend's storage after each kernel.
+                std::vector<double> firstRows, firstCols;
+                for (const ComputeBackend *backend : backends) {
+                    // Copies keep the misalignment.
+                    std::vector<double> gotRe = re.storage;
+                    std::vector<double> gotIm = im.storage;
+                    double *pRe = gotRe.data() + offset;
+                    double *pIm = gotIm.data() + offset;
+                    backend->apply2x2Rows(pRe, pIm, uRe, uIm, bit, d);
+                    EXPECT_LT(maxAbsDiff(rowsRe.data(), pRe, n), kTol)
                         << backend->name << " apply2x2Rows d=" << d
                         << " bit=" << bit << " offset=" << offset;
-                    EXPECT_LT(maxAbsDiff(refIm.data(), im.p, n), kTol);
+                    EXPECT_LT(maxAbsDiff(rowsIm.data(), pIm, n), kTol);
+                    std::vector<double> rows = gotRe;
+                    rows.insert(rows.end(), gotIm.begin(), gotIm.end());
 
-                    kernels::scalarBackend().apply2x2Cols(refRe.data(),
-                                                          refIm.data(), uRe,
-                                                          uIm, bit, d);
-                    backend->apply2x2Cols(re.p, im.p, uRe, uIm, bit, d);
-                    EXPECT_LT(maxAbsDiff(refRe.data(), re.p, n), kTol)
+                    backend->apply2x2Cols(pRe, pIm, uRe, uIm, bit, d);
+                    EXPECT_LT(maxAbsDiff(colsRe.data(), pRe, n), kTol)
                         << backend->name << " apply2x2Cols d=" << d
                         << " bit=" << bit << " offset=" << offset;
-                    EXPECT_LT(maxAbsDiff(refIm.data(), im.p, n), kTol);
+                    EXPECT_LT(maxAbsDiff(colsIm.data(), pIm, n), kTol);
+                    std::vector<double> cols = gotRe;
+                    cols.insert(cols.end(), gotIm.begin(), gotIm.end());
+
+                    if (backend == backends.front()) {
+                        firstRows = rows;
+                        firstCols = cols;
+                        continue;
+                    }
+                    EXPECT_TRUE(sameBits(rows.data(), firstRows.data(),
+                                         rows.size()))
+                        << backend->name << " vs " << backends.front()->name
+                        << " apply2x2Rows d=" << d << " bit=" << bit
+                        << " offset=" << offset;
+                    EXPECT_TRUE(sameBits(cols.data(), firstCols.data(),
+                                         cols.size()))
+                        << backend->name << " vs " << backends.front()->name
+                        << " apply2x2Cols d=" << d << " bit=" << bit
+                        << " offset=" << offset;
                 }
             }
         }
@@ -292,110 +329,36 @@ TEST(BackendParity, Apply2x2RowsAndCols)
 
 TEST(BackendParity, StatevectorKernels)
 {
+    // svApply1q as above: scalar to 1e-12, the first SIMD backend bit
+    // for bit.
     Rng rng(2031);
-    for (const ComputeBackend *backend : simdBackends()) {
-        for (int numQubits = 1; numQubits <= 6; ++numQubits) {
-            const size_t dim = size_t{1} << numQubits;
-            std::vector<Complex> base(dim);
-            for (auto &a : base)
-                a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    const auto backends = simdBackends();
+    for (int numQubits = 1; numQubits <= 6; ++numQubits) {
+        const size_t dim = size_t{1} << numQubits;
+        std::vector<Complex> base(dim);
+        for (auto &a : base)
+            a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
 
-            Complex u1[4];
-            for (auto &v : u1)
-                v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-            for (int q = 0; q < numQubits; ++q) {
-                std::vector<Complex> ref = base, got = base;
-                kernels::scalarBackend().svApply1q(ref.data(), dim, q, u1);
+        Complex u1[4];
+        for (auto &v : u1)
+            v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        for (int q = 0; q < numQubits; ++q) {
+            std::vector<Complex> ref = base, first;
+            kernels::scalarBackend().svApply1q(ref.data(), dim, q, u1);
+            for (const ComputeBackend *backend : backends) {
+                std::vector<Complex> got = base;
                 backend->svApply1q(got.data(), dim, q, u1);
                 for (size_t i = 0; i < dim; ++i)
                     EXPECT_LT(std::abs(ref[i] - got[i]), kTol)
                         << backend->name << " svApply1q n=" << numQubits
                         << " q=" << q;
-            }
-        }
-    }
-}
-
-/**
- * u . a as svApply1qRef compiles under the SIMD TUs' -O2 -mfma: one
- * rounded cross product and one FMA per part. Both forms round ui ai
- * in the real part; fmaUv rounds ui ar in the imaginary part, fmaVu
- * rounds ur ai.
- */
-Complex
-fmaUv(Complex u, Complex a)
-{
-    return {std::fma(u.real(), a.real(), -(u.imag() * a.imag())),
-            std::fma(u.real(), a.imag(), u.imag() * a.real())};
-}
-
-Complex
-fmaVu(Complex u, Complex a)
-{
-    return {std::fma(a.real(), u.real(), -(a.imag() * u.imag())),
-            std::fma(a.real(), u.imag(), a.imag() * u.real())};
-}
-
-bool
-sameBits(const std::vector<Complex> &a, const std::vector<Complex> &b)
-{
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
-}
-
-TEST(BackendParity, StatevectorBit0IsTheFmaArithmetic)
-{
-    // The SIMD svApply1q on storage bit 0 gives u[0] a0 + u[1] a1 and
-    // u[2] a0 + u[3] a1 with the products above, bit for bit: the
-    // arithmetic the reference loop compiles to in the SIMD TUs at -O2,
-    // so bit-0 results did not move when the vector loop replaced it.
-    // A block holding a NaN takes the reference loop: the NaN pair gets
-    // std::complex's product (a __muldc3 call), the block's other pairs
-    // that loop's rounding.
-    Rng rng(2033);
-    for (const ComputeBackend *backend : simdBackends()) {
-        for (int numQubits = 1; numQubits <= 7; ++numQubits) {
-            const size_t dim = size_t{1} << numQubits;
-            std::vector<Complex> base(dim);
-            for (auto &a : base)
-                a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-            Complex u[4];
-            for (auto &v : u)
-                v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-            const size_t at = static_cast<size_t>(
-                rng.uniformInt(static_cast<int>(dim)));
-
-            std::vector<Complex> poisoned = base;
-            poisoned[at] = {std::nan(""), 0.5};
-            std::vector<Complex> want = base, wantPoisoned = poisoned;
-            for (size_t i = 0; i < dim; i += 2) {
-                const Complex a0 = base[i], a1 = base[i + 1];
-                want[i] = fmaVu(u[0], a0) + fmaUv(u[1], a1);
-                want[i + 1] = fmaVu(u[2], a0) + fmaVu(u[3], a1);
-                wantPoisoned[i] = want[i];
-                wantPoisoned[i + 1] = want[i + 1];
-            }
-            const size_t pair = at & ~size_t{1};
-            const Complex p0 = poisoned[pair], p1 = poisoned[pair + 1];
-            wantPoisoned[pair] = u[0] * p0 + u[1] * p1;
-            wantPoisoned[pair + 1] = u[2] * p0 + u[3] * p1;
-
-            std::vector<Complex> got = base;
-            backend->svApply1q(got.data(), dim, 0, u);
-            EXPECT_TRUE(sameBits(got, want))
-                << backend->name << " n=" << numQubits;
-
-            backend->svApply1q(poisoned.data(), dim, 0, u);
-            for (size_t i = 0; i < dim; ++i) {
-                if (i == pair || i == pair + 1) {
-                    EXPECT_EQ(std::memcmp(&poisoned[i], &wantPoisoned[i],
-                                          sizeof(Complex)),
-                              0)
-                        << backend->name << " n=" << numQubits << " i=" << i;
-                } else {
-                    EXPECT_LT(std::abs(poisoned[i] - wantPoisoned[i]), kTol)
-                        << backend->name << " n=" << numQubits << " i=" << i;
+                if (backend == backends.front()) {
+                    first = got;
+                    continue;
                 }
+                EXPECT_TRUE(sameBits(got.data(), first.data(), 2 * dim))
+                    << backend->name << " vs " << backends.front()->name
+                    << " svApply1q n=" << numQubits << " q=" << q;
             }
         }
     }

@@ -10,6 +10,7 @@
 #include "compose/composer.hpp"
 #include "io/serialize.hpp"
 #include "linalg/kernels/backend.hpp"
+#include "obs/obs.hpp"
 #include "sim/unitary_sim.hpp"
 #include "transpile/basis.hpp"
 #include "transpile/passes.hpp"
@@ -109,9 +110,10 @@ TEST(ComposeMemo, DistinguishesOptions)
 
 TEST(ComposeMemo, DistinguishesBackends)
 {
-    // Backends round differently, so rotosolve can settle on other
-    // angles: a block the memo composed under scalar must not be served
-    // to a compile on a SIMD backend.
+    // Backends can round differently (GCC contracts the SIMD kernels'
+    // products into FMAs in optimized builds; scalar has no FMA), so
+    // rotosolve can settle on other angles: a block the memo composed
+    // under scalar must not be served to a compile on a SIMD backend.
     std::string simd;
     for (const auto &info : kernels::availableBackends()) {  // best first
         if (info.backend != nullptr && info.name != "scalar") {
@@ -133,19 +135,24 @@ TEST(ComposeMemo, DistinguishesBackends)
         }
         block.cz(0, 1);
     }
-    std::string scalarText;
+    const obs::Counter &hits = obs::counter("compose.memo_hits");
+    const obs::Counter &misses = obs::counter("compose.memo_misses");
+    obs::EnabledScope counting(true);  // Counters only count while enabled.
     {
         kernels::ScopedBackend scoped("scalar");
-        scalarText = circuitToText(composeBlockCached(block).circuit);
+        composeBlockCached(block);  // Scalar's result enters the memo.
     }
     kernels::ScopedBackend scoped(simd);
     ASSERT_TRUE(scoped.honoured()) << simd;
     const ComposeResult direct = composeBlockWithSplits(block);
     ASSERT_TRUE(direct.composed);
-    ASSERT_NE(circuitToText(direct.circuit), scalarText)
-        << "scalar and " << simd << " no longer compose this block apart";
+    const long hits0 = hits.value();
+    const long misses0 = misses.value();
     EXPECT_EQ(circuitToText(composeBlockCached(block).circuit),
               circuitToText(direct.circuit));
+    EXPECT_EQ(hits.value() - hits0, 0);
+    EXPECT_EQ(misses.value() - misses0, 1)
+        << "the memo served scalar's entry to " << simd;
 }
 
 TEST(ComposeMemo, DistinguishesGateParameters)

@@ -30,7 +30,7 @@ namespace geyser {
 namespace {
 
 /** The kPipelineVersion the table below was recorded at. */
-constexpr int kFingerprintVersion = 13;
+constexpr int kFingerprintVersion = 14;
 
 struct Fingerprint
 {

@@ -4,9 +4,10 @@
 #
 # The compose evaluator and the statevector simulator route their
 # complex MAC inner loops through src/linalg/kernels: the three-slot
-# ComputeBackend table (apply2x2Rows, apply2x2Cols, svApply1q, with
-# scalar/AVX2/AVX-512 copies) and the scalar-only functions beside it
-# (contractW, contractQubit, svApply2q), so each loop has one home.
+# ComputeBackend table (apply2x2Rows, apply2x2Cols, svApply1q: scalar
+# reference loops plus one vector source that the SIMD backends
+# instantiate) and the scalar-only functions beside it (contractW,
+# contractQubit, svApply2q), so each loop has one home.
 # The dense oracle those loops are checked against
 # (src/verify: overlapTrace of Ansatz::unitary) is Matrix arithmetic
 # over std::complex and shares no loop with them. This script fails CI
